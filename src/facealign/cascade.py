@@ -41,8 +41,11 @@ class TrainConfig:
     coarse_to_fine: bool = True
 
     def __post_init__(self):
-        if self.T < 1:
-            raise ValueError("T must be >= 1")
+        for name, low in (("T", 1), ("K1", 1), ("K2", 1), ("depth", 0),
+                          ("candidates_per_node", 1), ("Z", 1), ("subset_size", 4)):
+            v = getattr(self, name)
+            if not isinstance(v, (int, np.integer)) or v < low:
+                raise ValueError(f"{name} must be an integer >= {low}, not {v!r}")
         if not 0.0 < self.shrinkage <= 1.0:
             raise ValueError("shrinkage must lie in (0,1]")
         if not 0.0 < self.subsample <= 1.0:
@@ -51,7 +54,8 @@ class TrainConfig:
 
 @dataclass
 class Tree:
-    """Flat-array regression tree over one part's landmarks.
+    """One fitted regression tree over one part's landmarks, as
+    ``fit_tree`` returns it; ``PartModel`` packs a part's trees.
 
     Child entries >= 0 index another internal node; negative entries
     encode leaf id ``~child``.  A tree may be a single leaf (no nodes).
@@ -70,113 +74,76 @@ class Tree:
     def n_nodes(self) -> int:
         return len(self.node_tau)
 
-    def leaf_ids_batch(self, V: np.ndarray) -> np.ndarray:
-        """V: (n, part_size, M) cached pattern reads -> (n,) leaf ids."""
-        n = V.shape[0]
-        if self.n_nodes == 0:
-            return np.zeros(n, dtype=np.int64)
-        ptr = np.zeros(n, dtype=np.int64)
-        done_leaf = np.full(n, -1, dtype=np.int64)
-        active = np.arange(n)
-        while len(active):
-            cur = ptr[active]
-            lm = self.node_landmark[cur]
-            f = (
-                V[active, lm, self.node_p1[cur]]
-                - V[active, lm, self.node_p2[cur]]
-            )
-            child = np.where(f > self.node_tau[cur],
-                             self.node_left[cur], self.node_right[cur])
-            is_leaf = child < 0
-            done_leaf[active[is_leaf]] = ~child[is_leaf]
-            ptr[active] = child
-            active = active[~is_leaf]
-        return done_leaf
 
-    def leaf_id_single(self, V1: np.ndarray, f_cache: np.ndarray | None = None) -> int:
-        """V1: (part_size, M); f_cache optionally holds precomputed node
-        feature values for this face."""
-        if self.n_nodes == 0:
-            return 0
-        if f_cache is None:
-            f_cache = (
-                V1[self.node_landmark, self.node_p1]
-                - V1[self.node_landmark, self.node_p2]
-            )
-        c = 0
-        while c >= 0:
-            nxt = self.node_left[c] if f_cache[c] > self.node_tau[c] else self.node_right[c]
-            if nxt < 0:
-                return ~nxt
-            c = nxt
-        raise AssertionError("unreachable")
+FOREST_FIELDS = (
+    "roots", "node_landmark", "node_p1", "node_p2", "node_tau", "node_left",
+    "node_right", "leaf_residual", "leaf_visibility",
+)
 
 
-@dataclass
 class PartModel:
-    landmarks: np.ndarray  # global landmark indices
-    trees: list[Tree]
+    """One part's trees packed into one flat forest.
+
+    Node and leaf rows of all trees are concatenated in tree order.  Child
+    entries >= 0 index another node of the part; negative entries encode
+    leaf row ``~child``.  ``roots`` holds each tree's root in the same
+    encoding, so a single-leaf tree's root is ``~leaf``.
+    """
+
+    def __init__(self, landmarks, trees: list[Tree]):
+        node_off = np.cumsum([0] + [t.n_nodes for t in trees])
+        leaf_off = np.cumsum([0] + [len(t.leaf_residual) for t in trees])
+
+        def cat(f):
+            return np.concatenate([getattr(t, f) for t in trees])
+
+        def relocate(f):
+            return np.concatenate([
+                np.where(c >= 0, c + node_off[k], c - leaf_off[k])
+                for k, c in enumerate(getattr(t, f) for t in trees)
+            ])
+
+        self.landmarks = np.asarray(landmarks, dtype=np.int64)
+        self.roots = np.array([node_off[k] if t.n_nodes else ~leaf_off[k]
+                               for k, t in enumerate(trees)], dtype=np.int64)
+        self.node_landmark = cat("node_landmark")
+        self.node_p1 = cat("node_p1")
+        self.node_p2 = cat("node_p2")
+        self.node_tau = cat("node_tau")
+        self.node_left = relocate("node_left")
+        self.node_right = relocate("node_right")
+        self.leaf_residual = cat("leaf_residual")
+        self.leaf_visibility = cat("leaf_visibility")
+
+    @classmethod
+    def from_arrays(cls, landmarks, arrays: dict) -> "PartModel":
+        """A part from its packed arrays, keyed by ``FOREST_FIELDS``."""
+        pm = cls.__new__(cls)
+        pm.landmarks = np.asarray(landmarks, dtype=np.int64)
+        for f in FOREST_FIELDS:
+            setattr(pm, f, arrays[f])
+        return pm
+
+    @property
+    def n_trees(self) -> int:
+        return len(self.roots)
 
 
-class _TreePack:
-    """All of one part's trees stacked into padded arrays so a single
-    face can be pushed through every tree at once."""
-
-    def __init__(self, trees: list[Tree]):
-        K = len(trees)
-        n_max = max(t.n_nodes for t in trees)
-        leaves_max = max(len(t.leaf_residual) for t in trees)
-        self.lm = np.zeros((K, max(n_max, 1)), dtype=np.int64)
-        self.p1 = np.zeros_like(self.lm)
-        self.p2 = np.zeros_like(self.lm)
-        self.tau = np.zeros((K, max(n_max, 1)), dtype=np.float64)
-        self.left = np.zeros_like(self.lm)
-        self.right = np.zeros_like(self.lm)
-        self.has_nodes = np.zeros(K, dtype=bool)
-        self.leaf_residual = np.zeros(
-            (K, leaves_max, trees[0].leaf_residual.shape[1]))
-        self.leaf_visibility = np.zeros(
-            (K, leaves_max, trees[0].leaf_visibility.shape[1]))
-        for k, t in enumerate(trees):
-            n = t.n_nodes
-            if n:
-                self.lm[k, :n] = t.node_landmark
-                self.p1[k, :n] = t.node_p1
-                self.p2[k, :n] = t.node_p2
-                self.tau[k, :n] = t.node_tau
-                self.left[k, :n] = t.node_left
-                self.right[k, :n] = t.node_right
-                self.has_nodes[k] = True
-            self.leaf_residual[k, :len(t.leaf_residual)] = t.leaf_residual
-            self.leaf_visibility[k, :len(t.leaf_visibility)] = t.leaf_visibility
-        self.rows = np.arange(K)
-        self.keep = 1.0 - 1.0 / K
-        # sequential EMA unrolled: vis <- keep^K vis + sum_k w_k leafvis_k
-        self.blend_weights = (1.0 / K) * self.keep ** (K - 1 - self.rows)
-
-    def leaf_ids(self, Vp: np.ndarray) -> np.ndarray:
-        """Vp: (part_size, M) cached reads -> (K,) leaf ids, one per tree."""
-        f = Vp[self.lm, self.p1] - Vp[self.lm, self.p2]
-        leaf = np.zeros(len(self.rows), dtype=np.int64)
-        cur = np.zeros(len(self.rows), dtype=np.int64)
-        active = np.flatnonzero(self.has_nodes)
-        while len(active):
-            c = cur[active]
-            child = np.where(f[active, c] > self.tau[active, c],
-                             self.left[active, c], self.right[active, c])
-            is_leaf = child < 0
-            leaf[active[is_leaf]] = ~child[is_leaf]
-            cur[active] = child
-            active = active[~is_leaf]
-        return leaf
-
-
-def _packed_trees(pm: PartModel) -> _TreePack:
-    pack = pm.__dict__.get("_pack")
-    if pack is None:
-        pack = _TreePack(pm.trees)
-        pm.__dict__["_pack"] = pack
-    return pack
+def leaf_ids(part: PartModel, V: np.ndarray) -> np.ndarray:
+    """V: (n, part_size, M) cached pattern reads -> (n, K) leaf rows, one
+    per face and tree of the part."""
+    lm = part.node_landmark
+    go_left = V[:, lm, part.node_p1] - V[:, lm, part.node_p2] > part.node_tau
+    cur = np.repeat(part.roots[None], V.shape[0], axis=0)
+    flat = cur.reshape(-1)
+    active = np.flatnonzero(flat >= 0)
+    while len(active):
+        c = flat[active]
+        child = np.where(go_left[active // part.n_trees, c],
+                         part.node_left[c], part.node_right[c])
+        flat[active] = child
+        active = active[child >= 0]
+    return ~cur
 
 
 @dataclass
@@ -327,55 +294,59 @@ def fit_tree(residuals, ann_mask, gt_vis, V, part_global, cfg: TrainConfig,
     return b.finish()
 
 
-def train_parts(gt_coords, ann, gt_vis, coords, vis, V, parts, K, nu, eta,
+def train_parts(gt_coords, ann, gt_vis, coords, V, parts, K, nu, eta,
                 cfg: TrainConfig, rng: np.random.Generator,
                 scale: float) -> PartsStage:
     """One boosting stage: K trees per part, eta-subsampled, nu-shrunk.
 
-    coords/vis are updated in place for all samples; features V stay fixed
-    for the whole stage.
+    coords are updated in place for all samples after every tree; features
+    V stay fixed for the whole stage.
     """
     N = coords.shape[0]
     m = min(N, max(2, int(round(eta * N))))
-    part_models = [PartModel(np.asarray(p, dtype=np.int64), []) for p in parts]
-    Vp = {id(pm): np.ascontiguousarray(V[:, pm.landmarks, :]) for pm in part_models}
-    W2p = {
-        id(pm): np.repeat(ann[:, pm.landmarks], 2, axis=1).astype(np.float64)
-        for pm in part_models
-    }
+    parts = [np.asarray(p, dtype=np.int64) for p in parts]
+    Vp = [np.ascontiguousarray(V[:, p, :]) for p in parts]
+    W2p = [np.repeat(ann[:, p], 2, axis=1).astype(np.float64) for p in parts]
+    trees = [[] for _ in parts]
     for _k in range(K):
-        for pm in part_models:
-            p = pm.landmarks
-            W2 = W2p[id(pm)]
-            Vpart = Vp[id(pm)]
+        for p, Vpart, W2, part_trees in zip(parts, Vp, W2p, trees):
             residual = ((gt_coords[:, p, :] - coords[:, p, :]).reshape(N, -1) * W2)
             sub = np.sort(rng.choice(N, size=m, replace=False))
             tree = fit_tree(
                 residual[sub], W2[sub], gt_vis[np.ix_(sub, p)], Vpart[sub],
                 p, cfg, rng, V.shape[2],
             )
-            leaf = tree.leaf_ids_batch(Vpart)
+            leaf = leaf_ids(PartModel(p, [tree]), Vpart)[:, 0]
             coords[:, p, :] += nu * tree.leaf_residual[leaf].reshape(N, len(p), 2)
-            vis[:, p] = (1.0 - 1.0 / K) * vis[:, p] + (1.0 / K) * tree.leaf_visibility[leaf]
-            pm.trees.append(tree)
-    np.clip(vis, 0.0, 1.0, out=vis)
-    return PartsStage(parts=part_models, shrinkage=nu, scale=scale)
+            part_trees.append(tree)
+    return PartsStage(parts=[PartModel(p, t) for p, t in zip(parts, trees)],
+                      shrinkage=nu, scale=scale)
 
 
-def apply_stage(stage: PartsStage, V, coords, vis) -> None:
-    """Run a trained stage over a batch; mirrors the training update order."""
-    N = coords.shape[0]
-    K = len(stage.parts[0].trees) if stage.parts else 0
-    for k in range(K):
-        for pm in stage.parts:
-            p = pm.landmarks
-            tree = pm.trees[k]
-            leaf = tree.leaf_ids_batch(V[:, p, :])
-            coords[:, p, :] += stage.shrinkage * tree.leaf_residual[leaf].reshape(
-                N, len(p), 2
-            )
-            vis[:, p] = (1.0 - 1.0 / K) * vis[:, p] + (1.0 / K) * tree.leaf_visibility[leaf]
-    np.clip(vis, 0.0, 1.0, out=vis)
+def apply_stage(stage: PartsStage, V, coords, vis=None) -> None:
+    """Run a trained stage over a batch of faces, updating it in place.
+
+    V: (n, L, M) pattern reads; coords: (n, L, 2); vis: (n, L) or None.
+    Each part adds its K shrunk leaf residuals to coords one tree after
+    the other, the order training added them in.  Visibility gets the
+    closed form of the per-tree blend ``vis <- (1 - 1/K) vis + leafvis/K``,
+    a convex combination, so it stays in [0, 1] up to rounding; ``predict``
+    clips its result.
+    """
+    n = coords.shape[0]
+    for pm in stage.parts:
+        p = pm.landmarks
+        leaf = leaf_ids(pm, V[:, p, :])
+        steps = stage.shrinkage * pm.leaf_residual[leaf.T]  # (K, n, 2 * part_size)
+        start = coords[:, p, :].reshape(1, n, -1)
+        # summing over the leading axis adds one row after the other, the
+        # same additions as training's per-tree +=, so coords match bit for bit
+        coords[:, p, :] = np.concatenate([start, steps]).sum(axis=0).reshape(n, len(p), 2)
+        if vis is not None:
+            K = pm.n_trees
+            keep = 1.0 - 1.0 / K
+            weights = (1.0 / K) * keep ** np.arange(K - 1, -1, -1)
+            vis[:, p] = keep ** K * vis[:, p] + weights @ pm.leaf_visibility[leaf]
 
 
 def _height_normalizers(bboxes: np.ndarray) -> np.ndarray:
@@ -446,16 +417,8 @@ def make_initializer(init_mode: str, mean_shape: Shape,
     return init_fn
 
 
-def _initial_arrays(dataset: Dataset, init_fn, maps_provider):
-    n = len(dataset)
-    L = dataset.schema.landmark_count
-    coords = np.zeros((n, L, 2))
-    vis = np.zeros((n, L))
-    for i, s in enumerate(dataset.samples):
-        shape, _ = init_fn(s, maps_provider)
-        coords[i] = shape.coords
-        vis[i] = shape.visibility
-    return coords, vis
+def _initial_coords(dataset: Dataset, init_fn, maps_provider) -> np.ndarray:
+    return np.stack([init_fn(s, maps_provider)[0].coords for s in dataset.samples])
 
 
 def fine_parts(schema: LandmarkSchema) -> list[np.ndarray]:
@@ -497,8 +460,8 @@ def train_cascade(train: Dataset, val: Dataset, maps_provider, init_fn,
     L = schema.landmark_count
     tr = TrainingArrays(train)
     va = TrainingArrays(val)
-    tr_coords, tr_vis = _initial_arrays(train, init_fn, maps_provider)
-    va_coords, va_vis = _initial_arrays(val, init_fn, maps_provider)
+    tr_coords = _initial_coords(train, init_fn, maps_provider)
+    va_coords = _initial_coords(val, init_fn, maps_provider)
     d_tr = _height_normalizers(tr.bboxes)
     d_va = _height_normalizers(va.bboxes)
 
@@ -520,13 +483,13 @@ def train_cascade(train: Dataset, val: Dataset, maps_provider, init_fn,
         V_tr = extract_stage_features(train, tr_coords, maps_provider, pattern,
                                       scale, feature_mode)
         stage = train_parts(
-            tr.gt_coords, tr.ann, tr.gt_vis, tr_coords, tr_vis, V_tr, parts,
+            tr.gt_coords, tr.ann, tr.gt_vis, tr_coords, V_tr, parts,
             K, config.shrinkage, config.subsample, config, rng, scale,
         )
         stages.append(stage)
         V_va = extract_stage_features(val, va_coords, maps_provider, pattern,
                                       scale, feature_mode)
-        apply_stage(stage, V_va, va_coords, va_vis)
+        apply_stage(stage, V_va, va_coords)
         train_nme = _nme_percent(tr_coords, tr.gt_coords, tr.ann, d_tr)
         val_nme = _nme_percent(va_coords, va.gt_coords, va.ann, d_va)
         improvement = relative_improvement(prev_val_nme, val_nme)
@@ -578,24 +541,14 @@ def predict(model: CascadeModel, maps, bbox, image=None,
             used_fallback = True
     else:
         init = anchor_shape(model.mean_shape, bbox)
-    coords = init.coords.copy()
-    vis = init.visibility.copy()
+    coords = init.coords[None].copy()
+    vis = init.visibility[None].copy()
     for stage in model.stages:
         if model.feature_mode == "gray":
-            V = extract_pattern_values_gray(image, coords, model.pattern, stage.scale)
+            V = extract_pattern_values_gray(image, coords[0], model.pattern, stage.scale)
         else:
-            V = extract_pattern_values(maps, coords, model.pattern, stage.scale)
-        for pm in stage.parts:
-            if not pm.trees:
-                continue
-            p = pm.landmarks
-            pk = _packed_trees(pm)
-            leaf = pk.leaf_ids(V[p])
-            res = pk.leaf_residual[pk.rows, leaf]
-            coords[p] += stage.shrinkage * res.sum(axis=0).reshape(len(p), 2)
-            lv = pk.leaf_visibility[pk.rows, leaf]
-            # closed form of the sequential per-tree 1/K blend
-            vis[p] = pk.keep ** len(pm.trees) * vis[p] + pk.blend_weights @ lv
+            V = extract_pattern_values(maps, coords[0], model.pattern, stage.scale)
+        apply_stage(stage, V[None], coords, vis)
     np.clip(vis, 0.0, 1.0, out=vis)
-    shape = Shape(coords, vis, np.ones(len(vis), dtype=np.uint8))
+    shape = Shape(coords[0], vis[0], np.ones(vis.shape[1], dtype=np.uint8))
     return Prediction(shape=shape, init_shape=init, used_fallback=used_fallback)

@@ -33,8 +33,6 @@ EXIT_NUMERIC = 3
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", default=None, help="flat JSON config file")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1,
-                   help="reserved; training currently runs single-process")
     p.add_argument("--dataset", default=None, help="annotations JSONL path")
     p.add_argument("--out", dest="output_dir", default=None,
                    help="output directory")

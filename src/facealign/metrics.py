@@ -6,7 +6,7 @@ the cross-dataset error matrix over a shared distinct-landmark subset.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,6 @@ class EvalReport:
     epsilon: float
     occlusion_precision: float | None = None
     occlusion_recall: float | None = None
-    extras: dict = field(default_factory=dict)
 
     def to_text(self) -> str:
         lines = [

@@ -2,8 +2,9 @@
 
 Layout: magic, little-endian header length, JSON header (describes config,
 schema, and every array's name/dtype/shape in payload order), raw array
-payload, and a trailing sha256 over everything before it.  Identical
-models serialize to identical bytes.
+payload, and a trailing sha256 over everything before it.  Each part of
+each stage stores its landmarks and its packed forest (``FOREST_FIELDS``).
+Identical models serialize to identical bytes.
 """
 
 from __future__ import annotations
@@ -14,19 +15,14 @@ import struct
 
 import numpy as np
 
-from .cascade import CascadeModel, PartModel, PartsStage, TrainConfig, Tree
+from .cascade import FOREST_FIELDS, CascadeModel, PartModel, PartsStage, TrainConfig
 from .errors import FormatError
 from .features import FreakPattern
 from .pose import Model3D
 from .shapes import LandmarkSchema, Shape
 
 MODEL_MAGIC = b"FACM"
-MODEL_VERSION = 1
-
-_TREE_FIELDS = (
-    "node_landmark", "node_p1", "node_p2", "node_tau", "node_left",
-    "node_right", "leaf_residual", "leaf_visibility",
-)
+MODEL_VERSION = 2
 
 
 class _ArrayPack:
@@ -82,17 +78,14 @@ def save_model(model: CascadeModel, path) -> None:
         pack.add("model3d/distinct", model.model3d.distinct.astype(np.uint8))
     stage_meta = []
     for si, stage in enumerate(model.stages):
-        parts_meta = []
         for pi, pm in enumerate(stage.parts):
             pack.add(f"s{si}/p{pi}/landmarks", pm.landmarks)
-            for ti, tree in enumerate(pm.trees):
-                for f in _TREE_FIELDS:
-                    pack.add(f"s{si}/p{pi}/t{ti}/{f}", getattr(tree, f))
-            parts_meta.append({"n_trees": len(pm.trees)})
+            for f in FOREST_FIELDS:
+                pack.add(f"s{si}/p{pi}/{f}", getattr(pm, f))
         stage_meta.append({
             "shrinkage": stage.shrinkage,
             "scale": stage.scale,
-            "parts": parts_meta,
+            "parts": len(stage.parts),
         })
     header = {
         "version": MODEL_VERSION,
@@ -176,15 +169,13 @@ def load_model(path) -> CascadeModel:
         )
     stages = []
     for si, sm in enumerate(header["stages"]):
-        parts = []
-        for pi, pmeta in enumerate(sm["parts"]):
-            trees = []
-            for ti in range(pmeta["n_trees"]):
-                kw = {
-                    f: arrays[f"s{si}/p{pi}/t{ti}/{f}"] for f in _TREE_FIELDS
-                }
-                trees.append(Tree(**kw))
-            parts.append(PartModel(arrays[f"s{si}/p{pi}/landmarks"], trees))
+        parts = [
+            PartModel.from_arrays(
+                arrays[f"s{si}/p{pi}/landmarks"],
+                {f: arrays[f"s{si}/p{pi}/{f}"] for f in FOREST_FIELDS},
+            )
+            for pi in range(sm["parts"])
+        ]
         stages.append(PartsStage(parts=parts, shrinkage=sm["shrinkage"],
                                  scale=sm["scale"]))
     return CascadeModel(

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -63,12 +63,27 @@ class RunConfig:
     augment: dict = field(default_factory=dict)     # AugmentConfig overrides
     output_dir: str = "out"
 
+    def __post_init__(self):
+        for name, allowed in (("init_mode", ("3d", "mean")),
+                              ("feature_mode", ("heatmap", "gray")),
+                              ("maps_source", ("synthetic", "files"))):
+            if getattr(self, name) not in allowed:
+                raise DataError(f"{name} must be one of {list(allowed)}, "
+                                f"not {getattr(self, name)!r}")
+        if not 0.0 < self.val_fraction < 1.0:
+            raise DataError("val_fraction must lie in (0,1)")
+
     @classmethod
     def from_file(cls, path, overrides: dict | None = None) -> "RunConfig":
         raw = {}
         if path is not None:
             with open(path, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
+                try:
+                    raw = json.load(fh)
+                except json.JSONDecodeError as exc:
+                    raise DataError(f"config {path}: {exc}") from exc
+            if not isinstance(raw, dict):
+                raise DataError(f"config {path} is not a JSON object")
         if overrides:
             raw.update({k: v for k, v in overrides.items() if v is not None})
         known = {f for f in cls.__dataclass_fields__}
@@ -92,17 +107,17 @@ class RunConfig:
         kw.setdefault("coarse_to_fine", self.coarse_to_fine)
         if "tau_range" in kw:
             kw["tau_range"] = tuple(kw["tau_range"])
-        return TrainConfig(**kw)
+        return _build("train", TrainConfig, kw)
 
     def synth_config(self) -> SynthConfig:
-        return SynthConfig(**self.synth)
+        return _build("synth", SynthConfig, self.synth)
 
     def corpus_config(self) -> CorpusConfig:
         kw = dict(self.corpus)
         kw.setdefault("seed", self.seed)
         if "scale_range" in kw:
             kw["scale_range"] = tuple(kw["scale_range"])
-        return CorpusConfig(**kw)
+        return _build("corpus", CorpusConfig, kw)
 
     def map_source(self, schema=None):
         if self.maps_source == "files":
@@ -110,6 +125,13 @@ class RunConfig:
                 raise DataError("maps_source 'files' requires maps_dir")
             return FileMapSource(self.maps_dir, schema)
         return SyntheticMapSource(self.synth_config(), self.seed, cache_limit=256)
+
+
+def _build(section: str, cls, kw: dict):
+    try:
+        return cls(**kw)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"bad {section} config: {exc}") from exc
 
 
 def load_run_dataset(cfg: RunConfig, schema: LandmarkSchema) -> Dataset:
@@ -137,6 +159,8 @@ def train_model(cfg: RunConfig, dataset: Dataset | None = None) -> CascadeModel:
         dataset = load_run_dataset(cfg, schema)
     maps = cfg.map_source(schema)
     train, val = split_train_val(dataset, cfg.val_fraction, cfg.seed)
+    # initials go on copies, so the caller's samples stay as they were
+    train = Dataset([replace(s) for s in train.samples], train.schema)
     if cfg.init_mode == "3d":
         attach_pose_initials(train, model3d, maps, Z=tc.Z,
                              subset_size=tc.subset_size, seed=cfg.seed)

@@ -194,7 +194,7 @@ def write_corpus(dataset: Dataset, synth_cfg: SynthConfig, out_dir,
     save_dataset(dataset, os.path.join(out_dir, "annotations.jsonl"))
     if write_map_files:
         os.makedirs(maps_dir, exist_ok=True)
-        src = SyntheticMapSource(synth_cfg, synth_cfg_seed(synth_cfg, corpus_cfg))
+        src = SyntheticMapSource(synth_cfg, synth_cfg_seed(corpus_cfg))
         for s in dataset.samples:
             write_maps(src.maps_for(s), os.path.join(maps_dir, f"{s.image_ref}.fapm"))
     manifest = {
@@ -215,7 +215,7 @@ def write_corpus(dataset: Dataset, synth_cfg: SynthConfig, out_dir,
         fh.write("\n")
 
 
-def synth_cfg_seed(synth_cfg, corpus_cfg) -> int:
+def synth_cfg_seed(corpus_cfg) -> int:
     return corpus_cfg.seed if corpus_cfg is not None else 0
 
 

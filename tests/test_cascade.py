@@ -2,23 +2,28 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from facealign.cascade import (
     CascadeModel,
+    PartModel,
+    PartsStage,
     TrainConfig,
     Tree,
     _branch_cost,
     apply_stage,
     fit_node,
     fit_tree,
+    leaf_ids,
     predict,
     relative_improvement,
     stop_stage,
     train_parts,
 )
-from facealign.features import SplitParams
+from facealign.features import SplitParams, extract_pattern_values
 from facealign.heatmaps import ProbabilityMaps
-from facealign.pose import mean_shape_init
+from facealign.pose import anchor_shape, mean_shape_init
 
 
 def cand(tau, p1=0, p2=1, landmark=0):
@@ -115,53 +120,92 @@ class TestTreeLeaves:
         assert np.all(tree.leaf_residual[:, 0:2] == 0.0)
 
 
-class TestTraversal:
-    def random_tree(self, seed, part_size=3, M=43, depth=4):
-        r = np.random.default_rng(seed)
-        n_nodes = 2 ** depth - 1
-        n_leaves = 2 ** depth
-        left = np.zeros(n_nodes, dtype=np.int64)
-        right = np.zeros(n_nodes, dtype=np.int64)
-        # complete binary tree layout, leaves encoded as ~leaf_id
-        next_leaf = 0
-        for i in range(n_nodes):
-            l, rr = 2 * i + 1, 2 * i + 2
-            if l < n_nodes:
-                left[i], right[i] = l, rr
-            else:
-                left[i] = ~next_leaf
-                right[i] = ~(next_leaf + 1)
-                next_leaf += 2
-        p1 = r.integers(0, M, n_nodes)
-        p2 = (p1 + 1 + r.integers(0, M - 1, n_nodes)) % M
-        return Tree(
-            node_landmark=r.integers(0, part_size, n_nodes),
-            node_p1=p1,
-            node_p2=p2,
-            node_tau=r.uniform(-0.2, 0.2, n_nodes),
-            node_left=left,
-            node_right=right,
-            leaf_residual=r.normal(size=(n_leaves, part_size * 2)),
-            leaf_visibility=r.uniform(size=(n_leaves, part_size)),
-        )
+def leaf_id_single(tree: Tree, V1: np.ndarray) -> int:
+    """Traversal oracle: one face (V1: (part_size, M)) down one tree, one
+    node at a time; returns the tree's own leaf id."""
+    c = 0
+    if tree.n_nodes == 0:
+        return 0
+    while True:
+        lm = tree.node_landmark[c]
+        f = V1[lm, tree.node_p1[c]] - V1[lm, tree.node_p2[c]]
+        nxt = tree.node_left[c] if f > tree.node_tau[c] else tree.node_right[c]
+        if nxt < 0:
+            return ~nxt
+        c = nxt
 
-    def test_batch_equals_single(self):
-        tree = self.random_tree(0)
-        r = np.random.default_rng(1)
-        V = r.uniform(size=(40, 3, 43))
-        batch = tree.leaf_ids_batch(V)
-        for i in range(40):
-            assert batch[i] == tree.leaf_id_single(V[i])
+
+def random_tree(r, part_size, M, max_depth) -> Tree:
+    """A random tree of irregular shape, in fit_tree's preorder layout."""
+    nodes = {k: [] for k in ("lm", "p1", "p2", "tau", "left", "right")}
+    n_leaves = 0
+
+    def build(depth):
+        nonlocal n_leaves
+        if depth >= max_depth or r.random() < 0.3:
+            n_leaves += 1
+            return ~(n_leaves - 1)
+        i = len(nodes["tau"])
+        for k in nodes:
+            nodes[k].append(0)
+        p1 = int(r.integers(0, M))
+        nodes["lm"][i] = int(r.integers(0, part_size))
+        nodes["p1"][i] = p1
+        nodes["p2"][i] = (p1 + 1 + int(r.integers(0, M - 1))) % M
+        nodes["tau"][i] = float(r.uniform(-0.2, 0.2))
+        nodes["left"][i] = build(depth + 1)
+        nodes["right"][i] = build(depth + 1)
+        return i
+
+    build(0)
+    ints = {k: np.asarray(v, dtype=np.int64) for k, v in nodes.items()}
+    return Tree(
+        node_landmark=ints["lm"], node_p1=ints["p1"], node_p2=ints["p2"],
+        node_tau=np.asarray(nodes["tau"], dtype=np.float64),
+        node_left=ints["left"], node_right=ints["right"],
+        leaf_residual=r.normal(size=(n_leaves, part_size * 2)),
+        leaf_visibility=r.uniform(size=(n_leaves, part_size)),
+    )
+
+
+def single_leaf_tree(part_size=3):
+    return Tree(
+        node_landmark=np.zeros(0, np.int64), node_p1=np.zeros(0, np.int64),
+        node_p2=np.zeros(0, np.int64), node_tau=np.zeros(0),
+        node_left=np.zeros(0, np.int64), node_right=np.zeros(0, np.int64),
+        leaf_residual=np.zeros((1, 2 * part_size)),
+        leaf_visibility=np.zeros((1, part_size)),
+    )
+
+
+class TestTraversal:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_trees=st.integers(1, 6),
+           n_faces=st.integers(1, 8), part_size=st.integers(1, 4),
+           max_depth=st.integers(0, 5))
+    def test_batch_equals_single(self, seed, n_trees, n_faces, part_size, max_depth):
+        # the packed traversal of every (face, tree) pair equals the
+        # one-node-at-a-time oracle, on forests of single-leaf trees and
+        # trees of unequal size alike
+        r = np.random.default_rng(seed)
+        M = 43
+        trees = [random_tree(r, part_size, M, max_depth) for _ in range(n_trees)]
+        if r.random() < 0.5:
+            trees.insert(int(r.integers(0, n_trees + 1)), single_leaf_tree(part_size))
+        V = r.uniform(size=(n_faces, part_size, M))
+        leaves = leaf_ids(PartModel(np.arange(part_size), trees), V)
+        leaf_base = np.cumsum([0] + [len(t.leaf_residual) for t in trees])
+        assert leaves.shape == (n_faces, len(trees))
+        for i in range(n_faces):
+            for k, t in enumerate(trees):
+                assert leaves[i, k] == leaf_base[k] + leaf_id_single(t, V[i])
 
     def test_zero_node_tree(self):
-        tree = Tree(
-            node_landmark=np.zeros(0, np.int64), node_p1=np.zeros(0, np.int64),
-            node_p2=np.zeros(0, np.int64), node_tau=np.zeros(0),
-            node_left=np.zeros(0, np.int64), node_right=np.zeros(0, np.int64),
-            leaf_residual=np.zeros((1, 6)), leaf_visibility=np.zeros((1, 3)),
-        )
-        assert tree.leaf_id_single(np.zeros((3, 43))) == 0
-        np.testing.assert_array_equal(tree.leaf_ids_batch(np.zeros((5, 3, 43))), 0)
+        tree = single_leaf_tree()
+        assert leaf_id_single(tree, np.zeros((3, 43))) == 0
+        pm = PartModel(np.arange(3), [tree, tree])
+        np.testing.assert_array_equal(pm.roots, [~0, ~1])
+        np.testing.assert_array_equal(leaf_ids(pm, np.zeros((5, 3, 43))), [[0, 1]] * 5)
 
 
 class TestTrainParts:
@@ -171,59 +215,107 @@ class TestTrainParts:
         coords = gt + r.normal(0, 5, size=(N, L, 2))
         ann = np.ones((N, L), dtype=np.uint8)
         gt_vis = np.ones((N, L))
-        vis = np.ones((N, L))
         V = r.uniform(size=(N, L, M))
-        return gt, ann, gt_vis, coords, vis, V
+        return gt, ann, gt_vis, coords, V
 
     def test_single_leaf_boosting_step(self):
         # K=1, one part, nu=1, depth 0, full sampling: every sample moves by
         # the mean masked residual
-        gt, ann, gt_vis, coords, vis, V = self.setup_problem()
+        gt, ann, gt_vis, coords, V = self.setup_problem()
         before = coords.copy()
         cfg = TrainConfig(depth=0, candidates_per_node=4, subsample=1.0)
-        train_parts(gt, ann, gt_vis, coords, vis, V, [np.arange(4)], 1, 1.0,
+        train_parts(gt, ann, gt_vis, coords, V, [np.arange(4)], 1, 1.0,
                     1.0, cfg, np.random.default_rng(0), 1.0)
         expected = before + (gt - before).mean(axis=0, keepdims=True)
         np.testing.assert_allclose(coords, expected, atol=1e-9)
 
     def test_unannotated_landmark_never_moves(self):
-        gt, ann, gt_vis, coords, vis, V = self.setup_problem(seed=2)
+        gt, ann, gt_vis, coords, V = self.setup_problem(seed=2)
         ann[:, 1] = 0
         before = coords.copy()
         cfg = TrainConfig(depth=3, candidates_per_node=20, subsample=1.0)
-        train_parts(gt, ann, gt_vis, coords, vis, V, [np.arange(4)], 5, 0.5,
+        train_parts(gt, ann, gt_vis, coords, V, [np.arange(4)], 5, 0.5,
                     1.0, cfg, np.random.default_rng(0), 1.0)
         np.testing.assert_array_equal(coords[:, 1, :], before[:, 1, :])
         assert not np.array_equal(coords[:, 0, :], before[:, 0, :])
 
     def test_fine_part_cannot_touch_outside(self):
-        gt, ann, gt_vis, coords, vis, V = self.setup_problem(seed=3)
+        gt, ann, gt_vis, coords, V = self.setup_problem(seed=3)
         poison = coords.copy()
         cfg = TrainConfig(depth=2, candidates_per_node=10, subsample=0.5)
         # train only on part {2, 3}; landmarks 0 and 1 are outside
-        train_parts(gt, ann, gt_vis, coords, vis, V, [np.array([2, 3])], 4,
+        train_parts(gt, ann, gt_vis, coords, V, [np.array([2, 3])], 4,
                     0.3, 0.5, cfg, np.random.default_rng(1), 1.0)
         np.testing.assert_array_equal(coords[:, :2, :], poison[:, :2, :])
 
-    def test_apply_stage_reproduces_training_updates(self):
-        gt, ann, gt_vis, coords, vis, V = self.setup_problem(seed=4)
-        init_coords, init_vis = coords.copy(), vis.copy()
-        cfg = TrainConfig(depth=2, candidates_per_node=10, subsample=1.0)
-        parts = [np.array([0, 1]), np.array([2, 3])]
-        stage = train_parts(gt, ann, gt_vis, coords, vis, V, parts, 3, 0.4,
-                            1.0, cfg, np.random.default_rng(5), 1.0)
-        replay_coords, replay_vis = init_coords.copy(), init_vis.copy()
-        apply_stage(stage, V, replay_coords, replay_vis)
-        np.testing.assert_array_equal(replay_coords, coords)
-        np.testing.assert_array_equal(replay_vis, vis)
 
-    def test_visibility_clipped(self):
-        gt, ann, gt_vis, coords, vis, V = self.setup_problem(seed=5)
-        gt_vis[:] = 0.0
-        cfg = TrainConfig(depth=1, candidates_per_node=5, subsample=1.0)
-        train_parts(gt, ann, gt_vis, coords, vis, V, [np.arange(4)], 3, 0.1,
-                    1.0, cfg, np.random.default_rng(0), 1.0)
-        assert vis.min() >= 0.0 and vis.max() <= 1.0
+class TestApplyStage:
+    def test_replays_training_coords(self):
+        gt, ann, gt_vis, coords, V = TestTrainParts().setup_problem(seed=4)
+        init_coords = coords.copy()
+        cfg = TrainConfig(depth=2, candidates_per_node=10, subsample=0.7)
+        parts = [np.array([0, 1]), np.array([2, 3])]
+        stage = train_parts(gt, ann, gt_vis, coords, V, parts, 7, 0.4,
+                            0.7, cfg, np.random.default_rng(5), 1.0)
+        replay = init_coords.copy()
+        apply_stage(stage, V, replay)
+        np.testing.assert_array_equal(replay, coords)  # bit for bit
+
+    def test_batch_equals_predict(self, tiny_corpus, pattern):
+        # a two-stage model run on a batch of faces at once gives each face
+        # exactly what predict gives it alone
+        r = np.random.default_rng(9)
+        L, M, n = 24, len(pattern), 6
+        mean = mean_shape_init(tiny_corpus)
+        cfg = TrainConfig(depth=3, candidates_per_node=12)
+        stages = []
+        for t, parts in enumerate([[np.arange(L)], [np.arange(12), np.arange(12, L)]]):
+            gt = r.uniform(20, 140, size=(20, L, 2))
+            start = gt + r.normal(0, 4, size=gt.shape)
+            gt_vis = (r.random((20, L)) < 0.7).astype(np.float64)
+            stages.append(train_parts(
+                gt, np.ones((20, L), np.uint8), gt_vis, start,
+                r.uniform(size=(20, L, M)), parts, 6, 0.3, 0.5, cfg, r, 1.0 - 0.4 * t,
+            ))
+        model = CascadeModel(
+            stages=stages, init_mode="mean", feature_mode="heatmap",
+            schema=tiny_corpus.schema, mean_shape=mean, pattern=pattern, config=cfg,
+        )
+        faces = tiny_corpus.samples[:n]
+        maps = [ProbabilityMaps(r.uniform(size=(L, 160, 160))) for _ in faces]
+        singles = [predict(model, m, s.bbox) for m, s in zip(maps, faces)]
+        inits = [anchor_shape(mean, s.bbox) for s in faces]
+        coords = np.stack([i.coords for i in inits])
+        vis = np.stack([i.visibility for i in inits])
+        for stage in stages:
+            V = np.stack([extract_pattern_values(m, c, pattern, stage.scale)
+                          for m, c in zip(maps, coords)])
+            apply_stage(stage, V, coords, vis)
+        np.clip(vis, 0.0, 1.0, out=vis)
+        np.testing.assert_array_equal(coords, [p.shape.coords for p in singles])
+        np.testing.assert_array_equal(vis, [p.shape.visibility for p in singles])
+
+    def test_visibility_clipped(self, tiny_corpus, pattern):
+        # six always-visible leaves blend to 1 within rounding in the closed
+        # form (1 ulp above it with OpenBLAS); predict clips what
+        # apply_stage hands back
+        L = 24
+        leaf = dataclasses.replace(single_leaf_tree(L), leaf_visibility=np.ones((1, L)))
+        stage = PartsStage([PartModel(np.arange(L), [leaf] * 6)], 0.1, 1.0)
+        vis = np.ones((2, L))
+        apply_stage(stage, np.zeros((2, L, len(pattern))), np.zeros((2, L, 2)), vis)
+        np.testing.assert_allclose(vis, 1.0, rtol=0.0, atol=1e-15)
+        mean = mean_shape_init(tiny_corpus)
+        mean.visibility[:] = 1.0
+        model = CascadeModel(
+            stages=[stage], init_mode="mean", feature_mode="heatmap",
+            schema=tiny_corpus.schema, mean_shape=mean, pattern=pattern,
+            config=TrainConfig(),
+        )
+        out = predict(model, ProbabilityMaps(np.ones((L, 160, 160))),
+                      tiny_corpus.samples[0].bbox)
+        v = out.shape.visibility
+        assert v.min() >= 1.0 - 1e-15 and v.max() <= 1.0
 
 
 class TestStoppingRule:

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from facealign.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, run
 from facealign.errors import DataError
@@ -61,6 +63,71 @@ class TestExitCodes:
         cfg = write_config(tmp_path / "c.json")
         rc = run(["train", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert rc == EXIT_DATA
+
+
+def _bad_choice(allowed):
+    return st.text(max_size=8).filter(lambda v: v not in allowed)
+
+
+# (config section or None for a top-level key, key, bad value)
+BAD_SETTINGS = st.one_of(
+    st.tuples(st.just("train"), st.sampled_from(["T", "K1", "K2", "candidates_per_node", "Z"]),
+              st.integers(-3, 0)),
+    st.tuples(st.just("train"), st.just("depth"), st.integers(-3, -1)),
+    st.tuples(st.just("train"), st.just("subset_size"), st.integers(-3, 3)),
+    st.tuples(st.just("train"), st.sampled_from(["K1", "depth", "Z"]),
+              st.floats(0.1, 9.9).filter(lambda v: not v.is_integer())),
+    st.tuples(st.just("train"), st.just("bogus"), st.integers()),
+    st.tuples(st.just("synth"), st.just("peak_sigma"), st.floats(max_value=0.0)),
+    st.tuples(st.just("synth"), st.just("bogus"), st.integers()),
+    st.tuples(st.none(), st.just("init_mode"), _bad_choice(["3d", "mean"])),
+    st.tuples(st.none(), st.just("feature_mode"), _bad_choice(["heatmap", "gray"])),
+    st.tuples(st.none(), st.just("maps_source"), _bad_choice(["synthetic", "files"])),
+    st.tuples(st.none(), st.just("val_fraction"),
+              st.one_of(st.floats(max_value=0.0), st.floats(min_value=1.0))),
+)
+
+
+@pytest.fixture(scope="module")
+def faces(tmp_path_factory):
+    """A 24-face annotation file with no map files."""
+    d = tmp_path_factory.mktemp("faces")
+    cfg = write_config(d / "c.json")
+    assert run(["synth", "--config", str(cfg), "--out", str(d), "--no-maps"]) == EXIT_OK
+    return d
+
+
+class TestConfigErrors:
+    @settings(max_examples=40, deadline=None)
+    @given(bad=BAD_SETTINGS)
+    def test_bad_train_config_is_data_error(self, faces, bad):
+        section, key, value = bad
+        cfg = json.loads((faces / "c.json").read_text())
+        if section is None:
+            cfg[key] = value
+        else:
+            cfg[section] = {**cfg[section], key: value}
+        path = faces / "bad.json"
+        path.write_text(json.dumps(cfg))
+        rc = run(["train", "--config", str(path),
+                  "--dataset", str(faces / "annotations.jsonl"),
+                  "--out", str(faces / "out")])
+        assert rc == EXIT_DATA
+        assert not (faces / "out" / "model.facm").exists()
+
+    @pytest.mark.parametrize("text", ["{bad", "[1]"])
+    def test_malformed_config_file_is_data_error(self, faces, text):
+        path = faces / "bad.json"
+        path.write_text(text)
+        rc = run(["train", "--config", str(path),
+                  "--dataset", str(faces / "annotations.jsonl"),
+                  "--out", str(faces / "out")])
+        assert rc == EXIT_DATA
+
+    def test_bad_corpus_config_is_data_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", corpus={"count": 4, "bogus": 1})
+        assert run(["synth", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_DATA
+        assert capsys.readouterr().err.startswith("error: bad corpus config")
 
 
 @pytest.fixture(scope="module")

@@ -1,12 +1,23 @@
+import hashlib
+import json
+import struct
+
 import numpy as np
 import pytest
 
-from facealign.cascade import TrainConfig, predict, train_cascade, make_initializer
+from facealign.cascade import (
+    FOREST_FIELDS,
+    TrainConfig,
+    make_initializer,
+    predict,
+    train_cascade,
+)
+from facealign.cli import EXIT_DATA, EXIT_OK, run
 from facealign.errors import FormatError
 from facealign.heatmaps import SynthConfig
-from facealign.modelio import load_model, save_model
+from facealign.modelio import MODEL_MAGIC, load_model, save_model
 from facealign.pose import mean_shape_init
-from facealign.shapes import split_train_val
+from facealign.shapes import save_dataset, split_train_val
 from facealign.synthetic import SyntheticMapSource
 
 
@@ -64,9 +75,10 @@ class TestRoundTrip:
             assert sa.scale == sb.scale
             for pa, pb in zip(sa.parts, sb.parts):
                 np.testing.assert_array_equal(pa.landmarks, pb.landmarks)
-                for ta, tb in zip(pa.trees, pb.trees):
-                    np.testing.assert_array_equal(ta.node_tau, tb.node_tau)
-                    np.testing.assert_array_equal(ta.leaf_residual, tb.leaf_residual)
+                for f in FOREST_FIELDS:
+                    a, b = getattr(pa, f), getattr(pb, f)
+                    assert a.dtype == b.dtype
+                    np.testing.assert_array_equal(a, b)
 
 
 class TestCorruption:
@@ -94,3 +106,36 @@ class TestCorruption:
         p.write_bytes(b"")
         with pytest.raises(FormatError):
             load_model(p)
+
+
+def with_header_version(path, version):
+    """Rewrite a model file's header version, with a valid checksum."""
+    raw = path.read_bytes()[:-32]
+    off = len(MODEL_MAGIC)
+    (hlen,) = struct.unpack("<q", raw[off:off + 8])
+    header = json.loads(raw[off + 8:off + 8 + hlen])
+    header["version"] = version
+    hb = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    body = MODEL_MAGIC + struct.pack("<q", len(hb)) + hb + raw[off + 8 + hlen:]
+    path.write_bytes(body + hashlib.sha256(body).digest())
+
+
+class TestVersion:
+    def test_version_1_rejected(self, trained, tmp_path):
+        p = tmp_path / "v1.facm"
+        save_model(trained[0], p)
+        with_header_version(p, 1)
+        with pytest.raises(FormatError, match="version 1"):
+            load_model(p)
+
+    def test_predict_cli_exits_2_on_version_1(self, trained, tiny_corpus, tmp_path, capsys):
+        ann = tmp_path / "faces.jsonl"
+        save_dataset(tiny_corpus, ann)
+        p = tmp_path / "m.facm"
+        save_model(trained[0], p)
+        args = ["predict", "--model", str(p), "--dataset", str(ann),
+                "--out", str(tmp_path / "out")]
+        assert run(args) == EXIT_OK
+        with_header_version(p, 1)
+        assert run(args) == EXIT_DATA
+        assert "unsupported model version 1" in capsys.readouterr().err

@@ -1,0 +1,23 @@
+from dataclasses import replace
+
+from facealign.modelio import save_model
+from facealign.pipeline import RunConfig, train_model
+from facealign.shapes import load_dataset, save_dataset
+from facealign.synthetic import generate_corpus
+
+
+def test_train_model_leaves_caller_samples_alone(model3d, schema, tmp_path):
+    cfg = RunConfig(corpus={"count": 30, "seed": 8}, synth={"coordinate_noise_sigma": 0.5},
+                    train={"T": 2, "K1": 4, "K2": 3, "depth": 2,
+                           "candidates_per_node": 10, "shrinkage": 0.4, "Z": 5},
+                    seed=4, init_mode="3d", val_fraction=0.2)
+    path = tmp_path / "faces.jsonl"
+    save_dataset(generate_corpus(model3d, schema, cfg.corpus_config()), path)
+    ds = load_dataset(path, schema)
+    train_model(cfg, ds)
+    assert all(s.initial is None and s.pose is None for s in ds.samples)
+    # a mean-init model on the same samples is the one a fresh set gives
+    mean_cfg = replace(cfg, init_mode="mean")
+    save_model(train_model(mean_cfg, ds), tmp_path / "a.facm")
+    save_model(train_model(mean_cfg, load_dataset(path, schema)), tmp_path / "b.facm")
+    assert (tmp_path / "a.facm").read_bytes() == (tmp_path / "b.facm").read_bytes()
