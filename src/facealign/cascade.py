@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InitError
+from .errors import InitError, is_int, real_range
 from .features import (
     DEFAULT_TAU_RANGE,
     FreakPattern,
@@ -42,10 +42,12 @@ class TrainConfig:
 
     def __post_init__(self):
         for name, low in (("T", 1), ("K1", 1), ("K2", 1), ("depth", 0),
-                          ("candidates_per_node", 1), ("Z", 1), ("subset_size", 4)):
+                          ("candidates_per_node", 1), ("Z", 1), ("subset_size", 4),
+                          ("seed", 0)):
             v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or v < low:
+            if not is_int(v) or v < low:
                 raise ValueError(f"{name} must be an integer >= {low}, not {v!r}")
+        self.tau_range = real_range("tau_range", self.tau_range)
         if not 0.0 < self.shrinkage <= 1.0:
             raise ValueError("shrinkage must lie in (0,1]")
         if not 0.0 < self.subsample <= 1.0:

@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the type tests the
+configuration classes use before raising."""
+
+from numbers import Integral, Real
 
 
 class DataError(Exception):
@@ -31,3 +34,25 @@ class FitError(NumericError):
 
 class InitError(NumericError):
     """Every robust-initialization hypothesis failed to fit."""
+
+
+def is_int(value) -> bool:
+    """An integer setting: Python or numpy int, but not bool."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """A real-number setting: int or float of any kind, but not bool."""
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
+def real_range(name: str, value, low: float = float("-inf")) -> tuple[float, float]:
+    """A (lo, hi) setting as a tuple, with low < lo <= hi; ValueError
+    otherwise."""
+    try:
+        lo, hi = value
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a pair (lo, hi), not {value!r}") from None
+    if not (is_real(lo) and is_real(hi) and low < lo <= hi):
+        raise ValueError(f"{name} must be a pair with {low} < lo <= hi, not {value!r}")
+    return lo, hi

@@ -150,7 +150,6 @@ def load_model(path) -> CascadeModel:
         mirror=np.asarray(sd["mirror"]), eyes=sd.get("eyes"),
     )
     cfgd = header["config"]
-    cfgd["tau_range"] = tuple(cfgd["tau_range"])
     config = TrainConfig(**cfgd)
     mean_shape = Shape(
         arrays["mean_shape/coords"], arrays["mean_shape/visibility"],

@@ -18,7 +18,7 @@ from .cascade import (
     predict,
     train_cascade,
 )
-from .errors import DataError
+from .errors import DataError, is_int, is_real
 from .features import FreakPattern, default_pattern
 from .heatmaps import SynthConfig
 from .metrics import cross_matrix, evaluate, normalizer
@@ -70,8 +70,25 @@ class RunConfig:
             if getattr(self, name) not in allowed:
                 raise DataError(f"{name} must be one of {list(allowed)}, "
                                 f"not {getattr(self, name)!r}")
-        if not 0.0 < self.val_fraction < 1.0:
-            raise DataError("val_fraction must lie in (0,1)")
+        checks = {
+            "seed": (is_int(self.seed) and self.seed >= 0, "an integer >= 0"),
+            "val_fraction": (is_real(self.val_fraction) and 0.0 < self.val_fraction < 1.0,
+                             "a number in (0, 1)"),
+            "augment_target": (self.augment_target is None
+                               or is_int(self.augment_target) and self.augment_target >= 1,
+                               "an integer >= 1 or null"),
+            "coarse_to_fine": (isinstance(self.coarse_to_fine, bool), "true or false"),
+        }
+        for name in ("schema", "model3d", "pattern", "output_dir"):
+            checks[name] = (isinstance(getattr(self, name), str), "a string")
+        for name in ("dataset", "maps_dir"):
+            v = getattr(self, name)
+            checks[name] = (v is None or isinstance(v, str), "a string or null")
+        for name in ("synth", "corpus", "train", "augment"):
+            checks[name] = (isinstance(getattr(self, name), dict), "a JSON object")
+        for name, (ok, what) in checks.items():
+            if not ok:
+                raise DataError(f"{name} must be {what}, not {getattr(self, name)!r}")
 
     @classmethod
     def from_file(cls, path, overrides: dict | None = None) -> "RunConfig":
@@ -105,8 +122,6 @@ class RunConfig:
         kw = dict(self.train)
         kw.setdefault("seed", self.seed)
         kw.setdefault("coarse_to_fine", self.coarse_to_fine)
-        if "tau_range" in kw:
-            kw["tau_range"] = tuple(kw["tau_range"])
         return _build("train", TrainConfig, kw)
 
     def synth_config(self) -> SynthConfig:
@@ -115,8 +130,6 @@ class RunConfig:
     def corpus_config(self) -> CorpusConfig:
         kw = dict(self.corpus)
         kw.setdefault("seed", self.seed)
-        if "scale_range" in kw:
-            kw["scale_range"] = tuple(kw["scale_range"])
         return _build("corpus", CorpusConfig, kw)
 
     def map_source(self, schema=None):
@@ -155,6 +168,9 @@ def train_model(cfg: RunConfig, dataset: Dataset | None = None) -> CascadeModel:
     model3d = cfg.load_model3d()
     pattern = cfg.load_pattern()
     tc = cfg.train_config()
+    if cfg.init_mode == "3d" and tc.subset_size > len(model3d.distinct_indices):
+        raise DataError(f"subset_size {tc.subset_size} exceeds the "
+                        f"{len(model3d.distinct_indices)} distinct landmarks of the 3D model")
     if dataset is None:
         dataset = load_run_dataset(cfg, schema)
     maps = cfg.map_source(schema)

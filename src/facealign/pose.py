@@ -4,20 +4,26 @@ The projection model is weak perspective: every model point shares the
 depth of the translation, so an image point is
 ``center + (focal / t_z) * ((R X + t)_x, (R X + t)_y)``.
 
-fit_pose solves 2D-3D correspondences with a linear scaled-orthographic
-estimate refined by Gauss-Newton iterations; robust_init wraps it in a
-consensus loop scored by summed map probability.
+fit_poses solves B independent sets of 2D-3D correspondences in lockstep:
+a batched linear scaled-orthographic estimate, then Gauss-Newton steps with
+a closed-form Jacobian, each a batched 6x6 normal-equation solve. Every
+hypothesis keeps its own convergence and failure state, so one that fails
+or converges drops out while the others carry on. fit_pose is a batch of
+one. robust_init fits all Z consensus hypotheses with one fit_poses call,
+projects them together and scores them with one (Z, L) map gather
+(score_shapes), summed over landmarks in order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import FitError, InitError, SchemaError
-from .heatmaps import FACE_SIZE, map_values, peak_coords
+from .heatmaps import FACE_SIZE, peak_coords
 from .shapes import Shape
 
 ORTHONORMAL_TOL = 1e-6
@@ -81,8 +87,14 @@ class Model3D:
                 )
 
 
+def _rotations_ok(R: np.ndarray) -> np.ndarray:
+    """(B, 3, 3) -> (B,) bool: orthonormal within tolerance, det not negative."""
+    err = np.abs(R @ R.transpose(0, 2, 1) - np.eye(3)).max(axis=(1, 2))
+    return ~(err > ORTHONORMAL_TOL) & ~(np.linalg.det(R) < 0)
+
+
 def _check_rotation(R: np.ndarray) -> None:
-    if np.max(np.abs(R @ R.T - np.eye(3))) > ORTHONORMAL_TOL or np.linalg.det(R) < 0:
+    if not _rotations_ok(R[None])[0]:
         raise FitError("rotation matrix fails orthonormality tolerance")
 
 
@@ -130,18 +142,6 @@ def rotation_angle(Ra: np.ndarray, Rb: np.ndarray) -> float:
     return math.acos(min(1.0, max(-1.0, c)))
 
 
-def _exp_so3(w: np.ndarray) -> np.ndarray:
-    theta = np.linalg.norm(w)
-    K = np.array([[0, -w[2], w[1]], [w[2], 0, -w[0]], [-w[1], w[0], 0]])
-    if theta < 1e-12:
-        return np.eye(3) + K
-    return (
-        np.eye(3)
-        + (math.sin(theta) / theta) * K
-        + ((1 - math.cos(theta)) / theta**2) * (K @ K)
-    )
-
-
 def perturb_pose(pose: RigidPose, yaw: float, pitch: float, roll: float) -> RigidPose:
     """Compose angle noise (radians) onto the pose's rotation."""
     R = euler_to_rotation(yaw, pitch, roll) @ pose.rotation
@@ -159,103 +159,185 @@ def project_points(model: Model3D, pose: RigidPose,
     A landmark is visible when its rotated outward normal still faces the
     camera (non-positive z in the camera frame).
     """
+    _check_rotation(pose.rotation)
+    coords, vis = project_poses(model, pose.rotation[None], pose.translation[None],
+                                pose.focal, center)
+    return coords[0], vis[0]
+
+
+def project_poses(model: Model3D, rotations: np.ndarray, translations: np.ndarray,
+                  focal: float, center: tuple[float, float] | None = None):
+    """project_points for B poses at once: (B, L, 2) coords, (B, L) visibility."""
     if center is None:
         center = default_center()
-    _check_rotation(pose.rotation)
-    cam = model.points @ pose.rotation.T + pose.translation
-    s = pose.scale
-    coords = np.asarray(center, dtype=np.float64) + s * cam[:, :2]
-    rotated_normals = model.normals @ pose.rotation.T
-    visibility = (rotated_normals[:, 2] <= 0.0).astype(np.float64)
+    Rt = rotations.transpose(0, 2, 1)
+    cam = model.points @ Rt + translations[:, None, :]
+    s = focal / translations[:, 2]
+    coords = np.asarray(center, dtype=np.float64) + s[:, None, None] * cam[..., :2]
+    visibility = ((model.normals @ Rt)[..., 2] <= 0.0).astype(np.float64)
     return coords, visibility
 
 
 def score_shape(maps, coords: np.ndarray) -> float:
     """Sum of per-landmark map values at the rounded coordinates."""
-    total = 0.0
-    for l in range(maps.landmark_count):
-        total += float(map_values(maps.maps[l], coords[l : l + 1])[0])
+    return float(score_shapes(maps, np.asarray(coords)[None])[0])
+
+
+def score_shapes(maps, coords: np.ndarray) -> np.ndarray:
+    """score_shape for B shapes at once: (B, L, 2) coords -> (B,) scores.
+
+    One gather reads every (shape, landmark) value; each score is then
+    summed over landmarks in order, so it does not depend on the batch.
+    """
+    c = np.rint(np.asarray(coords, dtype=np.float64)).astype(np.int64)
+    x, y = c[..., 0], c[..., 1]
+    L, H, W = maps.maps.shape
+    inside = (x >= 0) & (x < W) & (y >= 0) & (y < H)
+    lm = np.broadcast_to(np.arange(L), inside.shape)
+    vals = np.zeros(inside.shape, dtype=np.float64)
+    vals[inside] = maps.maps[lm[inside], y[inside], x[inside]]
+    total = np.zeros(len(vals))
+    for l in range(L):
+        total += vals[:, l]
     return total
 
 
-def _orthonormalize(I: np.ndarray, J: np.ndarray) -> np.ndarray:
-    M = np.stack([I, J, np.cross(I, J)])
-    U, _, Vt = np.linalg.svd(M)
-    D = np.diag([1.0, 1.0, np.sign(np.linalg.det(U @ Vt))])
-    return U @ D @ Vt
+class PoseFits(NamedTuple):
+    """fit_poses' per-hypothesis result; rotation and translation are only
+    meaningful where ok is set."""
+
+    rotation: np.ndarray     # (B, 3, 3)
+    translation: np.ndarray  # (B, 3), camera frame
+    ok: np.ndarray           # (B,) bool
+    reason: np.ndarray       # (B,) object: failure message, None where ok
+
+
+def _exp_so3(w: np.ndarray) -> np.ndarray:
+    """Rodrigues' formula for (B, 3) rotation vectors -> (B, 3, 3)."""
+    K = np.zeros((len(w), 3, 3))
+    K[:, 0, 1], K[:, 0, 2], K[:, 1, 2] = -w[:, 2], w[:, 1], -w[:, 0]
+    K[:, 1, 0], K[:, 2, 0], K[:, 2, 1] = w[:, 2], -w[:, 1], w[:, 0]
+    theta = np.linalg.norm(w, axis=1)
+    small = theta < 1e-12
+    th = np.where(small, 1.0, theta)
+    a = np.where(small, 1.0, np.sin(th) / th)[:, None, None]
+    b = np.where(small, 0.0, (1 - np.cos(th)) / th**2)[:, None, None]
+    return np.eye(3) + a * K + b * (K @ K)
 
 
 def fit_pose(coords2d: np.ndarray, points3d: np.ndarray,
              focal: float = float(FACE_SIZE),
              center: tuple[float, float] | None = None) -> RigidPose:
-    """Weak-perspective pose from known 2D-3D correspondences.
+    """Weak-perspective pose from known 2D-3D correspondences: fit_poses on
+    a batch of one, raising FitError with the failure reason."""
+    fits = fit_poses(np.reshape(coords2d, (1, -1, 2)), np.reshape(points3d, (1, -1, 3)),
+                     focal, center)
+    if not fits.ok[0]:
+        raise FitError(fits.reason[0])
+    return RigidPose(fits.rotation[0], fits.translation[0], focal)
 
-    Linear scaled-orthographic initialization followed by Gauss-Newton
-    refinement of the reprojection residual; stops when the parameter step
-    drops below 1e-6 or after 100 iterations.
+
+def fit_poses(coords2d: np.ndarray, points3d: np.ndarray,
+              focal: float = float(FACE_SIZE),
+              center: tuple[float, float] | None = None) -> PoseFits:
+    """Weak-perspective poses for B independent sets of n 2D-3D
+    correspondences, (B, n, 2) and (B, n, 3), solved in lockstep.
+
+    Each hypothesis starts from a linear scaled-orthographic estimate and is
+    refined by Gauss-Newton on the reprojection residual until its
+    parameter step drops below 1e-6 or after 100 iterations. A hypothesis
+    fails, and stops iterating, on a rank-deficient 3D subset, a degenerate
+    orthographic estimate, a non-finite residual or step, a singular solve,
+    a non-positive scale, or a final rotation or depth that RigidPose
+    would reject; the others carry on.
     """
     if center is None:
         center = default_center()
-    uv = np.asarray(coords2d, dtype=np.float64).reshape(-1, 2)
-    X = np.asarray(points3d, dtype=np.float64).reshape(-1, 3)
-    n = X.shape[0]
-    if n < 4 or uv.shape[0] != n:
+    uv = np.asarray(coords2d, dtype=np.float64)
+    X = np.asarray(points3d, dtype=np.float64)
+    if X.ndim != 3 or X.shape[2] != 3 or X.shape[1] < 4 or uv.shape != X.shape[:2] + (2,):
         raise FitError("need at least 4 correspondences")
-    Xc = X - X.mean(axis=0)
-    if np.linalg.matrix_rank(Xc, tol=1e-9 * max(1.0, np.abs(Xc).max())) < 3:
-        raise FitError("degenerate (coplanar) 3D configuration")
-
-    rel = uv - uv.mean(axis=0)
-    I, *_ = np.linalg.lstsq(Xc, rel[:, 0], rcond=None)
-    J, *_ = np.linalg.lstsq(Xc, rel[:, 1], rcond=None)
-    ni, nj = np.linalg.norm(I), np.linalg.norm(J)
-    if ni <= 0 or nj <= 0:
-        raise FitError("degenerate orthographic estimate")
-    s = math.sqrt(ni * nj)
-    R = _orthonormalize(I / ni, J / nj)
-
+    B, n = X.shape[:2]
     c = np.asarray(center, dtype=np.float64)
-    # t holds the scaled in-plane offset: uv = c + s * (R X)_xy + t_xy
-    proj = X @ R.T
-    txy = (uv - c - s * proj[:, :2]).mean(axis=0)
+    reason = np.full(B, None, dtype=object)
+    R = np.tile(np.eye(3), (B, 1, 1))
+    s = np.ones(B)
+    txy = np.zeros((B, 2))  # scaled in-plane offset: uv = c + s * (R X)_xy + txy
+
+    # start: least squares of the centred peaks on the centred 3D points,
+    # through one SVD per subset that also gives the rank test
+    Xc = X - X.mean(axis=1, keepdims=True)
+    U, S, Vt = np.linalg.svd(Xc, full_matrices=False)
+    tol = 1e-9 * np.maximum(1.0, np.abs(Xc).max(axis=(1, 2)))
+    full_rank = (S > tol[:, None]).sum(axis=1) == 3
+    reason[~full_rank] = "degenerate (coplanar) 3D configuration"
+    a = np.flatnonzero(full_rank)
+    rel = uv[a] - uv[a].mean(axis=1, keepdims=True)
+    IJ = Vt[a].transpose(0, 2, 1) @ ((U[a].transpose(0, 2, 1) @ rel) / S[a, :, None])
+    ni = np.linalg.norm(IJ[..., 0], axis=1)
+    nj = np.linalg.norm(IJ[..., 1], axis=1)
+    bad = ~(ni > 0) | ~(nj > 0)
+    reason[a[bad]] = "degenerate orthographic estimate"
+    a, IJ, ni, nj = a[~bad], IJ[~bad], ni[~bad], nj[~bad]
+    s[a] = np.sqrt(ni * nj)
+    # orthonormalise the rows [I, J, I x J] by SVD, flipping the last
+    # singular direction where that is needed for det +1
+    I, J = IJ[..., 0] / ni[:, None], IJ[..., 1] / nj[:, None]
+    Uo, _, Vto = np.linalg.svd(np.stack([I, J, np.cross(I, J)], axis=1))
+    Uo[:, :, 2] *= np.sign(np.linalg.det(Uo @ Vto))[:, None]
+    R[a] = Uo @ Vto
+    proj = X[a] @ R[a].transpose(0, 2, 1)
+    txy[a] = (uv[a] - c - s[a, None, None] * proj[..., :2]).mean(axis=1)
 
     for _ in range(MAX_ITER):
-        proj = X @ R.T
-        pred = c + s * proj[:, :2] + txy
-        r = (pred - uv).ravel()
-        if not np.all(np.isfinite(r)):
-            raise FitError("pose iteration diverged")
-        # parameters: rotation increment (3), txy (2), scale (1)
-        Jac = np.zeros((2 * n, 6))
-        for i in range(n):
-            dRX = -R @ _skew(X[i])
-            Jac[2 * i, 0:3] = s * dRX[0]
-            Jac[2 * i + 1, 0:3] = s * dRX[1]
-            Jac[2 * i, 3] = 1.0
-            Jac[2 * i + 1, 4] = 1.0
-            Jac[2 * i, 5] = proj[i, 0]
-            Jac[2 * i + 1, 5] = proj[i, 1]
-        try:
-            step = np.linalg.lstsq(Jac, -r, rcond=None)[0]
-        except np.linalg.LinAlgError as exc:
-            raise FitError(f"pose solve failed: {exc}")
-        if not np.all(np.isfinite(step)):
-            raise FitError("pose iteration diverged")
-        R = R @ _exp_so3(step[0:3])
-        txy = txy + step[3:5]
-        s = s + step[5]
-        if s <= 0:
-            raise FitError("negative projection scale")
-        if np.linalg.norm(step) < STEP_TOL:
+        if not len(a):
             break
+        Xa, Ra, sa = X[a], R[a], s[a]
+        proj = Xa @ Ra.transpose(0, 2, 1)
+        r = (c + sa[:, None, None] * proj[..., :2] + txy[a, None, :] - uv[a]).reshape(-1, 2 * n)
+        bad = ~np.isfinite(r).all(axis=1)
+        if bad.any():
+            reason[a[bad]] = "pose iteration diverged"
+            a, Xa, Ra, sa, proj, r = (v[~bad] for v in (a, Xa, Ra, sa, proj, r))
+        # parameters: rotation increment (3), txy (2), scale (1); row k of
+        # d(R X)/dw = -R skew(X) is X x R[k], for the image rows k = 0, 1
+        Jac = np.zeros((len(a), n, 2, 6))
+        x0, x1, x2 = (Xa[:, :, None, k] for k in range(3))
+        r0, r1, r2 = (Ra[:, None, :2, k] for k in range(3))
+        Jac[..., 0] = x1 * r2 - x2 * r1
+        Jac[..., 1] = x2 * r0 - x0 * r2
+        Jac[..., 2] = x0 * r1 - x1 * r0
+        Jac[..., 0:3] *= sa[:, None, None, None]
+        Jac[:, :, 0, 3] = 1.0
+        Jac[:, :, 1, 4] = 1.0
+        Jac[:, :, 0, 5] = proj[..., 0]
+        Jac[:, :, 1, 5] = proj[..., 1]
+        Jac = Jac.reshape(-1, 2 * n, 6)
+        Jt = Jac.transpose(0, 2, 1)
+        A = Jt @ Jac
+        singular = ~(np.linalg.det(A) != 0)
+        A[singular] = np.eye(6)
+        step = np.linalg.solve(A, -(Jt @ r[..., None]))[..., 0]
+        bad = singular | ~np.isfinite(step).all(axis=1)
+        if bad.any():
+            reason[a[bad]] = "pose iteration diverged"
+            reason[a[singular]] = "pose solve failed: singular normal equations"
+            a, Ra, step = a[~bad], Ra[~bad], step[~bad]
+        R[a] = Ra @ _exp_so3(step[:, 0:3])
+        txy[a] += step[:, 3:5]
+        s[a] += step[:, 5]
+        bad = s[a] <= 0
+        reason[a[bad]] = "negative projection scale"
+        a = a[~bad & ~(np.linalg.norm(step, axis=1) < STEP_TOL)]
 
-    tz = focal / s
-    t = np.array([txy[0] / s, txy[1] / s, tz])
-    return RigidPose(R, t, focal)
-
-
-def _skew(v: np.ndarray) -> np.ndarray:
-    return np.array([[0, -v[2], v[1]], [v[2], 0, -v[0]], [-v[1], v[0], 0]])
+    ok = np.array([m is None for m in reason], dtype=bool)
+    t = np.zeros((B, 3))
+    t[ok] = np.column_stack([txy[ok] / s[ok, None], focal / s[ok]])
+    for bad, msg in ((~_rotations_ok(R), "rotation matrix fails orthonormality tolerance"),
+                     (~(t[:, 2] > 0), "translation must have positive depth")):
+        reason[ok & bad] = msg
+        ok &= ~bad
+    return PoseFits(R, t, ok, reason)
 
 
 def robust_init(maps, model: Model3D, Z: int = 25, subset_size: int = 6,
@@ -264,9 +346,9 @@ def robust_init(maps, model: Model3D, Z: int = 25, subset_size: int = 6,
     """Consensus pose search over random distinct-landmark subsets.
 
     Each of the Z hypotheses fits a pose to the map peaks of a random
-    subset, projects the full model and scores the projection by summed
-    map probability; the best-scoring pose wins (lowest iteration index on
-    ties).
+    subset; all Z are fitted in one fit_poses call, projected together and
+    scored together by summed map probability. The best-scoring pose wins
+    (lowest hypothesis index on ties).
     """
     if Z < 1:
         raise ValueError("Z must be >= 1")
@@ -278,24 +360,23 @@ def robust_init(maps, model: Model3D, Z: int = 25, subset_size: int = 6,
         center = (W / 2.0, H / 2.0)
     if focal is None:
         focal = float(H)
+    ids = np.stack([
+        np.random.default_rng(np.random.SeedSequence([int(seed), 0x9A, z]))
+        .choice(distinct, size=subset_size, replace=False)
+        for z in range(Z)
+    ])
     peaks = peak_coords(maps)
-    best = None
-    for z in range(Z):
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x9A, z]))
-        ids = rng.choice(distinct, size=subset_size, replace=False)
-        try:
-            pose = fit_pose(peaks[ids], model.points[ids], focal=focal, center=center)
-        except FitError:
-            continue
-        coords, vis = project_points(model, pose, center=center)
-        score = score_shape(maps, coords)
-        if best is None or score > best[0]:
-            best = (score, coords, vis, pose)
-    if best is None:
+    fits = fit_poses(peaks[ids], model.points[ids], focal=focal, center=center)
+    good = np.flatnonzero(fits.ok)
+    if not len(good):
         raise InitError("all pose hypotheses failed to fit")
-    score, coords, vis, pose = best
-    shape = Shape(coords, vis, np.ones(len(vis), dtype=np.uint8))
-    return InitResult(shape=shape, pose=pose, score=score)
+    coords, vis = project_poses(model, fits.rotation[good], fits.translation[good],
+                                focal, center)
+    scores = score_shapes(maps, coords)
+    w = int(np.argmax(scores))
+    pose = RigidPose(fits.rotation[good[w]], fits.translation[good[w]], focal)
+    shape = Shape(coords[w], vis[w], np.ones(vis.shape[1], dtype=np.uint8))
+    return InitResult(shape=shape, pose=pose, score=float(scores[w]))
 
 
 def mean_shape_init(train) -> Shape:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import NumericError, is_int, is_real, real_range
 from .heatmaps import (
     FACE_SIZE,
     ProbabilityMaps,
@@ -41,6 +41,22 @@ class CorpusConfig:
     sign_patterns: list[list[int]] | None = None  # restrict per-part signs
     size: int = FACE_SIZE
 
+    def __post_init__(self):
+        for name, low in (("count", 1), ("size", 1), ("seed", 0), ("deform_seed", 0)):
+            v = getattr(self, name)
+            if not is_int(v) or v < low:
+                raise ValueError(f"{name} must be an integer >= {low}, not {v!r}")
+        for name in ("yaw_range", "pitch_range", "roll_range", "shift_range",
+                     "deform_magnitude"):
+            v = getattr(self, name)
+            if not is_real(v) or not v >= 0:
+                raise ValueError(f"{name} must be a number >= 0, not {v!r}")
+        self.scale_range = real_range("scale_range", self.scale_range, low=0.0)
+        if self.deform_style not in ("independent", "coupled"):
+            raise ValueError(f"unknown deform_style {self.deform_style!r}")
+        if not isinstance(self.tag, str):
+            raise ValueError(f"tag must be a string, not {self.tag!r}")
+
 
 def part_deform_modes(model: Model3D, schema: LandmarkSchema,
                       deform_seed: int) -> list[np.ndarray]:
@@ -64,10 +80,8 @@ def _deform_coefficients(cfg: CorpusConfig, schema, rng) -> np.ndarray:
     P = schema.part_count
     if cfg.deform_style == "coupled":
         c = np.full(P, float(rng.normal()))
-    elif cfg.deform_style == "independent":
-        c = rng.normal(size=P)
     else:
-        raise ValueError(f"unknown deform_style {cfg.deform_style!r}")
+        c = rng.normal(size=P)
     if cfg.sign_patterns:
         pattern = np.asarray(cfg.sign_patterns[rng.integers(len(cfg.sign_patterns))],
                              dtype=np.float64)

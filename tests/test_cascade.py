@@ -1,4 +1,5 @@
 import dataclasses
+import time
 
 import numpy as np
 import pytest
@@ -23,7 +24,9 @@ from facealign.cascade import (
 )
 from facealign.features import SplitParams, extract_pattern_values
 from facealign.heatmaps import ProbabilityMaps
+from facealign.pipeline import RunConfig, train_model
 from facealign.pose import anchor_shape, mean_shape_init
+from facealign.synthetic import CorpusConfig, SyntheticMapSource, generate_corpus
 
 
 def cand(tau, p1=0, p2=1, landmark=0):
@@ -353,3 +356,31 @@ class TestPredictDegenerate:
 
     def test_branch_cost_empty(self):
         assert _branch_cost(np.zeros((0, 3))) == 0.0
+
+
+class TestServingLatency:
+    """Per-face serving with the 3D initializer: the consensus search at
+    Z=25 plus the cascade, on a trained 24-landmark model. Criterion 12
+    times the cascade alone from the mean shape; this budget includes the
+    initializer that serving really runs."""
+
+    def test_3d_init_plus_cascade_within_budget(self, model3d, schema):
+        cfg = RunConfig(
+            corpus={"count": 40, "seed": 31}, seed=5, val_fraction=0.2,
+            synth={"coordinate_noise_sigma": 1.0, "outlier_rate": 0.1},
+            train={"T": 3, "K1": 10, "K2": 5, "depth": 3, "candidates_per_node": 16,
+                   "shrinkage": 0.3, "Z": 25},
+        )
+        model = train_model(cfg, generate_corpus(model3d, schema, cfg.corpus_config()))
+        assert model.init_mode == "3d" and model.config.Z == 25
+        assert model.model3d.landmark_count == 24
+        faces = generate_corpus(model3d, schema, CorpusConfig(count=30, seed=32, tag="serve"))
+        source = SyntheticMapSource(cfg.synth_config(), cfg.seed)
+        times_ms = []
+        for s in [faces.samples[0]] + faces.samples:  # the first face warms up
+            maps = source.maps_for(s)  # built outside the timer
+            start = time.perf_counter()
+            p = predict(model, maps, s.bbox)
+            times_ms.append((time.perf_counter() - start) * 1000.0)
+            assert not p.used_fallback
+        assert float(np.median(times_ms[1:])) <= 20.0

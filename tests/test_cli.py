@@ -75,6 +75,10 @@ BAD_SETTINGS = st.one_of(
               st.integers(-3, 0)),
     st.tuples(st.just("train"), st.just("depth"), st.integers(-3, -1)),
     st.tuples(st.just("train"), st.just("subset_size"), st.integers(-3, 3)),
+    # above the 24 distinct landmarks of the bundled 3D model (init_mode 3d)
+    st.tuples(st.just("train"), st.just("subset_size"), st.integers(25, 40)),
+    st.tuples(st.just("train"), st.just("seed"),
+              st.one_of(st.booleans(), st.text(max_size=3), st.integers(max_value=-1))),
     st.tuples(st.just("train"), st.sampled_from(["K1", "depth", "Z"]),
               st.floats(0.1, 9.9).filter(lambda v: not v.is_integer())),
     st.tuples(st.just("train"), st.just("bogus"), st.integers()),
@@ -85,6 +89,42 @@ BAD_SETTINGS = st.one_of(
     st.tuples(st.none(), st.just("maps_source"), _bad_choice(["synthetic", "files"])),
     st.tuples(st.none(), st.just("val_fraction"),
               st.one_of(st.floats(max_value=0.0), st.floats(min_value=1.0))),
+)
+
+
+# (corpus key, bad value) for `facealign synth`
+BAD_CORPUS = st.one_of(
+    st.tuples(st.sampled_from(["count", "size"]), st.integers(-5, 0)),
+    st.tuples(st.sampled_from(["yaw_range", "pitch_range", "roll_range", "shift_range"]),
+              st.floats(max_value=-1e-6, allow_nan=False, allow_infinity=False)),
+    st.tuples(st.just("scale_range"),
+              st.sampled_from([[1.3, 1.0], [0.0, 1.2], [-1.0, 1.0], [1.0], 3, "ab", [True, 2]])),
+    st.tuples(st.just("deform_style"), _bad_choice(["independent", "coupled"])),
+    st.tuples(st.sampled_from(["count", "seed", "deform_seed"]),
+              st.one_of(st.booleans(), st.text(max_size=3), st.floats(allow_nan=False),
+                        st.none())),
+)
+
+_not_int = st.one_of(st.booleans(), st.text(max_size=4), st.none(),
+                     st.floats(allow_nan=False), st.lists(st.integers(), max_size=2))
+# (top-level key, value of the wrong type or range) for RunConfig
+BAD_RUN_VALUES = st.one_of(
+    st.tuples(st.just("seed"), st.one_of(_not_int, st.integers(max_value=-1))),
+    st.tuples(st.just("augment_target"),
+              st.one_of(_not_int.filter(lambda v: v is not None), st.integers(max_value=0))),
+    st.tuples(st.just("val_fraction"),
+              st.one_of(st.booleans(), st.text(max_size=4), st.none(),
+                        st.lists(st.floats(0.1, 0.9), max_size=2))),
+    st.tuples(st.just("coarse_to_fine"),
+              st.one_of(st.integers(), st.text(max_size=4), st.none())),
+    st.tuples(st.sampled_from(["schema", "model3d", "pattern", "output_dir"]),
+              st.one_of(st.integers(), st.booleans(), st.none(),
+                        st.lists(st.text(max_size=2), max_size=2))),
+    st.tuples(st.sampled_from(["dataset", "maps_dir"]),
+              st.one_of(st.integers(), st.booleans(), st.floats(allow_nan=False))),
+    st.tuples(st.sampled_from(["synth", "corpus", "train", "augment"]),
+              st.one_of(st.integers(), st.text(max_size=4), st.none(),
+                        st.lists(st.integers(), max_size=2))),
 )
 
 
@@ -128,6 +168,35 @@ class TestConfigErrors:
         cfg = write_config(tmp_path / "c.json", corpus={"count": 4, "bogus": 1})
         assert run(["synth", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_DATA
         assert capsys.readouterr().err.startswith("error: bad corpus config")
+
+    @settings(max_examples=40, deadline=None)
+    @given(bad=BAD_CORPUS)
+    def test_bad_corpus_value_is_data_error(self, faces, bad):
+        key, value = bad
+        cfg = write_config(faces / "bad_corpus.json", corpus={"count": 4, key: value})
+        out = faces / "bad_corpus_out"
+        assert run(["synth", "--config", str(cfg), "--out", str(out)]) == EXIT_DATA
+        assert not (out / "annotations.jsonl").exists()
+
+    @settings(max_examples=60, deadline=None)
+    @given(bad=BAD_RUN_VALUES)
+    def test_bad_run_value_is_data_error(self, faces, bad):
+        key, value = bad
+        path = faces / "bad_run.json"
+        path.write_text(json.dumps({key: value}))
+        with pytest.raises(DataError, match=key):
+            RunConfig.from_file(path)
+
+    @pytest.mark.parametrize("seed", ["x", True, 1.5, -1])
+    @pytest.mark.parametrize("command", ["synth", "train"])
+    def test_bad_seed_exits_2(self, faces, seed, command, capsys):
+        cfg = write_config(faces / "bad_seed.json", seed=seed)
+        rc = run([command, "--config", str(cfg),
+                  "--dataset", str(faces / "annotations.jsonl"),
+                  "--out", str(faces / "bad_seed_out")])
+        assert rc == EXIT_DATA
+        assert "seed must be an integer" in capsys.readouterr().err
+        assert not (faces / "bad_seed_out").exists()
 
 
 @pytest.fixture(scope="module")

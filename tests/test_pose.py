@@ -1,24 +1,37 @@
 import copy
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from facealign.errors import FitError, SchemaError
-from facealign.heatmaps import ProbabilityMaps, SynthConfig, synthesize_from_shape
+from facealign.errors import FitError, InitError, SchemaError
+from facealign.heatmaps import (
+    ProbabilityMaps,
+    SynthConfig,
+    map_values,
+    peak_coords,
+    synthesize_from_shape,
+)
 from facealign.pose import (
+    MAX_ITER,
+    STEP_TOL,
     Model3D,
     RigidPose,
     anchor_shape,
+    default_center,
     euler_to_rotation,
     fit_pose,
+    fit_poses,
     mean_shape_init,
     perturb_pose,
     project_points,
+    project_poses,
     robust_init,
     rotation_angle,
     score_shape,
+    score_shapes,
 )
 
 angles = st.floats(-np.pi, np.pi, allow_nan=False)
@@ -145,6 +158,293 @@ class TestFitPose:
         pts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]], dtype=float)
         with pytest.raises(FitError):
             fit_pose(np.zeros((4, 2)), pts)
+
+
+# --------------------------------------------------------------------------
+# reference: the per-hypothesis solver and consensus loop that fit_poses and
+# robust_init replaced, kept here as the oracle they are checked against
+
+
+def _ref_skew(v):
+    return np.array([[0, -v[2], v[1]], [v[2], 0, -v[0]], [-v[1], v[0], 0]])
+
+
+def _ref_exp_so3(w):
+    theta = np.linalg.norm(w)
+    K = _ref_skew(w)
+    if theta < 1e-12:
+        return np.eye(3) + K
+    return (np.eye(3) + (math.sin(theta) / theta) * K
+            + ((1 - math.cos(theta)) / theta**2) * (K @ K))
+
+
+def _ref_orthonormalize(I, J):
+    U, _, Vt = np.linalg.svd(np.stack([I, J, np.cross(I, J)]))
+    D = np.diag([1.0, 1.0, np.sign(np.linalg.det(U @ Vt))])
+    return U @ D @ Vt
+
+
+def ref_fit_pose(coords2d, points3d, focal=160.0, center=None, steps=None):
+    """One hypothesis: lstsq scaled-orthographic start, then Gauss-Newton
+    with a Jacobian filled one correspondence at a time. Appends each step
+    to ``steps`` when given."""
+    if center is None:
+        center = default_center()
+    uv = np.asarray(coords2d, dtype=np.float64).reshape(-1, 2)
+    X = np.asarray(points3d, dtype=np.float64).reshape(-1, 3)
+    n = X.shape[0]
+    if n < 4 or uv.shape[0] != n:
+        raise FitError("need at least 4 correspondences")
+    Xc = X - X.mean(axis=0)
+    if np.linalg.matrix_rank(Xc, tol=1e-9 * max(1.0, np.abs(Xc).max())) < 3:
+        raise FitError("degenerate (coplanar) 3D configuration")
+    rel = uv - uv.mean(axis=0)
+    I, *_ = np.linalg.lstsq(Xc, rel[:, 0], rcond=None)
+    J, *_ = np.linalg.lstsq(Xc, rel[:, 1], rcond=None)
+    ni, nj = np.linalg.norm(I), np.linalg.norm(J)
+    if ni <= 0 or nj <= 0:
+        raise FitError("degenerate orthographic estimate")
+    s = math.sqrt(ni * nj)
+    R = _ref_orthonormalize(I / ni, J / nj)
+    c = np.asarray(center, dtype=np.float64)
+    proj = X @ R.T
+    txy = (uv - c - s * proj[:, :2]).mean(axis=0)
+    for _ in range(MAX_ITER):
+        proj = X @ R.T
+        r = (c + s * proj[:, :2] + txy - uv).ravel()
+        if not np.all(np.isfinite(r)):
+            raise FitError("pose iteration diverged")
+        Jac = np.zeros((2 * n, 6))
+        for i in range(n):
+            dRX = -R @ _ref_skew(X[i])
+            Jac[2 * i, 0:3] = s * dRX[0]
+            Jac[2 * i + 1, 0:3] = s * dRX[1]
+            Jac[2 * i, 3] = 1.0
+            Jac[2 * i + 1, 4] = 1.0
+            Jac[2 * i, 5] = proj[i, 0]
+            Jac[2 * i + 1, 5] = proj[i, 1]
+        step = np.linalg.lstsq(Jac, -r, rcond=None)[0]
+        if steps is not None:
+            steps.append(step)
+        if not np.all(np.isfinite(step)):
+            raise FitError("pose iteration diverged")
+        R = R @ _ref_exp_so3(step[0:3])
+        txy = txy + step[3:5]
+        s = s + step[5]
+        if s <= 0:
+            raise FitError("negative projection scale")
+        if np.linalg.norm(step) < STEP_TOL:
+            break
+    return RigidPose(R, [txy[0] / s, txy[1] / s, focal / s], focal)
+
+
+def ref_robust_init(maps, model, Z, subset_size, seed, center):
+    """The consensus loop: (winning index, score, coords, visibility, pose)."""
+    peaks = peak_coords(maps)
+    focal = float(maps.face_size[0])
+    best = None
+    for z in range(Z):
+        rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x9A, z]))
+        ids = rng.choice(model.distinct_indices, size=subset_size, replace=False)
+        try:
+            pose = ref_fit_pose(peaks[ids], model.points[ids], focal, center)
+        except FitError:
+            continue
+        cam = model.points @ pose.rotation.T + pose.translation
+        coords = np.asarray(center) + pose.scale * cam[:, :2]
+        vis = ((model.normals @ pose.rotation.T)[:, 2] <= 0.0).astype(np.float64)
+        score = 0.0
+        for l in range(maps.landmark_count):
+            score += float(map_values(maps.maps[l], coords[l: l + 1])[0])
+        if best is None or score > best[1]:
+            best = (z, score, coords, vis, pose)
+    if best is None:
+        raise InitError("all pose hypotheses failed to fit")
+    return best
+
+
+CENTER = (80.0, 80.0)
+# failures decided before any Gauss-Newton step, which rounding cannot flip
+START_FAILURES = ("degenerate (coplanar) 3D configuration", "degenerate orthographic estimate")
+
+
+def _ref_outcome(uv, X):
+    """(failure message or None, R, t, Gauss-Newton steps taken)."""
+    steps = []
+    try:
+        pose = ref_fit_pose(uv, X, 160.0, CENTER, steps)
+    except FitError as exc:
+        return str(exc), None, None, len(steps)
+    return None, pose.rotation, pose.translation, len(steps)
+
+
+def _same_pose(a, b, tol):
+    """Same failure, or R within tol and t within tol relative."""
+    if a[0] is not None or b[0] is not None:
+        return a[0] == b[0]
+    return (np.abs(a[1] - b[1]).max() <= tol
+            and np.all(np.abs(a[2] - b[2]) <= tol * np.maximum(1.0, np.abs(a[2]))))
+
+
+def _reference_is_settled(uv, X, ref):
+    """Whether the reference's own outcome, step count included, survives
+    nudging the peaks by 1e-12 to 1e-9 px.
+
+    Gauss-Newton wanders chaotically on about 1 in 2000 hypotheses with
+    heavy outliers, taking steps of tens of radians until its scale turns
+    negative or it happens to converge somewhere. There a rounding
+    difference, such as the batched solver's other summation order, grows
+    to a different outcome, so only settled hypotheses are compared."""
+    nudge = np.where(np.arange(uv.size).reshape(uv.shape) % 2, 1.0, -1.0)
+    for eps in (1e-12, 1e-11, 1e-10, 1e-9):
+        nudged = _ref_outcome(uv + eps * nudge, X)
+        if nudged[3] != ref[3] or not _same_pose(ref, nudged, 1e-7):
+            return False
+    return True
+
+
+HYPOTHESIS_KINDS = ("pose", "outliers", "coplanar", "collinear", "duplicate")
+
+
+hypothesis_batches = st.tuples(
+    st.integers(4, 8),
+    st.lists(st.sampled_from(HYPOTHESIS_KINDS), min_size=1, max_size=8),
+    st.integers(0, 2**32 - 1),
+)
+
+
+def make_batch(model, n, kinds, seed):
+    """(B, n, 2) peaks and (B, n, 3) points, one hypothesis per kind: random
+    poses of random model subsets, some with outlier peaks, some degenerate."""
+    r = np.random.default_rng(seed)
+    pts = model.points
+    uv, X = [], []
+    for kind in kinds:
+        R = euler_to_rotation(*np.radians(r.uniform([-60, -45, -45], [60, 45, 45])))
+        t = np.array([*r.uniform(-15, 15, 2), r.uniform(250, 700)])
+        if kind == "coplanar":
+            x = np.column_stack([r.uniform(-40, 40, (n, 2)), np.full(n, 5.0)])
+        elif kind == "collinear":
+            x = r.uniform(-1, 1, (n, 1)) * r.normal(size=3) + r.normal(size=3)
+        else:
+            x = pts[r.choice(len(pts), n, replace=kind == "duplicate")]
+        p = np.rint(CENTER + 160.0 / t[2] * (x @ R.T + t)[:, :2] + r.normal(0, 1, (n, 2)))
+        if kind == "outliers":
+            k = int(r.integers(1, n))
+            p[r.choice(n, k, replace=False)] = np.rint(r.uniform(0, 159, (k, 2)))
+        uv.append(p)
+        X.append(x)
+    return np.array(uv), np.array(X)
+
+
+class TestFitPosesOracle:
+    @given(hypothesis_batches)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_hypothesis_loop(self, model3d, batch):
+        uv, X = make_batch(model3d, *batch)
+        fits = fit_poses(uv, X, 160.0, CENTER)
+        assert fits.ok.tolist() == [m is None for m in fits.reason]
+        for b in range(len(uv)):
+            ref = _ref_outcome(uv[b], X[b])
+            new = (fits.reason[b], fits.rotation[b], fits.translation[b])
+            if ref[0] in START_FAILURES or new[0] in START_FAILURES:
+                assert new[0] == ref[0]
+            elif _reference_is_settled(uv[b], X[b], ref):
+                assert _same_pose(ref, new, 1e-9), (ref, new)
+
+    @given(hypothesis_batches)
+    @settings(max_examples=20, deadline=None)
+    def test_batch_of_one_equals_batch_entry(self, model3d, batch):
+        uv, X = make_batch(model3d, *batch)
+        fits = fit_poses(uv, X, 160.0, CENTER)
+        for b in range(len(uv)):
+            try:
+                pose = fit_pose(uv[b], X[b], 160.0, CENTER)
+            except FitError as exc:
+                assert str(exc) == fits.reason[b]
+                continue
+            assert fits.ok[b]
+            np.testing.assert_allclose(pose.rotation, fits.rotation[b], rtol=0, atol=1e-9)
+            np.testing.assert_allclose(pose.translation, fits.translation[b], rtol=1e-9)
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(FitError, match="at least 4"):
+            fit_poses(np.zeros((2, 5, 2)), np.zeros((2, 4, 3)))
+
+
+class TestRobustInitOracle:
+    @given(seed=st.integers(0, 2**31 - 1), outliers=st.integers(0, 10),
+           Z=st.integers(1, 25), subset_size=st.integers(4, 8))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_consensus_loop(self, model3d, seed, outliers, Z, subset_size):
+        r = np.random.default_rng(seed)
+        R = euler_to_rotation(*np.radians(r.uniform([-50, -35, -35], [50, 35, 35])))
+        t = np.array([*r.uniform(-8, 8, 2), r.uniform(300, 650)])
+        coords, _ = project_points(model3d, RigidPose(R, t, 160.0), CENTER)
+        peaks = coords.copy()
+        peaks[r.choice(24, outliers, replace=False)] = r.uniform(0, 159, (outliers, 2))
+        maps = synthesize_from_shape(peaks, np.ones(24), np.ones(24, np.uint8),
+                                     SynthConfig(coordinate_noise_sigma=1.0), r, (160, 160))
+        try:
+            z, score, ref_coords, ref_vis, ref_pose = ref_robust_init(
+                maps, model3d, Z, subset_size, seed, CENTER)
+        except InitError:
+            with pytest.raises(InitError):
+                robust_init(maps, model3d, Z=Z, subset_size=subset_size,
+                            seed=seed, center=CENTER)
+            return
+        res = robust_init(maps, model3d, Z=Z, subset_size=subset_size,
+                          seed=seed, center=CENTER)
+        assert res.score == score
+        ids = np.stack([
+            np.random.default_rng(np.random.SeedSequence([seed, 0x9A, k]))
+            .choice(model3d.distinct_indices, size=subset_size, replace=False)
+            for k in range(Z)
+        ])
+        fits = fit_poses(peak_coords(maps)[ids], model3d.points[ids], 160.0, CENTER)
+        winners = [k for k in range(Z) if fits.ok[k]
+                   and np.array_equal(fits.rotation[k], res.pose.rotation)]
+        assert winners == [z]
+        np.testing.assert_allclose(res.shape.coords, ref_coords, rtol=0, atol=1e-9)
+        np.testing.assert_array_equal(res.shape.visibility, ref_vis)
+        np.testing.assert_allclose(res.pose.rotation, ref_pose.rotation, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(res.pose.translation, ref_pose.translation, rtol=1e-9)
+
+
+    def test_ties_go_to_lowest_index(self, model3d):
+        # noise-free frontal peaks: 12 of 25 subsets project onto the same
+        # rounded pixels, so their scores tie exactly
+        maps, _, _ = noiseless_maps_for_pose(model3d, np.eye(3), [0.0, 0.0, 400.0])
+        ids = np.stack([
+            np.random.default_rng(np.random.SeedSequence([0, 0x9A, k]))
+            .choice(model3d.distinct_indices, size=6, replace=False)
+            for k in range(25)
+        ])
+        fits = fit_poses(peak_coords(maps)[ids], model3d.points[ids], 160.0, CENTER)
+        ok = np.flatnonzero(fits.ok)
+        scores = score_shapes(maps, project_poses(model3d, fits.rotation[ok],
+                                                  fits.translation[ok], 160.0, CENTER)[0])
+        tied = ok[scores == scores.max()]
+        assert len(tied) > 1
+        res = robust_init(maps, model3d, Z=25, seed=0, center=CENTER)
+        assert np.array_equal(res.pose.rotation, fits.rotation[tied[0]])
+        assert ref_robust_init(maps, model3d, 25, 6, 0, CENTER)[0] == tied[0]
+
+
+class TestScoreShapes:
+    @given(seed=st.integers(0, 2**31 - 1), B=st.integers(1, 6))
+    @settings(max_examples=30, deadline=None)
+    def test_equals_per_landmark_sum(self, seed, B):
+        r = np.random.default_rng(seed)
+        maps = ProbabilityMaps(r.uniform(size=(7, 12, 9)).astype(r.choice([np.float32, np.float64])))
+        coords = r.uniform(-3, 14, (B, 7, 2))
+        got = score_shapes(maps, coords)
+        for b in range(B):
+            want = 0.0
+            for l in range(7):
+                want += float(map_values(maps.maps[l], coords[b, l: l + 1])[0])
+            assert got[b] == want
+            assert score_shape(maps, coords[b]) == want
 
 
 def noiseless_maps_for_pose(model, R, t, size=160):
