@@ -106,9 +106,8 @@ def feature_value(maps, shape, theta: SplitParams, pattern: FreakPattern,
     if not 0.0 < scale <= 1.0:
         raise ValueError("stage scale must lie in (0,1]")
     anchor = shape.coords[theta.landmark]
-    grid = maps.maps[theta.landmark]
-    pts = anchor + scale * pattern.offsets[[theta.p1, theta.p2]]
-    v = map_values(grid, pts)
+    pts = np.rint(anchor + scale * pattern.offsets[[theta.p1, theta.p2]]).astype(np.int64)
+    v = maps.read(theta.landmark, pts[:, 0], pts[:, 1])
     return float(v[0] - v[1])
 
 
@@ -149,13 +148,7 @@ def extract_pattern_values(maps, coords: np.ndarray, pattern: FreakPattern,
     landmarks = np.asarray(landmarks, dtype=np.int64)
     pts = coords[landmarks, None, :] + scale * pattern.offsets[None, :, :]
     c = np.rint(pts).astype(np.int64)
-    x, y = c[..., 0], c[..., 1]
-    _, H, W = maps.maps.shape
-    ok = (x >= 0) & (x < W) & (y >= 0) & (y < H)
-    flat = maps.maps.reshape(maps.maps.shape[0], -1)
-    idx = np.where(ok, y * W + x, 0)
-    # one gather for all landmarks; out-of-bounds reads become 0
-    return (flat[landmarks[:, None], idx] * ok).astype(np.float64, copy=False)
+    return maps.read(landmarks[:, None], c[..., 0], c[..., 1])
 
 
 def extract_pattern_values_gray(image: np.ndarray, coords: np.ndarray,

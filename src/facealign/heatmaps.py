@@ -1,6 +1,13 @@
 """Per-landmark probability maps: smoothing, peaks, file I/O and a
 synthetic generator that stands in for an external landmark detector.
 
+Everything downstream reads a map object in two ways only: its
+per-landmark peaks (``peaks()``) and its values at integer pixels
+(``read(landmarks, x, y)``). Maps from files are rasters
+(ProbabilityMaps) and both queries gather from the raster. Synthetic maps
+(BlobMaps) keep only their blob centres and are evaluated at the pixels
+read; they build a raster only when one is asked for.
+
 Map values are unnormalized likelihoods; synthetic blobs have peak 1.
 Out-of-bounds reads return 0 everywhere in this package.
 """
@@ -45,6 +52,96 @@ class ProbabilityMaps:
     def face_size(self) -> tuple[int, int]:
         return self.maps.shape[1], self.maps.shape[2]
 
+    def peaks(self) -> np.ndarray:
+        """Per-landmark argmax as (x, y) pairs; ties go to the row-major-first cell."""
+        L, H, W = self.maps.shape
+        idx = np.argmax(self.maps.reshape(L, -1), axis=1)
+        return np.stack([idx % W, idx // W], axis=1).astype(np.float64)
+
+    def read(self, landmarks, x, y) -> np.ndarray:
+        """Values of maps[landmarks] at integer pixels (x, y), broadcast
+        together; pixels off the map read 0."""
+        return _gather(self.maps, landmarks, x, y)
+
+
+def _gather(grids: np.ndarray, landmarks, x, y) -> np.ndarray:
+    x, y = np.asarray(x), np.asarray(y)
+    L, H, W = grids.shape
+    ok = (x >= 0) & (x < W) & (y >= 0) & (y < H)
+    idx = np.where(ok, y * W + x, 0)
+    # one gather for every read; out-of-bounds reads become 0
+    return (grids.reshape(L, -1)[landmarks, idx] * ok).astype(np.float64, copy=False)
+
+
+class BlobMaps:
+    """Synthetic maps held as one unit-peak Gaussian blob per landmark,
+    max-ed with a constant floor and evaluated only at the pixels read.
+
+    A NaN centre marks a flat floor map. Reads are bitwise equal to reads
+    from the raster that ``maps`` builds, because both evaluate the blob
+    in _blob's order.
+    """
+
+    def __init__(self, centres: np.ndarray, sigma: float, floor: float,
+                 size: tuple[int, int]):
+        self.centres = np.asarray(centres, dtype=np.float64).reshape(-1, 2)
+        self.sigma = sigma
+        self.floor = floor
+        self.size = size
+        self._raster = None
+
+    @property
+    def landmark_count(self) -> int:
+        return len(self.centres)
+
+    @property
+    def face_size(self) -> tuple[int, int]:
+        return self.size
+
+    def read(self, landmarks, x, y) -> np.ndarray:
+        """Values at integer pixels (x, y) of the landmarks' maps, broadcast
+        together; pixels off the map read 0."""
+        x, y = np.asarray(x), np.asarray(y)
+        H, W = self.size
+        c = self.centres[landmarks]
+        v = np.exp(-((x - c[..., 0]) ** 2 + (y - c[..., 1]) ** 2) / (2.0 * self.sigma**2))
+        # fmax keeps the floor where a NaN centre makes the blob NaN
+        v = np.fmax(self.floor, v)
+        return np.where((x >= 0) & (x < W) & (y >= 0) & (y < H), v, 0.0)
+
+    def peaks(self) -> np.ndarray:
+        """Per-landmark argmax as (x, y) pairs, as peak_coords of the raster.
+
+        The blob peaks at the in-bounds pixel nearest its centre, so only a
+        4x4 window around floor(centre), clipped to the map, is evaluated.
+        Ties go to the row-major-first pixel; a map whose best value is the
+        floor peaks at (0, 0).
+        """
+        H, W = self.size
+        L = self.landmark_count
+        # a NaN (flat) centre reads its window at the origin
+        corner = np.floor(np.nan_to_num(self.centres)).astype(np.int64) - 1
+        k = np.arange(16)
+        x = np.minimum(np.clip(corner[:, :1], 0, max(W - 4, 0)) + k % 4, W - 1)
+        y = np.minimum(np.clip(corner[:, 1:], 0, max(H - 4, 0)) + k // 4, H - 1)
+        v = self.read(np.arange(L)[:, None], x, y)
+        rows, best = np.arange(L), np.argmax(v, axis=1)
+        out = np.stack([x[rows, best], y[rows, best]], axis=1).astype(np.float64)
+        out[~(v[rows, best] > self.floor)] = 0.0
+        return out
+
+    @property
+    def maps(self) -> np.ndarray:
+        """The (L, H, W) float64 raster, built on first use."""
+        if self._raster is None:
+            H, W = self.size
+            out = np.full((self.landmark_count, H, W), self.floor, dtype=np.float64)
+            for l in np.flatnonzero(~np.isnan(self.centres[:, 0])):
+                cx, cy = self.centres[l]
+                np.maximum(out[l], _blob(H, W, cx, cy, self.sigma), out=out[l])
+            self._raster = out
+        return self._raster
+
 
 @dataclass
 class SynthConfig:
@@ -86,23 +183,15 @@ def smooth(maps: ProbabilityMaps, sigma: float) -> ProbabilityMaps:
     return ProbabilityMaps(out)
 
 
-def peak_coords(maps: ProbabilityMaps) -> np.ndarray:
+def peak_coords(maps) -> np.ndarray:
     """Per-landmark argmax as (x, y) pairs; ties go to the row-major-first cell."""
-    L, H, W = maps.maps.shape
-    flat = maps.maps.reshape(L, -1)
-    idx = np.argmax(flat, axis=1)
-    return np.stack([idx % W, idx // W], axis=1).astype(np.float64)
+    return maps.peaks()
 
 
 def map_values(grid: np.ndarray, coords: np.ndarray) -> np.ndarray:
     """Read a single grid at rounded (x, y) coordinates; out of bounds -> 0."""
     c = np.rint(np.asarray(coords, dtype=np.float64)).astype(np.int64)
-    x, y = c[..., 0], c[..., 1]
-    H, W = grid.shape
-    ok = (x >= 0) & (x < W) & (y >= 0) & (y < H)
-    out = np.zeros(c.shape[:-1], dtype=np.float64)
-    out[ok] = grid[y[ok], x[ok]]
-    return out
+    return _gather(grid[None], 0, c[..., 0], c[..., 1])
 
 
 def _blob(H, W, cx, cy, sigma):
@@ -115,10 +204,10 @@ def synth_rng(seed: int, sample_key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), 0x11A9, int(sample_key)]))
 
 
-def synthesize_from_shape(coords: np.ndarray, visibility: np.ndarray,
-                          annotated: np.ndarray, cfg: SynthConfig,
-                          rng: np.random.Generator,
-                          size: tuple[int, int] = (FACE_SIZE, FACE_SIZE)) -> ProbabilityMaps:
+def draw_blobs(coords: np.ndarray, visibility: np.ndarray,
+               annotated: np.ndarray, cfg: SynthConfig,
+               rng: np.random.Generator,
+               size: tuple[int, int] = (FACE_SIZE, FACE_SIZE)) -> BlobMaps:
     """Unit-peak Gaussian blobs around ground-truth landmark positions.
 
     Per landmark: the peak is jittered by coordinate noise, relocated
@@ -128,7 +217,7 @@ def synthesize_from_shape(coords: np.ndarray, visibility: np.ndarray,
     """
     H, W = size
     L = len(coords)
-    out = np.full((L, H, W), cfg.floor, dtype=np.float64)
+    centres = np.full((L, 2), np.nan)
     for l in range(L):
         # consume the random stream identically regardless of branch taken,
         # so a landmark's maps do not depend on its neighbours' flags
@@ -141,19 +230,32 @@ def synthesize_from_shape(coords: np.ndarray, visibility: np.ndarray,
         if visibility[l] < 0.5 and dropped:
             continue
         if is_outlier:
-            cx, cy = uni[0] * (W - 1), uni[1] * (H - 1)
+            centres[l] = uni[0] * (W - 1), uni[1] * (H - 1)
         else:
-            cx, cy = coords[l, 0] + noise[0], coords[l, 1] + noise[1]
-        np.maximum(out[l], _blob(H, W, cx, cy, cfg.peak_sigma), out=out[l])
-    return ProbabilityMaps(out)
+            centres[l] = coords[l, 0] + noise[0], coords[l, 1] + noise[1]
+    return BlobMaps(centres, cfg.peak_sigma, cfg.floor, size)
+
+
+def synthesize_from_shape(coords: np.ndarray, visibility: np.ndarray,
+                          annotated: np.ndarray, cfg: SynthConfig,
+                          rng: np.random.Generator,
+                          size: tuple[int, int] = (FACE_SIZE, FACE_SIZE)) -> ProbabilityMaps:
+    """The raster of draw_blobs."""
+    return ProbabilityMaps(draw_blobs(coords, visibility, annotated, cfg, rng, size).maps)
+
+
+def sample_blobs(sample, cfg: SynthConfig, seed: int,
+                 size: tuple[int, int] = (FACE_SIZE, FACE_SIZE)) -> BlobMaps:
+    """Deterministic synthetic blob maps for one sample under (seed, sample)."""
+    gt = sample.ground_truth
+    rng = synth_rng(seed, zlib.crc32(sample.image_ref.encode("utf-8")))
+    return draw_blobs(gt.coords, gt.visibility, gt.annotated, cfg, rng, size)
 
 
 def synthesize(sample, cfg: SynthConfig, seed: int,
                size: tuple[int, int] = (FACE_SIZE, FACE_SIZE)) -> ProbabilityMaps:
-    """Deterministic synthetic maps for one sample under (seed, sample)."""
-    gt = sample.ground_truth
-    rng = synth_rng(seed, zlib.crc32(sample.image_ref.encode("utf-8")))
-    return synthesize_from_shape(gt.coords, gt.visibility, gt.annotated, cfg, rng, size)
+    """The raster of sample_blobs."""
+    return ProbabilityMaps(sample_blobs(sample, cfg, seed, size).maps)
 
 
 def write_maps(maps: ProbabilityMaps, path) -> None:

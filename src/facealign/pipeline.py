@@ -137,7 +137,7 @@ class RunConfig:
             if self.maps_dir is None:
                 raise DataError("maps_source 'files' requires maps_dir")
             return FileMapSource(self.maps_dir, schema)
-        return SyntheticMapSource(self.synth_config(), self.seed, cache_limit=256)
+        return SyntheticMapSource(self.synth_config(), self.seed)
 
 
 def _build(section: str, cls, kw: dict):
@@ -175,14 +175,17 @@ def train_model(cfg: RunConfig, dataset: Dataset | None = None) -> CascadeModel:
         dataset = load_run_dataset(cfg, schema)
     maps = cfg.map_source(schema)
     train, val = split_train_val(dataset, cfg.val_fraction, cfg.seed)
+    if cfg.augment_target is not None:
+        aug_cfg = _build("augment", AugmentConfig, {**cfg.augment, "model3d": model3d})
+        if cfg.augment_target < len(train):
+            raise DataError(f"augment_target {cfg.augment_target} is below the "
+                            f"{len(train)} faces of the training split")
     # initials go on copies, so the caller's samples stay as they were
     train = Dataset([replace(s) for s in train.samples], train.schema)
     if cfg.init_mode == "3d":
         attach_pose_initials(train, model3d, maps, Z=tc.Z,
                              subset_size=tc.subset_size, seed=cfg.seed)
     if cfg.augment_target is not None:
-        aug_kw = dict(cfg.augment)
-        aug_cfg = AugmentConfig(model3d=model3d, **aug_kw)
         from .shapes import augment as augment_fn
 
         train = augment_fn(train, cfg.augment_target, aug_cfg, cfg.seed)

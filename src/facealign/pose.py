@@ -10,12 +10,13 @@ a closed-form Jacobian, each a batched 6x6 normal-equation solve. Every
 hypothesis keeps its own convergence and failure state, so one that fails
 or converges drops out while the others carry on. fit_pose is a batch of
 one. robust_init fits all Z consensus hypotheses with one fit_poses call,
-projects them together and scores them with one (Z, L) map gather
+projects them together and scores them with one (Z, L) map read
 (score_shapes), summed over landmarks in order.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -23,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import FitError, InitError, SchemaError
-from .heatmaps import FACE_SIZE, peak_coords
+from .heatmaps import FACE_SIZE
 from .shapes import Shape
 
 ORTHONORMAL_TOL = 1e-6
@@ -186,16 +187,12 @@ def score_shape(maps, coords: np.ndarray) -> float:
 def score_shapes(maps, coords: np.ndarray) -> np.ndarray:
     """score_shape for B shapes at once: (B, L, 2) coords -> (B,) scores.
 
-    One gather reads every (shape, landmark) value; each score is then
-    summed over landmarks in order, so it does not depend on the batch.
+    One maps.read call reads every (shape, landmark) value; each score is
+    then summed over landmarks in order, so it does not depend on the batch.
     """
     c = np.rint(np.asarray(coords, dtype=np.float64)).astype(np.int64)
-    x, y = c[..., 0], c[..., 1]
-    L, H, W = maps.maps.shape
-    inside = (x >= 0) & (x < W) & (y >= 0) & (y < H)
-    lm = np.broadcast_to(np.arange(L), inside.shape)
-    vals = np.zeros(inside.shape, dtype=np.float64)
-    vals[inside] = maps.maps[lm[inside], y[inside], x[inside]]
+    L = maps.landmark_count
+    vals = maps.read(np.arange(L), c[..., 0], c[..., 1])
     total = np.zeros(len(vals))
     for l in range(L):
         total += vals[:, l]
@@ -340,6 +337,26 @@ def fit_poses(coords2d: np.ndarray, points3d: np.ndarray,
     return PoseFits(R, t, ok, reason)
 
 
+def hypothesis_subsets(seed: int, Z: int, subset_size: int, distinct) -> np.ndarray:
+    """The (Z, subset_size) landmark subsets robust_init fits, row z drawn
+    from SeedSequence([seed, 0x9A, z]). They depend on nothing but the
+    arguments, so they are drawn once per key and shared read-only."""
+    return _hypothesis_subsets(int(seed), int(Z), int(subset_size),
+                               tuple(np.asarray(distinct).tolist()))
+
+
+@functools.lru_cache(maxsize=64)
+def _hypothesis_subsets(seed: int, Z: int, subset_size: int, distinct: tuple) -> np.ndarray:
+    distinct = np.array(distinct, dtype=np.int64)
+    ids = np.stack([
+        np.random.default_rng(np.random.SeedSequence([seed, 0x9A, z]))
+        .choice(distinct, size=subset_size, replace=False)
+        for z in range(Z)
+    ])
+    ids.flags.writeable = False
+    return ids
+
+
 def robust_init(maps, model: Model3D, Z: int = 25, subset_size: int = 6,
                 seed: int = 0, focal: float | None = None,
                 center: tuple[float, float] | None = None) -> InitResult:
@@ -360,12 +377,8 @@ def robust_init(maps, model: Model3D, Z: int = 25, subset_size: int = 6,
         center = (W / 2.0, H / 2.0)
     if focal is None:
         focal = float(H)
-    ids = np.stack([
-        np.random.default_rng(np.random.SeedSequence([int(seed), 0x9A, z]))
-        .choice(distinct, size=subset_size, replace=False)
-        for z in range(Z)
-    ])
-    peaks = peak_coords(maps)
+    ids = hypothesis_subsets(seed, Z, subset_size, distinct)
+    peaks = maps.peaks()
     fits = fit_poses(peaks[ids], model.points[ids], focal=focal, center=center)
     good = np.flatnonzero(fits.ok)
     if not len(good):

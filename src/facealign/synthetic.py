@@ -15,9 +15,11 @@ import numpy as np
 from .errors import NumericError, is_int, is_real, real_range
 from .heatmaps import (
     FACE_SIZE,
+    BlobMaps,
     ProbabilityMaps,
     SynthConfig,
     read_maps,
+    sample_blobs,
     synthesize,
     write_maps,
 )
@@ -139,31 +141,22 @@ def generate_corpus(model: Model3D, schema: LandmarkSchema,
 class SyntheticMapSource:
     """On-demand synthetic probability maps, deterministic per sample.
 
-    Geometric augmentation transforms recorded on samples are not applied
-    here; occlusion-driven visibility changes already degrade the maps via
-    the occluded-dropout channel.
+    Each request draws the sample's blob centres from its ground truth,
+    seeded by its image_ref, and nothing is kept between requests; the
+    maps are evaluated only where they are read. Geometric augmentation
+    transforms recorded on samples are not applied here; occlusion-driven
+    visibility changes already degrade the maps via the occluded-dropout
+    channel.
     """
 
     def __init__(self, cfg: SynthConfig, seed: int,
-                 size: tuple[int, int] = (FACE_SIZE, FACE_SIZE),
-                 cache_limit: int = 0):
+                 size: tuple[int, int] = (FACE_SIZE, FACE_SIZE)):
         self.cfg = cfg
         self.seed = int(seed)
         self.size = size
-        self.cache_limit = cache_limit
-        self._cache: dict[tuple, ProbabilityMaps] = {}
 
-    def maps_for(self, sample) -> ProbabilityMaps:
-        # image_ref alone is not unique across corpora sharing a tag
-        gt = sample.ground_truth
-        key = (sample.image_ref, gt.coords.tobytes(), gt.visibility.tobytes())
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        maps = synthesize(sample, self.cfg, self.seed, self.size)
-        if len(self._cache) < self.cache_limit:
-            self._cache[key] = maps
-        return maps
+    def maps_for(self, sample) -> BlobMaps:
+        return sample_blobs(sample, self.cfg, self.seed, self.size)
 
     def image_for(self, sample) -> np.ndarray:
         """Grayscale surrogate for the ablation mode: max over landmark maps."""
@@ -208,9 +201,10 @@ def write_corpus(dataset: Dataset, synth_cfg: SynthConfig, out_dir,
     save_dataset(dataset, os.path.join(out_dir, "annotations.jsonl"))
     if write_map_files:
         os.makedirs(maps_dir, exist_ok=True)
-        src = SyntheticMapSource(synth_cfg, synth_cfg_seed(corpus_cfg))
+        seed = synth_cfg_seed(corpus_cfg)
         for s in dataset.samples:
-            write_maps(src.maps_for(s), os.path.join(maps_dir, f"{s.image_ref}.fapm"))
+            write_maps(synthesize(s, synth_cfg, seed),
+                       os.path.join(maps_dir, f"{s.image_ref}.fapm"))
     manifest = {
         "count": len(dataset),
         "landmarks": dataset.schema.landmark_count,

@@ -29,7 +29,7 @@ def tiny_corpus(model3d, schema):
 @pytest.fixture(scope="session")
 def clean_maps():
     """Noise-free map source for tests that need exact peaks."""
-    return SyntheticMapSource(SynthConfig(), seed=3, cache_limit=64)
+    return SyntheticMapSource(SynthConfig(), seed=3)
 
 
 @pytest.fixture(scope="session")

@@ -175,7 +175,7 @@ def e2e_run(model3d, schema, pattern):
                                CorpusConfig(count=2000, seed=42, **corpus_kw))
     test_ds = generate_corpus(model3d, schema,
                               CorpusConfig(count=500, seed=999, **corpus_kw))
-    src = SyntheticMapSource(E2E_SYNTH, 42, cache_limit=0)
+    src = SyntheticMapSource(E2E_SYNTH, 42)
     attach_pose_initials(train_ds, model3d, src, Z=E2E_TRAIN.Z, seed=42)
     tr, va = split_train_val(train_ds, 0.1, 42)
     mean = mean_shape_init(tr)
@@ -223,7 +223,7 @@ class TestCriterion6EarlyStopping:
                                                         model3d, pattern):
         # a huge delta makes every stage sub-threshold: exactly one stage
         # (coarse-to-fine off so no grace stage applies)
-        src = SyntheticMapSource(SynthConfig(), 3, cache_limit=64)
+        src = SyntheticMapSource(SynthConfig(), 3)
         tr, va = split_train_val(tiny_corpus, 0.2, 3)
         cfg = TrainConfig(T=10, K1=3, K2=3, depth=2, candidates_per_node=10,
                           early_stop_delta=0.999, coarse_to_fine=False, seed=3)
@@ -249,8 +249,7 @@ def test_criterion_7_missing_annotations(model3d, schema, pattern):
         drop = r.random(24) < 0.30
         drop[never] = True
         s.ground_truth.annotated[drop] = 0
-    src = SyntheticMapSource(SynthConfig(coordinate_noise_sigma=0.5), 21,
-                             cache_limit=128)
+    src = SyntheticMapSource(SynthConfig(coordinate_noise_sigma=0.5), 21)
     attach_pose_initials(ds, model3d, src, Z=8, seed=21)
     tr, va = split_train_val(ds, 0.15, 21)
     cfg = TrainConfig(T=4, K1=8, K2=8, depth=3, candidates_per_node=30,
@@ -303,8 +302,7 @@ def test_criterion_8_coarse_to_fine_beats_monolithic(model3d, schema, pattern):
             CorpusConfig(count=80, seed=seed + 1000, deform_magnitude=6.0,
                          sign_patterns=test_patterns),
         )
-        src = SyntheticMapSource(SynthConfig(coordinate_noise_sigma=0.8), seed,
-                                 cache_limit=0)
+        src = SyntheticMapSource(SynthConfig(coordinate_noise_sigma=0.8), seed)
         attach_pose_initials(train_ds, model3d, src, Z=8, seed=seed)
         # equal tree budget: 20 global trees vs 2 trees x 10 parts per stage
         common = dict(T=5, depth=3, candidates_per_node=60, shrinkage=0.3,
@@ -379,8 +377,7 @@ def test_criterion_10_cross_dataset_bias(model3d, schema, pattern):
                         CorpusConfig(count=80, seed=50 + i, **sp))
         for i, sp in enumerate(specs)
     ]
-    src = SyntheticMapSource(SynthConfig(coordinate_noise_sigma=0.8), 5,
-                             cache_limit=0)
+    src = SyntheticMapSource(SynthConfig(coordinate_noise_sigma=0.8), 5)
 
     def train_on(samples_list, seed):
         from facealign.shapes import Dataset
@@ -419,8 +416,7 @@ def test_criterion_10_cross_dataset_bias(model3d, schema, pattern):
 
 
 def _train_small(seed, tiny_corpus, model3d, pattern):
-    src = SyntheticMapSource(SynthConfig(coordinate_noise_sigma=0.5), seed,
-                             cache_limit=64)
+    src = SyntheticMapSource(SynthConfig(coordinate_noise_sigma=0.5), seed)
     tr, va = split_train_val(tiny_corpus, 0.2, seed)
     cfg = TrainConfig(T=3, K1=5, K2=5, depth=3, candidates_per_node=20,
                       shrinkage=0.3, Z=6, seed=seed)

@@ -169,6 +169,17 @@ class TestConfigErrors:
         assert run(["synth", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_DATA
         assert capsys.readouterr().err.startswith("error: bad corpus config")
 
+    @pytest.mark.parametrize("extra", [{"augment_target": 2},
+                                       {"augment_target": 40, "augment": {"bogus": 1}}])
+    def test_bad_augmentation_is_data_error(self, faces, extra, capsys):
+        cfg = write_config(faces / "bad_aug.json", **extra)
+        rc = run(["train", "--config", str(cfg),
+                  "--dataset", str(faces / "annotations.jsonl"),
+                  "--out", str(faces / "bad_aug_out")])
+        assert rc == EXIT_DATA
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (faces / "bad_aug_out" / "model.facm").exists()
+
     @settings(max_examples=40, deadline=None)
     @given(bad=BAD_CORPUS)
     def test_bad_corpus_value_is_data_error(self, faces, bad):

@@ -5,9 +5,11 @@ from hypothesis import strategies as st
 
 from facealign.errors import FormatError, NumericError
 from facealign.heatmaps import (
+    BlobMaps,
     ProbabilityMaps,
     SynthConfig,
     _gaussian_kernel,
+    draw_blobs,
     map_values,
     peak_coords,
     read_maps,
@@ -212,3 +214,52 @@ class TestMapFiles:
         p.write_bytes(bytes(data))
         with pytest.raises(FormatError):
             read_maps(p)
+
+
+class TestBlobMaps:
+    """BlobMaps answers reads and peaks without a raster; both must equal
+    the answers from the raster it builds."""
+
+    @given(
+        sigma=st.floats(0.2, 10.0),
+        noise=st.sampled_from([0.0, 0.5, 3.0]),
+        outlier_rate=st.sampled_from([0.0, 0.3, 1.0]),
+        dropout=st.sampled_from([0.0, 0.5, 1.0]),
+        floor=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+        L=st.integers(1, 6),
+        H=st.integers(1, 48),
+        W=st.integers(1, 48),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_reads_and_peaks_equal_the_raster(self, sigma, noise, outlier_rate, dropout,
+                                              floor, L, H, W, seed):
+        r = np.random.default_rng(seed)
+        # centres up to about 100 px off the map, some on half pixels
+        coords = r.uniform(-100.0, max(H, W) + 100.0, size=(L, 2))
+        half = r.random(L) < 0.3
+        coords[half] = np.floor(coords[half]) + 0.5
+        inside = r.random(L) < 0.5
+        coords[inside] = r.uniform(0.0, 1.0, size=(int(inside.sum()), 2)) * (W, H)
+        vis = (r.random(L) < 0.5).astype(np.float64)
+        ann = (r.random(L) < 0.8).astype(np.uint8)
+        cfg = SynthConfig(peak_sigma=sigma, coordinate_noise_sigma=noise,
+                          outlier_rate=outlier_rate, occluded_dropout=dropout, floor=floor)
+        blobs = draw_blobs(coords, vis, ann, cfg, np.random.default_rng(seed), (H, W))
+        raster = ProbabilityMaps(blobs.maps)
+        np.testing.assert_array_equal(
+            raster.maps, synthesize_from_shape(coords, vis, ann, cfg,
+                                               np.random.default_rng(seed), (H, W)).maps)
+        lm = np.arange(L)[:, None, None]
+        ys, xs = np.mgrid[-3:H + 3, -3:W + 3]
+        got, want = blobs.read(lm, xs, ys), raster.read(lm, xs, ys)
+        assert got.dtype == want.dtype == np.float64
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+        np.testing.assert_array_equal(blobs.peaks(), peak_coords(raster))
+
+    def test_read_broadcasts_and_reads_zero_off_the_map(self):
+        blobs = BlobMaps(np.array([[2.0, 3.0], [np.nan, np.nan]]), 1.0, 0.25, (6, 5))
+        assert blobs.read(0, 2, 3) == 1.0
+        assert blobs.read(1, 4, 4) == 0.25
+        np.testing.assert_array_equal(blobs.read([[0], [1]], [-1, 5, 0], [0, 0, 6]), 0.0)
+        np.testing.assert_array_equal(blobs.peaks(), [[2.0, 3.0], [0.0, 0.0]])

@@ -30,8 +30,7 @@ def quick_config(**kw):
 
 @pytest.fixture(scope="module")
 def trained(tiny_corpus, pattern, model3d):
-    maps = SyntheticMapSource(SynthConfig(coordinate_noise_sigma=0.5), 5,
-                              cache_limit=64)
+    maps = SyntheticMapSource(SynthConfig(coordinate_noise_sigma=0.5), 5)
     train, val = split_train_val(tiny_corpus, 0.2, 5)
     cfg = quick_config()
     mean = mean_shape_init(train)

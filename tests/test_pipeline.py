@@ -1,5 +1,6 @@
 from dataclasses import replace
 
+from facealign import heatmaps
 from facealign.modelio import save_model
 from facealign.pipeline import RunConfig, train_model
 from facealign.shapes import load_dataset, save_dataset
@@ -21,3 +22,16 @@ def test_train_model_leaves_caller_samples_alone(model3d, schema, tmp_path):
     save_model(train_model(mean_cfg, ds), tmp_path / "a.facm")
     save_model(train_model(mean_cfg, load_dataset(path, schema)), tmp_path / "b.facm")
     assert (tmp_path / "a.facm").read_bytes() == (tmp_path / "b.facm").read_bytes()
+
+
+def test_training_builds_no_raster(model3d, schema, monkeypatch):
+    # more faces than the 256 maps a cache once held: every face is served
+    # from its blob centres, none is rasterised
+    calls = []
+    monkeypatch.setattr(heatmaps, "_blob", lambda *a: calls.append(a))
+    cfg = RunConfig(corpus={"count": 300, "seed": 9}, synth={"coordinate_noise_sigma": 1.0},
+                    train={"T": 2, "K1": 2, "K2": 1, "depth": 2,
+                           "candidates_per_node": 8, "shrinkage": 0.4, "Z": 3},
+                    seed=9, init_mode="3d", feature_mode="heatmap", val_fraction=0.2)
+    train_model(cfg, generate_corpus(model3d, schema, cfg.corpus_config()))
+    assert calls == []

@@ -24,6 +24,7 @@ from facealign.pose import (
     euler_to_rotation,
     fit_pose,
     fit_poses,
+    hypothesis_subsets,
     mean_shape_init,
     perturb_pose,
     project_points,
@@ -429,6 +430,37 @@ class TestRobustInitOracle:
         res = robust_init(maps, model3d, Z=25, seed=0, center=CENTER)
         assert np.array_equal(res.pose.rotation, fits.rotation[tied[0]])
         assert ref_robust_init(maps, model3d, 25, 6, 0, CENTER)[0] == tied[0]
+
+
+class TestHypothesisSubsets:
+    @staticmethod
+    def per_face_draw(seed, Z, subset_size, distinct):
+        return np.stack([
+            np.random.default_rng(np.random.SeedSequence([seed, 0x9A, z]))
+            .choice(distinct, size=subset_size, replace=False)
+            for z in range(Z)
+        ])
+
+    @given(seed=st.integers(0, 2**32 - 1), Z=st.integers(1, 25),
+           subset_size=st.integers(4, 8), drop=st.integers(0, 23))
+    @settings(max_examples=40, deadline=None)
+    def test_equals_the_per_face_draw(self, model3d, seed, Z, subset_size, drop):
+        distinct = np.delete(model3d.distinct_indices, drop)
+        want = self.per_face_draw(seed, Z, subset_size, distinct)
+        for _ in range(2):  # drawn, then memoised
+            got = hypothesis_subsets(seed, Z, subset_size, distinct)
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+            assert not got.flags.writeable
+
+    def test_every_key_part_matters(self, model3d):
+        distinct = model3d.distinct_indices
+        base = hypothesis_subsets(3, 25, 6, distinct)
+        for other in (hypothesis_subsets(4, 25, 6, distinct),
+                      hypothesis_subsets(3, 24, 6, distinct),
+                      hypothesis_subsets(3, 25, 7, distinct),
+                      hypothesis_subsets(3, 25, 6, distinct[1:])):
+            assert not np.array_equal(base, other)
 
 
 class TestScoreShapes:

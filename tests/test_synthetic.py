@@ -96,11 +96,11 @@ class TestMapSources:
         s = tiny_corpus.samples[0]
         np.testing.assert_array_equal(src.maps_for(s).maps, src.maps_for(s).maps)
 
-    def test_cache_respects_distinct_samples(self, model3d, schema):
-        # same image_ref in two corpora must not alias in the cache
+    def test_same_image_ref_in_two_corpora_differs(self, model3d, schema):
+        # maps follow each sample's ground truth, not its image_ref alone
         a = generate_corpus(model3d, schema, CorpusConfig(count=2, seed=1))
         b = generate_corpus(model3d, schema, CorpusConfig(count=2, seed=2))
-        src = SyntheticMapSource(SynthConfig(), 0, cache_limit=16)
+        src = SyntheticMapSource(SynthConfig(), 0)
         ma = src.maps_for(a.samples[0])
         mb = src.maps_for(b.samples[0])
         assert a.samples[0].image_ref == b.samples[0].image_ref
@@ -154,7 +154,7 @@ class TestMapSources:
 class TestAttachInitials:
     def test_clean_maps_all_succeed(self, model3d, schema):
         ds = generate_corpus(model3d, schema, CorpusConfig(count=8, seed=6))
-        src = SyntheticMapSource(SynthConfig(), 6, cache_limit=16)
+        src = SyntheticMapSource(SynthConfig(), 6)
         failures = attach_pose_initials(ds, model3d, src, Z=10, seed=6)
         assert failures == 0
         for s in ds.samples:
