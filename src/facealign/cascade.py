@@ -19,7 +19,7 @@ from .features import (
     gen_candidates,
     stage_scale,
 )
-from .pose import Model3D, anchor_shape, robust_init
+from .pose import Model3D, anchor_shape, bbox_center, consensus_inits, robust_init
 from .shapes import Dataset, LandmarkSchema, Shape
 
 
@@ -397,30 +397,28 @@ def extract_stage_features(dataset: Dataset, coords, maps_provider,
 
 def make_initializer(init_mode: str, mean_shape: Shape,
                      model3d: Model3D | None, cfg: TrainConfig):
-    """Returns (shape, used_fallback) for a sample; augmented samples that
-    already carry an initial shape keep it."""
+    """Returns init_fn(samples, maps_provider) -> (n, L, 2) initial coords.
 
-    def init_fn(sample, maps_provider):
-        if sample.initial is not None:
-            return sample.initial, False
+    A sample that already carries an initial shape (attach_pose_initials,
+    augmentation) keeps it. In 3d mode the others get the consensus
+    initializer, a chunk of faces at a time (pose.consensus_inits), and
+    the anchored mean shape where every hypothesis fails; in mean mode
+    they get the anchored mean shape. Errors from maps_for propagate.
+    """
+
+    def init_fn(samples, maps_provider):
+        shapes = [s.initial for s in samples]
         if init_mode == "3d":
-            try:
-                maps = maps_provider.maps_for(sample)
-                x, y, w, h = sample.bbox
-                res = robust_init(
-                    maps, model3d, Z=cfg.Z, subset_size=cfg.subset_size,
-                    seed=cfg.seed, center=(x + w / 2.0, y + h / 2.0),
-                )
-                return res.shape, False
-            except InitError:
-                return anchor_shape(mean_shape, sample.bbox), True
-        return anchor_shape(mean_shape, sample.bbox), False
+            todo = [i for i, sh in enumerate(shapes) if sh is None]
+            results = consensus_inits([samples[i] for i in todo], maps_provider.maps_for,
+                                      model3d, cfg.Z, cfg.subset_size, cfg.seed)
+            for i, res in zip(todo, results):
+                if res is not None:
+                    shapes[i] = res.shape
+        return np.stack([(sh if sh is not None else anchor_shape(mean_shape, s.bbox)).coords
+                         for sh, s in zip(shapes, samples)])
 
     return init_fn
-
-
-def _initial_coords(dataset: Dataset, init_fn, maps_provider) -> np.ndarray:
-    return np.stack([init_fn(s, maps_provider)[0].coords for s in dataset.samples])
 
 
 def fine_parts(schema: LandmarkSchema) -> list[np.ndarray]:
@@ -462,8 +460,8 @@ def train_cascade(train: Dataset, val: Dataset, maps_provider, init_fn,
     L = schema.landmark_count
     tr = TrainingArrays(train)
     va = TrainingArrays(val)
-    tr_coords = _initial_coords(train, init_fn, maps_provider)
-    va_coords = _initial_coords(val, init_fn, maps_provider)
+    tr_coords = init_fn(train.samples, maps_provider)
+    va_coords = init_fn(val.samples, maps_provider)
     d_tr = _height_normalizers(tr.bboxes)
     d_va = _height_normalizers(va.bboxes)
 
@@ -531,11 +529,10 @@ def predict(model: CascadeModel, maps, bbox, image=None,
         seed = model.config.seed
     if model.init_mode == "3d" and model.model3d is not None:
         try:
-            x, y, w, h = bbox
             res = robust_init(
                 maps, model.model3d, Z=model.config.Z,
                 subset_size=model.config.subset_size, seed=seed,
-                center=(x + w / 2.0, y + h / 2.0),
+                center=bbox_center(bbox),
             )
             init = res.shape
         except InitError:

@@ -184,7 +184,7 @@ def train_model(cfg: RunConfig, dataset: Dataset | None = None) -> CascadeModel:
     train = Dataset([replace(s) for s in train.samples], train.schema)
     if cfg.init_mode == "3d":
         attach_pose_initials(train, model3d, maps, Z=tc.Z,
-                             subset_size=tc.subset_size, seed=cfg.seed)
+                             subset_size=tc.subset_size, seed=tc.seed)
     if cfg.augment_target is not None:
         from .shapes import augment as augment_fn
 

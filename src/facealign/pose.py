@@ -7,11 +7,18 @@ depth of the translation, so an image point is
 fit_poses solves B independent sets of 2D-3D correspondences in lockstep:
 a batched linear scaled-orthographic estimate, then Gauss-Newton steps with
 a closed-form Jacobian, each a batched 6x6 normal-equation solve. Every
-hypothesis keeps its own convergence and failure state, so one that fails
-or converges drops out while the others carry on. fit_pose is a batch of
-one. robust_init fits all Z consensus hypotheses with one fit_poses call,
-projects them together and scores them with one (Z, L) map read
-(score_shapes), summed over landmarks in order.
+hypothesis keeps its own convergence and failure state, and its own focal
+length and image centre, so one that fails or converges drops out while
+the others carry on. fit_pose is a batch of one.
+
+robust_inits runs the consensus search for F faces at once: the Z
+hypothesis subsets are drawn once, and one fit_poses call solves all F*Z
+hypotheses. Each face then projects its surviving poses and scores them
+with one (Z, L) read of its own maps (score_shapes), summed over landmarks
+in order. No value depends on which other faces share the call, so a face
+gets bitwise the result it gets alone; robust_init is a batch of one.
+consensus_inits feeds samples to robust_inits INIT_CHUNK faces at a time,
+so a file-backed split never holds more than a chunk of rasters.
 """
 
 from __future__ import annotations
@@ -30,6 +37,9 @@ from .shapes import Shape
 ORTHONORMAL_TOL = 1e-6
 MAX_ITER = 100
 STEP_TOL = 1e-6
+# faces whose maps consensus_inits holds at once; a 24x160x160 float32
+# raster read from a .fapm file is 2.5 MB
+INIT_CHUNK = 32
 
 
 @dataclass
@@ -153,6 +163,11 @@ def default_center(size=(FACE_SIZE, FACE_SIZE)) -> tuple[float, float]:
     return size[1] / 2.0, size[0] / 2.0
 
 
+def bbox_center(bbox) -> tuple[float, float]:
+    x, y, w, h = bbox
+    return x + w / 2.0, y + h / 2.0
+
+
 def project_points(model: Model3D, pose: RigidPose,
                    center: tuple[float, float] | None = None):
     """Weak-perspective projection plus pose-driven visibility.
@@ -238,7 +253,9 @@ def fit_poses(coords2d: np.ndarray, points3d: np.ndarray,
               focal: float = float(FACE_SIZE),
               center: tuple[float, float] | None = None) -> PoseFits:
     """Weak-perspective poses for B independent sets of n 2D-3D
-    correspondences, (B, n, 2) and (B, n, 3), solved in lockstep.
+    correspondences, (B, n, 2) and (B, n, 3), solved in lockstep. focal
+    and center are shared scalars and an (x, y) pair, or one per
+    hypothesis, (B,) and (B, 2).
 
     Each hypothesis starts from a linear scaled-orthographic estimate and is
     refined by Gauss-Newton on the reprojection residual until its
@@ -255,7 +272,8 @@ def fit_poses(coords2d: np.ndarray, points3d: np.ndarray,
     if X.ndim != 3 or X.shape[2] != 3 or X.shape[1] < 4 or uv.shape != X.shape[:2] + (2,):
         raise FitError("need at least 4 correspondences")
     B, n = X.shape[:2]
-    c = np.asarray(center, dtype=np.float64)
+    c = np.full((B, 2), center, dtype=np.float64)
+    focal = np.full(B, focal, dtype=np.float64)
     reason = np.full(B, None, dtype=object)
     R = np.tile(np.eye(3), (B, 1, 1))
     s = np.ones(B)
@@ -284,14 +302,15 @@ def fit_poses(coords2d: np.ndarray, points3d: np.ndarray,
     Uo[:, :, 2] *= np.sign(np.linalg.det(Uo @ Vto))[:, None]
     R[a] = Uo @ Vto
     proj = X[a] @ R[a].transpose(0, 2, 1)
-    txy[a] = (uv[a] - c - s[a, None, None] * proj[..., :2]).mean(axis=1)
+    txy[a] = (uv[a] - c[a, None] - s[a, None, None] * proj[..., :2]).mean(axis=1)
 
     for _ in range(MAX_ITER):
         if not len(a):
             break
         Xa, Ra, sa = X[a], R[a], s[a]
         proj = Xa @ Ra.transpose(0, 2, 1)
-        r = (c + sa[:, None, None] * proj[..., :2] + txy[a, None, :] - uv[a]).reshape(-1, 2 * n)
+        r = (c[a, None] + sa[:, None, None] * proj[..., :2] + txy[a, None, :]
+             - uv[a]).reshape(-1, 2 * n)
         bad = ~np.isfinite(r).all(axis=1)
         if bad.any():
             reason[a[bad]] = "pose iteration diverged"
@@ -329,7 +348,7 @@ def fit_poses(coords2d: np.ndarray, points3d: np.ndarray,
 
     ok = np.array([m is None for m in reason], dtype=bool)
     t = np.zeros((B, 3))
-    t[ok] = np.column_stack([txy[ok] / s[ok, None], focal / s[ok]])
+    t[ok] = np.column_stack([txy[ok] / s[ok, None], focal[ok] / s[ok]])
     for bad, msg in ((~_rotations_ok(R), "rotation matrix fails orthonormality tolerance"),
                      (~(t[:, 2] > 0), "translation must have positive depth")):
         reason[ok & bad] = msg
@@ -358,38 +377,83 @@ def _hypothesis_subsets(seed: int, Z: int, subset_size: int, distinct: tuple) ->
 
 
 def robust_init(maps, model: Model3D, Z: int = 25, subset_size: int = 6,
-                seed: int = 0, focal: float | None = None,
-                center: tuple[float, float] | None = None) -> InitResult:
+                seed: int = 0, center: tuple[float, float] | None = None) -> InitResult:
     """Consensus pose search over random distinct-landmark subsets.
 
     Each of the Z hypotheses fits a pose to the map peaks of a random
-    subset; all Z are fitted in one fit_poses call, projected together and
-    scored together by summed map probability. The best-scoring pose wins
-    (lowest hypothesis index on ties).
+    subset, with the map height as focal length and center (the map centre
+    by default) as image centre; every pose is scored by the summed map
+    probability of its projection, and the best one wins (lowest hypothesis
+    index on ties). robust_inits on a batch of one, raising InitError when
+    every hypothesis fails.
+    """
+    res = robust_inits([maps], model, Z, subset_size, seed,
+                       None if center is None else [center])[0]
+    if res is None:
+        raise InitError("all pose hypotheses failed to fit")
+    return res
+
+
+def robust_inits(maps_list, model: Model3D, Z: int = 25, subset_size: int = 6,
+                 seed: int = 0, centers=None) -> list[InitResult | None]:
+    """robust_init for F faces, with one fit_poses call over all F*Z
+    hypotheses: one InitResult per face, or None where every hypothesis
+    failed. centers holds one (x, y) image centre per face, or is None for
+    each map's centre.
     """
     if Z < 1:
         raise ValueError("Z must be >= 1")
     distinct = model.distinct_indices
     if subset_size < 4 or subset_size > len(distinct):
         raise ValueError("subset_size must lie in [4, |distinct|]")
-    H, W = maps.face_size
-    if center is None:
-        center = (W / 2.0, H / 2.0)
-    if focal is None:
-        focal = float(H)
+    F = len(maps_list)
+    if not F:
+        return []
+    sizes = [m.face_size for m in maps_list]
+    focals = np.array([float(H) for H, _ in sizes])
+    if centers is None:
+        centers = [(W / 2.0, H / 2.0) for H, W in sizes]
+    centers = np.asarray(centers, dtype=np.float64).reshape(F, 2)
     ids = hypothesis_subsets(seed, Z, subset_size, distinct)
-    peaks = maps.peaks()
-    fits = fit_poses(peaks[ids], model.points[ids], focal=focal, center=center)
-    good = np.flatnonzero(fits.ok)
-    if not len(good):
-        raise InitError("all pose hypotheses failed to fit")
-    coords, vis = project_poses(model, fits.rotation[good], fits.translation[good],
-                                focal, center)
-    scores = score_shapes(maps, coords)
-    w = int(np.argmax(scores))
-    pose = RigidPose(fits.rotation[good[w]], fits.translation[good[w]], focal)
-    shape = Shape(coords[w], vis[w], np.ones(vis.shape[1], dtype=np.uint8))
-    return InitResult(shape=shape, pose=pose, score=float(scores[w]))
+    fits = fit_poses(np.concatenate([m.peaks()[ids] for m in maps_list]),
+                     np.concatenate([model.points[ids]] * F),
+                     focal=np.repeat(focals, Z), center=np.repeat(centers, Z, axis=0))
+    ok = fits.ok.reshape(F, Z)
+    rotations = fits.rotation.reshape(F, Z, 3, 3)
+    translations = fits.translation.reshape(F, Z, 3)
+    out = []
+    for f, maps in enumerate(maps_list):
+        good = np.flatnonzero(ok[f])
+        if not len(good):
+            out.append(None)
+            continue
+        focal = float(focals[f])
+        coords, vis = project_poses(model, rotations[f, good], translations[f, good],
+                                    focal, centers[f])
+        scores = score_shapes(maps, coords)
+        w = int(np.argmax(scores))
+        pose = RigidPose(rotations[f, good[w]], translations[f, good[w]], focal)
+        shape = Shape(coords[w], vis[w], np.ones(vis.shape[1], dtype=np.uint8))
+        out.append(InitResult(shape=shape, pose=pose, score=float(scores[w])))
+    return out
+
+
+def consensus_inits(samples, maps_for, model: Model3D, Z: int, subset_size: int,
+                    seed: int) -> list[InitResult | None]:
+    """robust_inits over samples, each centred on its bbox, requesting the
+    maps of at most INIT_CHUNK faces at a time. maps_for(sample) may return
+    None for a face without usable maps; that face's result is None, as for
+    a face on which every hypothesis failed.
+    """
+    out = []
+    for lo in range(0, len(samples), INIT_CHUNK):
+        chunk = samples[lo:lo + INIT_CHUNK]
+        maps = [maps_for(s) for s in chunk]
+        have = [(m, bbox_center(s.bbox)) for s, m in zip(chunk, maps) if m is not None]
+        fitted = iter(robust_inits([m for m, _ in have], model, Z, subset_size, seed,
+                                   [c for _, c in have]))
+        out += [None if m is None else next(fitted) for m in maps]
+    return out
 
 
 def mean_shape_init(train) -> Shape:

@@ -23,7 +23,8 @@ from .heatmaps import (
     synthesize,
     write_maps,
 )
-from .pose import Model3D, RigidPose, euler_to_rotation, robust_init
+# robust_init stays importable here: facebench/tracing.py wraps it by this name
+from .pose import Model3D, RigidPose, consensus_inits, euler_to_rotation, robust_init
 from .shapes import Dataset, LandmarkSchema, Sample, Shape
 
 
@@ -229,22 +230,23 @@ def synth_cfg_seed(corpus_cfg) -> int:
 
 def attach_pose_initials(dataset: Dataset, model: Model3D, map_source,
                          Z: int = 25, subset_size: int = 6, seed: int = 0) -> int:
-    """Run the consensus initializer on every sample, storing shape + pose.
+    """Run the consensus initializer on every sample without an initial,
+    storing shape + pose; faces are fitted a chunk at a time
+    (pose.consensus_inits).
 
-    Returns the number of samples where initialization failed (left for the
+    Returns the number of samples where initialization failed, because
+    every hypothesis failed or maps_for raised NumericError (left for the
     mean-shape fallback downstream).
     """
-    failures = 0
-    for s in dataset.samples:
-        if s.initial is not None:
-            continue
+    def maps_for(sample):
         try:
-            maps = map_source.maps_for(s)
-            x, y, w, h = s.bbox
-            res = robust_init(maps, model, Z=Z, subset_size=subset_size,
-                              seed=seed, center=(x + w / 2.0, y + h / 2.0))
-            s.initial = res.shape
-            s.pose = res.pose
+            return map_source.maps_for(sample)
         except NumericError:
-            failures += 1
-    return failures
+            return None
+
+    todo = [s for s in dataset.samples if s.initial is None]
+    results = consensus_inits(todo, maps_for, model, Z, subset_size, seed)
+    for s, res in zip(todo, results):
+        if res is not None:
+            s.initial, s.pose = res.shape, res.pose
+    return sum(res is None for res in results)

@@ -11,21 +11,28 @@ from facealign.cascade import (
     PartModel,
     PartsStage,
     TrainConfig,
+    TrainingArrays,
     Tree,
     _branch_cost,
+    _height_normalizers,
+    _nme_percent,
     apply_stage,
     fit_node,
     fit_tree,
     leaf_ids,
+    make_initializer,
     predict,
     relative_improvement,
     stop_stage,
+    train_cascade,
     train_parts,
 )
+from facealign.errors import NumericError
 from facealign.features import SplitParams, extract_pattern_values
-from facealign.heatmaps import ProbabilityMaps
+from facealign.heatmaps import BlobMaps, ProbabilityMaps, SynthConfig
 from facealign.pipeline import RunConfig, train_model
-from facealign.pose import anchor_shape, mean_shape_init
+from facealign.pose import anchor_shape, bbox_center, mean_shape_init, robust_init
+from facealign.shapes import Dataset
 from facealign.synthetic import CorpusConfig, SyntheticMapSource, generate_corpus
 
 
@@ -339,6 +346,70 @@ class TestStoppingRule:
         assert relative_improvement(100.0, 90.0) == pytest.approx(0.10)
         assert relative_improvement(0.0, 5.0) == 0.0
         assert relative_improvement(10.0, 11.0) == pytest.approx(-0.1)
+
+
+class FlatMapsFor(SyntheticMapSource):
+    """Synthetic maps, except that the named faces get only flat maps, on
+    which every pose hypothesis fails."""
+
+    def __init__(self, flat_refs, seed):
+        super().__init__(SynthConfig(coordinate_noise_sigma=1.0), seed)
+        self.flat_refs = flat_refs
+
+    def maps_for(self, sample):
+        maps = super().maps_for(sample)
+        if sample.image_ref in self.flat_refs:
+            return BlobMaps(np.full_like(maps.centres, np.nan), maps.sigma, maps.floor,
+                            maps.size)
+        return maps
+
+
+class TestInitializer:
+    CFG = TrainConfig(T=1, K1=3, K2=2, depth=2, candidates_per_node=6, Z=5, seed=3)
+
+    def split(self, model3d, schema):
+        ds = generate_corpus(model3d, schema, CorpusConfig(count=14, seed=12))
+        return (Dataset(ds.samples[:10], schema), Dataset(ds.samples[10:], schema))
+
+    def test_all_fail_validation_face_starts_from_mean(self, model3d, schema, pattern):
+        train, val = self.split(model3d, schema)
+        src = FlatMapsFor({val.samples[1].image_ref}, 12)
+        mean = mean_shape_init(train)
+        init_fn = make_initializer("3d", mean, model3d, self.CFG)
+        want = []
+        for s in val.samples:
+            if s is val.samples[1]:
+                want.append(anchor_shape(mean, s.bbox).coords)
+            else:
+                want.append(robust_init(src.maps_for(s), model3d, Z=5, seed=3,
+                                        center=bbox_center(s.bbox)).shape.coords)
+        assert np.array_equal(init_fn(val.samples, src), np.stack(want))
+        model = train_cascade(train, val, src, init_fn, self.CFG, pattern,
+                              init_mode="3d", mean_shape=mean, model3d=model3d)
+        va = TrainingArrays(val)
+        assert model.training_log[0]["val_nme"] == _nme_percent(
+            np.stack(want), va.gt_coords, va.ann, _height_normalizers(va.bboxes))
+
+    def test_samples_with_an_initial_keep_it(self, model3d, schema):
+        train, _ = self.split(model3d, schema)
+        mean = mean_shape_init(train)
+        shifted = anchor_shape(mean, (1.0, 2.0, 30.0, 40.0))
+        train.samples[4].initial = shifted
+        for mode in ("3d", "mean"):
+            coords = make_initializer(mode, mean, model3d, self.CFG)(
+                train.samples, SyntheticMapSource(SynthConfig(), 12))
+            assert np.array_equal(coords[4], shifted.coords)
+
+    def test_maps_error_propagates(self, model3d, schema):
+        train, _ = self.split(model3d, schema)
+
+        class Broken:
+            def maps_for(self, sample):
+                raise NumericError("non-finite probability map value")
+
+        init_fn = make_initializer("3d", mean_shape_init(train), model3d, self.CFG)
+        with pytest.raises(NumericError):
+            init_fn(train.samples, Broken())
 
 
 class TestPredictDegenerate:

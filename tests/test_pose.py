@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from facealign import pose
 from facealign.errors import FitError, InitError, SchemaError
 from facealign.heatmaps import (
+    BlobMaps,
     ProbabilityMaps,
     SynthConfig,
     map_values,
@@ -15,11 +17,14 @@ from facealign.heatmaps import (
     synthesize_from_shape,
 )
 from facealign.pose import (
+    INIT_CHUNK,
     MAX_ITER,
     STEP_TOL,
     Model3D,
     RigidPose,
     anchor_shape,
+    bbox_center,
+    consensus_inits,
     default_center,
     euler_to_rotation,
     fit_pose,
@@ -30,10 +35,12 @@ from facealign.pose import (
     project_points,
     project_poses,
     robust_init,
+    robust_inits,
     rotation_angle,
     score_shape,
     score_shapes,
 )
+from facealign.shapes import Sample
 
 angles = st.floats(-np.pi, np.pi, allow_nan=False)
 
@@ -372,6 +379,23 @@ class TestFitPosesOracle:
         with pytest.raises(FitError, match="at least 4"):
             fit_poses(np.zeros((2, 5, 2)), np.zeros((2, 4, 3)))
 
+    @given(hypothesis_batches)
+    @settings(max_examples=30, deadline=None)
+    def test_per_hypothesis_centre_and_focal(self, model3d, batch):
+        # the many-face solve: every hypothesis its own focal and centre,
+        # bitwise what it gets in a call of its own
+        uv, X = make_batch(model3d, *batch)
+        r = np.random.default_rng(batch[2])
+        focal = r.uniform(96.0, 200.0, len(uv))
+        center = CENTER + r.uniform(-10, 10, (len(uv), 2))
+        fits = fit_poses(uv, X, focal, center)
+        for b in range(len(uv)):
+            one = fit_poses(uv[b:b + 1], X[b:b + 1], float(focal[b]), tuple(center[b]))
+            assert one.reason[0] == fits.reason[b]
+            if fits.ok[b]:
+                assert np.array_equal(one.rotation[0], fits.rotation[b])
+                assert np.array_equal(one.translation[0], fits.translation[b])
+
 
 class TestRobustInitOracle:
     @given(seed=st.integers(0, 2**31 - 1), outliers=st.integers(0, 10),
@@ -430,6 +454,124 @@ class TestRobustInitOracle:
         res = robust_init(maps, model3d, Z=25, seed=0, center=CENTER)
         assert np.array_equal(res.pose.rotation, fits.rotation[tied[0]])
         assert ref_robust_init(maps, model3d, 25, 6, 0, CENTER)[0] == tied[0]
+
+
+MAP_SIZES = ((160, 160), (120, 150), (96, 112))
+FACE_KINDS = ("clean", "outliers", "all_fail", "no_maps")
+
+
+def make_faces(model, kinds, seed):
+    """One face per kind: BlobMaps of a random pose of the model in a map of
+    random size, plus a bbox whose centre is off the map centre. Outlier
+    faces move up to 11 peaks anywhere on the map; all-fail faces have only
+    flat maps (NaN centres), whose peaks all sit at the origin; no_maps
+    faces have None for maps."""
+    r = np.random.default_rng(seed)
+    L = model.landmark_count
+    maps, bboxes = [], []
+    for kind in kinds:
+        H, W = MAP_SIZES[r.integers(len(MAP_SIZES))]
+        c = np.array([W / 2.0, H / 2.0]) + r.uniform(-6, 6, 2)
+        R = euler_to_rotation(*np.radians(r.uniform([-50, -35, -35], [50, 35, 35])))
+        t = np.array([*r.uniform(-8, 8, 2), r.uniform(300, 650) * H / 160.0])
+        centres = project_poses(model, R[None], t[None], float(H), c)[0][0]
+        centres += r.normal(0, 1, centres.shape)
+        if kind == "outliers":
+            k = int(r.integers(1, 12))
+            centres[r.choice(L, k, replace=False)] = r.uniform(0, [W - 1, H - 1], (k, 2))
+        elif kind == "all_fail":
+            centres[:] = np.nan
+        maps.append(None if kind == "no_maps" else BlobMaps(centres, 3.0, 0.0, (H, W)))
+        w, h = r.uniform(40, 90, 2)
+        bboxes.append((c[0] - w / 2.0, c[1] - h / 2.0, w, h))
+    return maps, bboxes
+
+
+def assert_same_init(got, maps, model, Z, subset_size, seed, center):
+    """got is bitwise the per-face robust_init, or None where it fails."""
+    try:
+        want = robust_init(maps, model, Z=Z, subset_size=subset_size, seed=seed,
+                           center=center)
+    except InitError:
+        assert got is None
+        return
+    assert got is not None
+    assert np.array_equal(got.shape.coords, want.shape.coords)
+    assert np.array_equal(got.shape.visibility, want.shape.visibility)
+    assert got.score == want.score
+    assert np.array_equal(got.pose.rotation, want.pose.rotation)
+    assert np.array_equal(got.pose.translation, want.pose.translation)
+    assert got.pose.focal == want.pose.focal
+
+
+face_sets = st.tuples(
+    st.lists(st.sampled_from(FACE_KINDS[:3]), min_size=1, max_size=9),
+    st.integers(0, 2**32 - 1),
+)
+
+
+class TestRobustInits:
+    @given(faces=face_sets, Z=st.integers(1, 8), subset_size=st.integers(4, 7),
+           own_centres=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_equals_per_face_robust_init(self, model3d, faces, Z, subset_size, own_centres):
+        maps, bboxes = make_faces(model3d, *faces)
+        centers = [bbox_center(b) for b in bboxes] if own_centres else None
+        got = robust_inits(maps, model3d, Z, subset_size, faces[1] % 1000, centers)
+        assert len(got) == len(maps)
+        for f, m in enumerate(maps):
+            assert_same_init(got[f], m, model3d, Z, subset_size, faces[1] % 1000,
+                             centers[f] if own_centres else None)
+
+    @given(kinds=st.lists(st.sampled_from(FACE_KINDS), min_size=0, max_size=11),
+           seed=st.integers(0, 2**32 - 1), Z=st.integers(1, 6),
+           chunk=st.integers(1, 4))
+    @settings(max_examples=30, deadline=None)
+    def test_chunks_equal_per_face_robust_init(self, model3d, kinds, seed, Z, chunk):
+        maps, bboxes = make_faces(model3d, kinds, seed)
+        samples = [Sample(f"face{i}", None, b) for i, b in enumerate(bboxes)]
+        by_ref = {s.image_ref: m for s, m in zip(samples, maps)}
+        requested, batches = [], []
+        real_robust_inits = pose.robust_inits
+
+        def maps_for(sample):
+            requested.append(sample)
+            return by_ref[sample.image_ref]
+
+        def counting_robust_inits(maps_list, *args):
+            batches.append((len(requested), len(maps_list)))
+            return real_robust_inits(maps_list, *args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pose, "INIT_CHUNK", chunk)
+            mp.setattr(pose, "robust_inits", counting_robust_inits)
+            got = consensus_inits(samples, maps_for, model3d, Z, 5, seed)
+        assert requested == samples
+        # one fit per chunk, never more than a chunk of maps held
+        assert len(batches) == -(-len(samples) // chunk)
+        for k, (seen, fitted) in enumerate(batches):
+            assert seen == min((k + 1) * chunk, len(samples))
+            assert fitted <= chunk
+        for res, m, b in zip(got, maps, bboxes):
+            if m is None:
+                assert res is None
+            else:
+                assert_same_init(res, m, model3d, Z, 5, seed, bbox_center(b))
+
+    def test_full_chunks_and_a_partial_one(self, model3d):
+        kinds = ["clean", "outliers", "all_fail"] * 23
+        maps, bboxes = make_faces(model3d, kinds, 11)
+        assert len(kinds) % INIT_CHUNK
+        samples = [Sample(f"face{i}", None, b) for i, b in enumerate(bboxes)]
+        by_ref = {s.image_ref: m for s, m in zip(samples, maps)}
+        got = consensus_inits(samples, lambda s: by_ref[s.image_ref], model3d, 3, 6, 2)
+        assert sum(g is None for g in got) >= 23
+        for res, m, b in zip(got, maps, bboxes):
+            assert_same_init(res, m, model3d, 3, 6, 2, bbox_center(b))
+
+    def test_no_faces(self, model3d):
+        assert robust_inits([], model3d, 5) == []
+        assert consensus_inits([], None, model3d, 5, 6, 0) == []
 
 
 class TestHypothesisSubsets:

@@ -1,10 +1,11 @@
 import json
+import struct
 
 import numpy as np
 import pytest
 
 from facealign.heatmaps import SynthConfig, read_maps
-from facealign.pose import project_points
+from facealign.pose import bbox_center, project_points, robust_init
 from facealign.shapes import TransformParams, save_dataset
 from facealign.synthetic import (
     CorpusConfig,
@@ -174,3 +175,23 @@ class TestAttachInitials:
         attach_pose_initials(ds, model3d, src, Z=5, seed=99)
         for a, b in zip(kept, (s.initial for s in ds.samples)):
             assert a is b
+
+    def test_bad_map_file_costs_only_its_face(self, model3d, schema, tmp_path):
+        cfg = CorpusConfig(count=3, seed=6)
+        ds = generate_corpus(model3d, schema, cfg)
+        write_corpus(ds, SynthConfig(coordinate_noise_sigma=1.0), tmp_path, cfg)
+        bad = tmp_path / "maps" / f"{ds.samples[1].image_ref}.fapm"
+        raw = bytearray(bad.read_bytes())
+        raw[-4:] = struct.pack("<f", float("nan"))
+        bad.write_bytes(bytes(raw))
+        src = FileMapSource(tmp_path / "maps")
+        true_pose = ds.samples[1].pose
+        assert attach_pose_initials(ds, model3d, src, Z=5, seed=6) == 1
+        assert ds.samples[1].initial is None and ds.samples[1].pose is true_pose
+        for s in (ds.samples[0], ds.samples[2]):
+            want = robust_init(src.maps_for(s), model3d, Z=5, seed=6,
+                               center=bbox_center(s.bbox))
+            assert np.array_equal(s.initial.coords, want.shape.coords)
+            assert np.array_equal(s.initial.visibility, want.shape.visibility)
+            assert np.array_equal(s.pose.rotation, want.pose.rotation)
+            assert np.array_equal(s.pose.translation, want.pose.translation)
