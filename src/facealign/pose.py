@@ -453,6 +453,8 @@ def consensus_inits(samples, maps_for, model: Model3D, Z: int, subset_size: int,
         fitted = iter(robust_inits([m for m, _ in have], model, Z, subset_size, seed,
                                    [c for _, c in have]))
         out += [None if m is None else next(fitted) for m in maps]
+        # drop this chunk's maps before the next chunk's are requested
+        del maps, have
     return out
 
 

@@ -1,5 +1,6 @@
 import copy
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -568,6 +569,23 @@ class TestRobustInits:
         assert sum(g is None for g in got) >= 23
         for res, m, b in zip(got, maps, bboxes):
             assert_same_init(res, m, model3d, 3, 6, 2, bbox_center(b))
+
+    def test_holds_one_chunk_of_maps(self, model3d):
+        maps, bboxes = make_faces(model3d, ["clean"] * (2 * INIT_CHUNK + 3), 5)
+        samples = [Sample(f"face{i}", None, b) for i, b in enumerate(bboxes)]
+        blobs = {s.image_ref: (m.centres, m.size) for s, m in zip(samples, maps)}
+        del maps
+        live, most = weakref.WeakSet(), []
+
+        def maps_for(sample):
+            centres, size = blobs[sample.image_ref]
+            m = BlobMaps(centres, 3.0, 0.0, size)
+            live.add(m)
+            most.append(len(live))
+            return m
+
+        consensus_inits(samples, maps_for, model3d, 3, 6, 0)
+        assert max(most) == INIT_CHUNK
 
     def test_no_faces(self, model3d):
         assert robust_inits([], model3d, 5) == []
