@@ -14,9 +14,10 @@ from .features import (
     DEFAULT_TAU_RANGE,
     FreakPattern,
     SplitParams,
+    draw_candidates,
     extract_pattern_values,
     extract_pattern_values_gray,
-    gen_candidates,
+    gen_candidates,  # noqa: F401  (part of this module's interface, next to fit_node)
     stage_scale,
 )
 from .pose import Model3D, anchor_shape, bbox_center, consensus_inits, robust_init
@@ -182,118 +183,117 @@ def _branch_cost(sub: np.ndarray) -> float:
     return float(((sub - mu) ** 2).sum())
 
 
+# Relative width of best_split's shortlist.  The sufficient-statistics cost
+# of a candidate differs from its mean-centred cost by a few n·eps·Σ‖r‖²,
+# far inside this, so the candidate with the lowest mean-centred cost is
+# always on the shortlist.
+SHORTLIST_TOL = 1e-9
+
+
+def best_split(residuals: np.ndarray, features: np.ndarray, tau: np.ndarray):
+    """Pick the split minimizing the summed squared deviation from the two
+    branch means; ties go to the lowest candidate index.
+
+    residuals: (n, d); features: (C, n) feature value of each candidate on
+    each sample; tau: (C,) thresholds, a sample goes left where its feature
+    exceeds tau.  Every candidate is scored at once from per-side sums,
+    ``Σ‖r‖² − ‖S_L‖²/n_L − ‖S_R‖²/n_R`` (an empty side adds 0); only the
+    candidates within SHORTLIST_TOL·Σ‖r‖² of the lowest score get the
+    mean-centred cost ``_branch_cost(left) + _branch_cost(right)``, in
+    index order, so the winner and its cost are those of scoring every
+    candidate that way.  Returns (best_index, cost, left_mask).
+    """
+    masks = features > tau[:, None]
+    n_left = masks.sum(axis=1)
+    n_right = len(residuals) - n_left
+    s_left = masks.astype(np.float64) @ residuals
+    s_right = residuals.sum(axis=0) - s_left
+    total = float(np.vdot(residuals, residuals))
+    gain = (np.where(n_left > 0, (s_left * s_left).sum(axis=1) / np.maximum(n_left, 1), 0.0)
+            + np.where(n_right > 0, (s_right * s_right).sum(axis=1) / np.maximum(n_right, 1), 0.0))
+    score = total - gain
+    best_idx, best_cost = -1, np.inf
+    for c in np.flatnonzero(score <= score.min() + SHORTLIST_TOL * total):
+        m = masks[c]
+        cost = _branch_cost(residuals[m]) + _branch_cost(residuals[~m])
+        if cost < best_cost:
+            best_idx, best_cost = int(c), cost
+    return best_idx, best_cost, masks[best_idx]
+
+
 def fit_node(residuals: np.ndarray, candidates: list[SplitParams],
              features: np.ndarray):
-    """Pick the candidate minimizing the summed squared deviation from the
-    two branch means; ties go to the lowest candidate index.
+    """``best_split`` with the thresholds of SplitParams candidates.
 
     residuals: (n, d) masked residual rows; features: (C, n) feature value
     of each candidate on each sample.  Returns (best_index, cost,
     left_mask).
     """
-    n = residuals.shape[0]
-    if n < 2:
+    if residuals.shape[0] < 2:
         raise ValueError("need at least 2 samples to split")
     if len(candidates) == 0:
         raise ValueError("need at least 1 candidate")
-    best_idx, best_cost, best_mask = -1, np.inf, None
-    for c, cand in enumerate(candidates):
-        mask = features[c] > cand.tau
-        cost = _branch_cost(residuals[mask]) + _branch_cost(residuals[~mask])
-        if cost < best_cost:
-            best_idx, best_cost, best_mask = c, cost, mask
-    return best_idx, best_cost, best_mask
-
-
-class _PatternProxy:
-    """gen_candidates only needs len(pattern); the builder has no pattern."""
-
-    def __init__(self, m):
-        self.m = m
-
-    def __len__(self):
-        return self.m
-
-
-class _TreeBuilder:
-    def __init__(self, residuals, ann_mask, gt_vis, V, part_global, cfg, rng,
-                 pattern_size):
-        # residuals/ann_mask: (n, d) with d = part_size*2; gt_vis: (n, part_size)
-        self.residuals = residuals
-        self.ann_mask = ann_mask
-        self.gt_vis = gt_vis
-        self.V = V
-        self.part_global = np.asarray(part_global, dtype=np.int64)
-        self.local = {int(g): i for i, g in enumerate(self.part_global)}
-        self.cfg = cfg
-        self.rng = rng
-        self.pattern = _PatternProxy(pattern_size)
-        self.nodes = {k: [] for k in ("lm", "p1", "p2", "tau", "left", "right")}
-        self.leaf_residual = []
-        self.leaf_visibility = []
-
-    def _make_leaf(self, idx) -> int:
-        num = self.residuals[idx].sum(axis=0)
-        den = self.ann_mask[idx].sum(axis=0)
-        res = np.where(den > 0, num / np.maximum(den, 1), 0.0)
-        vis = self.gt_vis[idx].mean(axis=0)
-        self.leaf_residual.append(res)
-        self.leaf_visibility.append(vis)
-        return ~(len(self.leaf_residual) - 1)
-
-    def _candidate_features(self, idx, cands):
-        lm = np.array([self.local[c.landmark] for c in cands])
-        p1 = np.array([c.p1 for c in cands])
-        p2 = np.array([c.p2 for c in cands])
-        Vs = self.V[idx]
-        return (Vs[:, lm, p1] - Vs[:, lm, p2]).T  # (C, n)
-
-    def build(self, idx, depth) -> int:
-        if depth >= self.cfg.depth or len(idx) < 2:
-            return self._make_leaf(idx)
-        cands = gen_candidates(
-            self.cfg.candidates_per_node,
-            self.part_global,
-            self.pattern,
-            tau_range=self.cfg.tau_range,
-            rng=self.rng,
-        )
-        F = self._candidate_features(idx, cands)
-        best, cost, mask = fit_node(self.residuals[idx], cands, F)
-        if cost >= _branch_cost(self.residuals[idx]):
-            return self._make_leaf(idx)
-        node_id = len(self.nodes["tau"])
-        for k in self.nodes:
-            self.nodes[k].append(0)
-        cand = cands[best]
-        self.nodes["lm"][node_id] = self.local[cand.landmark]
-        self.nodes["p1"][node_id] = cand.p1
-        self.nodes["p2"][node_id] = cand.p2
-        self.nodes["tau"][node_id] = cand.tau
-        self.nodes["left"][node_id] = self.build(idx[mask], depth + 1)
-        self.nodes["right"][node_id] = self.build(idx[~mask], depth + 1)
-        return node_id
-
-    def finish(self) -> Tree:
-        return Tree(
-            node_landmark=np.asarray(self.nodes["lm"], dtype=np.int64),
-            node_p1=np.asarray(self.nodes["p1"], dtype=np.int64),
-            node_p2=np.asarray(self.nodes["p2"], dtype=np.int64),
-            node_tau=np.asarray(self.nodes["tau"], dtype=np.float64),
-            node_left=np.asarray(self.nodes["left"], dtype=np.int64),
-            node_right=np.asarray(self.nodes["right"], dtype=np.int64),
-            leaf_residual=np.asarray(self.leaf_residual, dtype=np.float64),
-            leaf_visibility=np.asarray(self.leaf_visibility, dtype=np.float64),
-        )
+    return best_split(residuals, features, np.array([c.tau for c in candidates]))
 
 
 def fit_tree(residuals, ann_mask, gt_vis, V, part_global, cfg: TrainConfig,
-             rng: np.random.Generator, pattern_size: int) -> Tree:
-    """Recursively fit one regression tree on the given sample rows."""
-    b = _TreeBuilder(residuals, ann_mask, gt_vis, V, part_global, cfg, rng,
-                     pattern_size)
-    b.build(np.arange(residuals.shape[0]), 0)
-    return b.finish()
+             rng: np.random.Generator, pattern_size: int, cols=None) -> Tree:
+    """Greedily fit one regression tree on the given sample rows.
+
+    residuals/ann_mask: (n, d) with d = part_size*2; gt_vis: (n, part_size).
+    V: (n, part_size, M) pattern reads of the rows.  With ``cols``, V is
+    instead the part's reads of all N faces of the stage as one
+    (part_size·M, N) table, as ``train_parts`` builds it once per part,
+    and row i is face ``cols[i]``.  Each node draws its candidates from
+    ``rng`` and splits on ``best_split``, or becomes a leaf when no
+    candidate lowers the cost; nodes are numbered in preorder and leaves
+    in the order they are made.
+    """
+    P, M = len(part_global), pattern_size
+    if cols is None:
+        V = np.ascontiguousarray(V.reshape(len(residuals), P * M).T)
+        cols = np.arange(len(residuals))
+    N = V.shape[1]
+    nodes, leaf_residual, leaf_visibility = [], [], []
+    # depth first, left before right: (rows, depth, parent node, child slot)
+    stack = [(np.arange(len(residuals)), 0, None, None)]
+    while stack:
+        idx, depth, parent, slot = stack.pop()
+        split = None
+        if depth < cfg.depth and len(idx) >= 2:
+            lm, p1, p2, tau = draw_candidates(cfg.candidates_per_node, P, M, cfg.tau_range, rng)
+            # flat indices into the (part_size*M, N) table: row * N + face
+            col = cols[idx]
+            F = (np.take(V, ((lm * M + p1) * N)[:, None] + col)
+                 - np.take(V, ((lm * M + p2) * N)[:, None] + col))
+            res = residuals[idx]
+            best, cost, mask = best_split(res, F, tau)
+            if cost < _branch_cost(res):
+                split = [lm[best], p1[best], p2[best], tau[best], None, None]
+        if split is None:
+            num = residuals[idx].sum(axis=0)
+            den = ann_mask[idx].sum(axis=0)
+            leaf_residual.append(np.where(den > 0, num / np.maximum(den, 1), 0.0))
+            leaf_visibility.append(gt_vis[idx].mean(axis=0))
+            child = ~(len(leaf_residual) - 1)
+        else:
+            child = len(nodes)
+            nodes.append(split)
+            stack.append((idx[~mask], depth + 1, split, 5))
+            stack.append((idx[mask], depth + 1, split, 4))
+        if parent is not None:
+            parent[slot] = child
+    lm, p1, p2, tau, left, right = zip(*nodes) if nodes else [()] * 6
+    return Tree(
+        node_landmark=np.array(lm, dtype=np.int64),
+        node_p1=np.array(p1, dtype=np.int64),
+        node_p2=np.array(p2, dtype=np.int64),
+        node_tau=np.array(tau, dtype=np.float64),
+        node_left=np.array(left, dtype=np.int64),
+        node_right=np.array(right, dtype=np.int64),
+        leaf_residual=np.asarray(leaf_residual, dtype=np.float64),
+        leaf_visibility=np.asarray(leaf_visibility, dtype=np.float64),
+    )
 
 
 def train_parts(gt_coords, ann, gt_vis, coords, V, parts, K, nu, eta,
@@ -307,18 +307,20 @@ def train_parts(gt_coords, ann, gt_vis, coords, V, parts, K, nu, eta,
     N = coords.shape[0]
     m = min(N, max(2, int(round(eta * N))))
     parts = [np.asarray(p, dtype=np.int64) for p in parts]
-    Vp = [np.ascontiguousarray(V[:, p, :]) for p in parts]
+    # each part's reads as (part_size*M, N): a node's candidate features
+    # then gather along rows
+    VTp = [np.ascontiguousarray(V[:, p, :].reshape(N, -1).T) for p in parts]
     W2p = [np.repeat(ann[:, p], 2, axis=1).astype(np.float64) for p in parts]
     trees = [[] for _ in parts]
     for _k in range(K):
-        for p, Vpart, W2, part_trees in zip(parts, Vp, W2p, trees):
+        for p, VT, W2, part_trees in zip(parts, VTp, W2p, trees):
             residual = ((gt_coords[:, p, :] - coords[:, p, :]).reshape(N, -1) * W2)
             sub = np.sort(rng.choice(N, size=m, replace=False))
             tree = fit_tree(
-                residual[sub], W2[sub], gt_vis[np.ix_(sub, p)], Vpart[sub],
-                p, cfg, rng, V.shape[2],
+                residual[sub], W2[sub], gt_vis[np.ix_(sub, p)], VT,
+                p, cfg, rng, V.shape[2], cols=sub,
             )
-            leaf = leaf_ids(PartModel(p, [tree]), Vpart)[:, 0]
+            leaf = leaf_ids(PartModel(p, [tree]), VT.T.reshape(N, len(p), -1))[:, 0]
             coords[:, p, :] += nu * tree.leaf_residual[leaf].reshape(N, len(p), 2)
             part_trees.append(tree)
     return PartsStage(parts=[PartModel(p, t) for p, t in zip(parts, trees)],

@@ -16,7 +16,6 @@ from .heatmaps import map_values
 
 STAGE_SCALE_FLOOR = 0.2
 DEFAULT_TAU_RANGE = (-0.3, 0.3)
-GRAY_TAU_RANGE = (-32.0, 32.0)
 
 
 @dataclass
@@ -30,8 +29,9 @@ class FreakPattern:
     def __post_init__(self):
         self.offsets = np.asarray(self.offsets, dtype=np.float64).reshape(-1, 2)
         self.rings = np.asarray(self.rings, dtype=np.int64).reshape(-1)
-        if len(self.offsets) == 0:
-            raise FormatError("pattern has no offsets")
+        if len(self.offsets) < 2:
+            # a split test differences two distinct offsets
+            raise FormatError(f"pattern needs at least 2 offsets, not {len(self.offsets)}")
         if len(self.rings) != len(self.offsets):
             raise FormatError("ring ids must match offsets")
         radius = np.linalg.norm(self.offsets, axis=1).max()
@@ -100,22 +100,32 @@ def stage_scale(stage_index: int, total_stages: int,
     return 1.0 - (1.0 - floor) * stage_index / (total_stages - 1)
 
 
-def feature_value(maps, shape, theta: SplitParams, pattern: FreakPattern,
-                  scale: float = 1.0) -> float:
-    """Difference of two map reads around the landmark's current estimate."""
-    if not 0.0 < scale <= 1.0:
-        raise ValueError("stage scale must lie in (0,1]")
-    anchor = shape.coords[theta.landmark]
-    pts = np.rint(anchor + scale * pattern.offsets[[theta.p1, theta.p2]]).astype(np.int64)
-    v = maps.read(theta.landmark, pts[:, 0], pts[:, 1])
-    return float(v[0] - v[1])
+def draw_candidates(count: int, part_size: int, pattern_size: int,
+                    tau_range, rng: np.random.Generator):
+    """``count`` random split candidates as arrays ``(lm, p1, p2, tau)``:
+    a uniform part-local landmark row, a distinct offset pair and a
+    uniform threshold, drawn one candidate after the other in that order.
+    """
+    lm = np.empty(count, dtype=np.int64)
+    p1 = np.empty(count, dtype=np.int64)
+    p2 = np.empty(count, dtype=np.int64)
+    tau = np.empty(count)
+    integers, uniform = rng.integers, rng.uniform
+    lo, hi = tau_range
+    for c in range(count):
+        lm[c] = integers(part_size)
+        a = p1[c] = integers(pattern_size)
+        b = integers(pattern_size - 1)
+        p2[c] = b + 1 if b >= a else b
+        tau[c] = uniform(lo, hi)
+    return lm, p1, p2, tau
 
 
 def gen_candidates(count: int, part_landmarks, pattern: FreakPattern,
                    tau_range=DEFAULT_TAU_RANGE, seed=0,
                    rng: np.random.Generator | None = None) -> list[SplitParams]:
-    """Random split candidates: uniform landmark, distinct offset pair,
-    uniform threshold.  Deterministic under seed (or an explicit rng)."""
+    """``draw_candidates`` as SplitParams over the global landmark ids of
+    ``part_landmarks``.  Deterministic under seed (or an explicit rng)."""
     if count < 1:
         raise ValueError("count must be >= 1")
     part_landmarks = np.asarray(part_landmarks, dtype=np.int64)
@@ -123,17 +133,10 @@ def gen_candidates(count: int, part_landmarks, pattern: FreakPattern,
         raise ValueError("part_landmarks must be non-empty")
     if rng is None:
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xFE]))
-    M = len(pattern)
-    out = []
-    for _ in range(count):
-        l = int(rng.choice(part_landmarks))
-        p1 = int(rng.integers(M))
-        p2 = int(rng.integers(M - 1))
-        if p2 >= p1:
-            p2 += 1
-        tau = float(rng.uniform(*tau_range))
-        out.append(SplitParams(tau=tau, p1=p1, p2=p2, landmark=l))
-    return out
+    lm, p1, p2, tau = draw_candidates(count, len(part_landmarks), len(pattern),
+                                      tau_range, rng)
+    return [SplitParams(tau=float(t), p1=int(a), p2=int(b), landmark=int(part_landmarks[l]))
+            for l, a, b, t in zip(lm, p1, p2, tau)]
 
 
 def extract_pattern_values(maps, coords: np.ndarray, pattern: FreakPattern,

@@ -220,17 +220,16 @@ def draw_blobs(coords: np.ndarray, visibility: np.ndarray,
     centres = np.full((L, 2), np.nan)
     for l in range(L):
         # consume the random stream identically regardless of branch taken,
-        # so a landmark's maps do not depend on its neighbours' flags
-        noise = rng.normal(0.0, 1.0, size=2) * cfg.coordinate_noise_sigma
-        is_outlier = rng.random() < cfg.outlier_rate
-        uni = rng.uniform(0.0, 1.0, size=2)
-        dropped = rng.random() < cfg.occluded_dropout
+        # so a landmark's maps do not depend on its neighbours' flags; u is
+        # the outlier test, the outlier's position and the dropout test
+        noise = rng.standard_normal(2) * cfg.coordinate_noise_sigma
+        u = rng.random(4)
         if not annotated[l]:
             continue
-        if visibility[l] < 0.5 and dropped:
+        if visibility[l] < 0.5 and u[3] < cfg.occluded_dropout:
             continue
-        if is_outlier:
-            centres[l] = uni[0] * (W - 1), uni[1] * (H - 1)
+        if u[0] < cfg.outlier_rate:
+            centres[l] = u[1] * (W - 1), u[2] * (H - 1)
         else:
             centres[l] = coords[l, 0] + noise[0], coords[l, 1] + noise[1]
     return BlobMaps(centres, cfg.peak_sigma, cfg.floor, size)

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import time
 
 import numpy as np
@@ -17,6 +18,7 @@ from facealign.cascade import (
     _height_normalizers,
     _nme_percent,
     apply_stage,
+    best_split,
     fit_node,
     fit_tree,
     leaf_ids,
@@ -90,6 +92,73 @@ class TestFitNode:
             fit_node(np.zeros((1, 2)), [cand(0.0)], np.zeros((1, 1)))
 
 
+def ref_fit_node(residuals, candidates, features):
+    """Split oracle: both branch costs of every candidate, one candidate
+    after the other, strict improvement (ties keep the lowest index)."""
+    best_idx, best_cost, best_mask = -1, np.inf, None
+    for c, cand in enumerate(candidates):
+        mask = features[c] > cand.tau
+        cost = _branch_cost(residuals[mask]) + _branch_cost(residuals[~mask])
+        if cost < best_cost:
+            best_idx, best_cost, best_mask = c, cost, mask
+    return best_idx, best_cost, best_mask
+
+
+def split_case(seed, n, d, C, exponent, kind):
+    """Residuals, features and candidates for one node, of a given kind."""
+    r = np.random.default_rng(seed)
+    res = r.normal(size=(n, d))
+    if kind == "constant":
+        res = np.tile(res[:1], (n, 1))
+    elif kind == "mirror":
+        # each row and its negation: splits that swap mirrored rows tie in
+        # exact arithmetic and differ only by rounding
+        half = r.normal(size=((n + 1) // 2, d))
+        res = np.concatenate([half, -half])[:n] * (1.0 + 1e-13 * r.normal(size=(n, d)))
+    elif kind == "integer":
+        res = r.integers(-2, 3, size=(n, d)).astype(np.float64)
+    res = res * 10.0 ** exponent
+    F = r.normal(size=(C, n))
+    if kind == "quantised":
+        F = np.round(F)
+    tau = r.uniform(-1, 1, size=C)
+    # some candidates send every sample one way, some repeat another
+    side = r.random(C)
+    tau[side < 0.1] = -np.inf
+    tau[(side >= 0.1) & (side < 0.2)] = np.inf
+    for c in np.flatnonzero(side > 0.8):
+        src = int(r.integers(C))
+        F[c], tau[c] = F[src], tau[src]
+    return res, F, [cand(float(t)) for t in tau]
+
+
+class TestBestSplitOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 120), d=st.integers(1, 16),
+           C=st.integers(1, 60), exponent=st.integers(-6, 3),
+           kind=st.sampled_from(["normal", "constant", "mirror", "integer", "quantised"]))
+    def test_matches_candidate_loop(self, seed, n, d, C, exponent, kind):
+        # winning index, cost and mask bitwise equal to the per-candidate loop
+        res, F, cands = split_case(seed, n, d, C, exponent, kind)
+        ref_best, ref_cost, ref_mask = ref_fit_node(res, cands, F)
+        best, cost, mask = fit_node(res, cands, F)
+        assert best == ref_best
+        assert np.float64(cost).tobytes() == np.float64(ref_cost).tobytes()
+        np.testing.assert_array_equal(mask, ref_mask)
+        tau = np.array([c.tau for c in cands])
+        assert best_split(res, F, tau)[:2] == (best, cost)
+
+    def test_all_to_one_side(self):
+        # every candidate leaves one side empty: the cost is the whole
+        # node's, and the first candidate wins
+        res = np.array([[1.0, 2.0], [3.0, -1.0], [0.5, 0.5]])
+        F = np.zeros((3, 3))
+        cands = [cand(1.0), cand(-1.0), cand(5.0)]
+        best, cost, mask = fit_node(res, cands, F)
+        assert best == 0 and cost == _branch_cost(res)
+        assert not mask.any()
+
+
 def leaf_cfg(**kw):
     base = dict(depth=0, candidates_per_node=4, tau_range=(-0.5, 0.5))
     base.update(kw)
@@ -128,6 +197,118 @@ class TestTreeLeaves:
         tree = fit_tree(res, ann, vis, V, [0, 1], leaf_cfg(depth=2),
                         np.random.default_rng(3), 43)
         assert np.all(tree.leaf_residual[:, 0:2] == 0.0)
+
+
+def ref_fit_tree(residuals, ann_mask, gt_vis, V, part_global, cfg, rng) -> Tree:
+    """Tree oracle: the recursive builder with one SplitParams per drawn
+    candidate (``rng.choice`` over the part's global landmark ids), the
+    features of each candidate gathered from V (n, part_size, M) and
+    ``ref_fit_node``."""
+    part_global = np.asarray(part_global, dtype=np.int64)
+    local = {int(g): i for i, g in enumerate(part_global)}
+    M = V.shape[2]
+    nodes = {k: [] for k in ("lm", "p1", "p2", "tau", "left", "right")}
+    leaf_res, leaf_vis = [], []
+
+    def make_leaf(idx):
+        num = residuals[idx].sum(axis=0)
+        den = ann_mask[idx].sum(axis=0)
+        leaf_res.append(np.where(den > 0, num / np.maximum(den, 1), 0.0))
+        leaf_vis.append(gt_vis[idx].mean(axis=0))
+        return ~(len(leaf_res) - 1)
+
+    def build(idx, depth):
+        if depth >= cfg.depth or len(idx) < 2:
+            return make_leaf(idx)
+        cands = []
+        for _ in range(cfg.candidates_per_node):
+            l = int(rng.choice(part_global))
+            p1 = int(rng.integers(M))
+            p2 = int(rng.integers(M - 1))
+            if p2 >= p1:
+                p2 += 1
+            cands.append(SplitParams(tau=float(rng.uniform(*cfg.tau_range)), p1=p1, p2=p2,
+                                     landmark=l))
+        lm = np.array([local[c.landmark] for c in cands])
+        Vs = V[idx]
+        F = (Vs[:, lm, [c.p1 for c in cands]] - Vs[:, lm, [c.p2 for c in cands]]).T
+        best, cost, mask = ref_fit_node(residuals[idx], cands, F)
+        if cost >= _branch_cost(residuals[idx]):
+            return make_leaf(idx)
+        i = len(nodes["tau"])
+        for k in nodes:
+            nodes[k].append(0)
+        c = cands[best]
+        nodes["lm"][i], nodes["p1"][i], nodes["p2"][i], nodes["tau"][i] = \
+            local[c.landmark], c.p1, c.p2, c.tau
+        nodes["left"][i] = build(idx[mask], depth + 1)
+        nodes["right"][i] = build(idx[~mask], depth + 1)
+        return i
+
+    build(np.arange(len(residuals)), 0)
+    ints = {k: np.asarray(v, dtype=np.int64) for k, v in nodes.items()}
+    return Tree(
+        node_landmark=ints["lm"], node_p1=ints["p1"], node_p2=ints["p2"],
+        node_tau=np.asarray(nodes["tau"], dtype=np.float64),
+        node_left=ints["left"], node_right=ints["right"],
+        leaf_residual=np.asarray(leaf_res, dtype=np.float64),
+        leaf_visibility=np.asarray(leaf_vis, dtype=np.float64),
+    )
+
+
+TREE_ARRAYS = ("node_landmark", "node_p1", "node_p2", "node_tau", "node_left",
+               "node_right", "leaf_residual", "leaf_visibility")
+
+
+class TestFitTreeOracle:
+    @settings(max_examples=120, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), N=st.integers(1, 90), part_size=st.integers(1, 4),
+           M=st.integers(2, 9), depth=st.integers(0, 5), C=st.integers(1, 24),
+           exponent=st.integers(-6, 3), decimals=st.sampled_from([None, 0, 1]),
+           through_table=st.booleans())
+    def test_matches_recursive_builder(self, seed, N, part_size, M, depth, C, exponent,
+                                       decimals, through_table):
+        # every tree array bitwise equal to the recursive builder's, from
+        # per-row reads or from train_parts' (part_size*M, N) table
+        r = np.random.default_rng(seed)
+        part = np.sort(r.choice(30, size=part_size, replace=False))
+        V = r.normal(size=(N, part_size, M))
+        if decimals is not None:
+            V = np.round(V, decimals)  # many equal features and masks
+        sub = np.sort(r.choice(N, size=int(r.integers(1, N + 1)), replace=False))
+        n = len(sub)
+        ann = np.repeat(r.random((n, part_size)) > 0.2, 2, axis=1).astype(np.float64)
+        res = r.normal(size=(n, 2 * part_size)) * 10.0 ** exponent * ann
+        vis = r.random((n, part_size))
+        cfg = leaf_cfg(depth=depth, candidates_per_node=C)
+        rng_ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        ref = ref_fit_tree(res, ann, vis, V[sub], part, cfg, rng_ref)
+        if through_table:
+            table = np.ascontiguousarray(V.reshape(N, -1).T)
+            tree = fit_tree(res, ann, vis, table, part, cfg, rng, M, cols=sub)
+        else:
+            tree = fit_tree(res, ann, vis, V[sub], part, cfg, rng, M)
+        for f in TREE_ARRAYS:
+            a, b = getattr(tree, f), getattr(ref, f)
+            assert a.dtype == b.dtype and a.shape == b.shape, f
+            assert a.tobytes() == b.tobytes(), f
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+    def test_leaves_no_garbage_cycles(self):
+        # a tree fit frees its reads and residuals when it returns, not at
+        # the next cyclic collection (which let RSS creep across trainings)
+        r = np.random.default_rng(0)
+        V = r.normal(size=(40, 2, 6))
+        res = r.normal(size=(40, 4))
+        gc.collect()
+        gc.disable()
+        try:
+            tree = fit_tree(res, np.ones((40, 4)), np.ones((40, 2)), V, [0, 1],
+                            leaf_cfg(depth=4, candidates_per_node=8), np.random.default_rng(1), 6)
+            assert tree.n_nodes > 0
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 def leaf_id_single(tree: Tree, V1: np.ndarray) -> int:

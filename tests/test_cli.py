@@ -180,6 +180,17 @@ class TestConfigErrors:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (faces / "bad_aug_out" / "model.facm").exists()
 
+    def test_single_offset_pattern_is_data_error(self, faces, capsys):
+        pattern = faces / "one_offset.txt"
+        pattern.write_text("diameter 32.0\n0 1.0 0.0\n")
+        cfg = write_config(faces / "one_offset.json", pattern=str(pattern))
+        rc = run(["train", "--config", str(cfg),
+                  "--dataset", str(faces / "annotations.jsonl"),
+                  "--out", str(faces / "one_offset_out")])
+        assert rc == EXIT_DATA
+        assert "at least 2 offsets" in capsys.readouterr().err
+        assert not (faces / "one_offset_out" / "model.facm").exists()
+
     @settings(max_examples=40, deadline=None)
     @given(bad=BAD_CORPUS)
     def test_bad_corpus_value_is_data_error(self, faces, bad):

@@ -1,18 +1,47 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from facealign.errors import FormatError
 from facealign.features import (
     FreakPattern,
     SplitParams,
+    draw_candidates,
     extract_pattern_values,
     extract_pattern_values_gray,
-    feature_value,
     gen_candidates,
     stage_scale,
 )
 from facealign.heatmaps import ProbabilityMaps, map_values
 from facealign.shapes import Shape
+
+
+def feature_value(maps, shape, theta: SplitParams, pattern: FreakPattern,
+                  scale: float = 1.0) -> float:
+    """Feature oracle: the difference of two map reads around the
+    landmark's current estimate, one candidate at a time."""
+    if not 0.0 < scale <= 1.0:
+        raise ValueError("stage scale must lie in (0,1]")
+    anchor = shape.coords[theta.landmark]
+    pts = np.rint(anchor + scale * pattern.offsets[[theta.p1, theta.p2]]).astype(np.int64)
+    v = maps.read(theta.landmark, pts[:, 0], pts[:, 1])
+    return float(v[0] - v[1])
+
+
+def ref_gen_candidates(count, part_landmarks, pattern_size, tau_range, rng):
+    """Candidate oracle: the per-candidate draw with ``rng.choice`` over
+    the part's global landmark ids."""
+    out = []
+    for _ in range(count):
+        l = int(rng.choice(np.asarray(part_landmarks, dtype=np.int64)))
+        p1 = int(rng.integers(pattern_size))
+        p2 = int(rng.integers(pattern_size - 1))
+        if p2 >= p1:
+            p2 += 1
+        tau = float(rng.uniform(*tau_range))
+        out.append(SplitParams(tau=tau, p1=p1, p2=p2, landmark=l))
+    return out
 
 
 def make_shape(L, xy=(50.0, 50.0)):
@@ -47,6 +76,16 @@ class TestPattern:
     def test_rejects_empty(self):
         with pytest.raises(FormatError):
             FreakPattern(np.zeros((0, 2)), np.zeros(0), 32.0)
+
+    def test_rejects_single_offset(self, tmp_path):
+        # a split test needs two distinct offsets
+        with pytest.raises(FormatError, match="at least 2 offsets"):
+            FreakPattern(np.zeros((1, 2)), np.zeros(1), 32.0)
+        p = tmp_path / "pat.txt"
+        p.write_text("diameter 32.0\n0 0.0 0.0\n")
+        with pytest.raises(FormatError):
+            FreakPattern.load(p)
+        assert len(FreakPattern(np.array([[0.0, 0.0], [1.0, 0.0]]), np.zeros(2), 32.0)) == 2
 
     def test_missing_diameter_line(self, tmp_path):
         p = tmp_path / "pat.txt"
@@ -143,6 +182,25 @@ class TestGenCandidates:
             gen_candidates(0, [0], pattern)
         with pytest.raises(ValueError):
             gen_candidates(5, [], pattern)
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), count=st.integers(1, 60),
+           part=st.lists(st.integers(0, 200), min_size=1, max_size=30, unique=True),
+           M=st.integers(2, 64), lo=st.floats(-50, 50), width=st.floats(0, 50))
+    def test_array_draw_matches_oracle(self, seed, count, part, M, lo, width):
+        # the array draw takes the stream of the rng.choice loop: same
+        # values and the generator left in the same state
+        pattern = FreakPattern(np.zeros((M, 2)), np.zeros(M), 1.0)
+        tau_range = (lo, lo + width)
+        r_ref, r_arr, r_gen = (np.random.default_rng(seed) for _ in range(3))
+        ref = ref_gen_candidates(count, part, M, tau_range, r_ref)
+        lm, p1, p2, tau = draw_candidates(count, len(part), M, tau_range, r_arr)
+        assert gen_candidates(count, part, pattern, tau_range=tau_range, rng=r_gen) == ref
+        assert [np.asarray(part)[lm].tolist(), p1.tolist(), p2.tolist(), tau.tolist()] == \
+            [[c.landmark for c in ref], [c.p1 for c in ref], [c.p2 for c in ref],
+             [c.tau for c in ref]]
+        assert lm.dtype == p1.dtype == p2.dtype == np.int64 and tau.dtype == np.float64
+        assert r_ref.bit_generator.state == r_arr.bit_generator.state == r_gen.bit_generator.state
 
 
 class TestExtraction:

@@ -216,6 +216,51 @@ class TestMapFiles:
             read_maps(p)
 
 
+def ref_blob_centres(coords, visibility, annotated, cfg, rng, size):
+    """Centre oracle: four draws per landmark (normal pair, outlier test,
+    uniform pair, dropout test), one call each."""
+    H, W = size
+    centres = np.full((len(coords), 2), np.nan)
+    for l in range(len(coords)):
+        noise = rng.normal(0.0, 1.0, size=2) * cfg.coordinate_noise_sigma
+        is_outlier = rng.random() < cfg.outlier_rate
+        uni = rng.uniform(0.0, 1.0, size=2)
+        dropped = rng.random() < cfg.occluded_dropout
+        if not annotated[l] or (visibility[l] < 0.5 and dropped):
+            continue
+        if is_outlier:
+            centres[l] = uni[0] * (W - 1), uni[1] * (H - 1)
+        else:
+            centres[l] = coords[l, 0] + noise[0], coords[l, 1] + noise[1]
+    return centres
+
+
+class TestDrawBlobs:
+    @given(
+        noise=st.floats(0.0, 5.0),
+        outlier_rate=st.floats(0.0, 1.0),
+        dropout=st.floats(0.0, 1.0),
+        L=st.integers(0, 30),
+        H=st.integers(1, 200),
+        W=st.integers(1, 200),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_centres_match_four_draw_oracle(self, noise, outlier_rate, dropout, L, H, W, seed):
+        # same centres bit for bit and the generator left in the same state
+        r = np.random.default_rng(seed)
+        coords = r.uniform(-20.0, 220.0, size=(L, 2))
+        vis = r.random(L)
+        ann = (r.random(L) < 0.8).astype(np.uint8)
+        cfg = SynthConfig(coordinate_noise_sigma=noise, outlier_rate=outlier_rate,
+                          occluded_dropout=dropout)
+        rng_ref, rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+        want = ref_blob_centres(coords, vis, ann, cfg, rng_ref, (H, W))
+        got = draw_blobs(coords, vis, ann, cfg, rng, (H, W)).centres
+        assert got.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+
 class TestBlobMaps:
     """BlobMaps answers reads and peaks without a raster; both must equal
     the answers from the raster it builds."""
