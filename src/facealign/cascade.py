@@ -269,6 +269,7 @@ def fit_tree(residuals, ann_mask, gt_vis, V, part_global, cfg: TrainConfig,
             res = residuals[idx]
             best, cost, mask = best_split(res, F, tau)
             if cost < _branch_cost(res):
+                # lm, p1, p2, tau, left, right; each child fills its slot
                 split = [lm[best], p1[best], p2[best], tau[best], None, None]
         if split is None:
             num = residuals[idx].sum(axis=0)
