@@ -5,21 +5,22 @@ early stopping, and visibility estimation stored on the leaves.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InitError, is_int, real_range
+from .errors import InitError, is_int, is_real, real_range
 from .features import (
     DEFAULT_TAU_RANGE,
     FreakPattern,
     SplitParams,
     draw_candidates,
     extract_pattern_values,
-    extract_pattern_values_gray,
     gen_candidates,  # noqa: F401  (part of this module's interface, next to fit_node)
     stage_scale,
 )
+from .heatmaps import GrayMaps
 from .pose import Model3D, anchor_shape, bbox_center, consensus_inits, robust_init
 from .shapes import Dataset, LandmarkSchema, Shape
 
@@ -53,6 +54,11 @@ class TrainConfig:
             raise ValueError("shrinkage must lie in (0,1]")
         if not 0.0 < self.subsample <= 1.0:
             raise ValueError("subsample must lie in (0,1]")
+        if not (is_real(self.scale_floor) and 0.0 < self.scale_floor <= 1.0):
+            raise ValueError(f"scale_floor must be a number in (0, 1], not {self.scale_floor!r}")
+        if not (is_real(self.early_stop_delta) and abs(self.early_stop_delta) < math.inf):
+            raise ValueError(f"early_stop_delta must be a finite number, "
+                             f"not {self.early_stop_delta!r}")
 
 
 @dataclass
@@ -383,18 +389,20 @@ class TrainingArrays:
             self.bboxes[i] = s.bbox
 
 
+def feature_maps(maps, feature_mode: str):
+    """What the features of a model read: the landmark maps themselves,
+    or in the grayscale ablation their max over all maps."""
+    return GrayMaps(maps) if feature_mode == "gray" else maps
+
+
 def extract_stage_features(dataset: Dataset, coords, maps_provider,
                            pattern: FreakPattern, scale: float,
                            feature_mode: str) -> np.ndarray:
     n, L = coords.shape[0], coords.shape[1]
     V = np.zeros((n, L, len(pattern)))
     for i, s in enumerate(dataset.samples):
-        if feature_mode == "gray":
-            img = maps_provider.image_for(s)
-            V[i] = extract_pattern_values_gray(img, coords[i], pattern, scale)
-        else:
-            maps = maps_provider.maps_for(s)
-            V[i] = extract_pattern_values(maps, coords[i], pattern, scale)
+        maps = feature_maps(maps_provider.maps_for(s), feature_mode)
+        V[i] = extract_pattern_values(maps, coords[i], pattern, scale)
     return V
 
 
@@ -524,7 +532,7 @@ def train_cascade(train: Dataset, val: Dataset, maps_provider, init_fn,
     )
 
 
-def predict(model: CascadeModel, maps, bbox, image=None,
+def predict(model: CascadeModel, maps, bbox,
             seed: int | None = None) -> Prediction:
     """Run the full cascade on one face; deterministic for fixed inputs."""
     used_fallback = False
@@ -545,11 +553,9 @@ def predict(model: CascadeModel, maps, bbox, image=None,
         init = anchor_shape(model.mean_shape, bbox)
     coords = init.coords[None].copy()
     vis = init.visibility[None].copy()
+    maps = feature_maps(maps, model.feature_mode)
     for stage in model.stages:
-        if model.feature_mode == "gray":
-            V = extract_pattern_values_gray(image, coords[0], model.pattern, stage.scale)
-        else:
-            V = extract_pattern_values(maps, coords[0], model.pattern, stage.scale)
+        V = extract_pattern_values(maps, coords[0], model.pattern, stage.scale)
         apply_stage(stage, V[None], coords, vis)
     np.clip(vis, 0.0, 1.0, out=vis)
     shape = Shape(coords[0], vis[0], np.ones(vis.shape[1], dtype=np.uint8))

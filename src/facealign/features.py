@@ -12,7 +12,6 @@ from importlib import resources
 import numpy as np
 
 from .errors import FormatError
-from .heatmaps import map_values
 
 STAGE_SCALE_FLOOR = 0.2
 DEFAULT_TAU_RANGE = (-0.3, 0.3)
@@ -140,27 +139,13 @@ def gen_candidates(count: int, part_landmarks, pattern: FreakPattern,
 
 
 def extract_pattern_values(maps, coords: np.ndarray, pattern: FreakPattern,
-                           scale: float, landmarks=None) -> np.ndarray:
-    """All pattern-point map reads for one face: (len(landmarks), M) array.
+                           scale: float) -> np.ndarray:
+    """All pattern-point map reads for one face: (L, M) array.
 
-    Row i holds map l_i sampled at coords[l_i] + scale*offsets.  These
+    Row l holds map l sampled at coords[l] + scale*offsets.  These
     cached reads are what candidate features are differenced from.
     """
-    if landmarks is None:
-        landmarks = np.arange(coords.shape[0])
-    landmarks = np.asarray(landmarks, dtype=np.int64)
-    pts = coords[landmarks, None, :] + scale * pattern.offsets[None, :, :]
+    landmarks = np.arange(coords.shape[0])
+    pts = coords[:, None, :] + scale * pattern.offsets[None, :, :]
     c = np.rint(pts).astype(np.int64)
     return maps.read(landmarks[:, None], c[..., 0], c[..., 1])
-
-
-def extract_pattern_values_gray(image: np.ndarray, coords: np.ndarray,
-                                pattern: FreakPattern, scale: float,
-                                landmarks=None) -> np.ndarray:
-    """Grayscale ablation: identical layout, single intensity grid for all
-    landmarks."""
-    if landmarks is None:
-        landmarks = np.arange(coords.shape[0])
-    landmarks = np.asarray(landmarks, dtype=np.int64)
-    pts = coords[landmarks, None, :] + scale * pattern.offsets[None, :, :]
-    return map_values(image, pts)

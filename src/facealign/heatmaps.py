@@ -6,7 +6,9 @@ per-landmark peaks (``peaks()``) and its values at integer pixels
 (``read(landmarks, x, y)``). Maps from files are rasters
 (ProbabilityMaps) and both queries gather from the raster. Synthetic maps
 (BlobMaps) keep only their blob centres and are evaluated at the pixels
-read; they build a raster only when one is asked for.
+read; they build a raster only when one is asked for. GrayMaps wraps
+either kind as the grayscale ablation's single image, the max over all
+maps, read at the same points.
 
 Map values are unnormalized likelihoods; synthetic blobs have peak 1.
 Out-of-bounds reads return 0 everywhere in this package.
@@ -143,6 +145,28 @@ class BlobMaps:
         return self._raster
 
 
+class GrayMaps:
+    """The grayscale ablation's one image: at each pixel, the max over all
+    landmark maps of ``landmark_maps`` (BlobMaps or ProbabilityMaps),
+    evaluated only at the pixels read.
+
+    Every landmark reads the same image, as the pixel-difference features
+    of Kazemi & Sullivan (CVPR 2014) do. A max is exact, so reads are
+    bitwise a gather from ``landmark_maps.maps.max(axis=0)``.
+    """
+
+    def __init__(self, landmark_maps):
+        self.landmark_maps = landmark_maps
+
+    def read(self, landmarks, x, y) -> np.ndarray:
+        """Max over all maps at integer pixels (x, y), whichever landmarks
+        ask; pixels off the map read 0."""
+        x, y = np.asarray(x), np.asarray(y)
+        every = np.arange(self.landmark_maps.landmark_count)
+        every = every.reshape((-1,) + (1,) * max(x.ndim, y.ndim))
+        return self.landmark_maps.read(every, x, y).max(axis=0)
+
+
 @dataclass
 class SynthConfig:
     """Controls for the synthetic probability-map generator."""
@@ -186,12 +210,6 @@ def smooth(maps: ProbabilityMaps, sigma: float) -> ProbabilityMaps:
 def peak_coords(maps) -> np.ndarray:
     """Per-landmark argmax as (x, y) pairs; ties go to the row-major-first cell."""
     return maps.peaks()
-
-
-def map_values(grid: np.ndarray, coords: np.ndarray) -> np.ndarray:
-    """Read a single grid at rounded (x, y) coordinates; out of bounds -> 0."""
-    c = np.rint(np.asarray(coords, dtype=np.float64)).astype(np.int64)
-    return _gather(grid[None], 0, c[..., 0], c[..., 1])
 
 
 def _blob(H, W, cx, cy, sigma):

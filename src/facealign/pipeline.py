@@ -233,14 +233,8 @@ def run_train(cfg: RunConfig, dataset: Dataset | None = None) -> str:
 
 def predict_dataset(model: CascadeModel, dataset: Dataset, maps_source,
                     seed: int | None = None):
-    preds = []
-    for s in dataset.samples:
-        maps = maps_source.maps_for(s)
-        img = None
-        if model.feature_mode == "gray":
-            img = maps_source.image_for(s)
-        preds.append(predict(model, maps, s.bbox, image=img, seed=seed))
-    return preds
+    return [predict(model, maps_source.maps_for(s), s.bbox, seed=seed)
+            for s in dataset.samples]
 
 
 def run_predict(cfg: RunConfig, model_path: str, out_path: str | None = None) -> str:
@@ -310,9 +304,7 @@ def run_cross(base_cfg: RunConfig, dataset_paths: list[str],
 
     def predict_fn_for(model):
         def fn(sample):
-            m = maps.maps_for(sample)
-            img = maps.image_for(sample) if model.feature_mode == "gray" else None
-            return predict(model, m, sample.bbox, image=img, seed=base_cfg.seed).shape
+            return predict(model, maps.maps_for(sample), sample.bbox, seed=base_cfg.seed).shape
 
         return fn
 

@@ -159,10 +159,6 @@ class SyntheticMapSource:
     def maps_for(self, sample) -> BlobMaps:
         return sample_blobs(sample, self.cfg, self.seed, self.size)
 
-    def image_for(self, sample) -> np.ndarray:
-        """Grayscale surrogate for the ablation mode: max over landmark maps."""
-        return self.maps_for(sample).maps.max(axis=0)
-
 
 class FileMapSource:
     """Maps stored one file per image under a directory.
@@ -186,9 +182,6 @@ class FileMapSource:
             flipped = maps.maps[self.schema.mirror][:, :, ::-1]
             maps = ProbabilityMaps(np.ascontiguousarray(flipped))
         return maps
-
-    def image_for(self, sample) -> np.ndarray:
-        return self.maps_for(sample).maps.max(axis=0)
 
 
 def write_corpus(dataset: Dataset, synth_cfg: SynthConfig, out_dir,

@@ -82,6 +82,13 @@ BAD_SETTINGS = st.one_of(
     st.tuples(st.just("train"), st.sampled_from(["K1", "depth", "Z"]),
               st.floats(0.1, 9.9).filter(lambda v: not v.is_integer())),
     st.tuples(st.just("train"), st.just("bogus"), st.integers()),
+    st.tuples(st.just("train"), st.just("scale_floor"),
+              st.one_of(st.text(max_size=3), st.none(), st.booleans(),
+                        st.floats(max_value=0.0), st.floats(min_value=1.0, exclude_min=True))),
+    # negative deltas are allowed: they switch early stopping off
+    st.tuples(st.just("train"), st.just("early_stop_delta"),
+              st.one_of(st.text(max_size=3), st.none(), st.booleans(),
+                        st.sampled_from([float("inf"), float("-inf"), float("nan")]))),
     st.tuples(st.just("synth"), st.just("peak_sigma"), st.floats(max_value=0.0)),
     st.tuples(st.just("synth"), st.just("bogus"), st.integers()),
     st.tuples(st.none(), st.just("init_mode"), _bad_choice(["3d", "mean"])),

@@ -9,12 +9,12 @@ from facealign.features import (
     SplitParams,
     draw_candidates,
     extract_pattern_values,
-    extract_pattern_values_gray,
     gen_candidates,
     stage_scale,
 )
-from facealign.heatmaps import ProbabilityMaps, map_values
+from facealign.heatmaps import ProbabilityMaps
 from facealign.shapes import Shape
+from oracles import map_values
 
 
 def feature_value(maps, shape, theta: SplitParams, pattern: FreakPattern,
@@ -218,20 +218,3 @@ class TestExtraction:
                 assert V[l, p1] - V[l, p2] == pytest.approx(
                     feature_value(maps, shape, theta, pattern, scale), abs=1e-12
                 )
-
-    def test_gray_uses_single_grid(self, pattern):
-        r = np.random.default_rng(6)
-        img = r.uniform(size=(80, 80))
-        coords = r.uniform(20, 60, size=(3, 2))
-        V = extract_pattern_values_gray(img, coords, pattern, 1.0)
-        for l in range(3):
-            ref = map_values(img, coords[l] + pattern.offsets)
-            np.testing.assert_array_equal(V[l], ref)
-
-    def test_landmark_subset(self, pattern):
-        r = np.random.default_rng(7)
-        maps = ProbabilityMaps(r.uniform(size=(6, 50, 50)))
-        coords = r.uniform(10, 40, size=(6, 2))
-        Vall = extract_pattern_values(maps, coords, pattern, 1.0)
-        Vsub = extract_pattern_values(maps, coords, pattern, 1.0, landmarks=[2, 4])
-        np.testing.assert_array_equal(Vsub, Vall[[2, 4]])

@@ -1,16 +1,20 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from facealign.errors import FormatError, NumericError
+from facealign.features import FreakPattern, extract_pattern_values
 from facealign.heatmaps import (
     BlobMaps,
+    GrayMaps,
     ProbabilityMaps,
     SynthConfig,
     _gaussian_kernel,
     draw_blobs,
-    map_values,
     peak_coords,
     read_maps,
     smooth,
@@ -18,6 +22,9 @@ from facealign.heatmaps import (
     synthesize_from_shape,
     write_maps,
 )
+from facealign.shapes import Sample, Shape, TransformParams
+from facealign.synthetic import FileMapSource
+from oracles import map_values
 
 
 def test_maps_validation():
@@ -94,16 +101,23 @@ class TestPeaks:
 
 
 class TestMapValues:
+    """Feature reads round pattern points to the nearest pixel and read 0
+    off the map, on the landmark maps and on their gray view alike."""
+
     def test_rounding(self):
-        g = np.arange(12, dtype=np.float64).reshape(3, 4)
-        v = map_values(g, np.array([[1.4, 2.4], [1.6, 2.4]]))
-        assert v[0] == g[2, 1]
-        assert v[1] == g[2, 2]
+        g = np.arange(12, dtype=np.float64).reshape(1, 3, 4)
+        pattern = FreakPattern(np.array([[0.4, 0.4], [0.6, 0.4]]), np.zeros(2), 2.0)
+        coords = np.array([[1.0, 2.0]])  # points (1.4, 2.4) and (1.6, 2.4)
+        for maps in (ProbabilityMaps(g), GrayMaps(ProbabilityMaps(g))):
+            v = extract_pattern_values(maps, coords, pattern, 1.0)
+            np.testing.assert_array_equal(v, [[g[0, 2, 1], g[0, 2, 2]]])
 
     def test_out_of_bounds_zero(self):
-        g = np.ones((3, 3))
-        v = map_values(g, np.array([[-1.0, 0.0], [0.0, 3.0], [99.0, 99.0]]))
-        np.testing.assert_array_equal(v, 0.0)
+        x, y = np.array([-1, 0, 99]), np.array([0, 3, 99])
+        grid = ProbabilityMaps(np.ones((2, 3, 3)))
+        blobs = BlobMaps(np.array([[1.0, 1.0], [np.nan, np.nan]]), 1.0, 0.5, (3, 3))
+        for maps in (grid, blobs, GrayMaps(grid), GrayMaps(blobs)):
+            np.testing.assert_array_equal(maps.read(0, x, y), 0.0)
 
 
 class TestSynthesize:
@@ -308,3 +322,61 @@ class TestBlobMaps:
         assert blobs.read(1, 4, 4) == 0.25
         np.testing.assert_array_equal(blobs.read([[0], [1]], [-1, 5, 0], [0, 0, 6]), 0.0)
         np.testing.assert_array_equal(blobs.peaks(), [[2.0, 3.0], [0.0, 0.0]])
+
+
+def mirrored_file_maps(raster, schema, directory):
+    """``raster`` as a .fapm file, read back through FileMapSource for a
+    sample whose transform mirrors it."""
+    L = len(raster)
+    write_maps(ProbabilityMaps(raster), Path(directory) / "face.fapm")
+    sample = Sample("face", Shape(np.zeros((L, 2)), np.ones(L), np.ones(L, np.uint8)),
+                    (0.0, 0.0, 1.0, 1.0), transform=TransformParams(mirror=True))
+    return FileMapSource(directory, schema).maps_for(sample)
+
+
+class TestGrayMaps:
+    """The gray view reads the max over all landmark maps at the queried
+    pixels: bitwise a gather from the ``maps.max(axis=0)`` raster, for
+    every kind of map."""
+
+    @given(
+        kind=st.sampled_from(["blobs", "file", "mirrored file"]),
+        sigma=st.floats(0.2, 10.0),
+        floor=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+        L=st.integers(1, 6),
+        H=st.integers(1, 40),
+        W=st.integers(1, 40),
+        M=st.integers(1, 30),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_reads_equal_the_max_raster(self, schema, kind, sigma, floor, L, H, W, M, seed):
+        r = np.random.default_rng(seed)
+        if kind == "blobs":
+            # centres on and off the map; NaN centres are flat floor maps
+            centres = r.uniform(-20.0, max(H, W) + 20.0, size=(L, 2))
+            centres[r.random(L) < 0.3] = np.nan
+            maps = BlobMaps(centres, sigma, floor, (H, W))
+        else:
+            if kind == "mirrored file":
+                L = schema.landmark_count
+            # float32 values with zeros and repeated maxima
+            raster = r.choice([0.0, 0.5, 1.0, r.random()], size=(L, H, W))
+            raster = np.where(r.random((L, H, W)) < 0.5, r.random((L, H, W)), raster)
+            raster = raster.astype(np.float32)
+            with tempfile.TemporaryDirectory() as d:
+                if kind == "file":
+                    write_maps(ProbabilityMaps(raster), Path(d) / "face.fapm")
+                    maps = read_maps(Path(d) / "face.fapm")
+                else:
+                    maps = mirrored_file_maps(raster, schema, d)
+                    np.testing.assert_array_equal(maps.maps, raster[schema.mirror][:, :, ::-1])
+            assert maps.maps.dtype == np.float32
+        # the (landmark, pattern point) layout features read, pixels up to
+        # 3 px off every side of the map
+        x = r.integers(-3, W + 3, size=(L, M))
+        y = r.integers(-3, H + 3, size=(L, M))
+        got = GrayMaps(maps).read(np.arange(L)[:, None], x, y)
+        want = map_values(maps.maps.max(axis=0), np.stack([x, y], axis=-1))
+        assert got.dtype == want.dtype == np.float64
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))

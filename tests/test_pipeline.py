@@ -1,13 +1,23 @@
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from facealign import heatmaps, pipeline
+from facealign.cascade import predict
+from facealign.heatmaps import ProbabilityMaps
 from facealign.modelio import save_model
-from facealign.pipeline import RunConfig, train_model
+from facealign.pipeline import ABLATION_ROWS, RunConfig, predict_dataset, run_ablate, train_model
 from facealign.pose import bbox_center, robust_init
 from facealign.shapes import load_dataset, save_dataset
-from facealign.synthetic import generate_corpus
+from facealign.synthetic import FileMapSource, generate_corpus, write_corpus
+
+
+def same_prediction(a, b) -> bool:
+    return (np.array_equal(a.shape.coords, b.shape.coords)
+            and np.array_equal(a.shape.visibility, b.shape.visibility)
+            and np.array_equal(a.init_shape.coords, b.init_shape.coords)
+            and a.used_fallback == b.used_fallback)
 
 
 def test_train_model_leaves_caller_samples_alone(model3d, schema, tmp_path):
@@ -27,15 +37,16 @@ def test_train_model_leaves_caller_samples_alone(model3d, schema, tmp_path):
     assert (tmp_path / "a.facm").read_bytes() == (tmp_path / "b.facm").read_bytes()
 
 
-def test_training_builds_no_raster(model3d, schema, monkeypatch):
+@pytest.mark.parametrize("feature_mode", ["heatmap", "gray"])
+def test_training_builds_no_raster(model3d, schema, monkeypatch, feature_mode):
     # more faces than the 256 maps a cache once held: every face is served
-    # from its blob centres, none is rasterised
+    # from its blob centres, none is rasterised, the gray view included
     calls = []
     monkeypatch.setattr(heatmaps, "_blob", lambda *a: calls.append(a))
     cfg = RunConfig(corpus={"count": 300, "seed": 9}, synth={"coordinate_noise_sigma": 1.0},
                     train={"T": 2, "K1": 2, "K2": 1, "depth": 2,
                            "candidates_per_node": 8, "shrinkage": 0.4, "Z": 3},
-                    seed=9, init_mode="3d", feature_mode="heatmap", val_fraction=0.2)
+                    seed=9, init_mode="3d", feature_mode=feature_mode, val_fraction=0.2)
     train_model(cfg, generate_corpus(model3d, schema, cfg.corpus_config()))
     assert calls == []
 
@@ -62,3 +73,49 @@ def test_training_initials_use_the_train_seed(model3d, schema, monkeypatch):
         want = robust_init(maps.maps_for(s), model3d, Z=5, subset_size=6, seed=7,
                            center=bbox_center(s.bbox))
         assert np.array_equal(s.initial.coords, want.shape.coords)
+
+
+def test_gray_model_serves_from_its_maps(model3d, schema, tmp_path):
+    # the grayscale ablation reads the max over the maps it is given, so it
+    # serves from them alone, from synthetic maps and from .fapm files
+    cfg = RunConfig(corpus={"count": 24, "seed": 12}, synth={"coordinate_noise_sigma": 1.0},
+                    train={"T": 2, "K1": 3, "K2": 2, "depth": 2,
+                           "candidates_per_node": 8, "shrinkage": 0.4, "Z": 3},
+                    seed=6, init_mode="3d", feature_mode="gray", val_fraction=0.25)
+    ds = generate_corpus(model3d, schema, cfg.corpus_config())
+    model = train_model(cfg, ds)
+    write_corpus(ds, cfg.synth_config(), tmp_path, cfg.corpus_config())
+    files = FileMapSource(tmp_path / "maps", schema)
+    for source in (cfg.map_source(schema), files):
+        preds = predict_dataset(model, ds, source)
+        assert all(same_prediction(p, predict(model, source.maps_for(s), s.bbox))
+                   for p, s in zip(preds, ds.samples))
+    # from the mean shape, the gray model predicts what its heatmap twin
+    # predicts on maps that each hold the max-over-maps raster
+    gray = replace(model, init_mode="mean")
+    twin = replace(gray, feature_mode="heatmap")
+    moved = 0
+    for s in ds.samples[:6]:
+        maps = files.maps_for(s)
+        flat = ProbabilityMaps(np.repeat(maps.maps.max(axis=0)[None], len(maps.maps), axis=0))
+        p = predict(gray, maps, s.bbox)
+        assert same_prediction(p, predict(twin, flat, s.bbox))
+        moved += not np.array_equal(p.shape.coords, p.init_shape.coords)
+    assert moved
+
+
+def test_run_ablate_reports_every_row(model3d, schema, tmp_path):
+    cfg = RunConfig(corpus={"count": 24, "seed": 5}, synth={"coordinate_noise_sigma": 1.0},
+                    train={"T": 2, "K1": 2, "K2": 2, "depth": 2,
+                           "candidates_per_node": 8, "Z": 3},
+                    seed=2, val_fraction=0.2, output_dir=str(tmp_path))
+    save_dataset(generate_corpus(model3d, schema, cfg.corpus_config()), tmp_path / "faces.jsonl")
+    ds = load_dataset(tmp_path / "faces.jsonl", schema)
+    rows, path = run_ablate(cfg, ds)
+    assert [r[0] for r in rows] == [r[0] for r in ABLATION_ROWS]
+    assert np.all(np.isfinite([r[1:] for r in rows]))
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    assert lines == ["config nme auc_4 fr_4"] + [
+        f"{name} {nme_v:.4f} {auc_v:.4f} {fr_v:.4f}" for name, nme_v, auc_v, fr_v in rows]
+    assert all(s.initial is None and s.pose is None for s in ds.samples)

@@ -13,7 +13,6 @@ from facealign.heatmaps import (
     BlobMaps,
     ProbabilityMaps,
     SynthConfig,
-    map_values,
     peak_coords,
     synthesize_from_shape,
 )
@@ -42,6 +41,7 @@ from facealign.pose import (
     score_shapes,
 )
 from facealign.shapes import Sample
+from oracles import map_values
 
 angles = st.floats(-np.pi, np.pi, allow_nan=False)
 

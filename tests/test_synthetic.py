@@ -107,13 +107,6 @@ class TestMapSources:
         assert a.samples[0].image_ref == b.samples[0].image_ref
         assert not np.array_equal(ma.maps, mb.maps)
 
-    def test_image_for_is_max_projection(self, tiny_corpus):
-        src = SyntheticMapSource(SynthConfig(), 0)
-        s = tiny_corpus.samples[1]
-        np.testing.assert_array_equal(
-            src.image_for(s), src.maps_for(s).maps.max(axis=0)
-        )
-
     def test_file_source_round_trip(self, tiny_corpus, tmp_path):
         cfg = SynthConfig(coordinate_noise_sigma=0.5)
         sub = tiny_corpus.subset(range(3))
