@@ -83,6 +83,11 @@ class Tree:
     def n_nodes(self) -> int:
         return len(self.node_tau)
 
+    @property
+    def roots(self) -> np.ndarray:
+        """The root in PartModel's encoding: node 0, or ~0 for a lone leaf."""
+        return np.array([0 if self.n_nodes else ~0], dtype=np.int64)
+
 
 FOREST_FIELDS = (
     "roots", "node_landmark", "node_p1", "node_p2", "node_tau", "node_left",
@@ -100,29 +105,11 @@ class PartModel:
     """
 
     def __init__(self, landmarks, trees: list[Tree]):
-        node_off = np.cumsum([0] + [t.n_nodes for t in trees])
-        leaf_off = np.cumsum([0] + [len(t.leaf_residual) for t in trees])
-
-        def cat(f):
-            return np.concatenate([getattr(t, f) for t in trees])
-
-        def relocate(f):
-            return np.concatenate([
-                np.where(c >= 0, c + node_off[k], c - leaf_off[k])
-                for k, c in enumerate(getattr(t, f) for t in trees)
-            ])
-
         self.landmarks = np.asarray(landmarks, dtype=np.int64)
-        self.roots = np.array([node_off[k] if t.n_nodes else ~leaf_off[k]
-                               for k, t in enumerate(trees)], dtype=np.int64)
-        self.node_landmark = cat("node_landmark")
-        self.node_p1 = cat("node_p1")
-        self.node_p2 = cat("node_p2")
-        self.node_tau = cat("node_tau")
-        self.node_left = relocate("node_left")
-        self.node_right = relocate("node_right")
-        self.leaf_residual = cat("leaf_residual")
-        self.leaf_visibility = cat("leaf_visibility")
+        moved = _relocated(trees)
+        for f in FOREST_FIELDS:
+            setattr(self, f, moved[f] if f in moved
+                    else np.concatenate([getattr(t, f) for t in trees]))
 
     @classmethod
     def from_arrays(cls, landmarks, arrays: dict) -> "PartModel":
@@ -138,9 +125,20 @@ class PartModel:
         return len(self.roots)
 
 
+def _relocated(forests) -> dict:
+    """The roots and children of trees or packed forests, concatenated in
+    order, each forest's moved by its node and leaf offsets."""
+    node_off = np.cumsum([0] + [len(f.node_tau) for f in forests])
+    leaf_off = np.cumsum([0] + [len(f.leaf_residual) for f in forests])
+    return {name: np.concatenate([np.where(c >= 0, c + node_off[k], c - leaf_off[k])
+                                  for k, c in enumerate(getattr(f, name) for f in forests)])
+            for name in ("roots", "node_left", "node_right")}
+
+
 def leaf_ids(part: PartModel, V: np.ndarray) -> np.ndarray:
     """V: (n, part_size, M) cached pattern reads -> (n, K) leaf rows, one
-    per face and tree of the part."""
+    per face and tree of the part. A stage forest reads V: (n, L, M), its
+    node landmarks being global ids."""
     lm = part.node_landmark
     go_left = V[:, lm, part.node_p1] - V[:, lm, part.node_p2] > part.node_tau
     cur = np.repeat(part.roots[None], V.shape[0], axis=0)
@@ -157,9 +155,47 @@ def leaf_ids(part: PartModel, V: np.ndarray) -> np.ndarray:
 
 @dataclass
 class PartsStage:
+    """K trees for each of disjoint parts. Construction packs the parts
+    into one forest over global landmark ids, so ``apply_stage`` traverses
+    a stage once; ``forest.landmarks`` lists the covered landmarks part
+    after part, and its leaf rows are each part's padded to the widest.
+    ValueError for parts with different tree counts, a shared landmark or
+    leaf rows of the wrong width.
+    """
+
     parts: list[PartModel]
     shrinkage: float
     scale: float  # pattern scale used for this stage's features
+
+    def __post_init__(self):
+        parts = self.parts
+        if not parts or len({pm.n_trees for pm in parts}) > 1:
+            raise ValueError("a stage needs one or more parts with the same tree count")
+        sizes = [len(pm.landmarks) for pm in parts]
+        if any(pm.leaf_residual.shape[1:] != (2 * m,) or pm.leaf_visibility.shape[1:] != (m,)
+               for pm, m in zip(parts, sizes)):
+            raise ValueError("leaf rows must have one entry per part landmark coordinate")
+        covered = np.concatenate([pm.landmarks for pm in parts])
+        if len(np.unique(covered)) < len(covered):
+            raise ValueError("parts of a stage must not share a landmark")
+        self.leaf_start = np.cumsum([0] + [len(pm.leaf_residual) for pm in parts])
+        residual = np.zeros((self.leaf_start[-1], 2 * max(sizes)))
+        for pm, lo in zip(parts, self.leaf_start):
+            residual[lo:lo + len(pm.leaf_residual), :pm.leaf_residual.shape[1]] = pm.leaf_residual
+        self.forest = PartModel.from_arrays(covered, {
+            **_relocated(parts),
+            "node_landmark": np.concatenate([pm.landmarks[pm.node_landmark] for pm in parts]),
+            **{f: np.concatenate([getattr(pm, f) for pm in parts])
+               for f in ("node_p1", "node_p2", "node_tau")},
+            "leaf_residual": residual,
+            "leaf_visibility": None,
+        })
+        K = parts[0].n_trees
+        # per covered coordinate column: the forest tree of each of its
+        # part's K trees, (K, columns), and its position in the part's rows
+        part_of = np.repeat(np.arange(len(parts)), 2 * np.array(sizes))
+        self.col_tree = part_of * K + np.arange(K)[:, None]
+        self.col_pos = np.concatenate([np.arange(2 * m) for m in sizes])
 
 
 @dataclass
@@ -338,26 +374,30 @@ def apply_stage(stage: PartsStage, V, coords, vis=None) -> None:
     """Run a trained stage over a batch of faces, updating it in place.
 
     V: (n, L, M) pattern reads; coords: (n, L, 2); vis: (n, L) or None.
-    Each part adds its K shrunk leaf residuals to coords one tree after
-    the other, the order training added them in.  Visibility gets the
-    closed form of the per-tree blend ``vis <- (1 - 1/K) vis + leafvis/K``,
-    a convex combination, so it stays in [0, 1] up to rounding; ``predict``
-    clips its result.
+    One traversal of the stage forest gives every tree's leaf, and one
+    gather the (K, n, columns) shrunk steps. Each column adds its part's K
+    steps one tree after the other, the order training added them in.
+    Visibility gets, part by part, the closed form of the per-tree blend
+    ``vis <- (1 - 1/K) vis + leafvis/K``, a convex combination, so it
+    stays in [0, 1] up to rounding; ``predict`` clips its result.
     """
     n = coords.shape[0]
-    for pm in stage.parts:
-        p = pm.landmarks
-        leaf = leaf_ids(pm, V[:, p, :])
-        steps = stage.shrinkage * pm.leaf_residual[leaf.T]  # (K, n, 2 * part_size)
-        start = coords[:, p, :].reshape(1, n, -1)
-        # summing over the leading axis adds one row after the other, the
-        # same additions as training's per-tree +=, so coords match bit for bit
-        coords[:, p, :] = np.concatenate([start, steps]).sum(axis=0).reshape(n, len(p), 2)
-        if vis is not None:
-            K = pm.n_trees
-            keep = 1.0 - 1.0 / K
-            weights = (1.0 / K) * keep ** np.arange(K - 1, -1, -1)
-            vis[:, p] = keep ** K * vis[:, p] + weights @ pm.leaf_visibility[leaf]
+    forest, cov = stage.forest, stage.forest.landmarks
+    leaf = leaf_ids(forest, V)  # (n, parts * K) forest leaf rows
+    rows = leaf[:, stage.col_tree].transpose(1, 0, 2)  # (K, n, columns)
+    steps = stage.shrinkage * forest.leaf_residual[rows, stage.col_pos]
+    start = coords[:, cov, :].reshape(1, n, -1)
+    # summing over the leading axis adds one row after the other, the
+    # same additions as training's per-tree +=, so coords match bit for bit
+    coords[:, cov, :] = np.concatenate([start, steps]).sum(axis=0).reshape(n, -1, 2)
+    if vis is not None:
+        K = stage.col_tree.shape[0]
+        keep = 1.0 - 1.0 / K
+        weights = (1.0 / K) * keep ** np.arange(K - 1, -1, -1)
+        for q, pm in enumerate(stage.parts):
+            p = pm.landmarks
+            local = leaf[:, q * K:(q + 1) * K] - stage.leaf_start[q]
+            vis[:, p] = keep ** K * vis[:, p] + weights @ pm.leaf_visibility[local]
 
 
 def _height_normalizers(bboxes: np.ndarray) -> np.ndarray:

@@ -16,6 +16,7 @@ Out-of-bounds reads return 0 everywhere in this package.
 
 from __future__ import annotations
 
+import os
 import struct
 import zlib
 from dataclasses import dataclass
@@ -41,9 +42,11 @@ class ProbabilityMaps:
         self.maps = np.asarray(self.maps)
         if self.maps.ndim != 3:
             raise FormatError("maps must be a (L, H, W) array")
-        if not np.all(np.isfinite(self.maps)):
+        # min and max are NaN where any value is, and infinite where any is
+        lo, hi = (self.maps.min(), self.maps.max()) if self.maps.size else (0, 0)
+        if not (np.isfinite(lo) and np.isfinite(hi)):
             raise NumericError("non-finite probability map value")
-        if np.any(self.maps < 0):
+        if lo < 0:
             raise FormatError("negative probability map value")
 
     @property
@@ -296,11 +299,12 @@ def read_maps(path) -> ProbabilityMaps:
             raise FormatError(f"unsupported map file version {version}")
         if L <= 0 or H <= 0 or W <= 0:
             raise FormatError("bad map file dimensions")
-        payload = fh.read()
-    expected = L * H * W * 4
-    if len(payload) != expected:
-        raise FormatError(
-            f"map payload has {len(payload)} bytes, header implies {expected}"
-        )
-    arr = np.frombuffer(payload, dtype="<f4").reshape(L, H, W)
-    return ProbabilityMaps(arr.copy())
+        expected = L * H * W * 4
+        # the size check comes before the allocation a bad header would size
+        size = os.fstat(fh.fileno()).st_size - len(head)
+        if size != expected:
+            raise FormatError(f"map payload has {size} bytes, header implies {expected}")
+        maps = np.empty((L, H, W), dtype="<f4")
+        if fh.readinto(maps) != expected:
+            raise FormatError("map payload ended early")
+    return ProbabilityMaps(maps)

@@ -175,8 +175,11 @@ def load_model(path) -> CascadeModel:
             )
             for pi in range(sm["parts"])
         ]
-        stages.append(PartsStage(parts=parts, shrinkage=sm["shrinkage"],
-                                 scale=sm["scale"]))
+        try:
+            stages.append(PartsStage(parts=parts, shrinkage=sm["shrinkage"],
+                                     scale=sm["scale"]))
+        except (ValueError, IndexError) as exc:
+            raise FormatError(f"stage {si}: {exc}") from None
     return CascadeModel(
         stages=stages,
         init_mode=header["init_mode"],

@@ -40,6 +40,11 @@ STEP_TOL = 1e-6
 # faces whose maps consensus_inits holds at once; a 24x160x160 float32
 # raster read from a .fapm file is 2.5 MB
 INIT_CHUNK = 32
+_EYE3 = np.eye(3)
+_EYE6 = np.eye(6)
+_EYE3.flags.writeable = _EYE6.flags.writeable = False
+# component k of a x b is a[_NEXT[k]] b[_PREV[k]] - a[_PREV[k]] b[_NEXT[k]]
+_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
 
 
 @dataclass
@@ -100,7 +105,7 @@ class Model3D:
 
 def _rotations_ok(R: np.ndarray) -> np.ndarray:
     """(B, 3, 3) -> (B,) bool: orthonormal within tolerance, det not negative."""
-    err = np.abs(R @ R.transpose(0, 2, 1) - np.eye(3)).max(axis=(1, 2))
+    err = np.abs(R @ R.transpose(0, 2, 1) - _EYE3).max(axis=(1, 2))
     return ~(err > ORTHONORMAL_TOL) & ~(np.linalg.det(R) < 0)
 
 
@@ -229,12 +234,13 @@ def _exp_so3(w: np.ndarray) -> np.ndarray:
     K = np.zeros((len(w), 3, 3))
     K[:, 0, 1], K[:, 0, 2], K[:, 1, 2] = -w[:, 2], w[:, 1], -w[:, 0]
     K[:, 1, 0], K[:, 2, 0], K[:, 2, 1] = w[:, 2], -w[:, 1], w[:, 0]
-    theta = np.linalg.norm(w, axis=1)
+    # np.linalg.norm(w, axis=1) without its checks: the same sum and sqrt
+    theta = np.sqrt(np.add.reduce(w * w, axis=1))
     small = theta < 1e-12
     th = np.where(small, 1.0, theta)
     a = np.where(small, 1.0, np.sin(th) / th)[:, None, None]
     b = np.where(small, 0.0, (1 - np.cos(th)) / th**2)[:, None, None]
-    return np.eye(3) + a * K + b * (K @ K)
+    return _EYE3 + a * K + b * (K @ K)
 
 
 def fit_pose(coords2d: np.ndarray, points3d: np.ndarray,
@@ -275,7 +281,7 @@ def fit_poses(coords2d: np.ndarray, points3d: np.ndarray,
     c = np.full((B, 2), center, dtype=np.float64)
     focal = np.full(B, focal, dtype=np.float64)
     reason = np.full(B, None, dtype=object)
-    R = np.tile(np.eye(3), (B, 1, 1))
+    R = np.tile(_EYE3, (B, 1, 1))
     s = np.ones(B)
     txy = np.zeros((B, 2))  # scaled in-plane offset: uv = c + s * (R X)_xy + txy
 
@@ -285,14 +291,16 @@ def fit_poses(coords2d: np.ndarray, points3d: np.ndarray,
     U, S, Vt = np.linalg.svd(Xc, full_matrices=False)
     tol = 1e-9 * np.maximum(1.0, np.abs(Xc).max(axis=(1, 2)))
     full_rank = (S > tol[:, None]).sum(axis=1) == 3
-    reason[~full_rank] = "degenerate (coplanar) 3D configuration"
+    if not full_rank.all():
+        reason[~full_rank] = "degenerate (coplanar) 3D configuration"
     a = np.flatnonzero(full_rank)
     rel = uv[a] - uv[a].mean(axis=1, keepdims=True)
     IJ = Vt[a].transpose(0, 2, 1) @ ((U[a].transpose(0, 2, 1) @ rel) / S[a, :, None])
     ni = np.linalg.norm(IJ[..., 0], axis=1)
     nj = np.linalg.norm(IJ[..., 1], axis=1)
     bad = ~(ni > 0) | ~(nj > 0)
-    reason[a[bad]] = "degenerate orthographic estimate"
+    if bad.any():
+        reason[a[bad]] = "degenerate orthographic estimate"
     a, IJ, ni, nj = a[~bad], IJ[~bad], ni[~bad], nj[~bad]
     s[a] = np.sqrt(ni * nj)
     # orthonormalise the rows [I, J, I x J] by SVD, flipping the last
@@ -316,23 +324,20 @@ def fit_poses(coords2d: np.ndarray, points3d: np.ndarray,
             reason[a[bad]] = "pose iteration diverged"
             a, Xa, Ra, sa, proj, r = (v[~bad] for v in (a, Xa, Ra, sa, proj, r))
         # parameters: rotation increment (3), txy (2), scale (1); row k of
-        # d(R X)/dw = -R skew(X) is X x R[k], for the image rows k = 0, 1
-        Jac = np.zeros((len(a), n, 2, 6))
-        x0, x1, x2 = (Xa[:, :, None, k] for k in range(3))
-        r0, r1, r2 = (Ra[:, None, :2, k] for k in range(3))
-        Jac[..., 0] = x1 * r2 - x2 * r1
-        Jac[..., 1] = x2 * r0 - x0 * r2
-        Jac[..., 2] = x0 * r1 - x1 * r0
-        Jac[..., 0:3] *= sa[:, None, None, None]
-        Jac[:, :, 0, 3] = 1.0
-        Jac[:, :, 1, 4] = 1.0
-        Jac[:, :, 0, 5] = proj[..., 0]
-        Jac[:, :, 1, 5] = proj[..., 1]
+        # d(R X)/dw = -R skew(X) is X x R[k], for the image rows k = 0, 1,
+        # written out with permuted components (np.cross costs more here)
+        Xl, Rk = Xa[:, :, None, :], Ra[:, None, :2, :]
+        Jac = np.empty((len(a), n, 2, 6))
+        Jac[..., 0:3] = ((Xl[..., _NEXT] * Rk[..., _PREV] - Xl[..., _PREV] * Rk[..., _NEXT])
+                         * sa[:, None, None, None])
+        Jac[..., 3:5] = _EYE3[:2, :2]
+        Jac[..., 5] = proj[..., :2]
         Jac = Jac.reshape(-1, 2 * n, 6)
         Jt = Jac.transpose(0, 2, 1)
         A = Jt @ Jac
         singular = ~(np.linalg.det(A) != 0)
-        A[singular] = np.eye(6)
+        if singular.any():
+            A[singular] = _EYE6
         step = np.linalg.solve(A, -(Jt @ r[..., None]))[..., 0]
         bad = singular | ~np.isfinite(step).all(axis=1)
         if bad.any():
@@ -343,8 +348,9 @@ def fit_poses(coords2d: np.ndarray, points3d: np.ndarray,
         txy[a] += step[:, 3:5]
         s[a] += step[:, 5]
         bad = s[a] <= 0
-        reason[a[bad]] = "negative projection scale"
-        a = a[~bad & ~(np.linalg.norm(step, axis=1) < STEP_TOL)]
+        if bad.any():
+            reason[a[bad]] = "negative projection scale"
+        a = a[~bad & ~(np.sqrt(np.add.reduce(step * step, axis=1)) < STEP_TOL)]
 
     ok = np.array([m is None for m in reason], dtype=bool)
     t = np.zeros((B, 3))

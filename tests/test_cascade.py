@@ -36,6 +36,7 @@ from facealign.pipeline import RunConfig, train_model
 from facealign.pose import anchor_shape, bbox_center, mean_shape_init, robust_init
 from facealign.shapes import Dataset
 from facealign.synthetic import CorpusConfig, SyntheticMapSource, generate_corpus
+from oracles import apply_stage_per_part
 
 
 def cand(tau, p1=0, p2=1, landmark=0):
@@ -507,6 +508,49 @@ class TestApplyStage:
                       tiny_corpus.samples[0].bbox)
         v = out.shape.visibility
         assert v.min() >= 1.0 - 1e-15 and v.max() <= 1.0
+
+
+class TestStageForest:
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           sizes=st.lists(st.integers(1, 4), min_size=1, max_size=4),
+           K=st.integers(1, 5), n=st.integers(1, 4), max_depth=st.integers(0, 4),
+           uncovered=st.integers(0, 3), with_vis=st.booleans())
+    def test_equals_per_part(self, seed, sizes, K, n, max_depth, uncovered, with_vis):
+        # one traversal of the stage forest and one gather give bitwise the
+        # coords and visibility of applying each part on its own: parts of
+        # unequal size with unsorted landmark ids, single-leaf trees mixed
+        # in, landmarks no part covers
+        r = np.random.default_rng(seed)
+        M, L = 43, sum(sizes) + uncovered
+        ids = r.permutation(L)
+        parts = []
+        for lo, m in zip(np.cumsum([0] + sizes), sizes):
+            trees = [random_tree(r, m, M, max_depth) if r.random() < 0.7 else
+                     dataclasses.replace(single_leaf_tree(m),
+                                         leaf_residual=r.normal(size=(1, 2 * m)),
+                                         leaf_visibility=r.uniform(size=(1, m)))
+                     for _ in range(K)]
+            parts.append(PartModel(ids[lo:lo + m], trees))
+        stage = PartsStage(parts, float(r.uniform(0.05, 1.0)), 1.0)
+        V = r.uniform(size=(n, L, M))
+        coords = r.uniform(0, 160, size=(n, L, 2))
+        vis = r.uniform(size=(n, L)) if with_vis else None
+        want_coords, want_vis = coords.copy(), None if vis is None else vis.copy()
+        apply_stage_per_part(stage, V, want_coords, want_vis)
+        apply_stage(stage, V, coords, vis)
+        np.testing.assert_array_equal(coords, want_coords)
+        np.testing.assert_array_equal(vis, want_vis)
+
+    @pytest.mark.parametrize("counts, landmarks", [
+        ((2, 3), ([0, 1], [2, 3])),   # tree counts differ
+        ((2, 2), ([0, 1], [1, 2])),   # landmark 1 in both parts
+    ])
+    def test_rejects_parts_it_cannot_fuse(self, counts, landmarks):
+        parts = [PartModel(np.array(lm), [single_leaf_tree(2)] * k)
+                 for k, lm in zip(counts, landmarks)]
+        with pytest.raises(ValueError):
+            PartsStage(parts, 0.1, 1.0)
 
 
 class TestStoppingRule:

@@ -1,10 +1,11 @@
 import json
+import struct
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from facealign.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, run
+from facealign.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, run
 from facealign.errors import DataError
 from facealign.pipeline import RunConfig
 
@@ -310,3 +311,22 @@ class TestPipelineCommands:
                   "--out", str(out2)])
         assert rc == EXIT_OK
         assert (out2 / "model.facm").exists()
+
+    @pytest.mark.parametrize("damage, code, message", [
+        ("nan", EXIT_NUMERIC, "non-finite probability map value"),
+        ("truncate", EXIT_DATA, "header implies"),
+    ])
+    def test_eval_on_a_bad_map_file(self, workdir, tmp_path, capsys, damage, code, message):
+        _, cfg, out = workdir
+        faces = tmp_path / "faces"
+        assert run(["synth", "--config", str(cfg), "--count", "2",
+                    "--out", str(faces)]) == EXIT_OK
+        path = sorted((faces / "maps").iterdir())[0]
+        data = path.read_bytes()
+        path.write_bytes(data[:-4] + struct.pack("<f", float("nan")) if damage == "nan"
+                         else data[:-4])
+        rc = run(["eval", "--config", str(cfg), "--dataset", str(faces / "annotations.jsonl"),
+                  "--maps-dir", str(faces / "maps"), "--model", str(out / "model.facm"),
+                  "--out", str(tmp_path / "eval")])
+        assert rc == code
+        assert message in capsys.readouterr().err

@@ -1,14 +1,19 @@
+import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from facealign.errors import FormatError, NumericError
 from facealign.features import FreakPattern, extract_pattern_values
 from facealign.heatmaps import (
+    MAP_MAGIC,
+    MAP_VERSION,
     BlobMaps,
     GrayMaps,
     ProbabilityMaps,
@@ -24,7 +29,7 @@ from facealign.heatmaps import (
 )
 from facealign.shapes import Sample, Shape, TransformParams
 from facealign.synthetic import FileMapSource
-from oracles import map_values
+from oracles import map_value_error, map_values
 
 
 def test_maps_validation():
@@ -228,6 +233,71 @@ class TestMapFiles:
         p.write_bytes(bytes(data))
         with pytest.raises(FormatError):
             read_maps(p)
+
+
+    @staticmethod
+    def raw_file(path, values, dims=None):
+        """A map file with any float32 payload, written past
+        ProbabilityMaps' checks; dims overrides the header's (L, H, W)."""
+        values = np.asarray(values, dtype="<f4")
+        L, H, W = values.shape if dims is None else dims
+        path.write_bytes(MAP_MAGIC + struct.pack("<iiii", MAP_VERSION, L, H, W)
+                         + values.tobytes())
+        return path
+
+    def test_trailing_bytes(self, tmp_path):
+        p = tmp_path / "m.fapm"
+        write_maps(ProbabilityMaps(np.ones((2, 4, 4))), p)
+        p.write_bytes(p.read_bytes() + b"\0\0\0\0")
+        with pytest.raises(FormatError):
+            read_maps(p)
+
+    def test_header_claiming_more_than_the_file_allocates_nothing(self, tmp_path):
+        # a header claiming 4 GiB over a 128-byte payload
+        p = self.raw_file(tmp_path / "m.fapm", np.ones((2, 4, 4)), dims=(64, 4096, 4096))
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError):
+                read_maps(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_payload_is_numeric_error(self, tmp_path, value):
+        values = np.ones((2, 4, 4))
+        values[1, 2, 3] = value
+        with pytest.raises(NumericError):
+            read_maps(self.raw_file(tmp_path / "m.fapm", values))
+
+    def test_negative_payload_is_format_error(self, tmp_path):
+        values = np.ones((2, 4, 4))
+        values[0, 0, 1] = -1e-30
+        with pytest.raises(FormatError):
+            read_maps(self.raw_file(tmp_path / "m.fapm", values))
+
+    def test_negative_zero_accepted(self, tmp_path):
+        values = np.ones((2, 4, 4))
+        values[1, 3, 3] = -0.0
+        out = read_maps(self.raw_file(tmp_path / "m.fapm", values)).maps
+        np.testing.assert_array_equal(out, values)
+        assert np.signbit(out[1, 3, 3])
+
+    @settings(max_examples=200, deadline=None)
+    @given(maps=hnp.arrays(
+        st.sampled_from([np.float32, np.float64]),
+        hnp.array_shapes(min_dims=3, max_dims=3, min_side=0, max_side=4),
+        elements=st.floats(width=32)))
+    def test_value_rule_matches_oracle(self, maps):
+        # min/max decide as the elementwise isfinite and < 0 scans do,
+        # empty rasters included
+        want = map_value_error(maps)
+        if want is None:
+            ProbabilityMaps(maps)
+        else:
+            with pytest.raises(want):
+                ProbabilityMaps(maps)
 
 
 def ref_blob_centres(coords, visibility, annotated, cfg, rng, size):

@@ -107,16 +107,49 @@ class TestCorruption:
             load_model(p)
 
 
-def with_header_version(path, version):
-    """Rewrite a model file's header version, with a valid checksum."""
+def rewrite_model(path, edit):
+    """Rewrite a model file through edit(header, arrays), which may change
+    the header and replace arrays; the payload and checksum are rebuilt."""
     raw = path.read_bytes()[:-32]
     off = len(MODEL_MAGIC)
     (hlen,) = struct.unpack("<q", raw[off:off + 8])
     header = json.loads(raw[off + 8:off + 8 + hlen])
-    header["version"] = version
+    arrays, pos = {}, off + 8 + hlen
+    for e in header["arrays"]:
+        dt = np.dtype(e["dtype"])
+        size = dt.itemsize * int(np.prod(e["shape"]))
+        arrays[e["name"]] = np.frombuffer(raw[pos:pos + size], dt).reshape(e["shape"])
+        pos += size
+    edit(header, arrays)
+    header["arrays"] = [{"name": k, "dtype": a.dtype.str, "shape": list(a.shape)}
+                        for k, a in arrays.items()]
     hb = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    body = MODEL_MAGIC + struct.pack("<q", len(hb)) + hb + raw[off + 8 + hlen:]
+    body = (MODEL_MAGIC + struct.pack("<q", len(hb)) + hb
+            + b"".join(np.ascontiguousarray(a).tobytes() for a in arrays.values()))
     path.write_bytes(body + hashlib.sha256(body).digest())
+
+
+def with_header_version(path, version):
+    """Rewrite a model file's header version, with a valid checksum."""
+    rewrite_model(path, lambda header, arrays: header.update(version=version))
+
+
+def drop_last_tree(header, arrays):
+    # the second part of the fine stage keeps one tree fewer than the others
+    arrays["s1/p1/roots"] = arrays["s1/p1/roots"][:-1]
+
+
+def share_a_landmark(header, arrays):
+    lm = arrays["s1/p1/landmarks"].copy()
+    lm[0] = arrays["s1/p0/landmarks"][0]
+    arrays["s1/p1/landmarks"] = lm
+
+
+# stage layouts apply_stage cannot fuse into one traversal
+BAD_STAGES = pytest.mark.parametrize("edit, message", [
+    (drop_last_tree, "same tree count"),
+    (share_a_landmark, "share a landmark"),
+])
 
 
 class TestVersion:
@@ -138,3 +171,25 @@ class TestVersion:
         with_header_version(p, 1)
         assert run(args) == EXIT_DATA
         assert "unsupported model version 1" in capsys.readouterr().err
+
+
+class TestStageLayout:
+    @BAD_STAGES
+    def test_rejected(self, trained, tmp_path, edit, message):
+        p = tmp_path / "bad.facm"
+        save_model(trained[0], p)
+        assert [len(st.parts) for st in trained[0].stages] == [1, 10]
+        rewrite_model(p, edit)
+        with pytest.raises(FormatError, match=message):
+            load_model(p)
+
+    @BAD_STAGES
+    def test_predict_cli_exits_2(self, trained, tiny_corpus, tmp_path, capsys, edit, message):
+        ann = tmp_path / "faces.jsonl"
+        save_dataset(tiny_corpus, ann)
+        p = tmp_path / "bad.facm"
+        save_model(trained[0], p)
+        rewrite_model(p, edit)
+        assert run(["predict", "--model", str(p), "--dataset", str(ann),
+                    "--out", str(tmp_path / "out")]) == EXIT_DATA
+        assert message in capsys.readouterr().err
