@@ -159,8 +159,8 @@ class PartsStage:
     into one forest over global landmark ids, so ``apply_stage`` traverses
     a stage once; ``forest.landmarks`` lists the covered landmarks part
     after part, and its leaf rows are each part's padded to the widest.
-    ValueError for parts with different tree counts, a shared landmark or
-    leaf rows of the wrong width.
+    ValueError for no parts, parts with different tree counts, a shared
+    landmark or leaf rows of the wrong width.
     """
 
     parts: list[PartModel]
