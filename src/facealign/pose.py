@@ -447,20 +447,16 @@ def robust_inits(maps_list, model: Model3D, Z: int = 25, subset_size: int = 6,
 def consensus_inits(samples, maps_for, model: Model3D, Z: int, subset_size: int,
                     seed: int) -> list[InitResult | None]:
     """robust_inits over samples, each centred on its bbox, requesting the
-    maps of at most INIT_CHUNK faces at a time. maps_for(sample) may return
-    None for a face without usable maps; that face's result is None, as for
-    a face on which every hypothesis failed.
+    maps of at most INIT_CHUNK faces at a time.
     """
     out = []
     for lo in range(0, len(samples), INIT_CHUNK):
         chunk = samples[lo:lo + INIT_CHUNK]
         maps = [maps_for(s) for s in chunk]
-        have = [(m, bbox_center(s.bbox)) for s, m in zip(chunk, maps) if m is not None]
-        fitted = iter(robust_inits([m for m, _ in have], model, Z, subset_size, seed,
-                                   [c for _, c in have]))
-        out += [None if m is None else next(fitted) for m in maps]
+        out += robust_inits(maps, model, Z, subset_size, seed,
+                            [bbox_center(s.bbox) for s in chunk])
         # drop this chunk's maps before the next chunk's are requested
-        del maps, have
+        del maps
     return out
 
 

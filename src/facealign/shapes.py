@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -113,32 +113,11 @@ class Shape:
 
 
 @dataclass
-class TransformParams:
-    """Image-space augmentation recorded as metadata, not applied in place."""
-
-    rotation_deg: float = 0.0
-    scale: float = 1.0
-    translation: tuple[float, float] = (0.0, 0.0)
-    mirror: bool = False
-    occlusion_rects: list[tuple[float, float, float, float]] = field(default_factory=list)
-
-    def is_identity(self) -> bool:
-        return (
-            self.rotation_deg == 0.0
-            and self.scale == 1.0
-            and self.translation == (0.0, 0.0)
-            and not self.mirror
-            and not self.occlusion_rects
-        )
-
-
-@dataclass
 class Sample:
     image_ref: str
     ground_truth: Shape
     bbox: tuple[float, float, float, float]  # x, y, w, h
     initial: Shape | None = None
-    transform: TransformParams | None = None
     source_index: int | None = None          # index of the source sample when augmented
     pose: object | None = None               # RigidPose estimated for this sample, if any
 
@@ -266,28 +245,20 @@ def split_train_val(dataset: Dataset, val_fraction: float, seed: int):
 
 @dataclass
 class AugmentConfig:
-    """Bounds for pose-noise and image-space augmentations.
+    """Bounds for pose-noise and occlusion augmentation.
 
     Angle noise (degrees) perturbs the estimated rigid pose to generate new
-    initial shapes; the remaining fields are recorded as TransformParams on
-    the augmented samples.
+    initial shapes; with probability occlusion_prob a square occluder of
+    side occlusion_frac * min(w, h) inside the bbox hides the ground-truth
+    landmarks it covers.
     """
 
     yaw_noise: float = 0.0
     pitch_noise: float = 0.0
     roll_noise: float = 0.0
-    rotation_range: float = 0.0       # in-plane, degrees
-    scale_range: float = 0.0          # fraction, e.g. 0.15 for +/-15%
-    translation_range: float = 0.0    # fraction of bbox size
-    mirror_prob: float = 0.0
     occlusion_prob: float = 0.0
     occlusion_frac: float = 0.25      # occluder side as fraction of bbox size
     model3d: object | None = None     # Model3D used to re-project perturbed poses
-    focal: float | None = None
-
-    @classmethod
-    def zero(cls) -> "AugmentConfig":
-        return cls()
 
     @classmethod
     def paper_defaults(cls, model3d=None) -> "AugmentConfig":
@@ -295,40 +266,9 @@ class AugmentConfig:
             yaw_noise=15.0,
             pitch_noise=15.0,
             roll_noise=15.0,
-            rotation_range=45.0,
-            scale_range=0.15,
-            translation_range=0.05,
-            mirror_prob=0.5,
             occlusion_prob=0.3,
             model3d=model3d,
         )
-
-
-def mirror_coords(coords: np.ndarray, bbox, schema: LandmarkSchema) -> np.ndarray:
-    """Reflect about the bbox's vertical center line and swap paired landmarks."""
-    x, _, w, _ = bbox
-    out = coords[schema.mirror].copy()
-    out[:, 0] = 2.0 * x + w - out[:, 0]
-    return out
-
-
-def apply_transform(coords: np.ndarray, transform: TransformParams, bbox,
-                    schema: LandmarkSchema) -> np.ndarray:
-    """Map annotation-frame coordinates into the augmented sample's frame."""
-    out = np.asarray(coords, dtype=np.float64).copy()
-    if transform.mirror:
-        out = mirror_coords(out, bbox, schema)
-    x, y, w, h = bbox
-    cx, cy = x + w / 2.0, y + h / 2.0
-    a = math.radians(transform.rotation_deg)
-    ca, sa = math.cos(a), math.sin(a)
-    rel = out - (cx, cy)
-    rot = np.stack(
-        [ca * rel[:, 0] - sa * rel[:, 1], sa * rel[:, 0] + ca * rel[:, 1]], axis=1
-    )
-    rot *= transform.scale
-    rot += (cx + transform.translation[0] * w, cy + transform.translation[1] * h)
-    return rot
 
 
 def _perturbed_initial(sample, cfg, rng):
@@ -347,34 +287,18 @@ def _perturbed_initial(sample, cfg, rng):
     return Shape(coords, vis, np.ones(len(vis), dtype=np.uint8))
 
 
-def _random_transform(sample, cfg, rng):
-    t = TransformParams(
-        rotation_deg=float(rng.uniform(-cfg.rotation_range, cfg.rotation_range)),
-        scale=float(1.0 + rng.uniform(-cfg.scale_range, cfg.scale_range)),
-        translation=(
-            float(rng.uniform(-cfg.translation_range, cfg.translation_range)),
-            float(rng.uniform(-cfg.translation_range, cfg.translation_range)),
-        ),
-        mirror=bool(rng.random() < cfg.mirror_prob),
-    )
-    if rng.random() < cfg.occlusion_prob:
-        x, y, w, h = sample.bbox
-        side = cfg.occlusion_frac * min(w, h)
-        ox = float(rng.uniform(x, x + w - side))
-        oy = float(rng.uniform(y, y + h - side))
-        t.occlusion_rects.append((ox, oy, side, side))
-    return t
-
-
-def _occlude_visibility(shape: Shape, rects) -> None:
-    for (ox, oy, ow, oh) in rects:
-        inside = (
-            (shape.coords[:, 0] >= ox)
-            & (shape.coords[:, 0] <= ox + ow)
-            & (shape.coords[:, 1] >= oy)
-            & (shape.coords[:, 1] <= oy + oh)
-        )
-        shape.visibility[inside] = 0.0
+def _occlude(shape: Shape, bbox, cfg, rng) -> None:
+    """With probability occlusion_prob, zero the visibility of the landmarks
+    under a square occluder drawn uniformly inside bbox."""
+    if rng.random() >= cfg.occlusion_prob:
+        return
+    x, y, w, h = bbox
+    side = cfg.occlusion_frac * min(w, h)
+    ox = rng.uniform(x, x + w - side)
+    oy = rng.uniform(y, y + h - side)
+    c = shape.coords
+    inside = (c[:, 0] >= ox) & (c[:, 0] <= ox + side) & (c[:, 1] >= oy) & (c[:, 1] <= oy + side)
+    shape.visibility[inside] = 0.0
 
 
 def augment(dataset: Dataset, target_count: int, noise_cfg: AugmentConfig,
@@ -382,9 +306,9 @@ def augment(dataset: Dataset, target_count: int, noise_cfg: AugmentConfig,
     """Grow the training set to >= target_count samples.
 
     The originals are kept verbatim.  Each extra sample reuses a source
-    sample's image and ground-truth coordinates; only the initial shape
-    (pose-noise re-projection), the ground-truth visibility under synthetic
-    occluders, and the recorded TransformParams differ.
+    sample's image, maps and ground-truth coordinates; only the initial
+    shape (pose-noise re-projection) and the ground-truth visibility under
+    a synthetic occluder differ.
     """
     n = len(dataset)
     if n == 0:
@@ -397,14 +321,12 @@ def augment(dataset: Dataset, target_count: int, noise_cfg: AugmentConfig,
         src = dataset.samples[src_idx]
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xA0, j]))
         gt = src.ground_truth.copy()
-        transform = _random_transform(src, noise_cfg, rng)
-        _occlude_visibility(gt, transform.occlusion_rects)
+        _occlude(gt, src.bbox, noise_cfg, rng)
         aug = Sample(
             image_ref=src.image_ref,
             ground_truth=gt,
             bbox=src.bbox,
             initial=_perturbed_initial(src, noise_cfg, rng),
-            transform=transform,
             source_index=src_idx,
             pose=src.pose,
         )

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericError, is_int, is_real, real_range
+from .errors import FormatError, is_int, is_real, real_range
 from .heatmaps import (
     FACE_SIZE,
     BlobMaps,
@@ -144,9 +144,8 @@ class SyntheticMapSource:
 
     Each request draws the sample's blob centres from its ground truth,
     seeded by its image_ref, and nothing is kept between requests; the
-    maps are evaluated only where they are read. Geometric augmentation
-    transforms recorded on samples are not applied here; occlusion-driven
-    visibility changes already degrade the maps via the occluded-dropout
+    maps are evaluated only where they are read. An augmented sample's
+    occluded landmarks lose their maps through the occluded-dropout
     channel.
     """
 
@@ -161,11 +160,10 @@ class SyntheticMapSource:
 
 
 class FileMapSource:
-    """Maps stored one file per image under a directory.
+    """Maps stored one file per image under a directory, read as they are.
 
-    Only the mirror transform is honored (maps flipped and landmark maps
-    permuted); other geometric transforms are pose-noise-era metadata that
-    file-backed corpora do not support.
+    With a schema, a file whose landmark count differs from the schema's
+    raises FormatError.
     """
 
     def __init__(self, directory, schema: LandmarkSchema | None = None):
@@ -176,11 +174,11 @@ class FileMapSource:
         return os.path.join(self.directory, f"{sample.image_ref}.fapm")
 
     def maps_for(self, sample) -> ProbabilityMaps:
-        maps = read_maps(self.path_for(sample))
-        t = sample.transform
-        if t is not None and t.mirror and self.schema is not None:
-            flipped = maps.maps[self.schema.mirror][:, :, ::-1]
-            maps = ProbabilityMaps(np.ascontiguousarray(flipped))
+        path = self.path_for(sample)
+        maps = read_maps(path)
+        if self.schema is not None and maps.landmark_count != self.schema.landmark_count:
+            raise FormatError(f"{path} holds {maps.landmark_count} landmark maps, "
+                              f"the schema has {self.schema.landmark_count}")
         return maps
 
 
@@ -225,20 +223,13 @@ def attach_pose_initials(dataset: Dataset, model: Model3D, map_source,
                          Z: int = 25, subset_size: int = 6, seed: int = 0) -> int:
     """Run the consensus initializer on every sample without an initial,
     storing shape + pose; faces are fitted a chunk at a time
-    (pose.consensus_inits).
+    (pose.consensus_inits). Errors from map_source propagate.
 
-    Returns the number of samples where initialization failed, because
-    every hypothesis failed or maps_for raised NumericError (left for the
-    mean-shape fallback downstream).
+    Returns the number of samples on which every hypothesis failed (left
+    for the mean-shape fallback downstream).
     """
-    def maps_for(sample):
-        try:
-            return map_source.maps_for(sample)
-        except NumericError:
-            return None
-
     todo = [s for s in dataset.samples if s.initial is None]
-    results = consensus_inits(todo, maps_for, model, Z, subset_size, seed)
+    results = consensus_inits(todo, map_source.maps_for, model, Z, subset_size, seed)
     for s, res in zip(todo, results):
         if res is not None:
             s.initial, s.pose = res.shape, res.pose

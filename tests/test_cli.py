@@ -1,12 +1,15 @@
 import json
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from facealign import pipeline
 from facealign.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, run
 from facealign.errors import DataError
+from facealign.heatmaps import ProbabilityMaps, read_maps, write_maps
 from facealign.pipeline import RunConfig
 
 
@@ -178,7 +181,9 @@ class TestConfigErrors:
         assert capsys.readouterr().err.startswith("error: bad corpus config")
 
     @pytest.mark.parametrize("extra", [{"augment_target": 2},
-                                       {"augment_target": 40, "augment": {"bogus": 1}}])
+                                       {"augment_target": 40, "augment": {"bogus": 1}},
+                                       # geometric augmentation is not supported
+                                       {"augment_target": 40, "augment": {"mirror_prob": 0.5}}])
     def test_bad_augmentation_is_data_error(self, faces, extra, capsys):
         cfg = write_config(faces / "bad_aug.json", **extra)
         rc = run(["train", "--config", str(cfg),
@@ -241,6 +246,39 @@ def workdir(tmp_path_factory):
     assert run(["train", "--config", str(cfg), "--dataset", str(ann),
                 "--out", str(out)]) == EXIT_OK
     return d, cfg, out
+
+
+@pytest.fixture(scope="module")
+def map_faces(workdir):
+    """The workdir config's 24 faces with their .fapm map files."""
+    d, cfg, _ = workdir
+    out = d / "map_faces"
+    assert run(["synth", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    return out
+
+
+def damaged_maps(faces, directory, damage):
+    """A maps directory for faces in which the first file is a copy that
+    damage(path) has altered and the others are links to faces' files."""
+    directory.mkdir()
+    first, *rest = sorted((faces / "maps").iterdir())
+    for path in rest:
+        (directory / path.name).symlink_to(path)
+    (directory / first.name).write_bytes(first.read_bytes())
+    damage(directory / first.name)
+    return directory
+
+
+def nan_last_value(path):
+    data = path.read_bytes()
+    path.write_bytes(data[:-4] + struct.pack("<f", float("nan")))
+
+
+def with_landmarks(L):
+    def damage(path):
+        raster = read_maps(path).maps
+        write_maps(ProbabilityMaps(np.resize(raster, (L, *raster.shape[1:]))), path)
+    return damage
 
 
 class TestPipelineCommands:
@@ -330,3 +368,33 @@ class TestPipelineCommands:
                   "--out", str(tmp_path / "eval")])
         assert rc == code
         assert message in capsys.readouterr().err
+
+    def test_train_on_a_bad_map_file_fails_before_the_cascade(self, workdir, map_faces,
+                                                              tmp_path, capsys, monkeypatch):
+        _, cfg, _ = workdir
+        maps = damaged_maps(map_faces, tmp_path / "maps", nan_last_value)
+
+        def not_reached(*args, **kwargs):
+            raise AssertionError("train_cascade ran after the init met a bad map file")
+
+        monkeypatch.setattr(pipeline, "train_cascade", not_reached)
+        rc = run(["train", "--config", str(cfg), "--dataset", str(map_faces / "annotations.jsonl"),
+                  "--maps-dir", str(maps), "--out", str(tmp_path / "out")])
+        assert rc == EXIT_NUMERIC
+        assert "non-finite probability map value" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "model.facm").exists()
+
+    @pytest.mark.parametrize("L", [10, 30])
+    @pytest.mark.parametrize("args", [["train", "--init", "3d"], ["train", "--init", "mean"],
+                                      ["eval"]], ids=["train-3d", "train-mean", "eval"])
+    def test_map_file_with_the_wrong_landmark_count(self, workdir, map_faces, tmp_path,
+                                                    capsys, args, L):
+        _, cfg, out = workdir
+        maps = damaged_maps(map_faces, tmp_path / "maps", with_landmarks(L))
+        if args[0] == "eval":
+            args = args + ["--model", str(out / "model.facm")]
+        rc = run(args + ["--config", str(cfg), "--dataset", str(map_faces / "annotations.jsonl"),
+                         "--maps-dir", str(maps), "--out", str(tmp_path / "out")])
+        assert rc == EXIT_DATA
+        assert f"holds {L} landmark maps, the schema has 24" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "model.facm").exists()

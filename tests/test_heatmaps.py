@@ -27,8 +27,6 @@ from facealign.heatmaps import (
     synthesize_from_shape,
     write_maps,
 )
-from facealign.shapes import Sample, Shape, TransformParams
-from facealign.synthetic import FileMapSource
 from oracles import map_value_error, map_values
 
 
@@ -394,23 +392,13 @@ class TestBlobMaps:
         np.testing.assert_array_equal(blobs.peaks(), [[2.0, 3.0], [0.0, 0.0]])
 
 
-def mirrored_file_maps(raster, schema, directory):
-    """``raster`` as a .fapm file, read back through FileMapSource for a
-    sample whose transform mirrors it."""
-    L = len(raster)
-    write_maps(ProbabilityMaps(raster), Path(directory) / "face.fapm")
-    sample = Sample("face", Shape(np.zeros((L, 2)), np.ones(L), np.ones(L, np.uint8)),
-                    (0.0, 0.0, 1.0, 1.0), transform=TransformParams(mirror=True))
-    return FileMapSource(directory, schema).maps_for(sample)
-
-
 class TestGrayMaps:
     """The gray view reads the max over all landmark maps at the queried
     pixels: bitwise a gather from the ``maps.max(axis=0)`` raster, for
     every kind of map."""
 
     @given(
-        kind=st.sampled_from(["blobs", "file", "mirrored file"]),
+        kind=st.sampled_from(["blobs", "file"]),
         sigma=st.floats(0.2, 10.0),
         floor=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
         L=st.integers(1, 6),
@@ -420,7 +408,7 @@ class TestGrayMaps:
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=150, deadline=None)
-    def test_reads_equal_the_max_raster(self, schema, kind, sigma, floor, L, H, W, M, seed):
+    def test_reads_equal_the_max_raster(self, kind, sigma, floor, L, H, W, M, seed):
         r = np.random.default_rng(seed)
         if kind == "blobs":
             # centres on and off the map; NaN centres are flat floor maps
@@ -428,19 +416,13 @@ class TestGrayMaps:
             centres[r.random(L) < 0.3] = np.nan
             maps = BlobMaps(centres, sigma, floor, (H, W))
         else:
-            if kind == "mirrored file":
-                L = schema.landmark_count
             # float32 values with zeros and repeated maxima
             raster = r.choice([0.0, 0.5, 1.0, r.random()], size=(L, H, W))
             raster = np.where(r.random((L, H, W)) < 0.5, r.random((L, H, W)), raster)
             raster = raster.astype(np.float32)
             with tempfile.TemporaryDirectory() as d:
-                if kind == "file":
-                    write_maps(ProbabilityMaps(raster), Path(d) / "face.fapm")
-                    maps = read_maps(Path(d) / "face.fapm")
-                else:
-                    maps = mirrored_file_maps(raster, schema, d)
-                    np.testing.assert_array_equal(maps.maps, raster[schema.mirror][:, :, ::-1])
+                write_maps(ProbabilityMaps(raster), Path(d) / "face.fapm")
+                maps = read_maps(Path(d) / "face.fapm")
             assert maps.maps.dtype == np.float32
         # the (landmark, pattern point) layout features read, pixels up to
         # 3 px off every side of the map

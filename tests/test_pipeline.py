@@ -37,6 +37,29 @@ def test_train_model_leaves_caller_samples_alone(model3d, schema, tmp_path):
     assert (tmp_path / "a.facm").read_bytes() == (tmp_path / "b.facm").read_bytes()
 
 
+@pytest.mark.parametrize("maps_source", ["synthetic", "files"])
+def test_augmented_training_is_reproducible(model3d, schema, tmp_path, maps_source):
+    cfg = RunConfig(corpus={"count": 30, "seed": 8}, synth={"coordinate_noise_sigma": 0.5},
+                    train={"T": 2, "K1": 4, "K2": 3, "depth": 2,
+                           "candidates_per_node": 10, "shrinkage": 0.4, "Z": 5},
+                    seed=4, init_mode="3d", val_fraction=0.2)
+    ds = generate_corpus(model3d, schema, cfg.corpus_config())
+    if maps_source == "files":
+        write_corpus(ds, cfg.synth_config(), tmp_path / "corpus", cfg.corpus_config())
+        cfg = replace(cfg, maps_source="files", maps_dir=str(tmp_path / "corpus" / "maps"))
+    before = [(s.initial, s.pose, s.ground_truth.visibility.copy()) for s in ds.samples]
+    aug_cfg = replace(cfg, augment_target=40,
+                      augment={"yaw_noise": 10.0, "pitch_noise": 10.0, "roll_noise": 10.0,
+                               "occlusion_prob": 0.5})
+    for name, run_cfg in (("a", aug_cfg), ("b", aug_cfg), ("plain", cfg)):
+        save_model(train_model(run_cfg, ds), tmp_path / f"{name}.facm")
+    assert (tmp_path / "a.facm").read_bytes() == (tmp_path / "b.facm").read_bytes()
+    assert (tmp_path / "a.facm").read_bytes() != (tmp_path / "plain.facm").read_bytes()
+    for s, (initial, pose, vis) in zip(ds.samples, before):
+        assert s.initial is initial and s.pose is pose
+        np.testing.assert_array_equal(s.ground_truth.visibility, vis)
+
+
 @pytest.mark.parametrize("feature_mode", ["heatmap", "gray"])
 def test_training_builds_no_raster(model3d, schema, monkeypatch, feature_mode):
     # more faces than the 256 maps a cache once held: every face is served

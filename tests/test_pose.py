@@ -458,15 +458,14 @@ class TestRobustInitOracle:
 
 
 MAP_SIZES = ((160, 160), (120, 150), (96, 112))
-FACE_KINDS = ("clean", "outliers", "all_fail", "no_maps")
+FACE_KINDS = ("clean", "outliers", "all_fail")
 
 
 def make_faces(model, kinds, seed):
     """One face per kind: BlobMaps of a random pose of the model in a map of
     random size, plus a bbox whose centre is off the map centre. Outlier
     faces move up to 11 peaks anywhere on the map; all-fail faces have only
-    flat maps (NaN centres), whose peaks all sit at the origin; no_maps
-    faces have None for maps."""
+    flat maps (NaN centres), whose peaks all sit at the origin."""
     r = np.random.default_rng(seed)
     L = model.landmark_count
     maps, bboxes = [], []
@@ -482,7 +481,7 @@ def make_faces(model, kinds, seed):
             centres[r.choice(L, k, replace=False)] = r.uniform(0, [W - 1, H - 1], (k, 2))
         elif kind == "all_fail":
             centres[:] = np.nan
-        maps.append(None if kind == "no_maps" else BlobMaps(centres, 3.0, 0.0, (H, W)))
+        maps.append(BlobMaps(centres, 3.0, 0.0, (H, W)))
         w, h = r.uniform(40, 90, 2)
         bboxes.append((c[0] - w / 2.0, c[1] - h / 2.0, w, h))
     return maps, bboxes
@@ -506,7 +505,7 @@ def assert_same_init(got, maps, model, Z, subset_size, seed, center):
 
 
 face_sets = st.tuples(
-    st.lists(st.sampled_from(FACE_KINDS[:3]), min_size=1, max_size=9),
+    st.lists(st.sampled_from(FACE_KINDS), min_size=1, max_size=9),
     st.integers(0, 2**32 - 1),
 )
 
@@ -554,10 +553,7 @@ class TestRobustInits:
             assert seen == min((k + 1) * chunk, len(samples))
             assert fitted <= chunk
         for res, m, b in zip(got, maps, bboxes):
-            if m is None:
-                assert res is None
-            else:
-                assert_same_init(res, m, model3d, Z, 5, seed, bbox_center(b))
+            assert_same_init(res, m, model3d, Z, 5, seed, bbox_center(b))
 
     def test_full_chunks_and_a_partial_one(self, model3d):
         kinds = ["clean", "outliers", "all_fail"] * 23

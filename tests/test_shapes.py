@@ -2,8 +2,6 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from facealign.errors import ParseError, SchemaError
 from facealign.shapes import (
@@ -12,11 +10,8 @@ from facealign.shapes import (
     LandmarkSchema,
     Sample,
     Shape,
-    TransformParams,
-    apply_transform,
     augment,
     load_dataset,
-    mirror_coords,
     save_dataset,
     split_train_val,
 )
@@ -165,7 +160,7 @@ class TestSplit:
 
 class TestAugment:
     def test_zero_noise_target_n_is_identity(self, tiny_corpus):
-        out = augment(tiny_corpus, len(tiny_corpus), AugmentConfig.zero(), 0)
+        out = augment(tiny_corpus, len(tiny_corpus), AugmentConfig(), 0)
         assert len(out) == len(tiny_corpus)
         for a, b in zip(out.samples, tiny_corpus.samples):
             assert a is b  # originals verbatim
@@ -177,60 +172,41 @@ class TestAugment:
         extra = out.samples[n:]
         for j, s in enumerate(extra):
             assert s.source_index == j % n
-            assert s.transform is not None
             src = tiny_corpus.samples[j % n]
-            # ground truth coordinates are shared with the source image
+            # image, box and ground-truth coordinates are the source's
+            assert s.image_ref == src.image_ref and s.bbox == src.bbox
             np.testing.assert_array_equal(s.ground_truth.coords, src.ground_truth.coords)
 
     def test_occlusion_zeroes_visibility(self, tiny_corpus):
-        cfg = AugmentConfig(occlusion_prob=1.0, occlusion_frac=0.5)
-        out = augment(tiny_corpus, len(tiny_corpus) + 30, cfg, 0)
-        extra = out.samples[len(tiny_corpus):]
-        hit = False
-        for s in extra:
-            assert len(s.transform.occlusion_rects) == 1
-            (ox, oy, ow, oh) = s.transform.occlusion_rects[0]
-            c = s.ground_truth.coords
-            inside = (
-                (c[:, 0] >= ox) & (c[:, 0] <= ox + ow)
-                & (c[:, 1] >= oy) & (c[:, 1] <= oy + oh)
-            )
-            assert np.all(s.ground_truth.visibility[inside] == 0.0)
-            hit = hit or inside.any()
-        assert hit
+        n = len(tiny_corpus)
+        for frac in (0.25, 0.5):
+            cfg = AugmentConfig(occlusion_prob=1.0, occlusion_frac=frac)
+            hit = 0
+            for s in augment(tiny_corpus, n + 30, cfg, 0).samples[n:]:
+                vis = tiny_corpus.samples[s.source_index].ground_truth.visibility
+                fell = (vis > 0) & (s.ground_truth.visibility == 0)
+                # every other landmark keeps the source's visibility
+                np.testing.assert_array_equal(s.ground_truth.visibility[~fell], vis[~fell])
+                if fell.any():
+                    # the hidden landmarks fit under one occluder
+                    c = s.ground_truth.coords[fell]
+                    _, _, w, h = s.bbox
+                    assert np.all(c.max(axis=0) - c.min(axis=0) <= frac * min(w, h))
+                    hit += 1
+            assert hit
+        cfg = AugmentConfig(yaw_noise=10.0, occlusion_frac=0.5)
+        for s in augment(tiny_corpus, n + 30, cfg, 0).samples[n:]:
+            np.testing.assert_array_equal(
+                s.ground_truth.visibility,
+                tiny_corpus.samples[s.source_index].ground_truth.visibility)
 
-    def test_deterministic(self, tiny_corpus):
-        cfg = AugmentConfig.paper_defaults()
+    def test_deterministic(self, tiny_corpus, model3d):
+        cfg = AugmentConfig.paper_defaults(model3d)
         a = augment(tiny_corpus, 45, cfg, 3)
         b = augment(tiny_corpus, 45, cfg, 3)
         for x, y in zip(a.samples[30:], b.samples[30:]):
-            assert x.transform.rotation_deg == y.transform.rotation_deg
-            assert x.transform.mirror == y.transform.mirror
+            np.testing.assert_array_equal(x.initial.coords, y.initial.coords)
+            np.testing.assert_array_equal(x.initial.visibility, y.initial.visibility)
             np.testing.assert_array_equal(
                 x.ground_truth.visibility, y.ground_truth.visibility
             )
-
-
-class TestTransforms:
-    @given(st.integers(0, 1000))
-    @settings(max_examples=25, deadline=None)
-    def test_mirror_is_involution(self, seed):
-        r = np.random.default_rng(seed)
-        coords = r.uniform(0, 100, size=(5, 2))
-        bbox = (10.0, 5.0, 80.0, 90.0)
-        s = small_schema()
-        twice = mirror_coords(mirror_coords(coords, bbox, s), bbox, s)
-        np.testing.assert_allclose(twice, coords, atol=1e-9)
-
-    def test_identity_transform(self):
-        coords = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0], [9.0, 1.0]])
-        t = TransformParams()
-        assert t.is_identity()
-        out = apply_transform(coords, t, (0, 0, 10, 10), small_schema())
-        np.testing.assert_allclose(out, coords)
-
-    def test_pure_translation(self):
-        coords = np.zeros((5, 2))
-        t = TransformParams(translation=(0.1, 0.2))
-        out = apply_transform(coords, t, (0, 0, 100, 100), small_schema())
-        np.testing.assert_allclose(out, coords + (10.0, 20.0))

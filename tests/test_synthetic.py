@@ -4,9 +4,10 @@ import struct
 import numpy as np
 import pytest
 
-from facealign.heatmaps import SynthConfig, read_maps
-from facealign.pose import bbox_center, project_points, robust_init
-from facealign.shapes import TransformParams, save_dataset
+from facealign.errors import FormatError, NumericError
+from facealign.heatmaps import ProbabilityMaps, SynthConfig, write_maps
+from facealign.pose import project_points
+from facealign.shapes import save_dataset
 from facealign.synthetic import (
     CorpusConfig,
     FileMapSource,
@@ -119,18 +120,14 @@ class TestMapSources:
                 src_synth.maps_for(s).maps.astype(np.float32),
             )
 
-    def test_file_source_mirror(self, tiny_corpus, tmp_path):
-        cfg = SynthConfig()
-        sub = tiny_corpus.subset([0])
-        write_corpus(sub, cfg, tmp_path, CorpusConfig(count=1, seed=3))
-        src = FileMapSource(tmp_path / "maps", sub.schema)
-        s = sub.samples[0]
-        plain = src.maps_for(s).maps
-        s.transform = TransformParams(mirror=True)
-        mirrored = src.maps_for(s).maps
-        s.transform = None
-        perm = sub.schema.mirror
-        np.testing.assert_array_equal(mirrored, plain[perm][:, :, ::-1])
+    @pytest.mark.parametrize("L", [10, 30])
+    def test_file_source_checks_landmark_count(self, tiny_corpus, tmp_path, L):
+        s = tiny_corpus.samples[0]
+        write_maps(ProbabilityMaps(np.ones((L, 4, 4), np.float32)),
+                   tmp_path / f"{s.image_ref}.fapm")
+        assert FileMapSource(tmp_path).maps_for(s).landmark_count == L
+        with pytest.raises(FormatError, match=f"holds {L} landmark maps, the schema has 24"):
+            FileMapSource(tmp_path, tiny_corpus.schema).maps_for(s)
 
     def test_write_corpus_manifest(self, tiny_corpus, tmp_path):
         sub = tiny_corpus.subset(range(2))
@@ -169,7 +166,7 @@ class TestAttachInitials:
         for a, b in zip(kept, (s.initial for s in ds.samples)):
             assert a is b
 
-    def test_bad_map_file_costs_only_its_face(self, model3d, schema, tmp_path):
+    def test_bad_map_file_raises(self, model3d, schema, tmp_path):
         cfg = CorpusConfig(count=3, seed=6)
         ds = generate_corpus(model3d, schema, cfg)
         write_corpus(ds, SynthConfig(coordinate_noise_sigma=1.0), tmp_path, cfg)
@@ -177,14 +174,5 @@ class TestAttachInitials:
         raw = bytearray(bad.read_bytes())
         raw[-4:] = struct.pack("<f", float("nan"))
         bad.write_bytes(bytes(raw))
-        src = FileMapSource(tmp_path / "maps")
-        true_pose = ds.samples[1].pose
-        assert attach_pose_initials(ds, model3d, src, Z=5, seed=6) == 1
-        assert ds.samples[1].initial is None and ds.samples[1].pose is true_pose
-        for s in (ds.samples[0], ds.samples[2]):
-            want = robust_init(src.maps_for(s), model3d, Z=5, seed=6,
-                               center=bbox_center(s.bbox))
-            assert np.array_equal(s.initial.coords, want.shape.coords)
-            assert np.array_equal(s.initial.visibility, want.shape.visibility)
-            assert np.array_equal(s.pose.rotation, want.pose.rotation)
-            assert np.array_equal(s.pose.translation, want.pose.translation)
+        with pytest.raises(NumericError, match="non-finite"):
+            attach_pose_initials(ds, model3d, FileMapSource(tmp_path / "maps"), Z=5, seed=6)
