@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InitError, is_int, is_real, real_range
+from .errors import FormatError, InitError, is_int, is_real, real_range
 from .features import (
     DEFAULT_TAU_RANGE,
     FreakPattern,
@@ -574,7 +574,14 @@ def train_cascade(train: Dataset, val: Dataset, maps_provider, init_fn,
 
 def predict(model: CascadeModel, maps, bbox,
             seed: int | None = None) -> Prediction:
-    """Run the full cascade on one face; deterministic for fixed inputs."""
+    """Run the full cascade on one face; deterministic for fixed inputs.
+
+    Maps whose landmark count differs from the model's schema raise
+    FormatError.
+    """
+    if maps.landmark_count != model.schema.landmark_count:
+        raise FormatError(f"maps hold {maps.landmark_count} landmarks, "
+                          f"the model's schema has {model.schema.landmark_count}")
     used_fallback = False
     if seed is None:
         seed = model.config.seed

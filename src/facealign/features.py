@@ -6,6 +6,7 @@ stages so late stages probe closer to the landmark.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from importlib import resources
 
@@ -104,7 +105,79 @@ def draw_candidates(count: int, part_size: int, pattern_size: int,
     """``count`` random split candidates as arrays ``(lm, p1, p2, tau)``:
     a uniform part-local landmark row, a distinct offset pair and a
     uniform threshold, drawn one candidate after the other in that order.
+
+    The values and the generator's final state are those of the scalar
+    ``integers``/``uniform`` loop (``_draw_loop``); a PCG64 generator
+    draws them in one ``random_raw`` block instead (``_draw_raw``).
     """
+    lo, hi = tau_range
+    if (type(rng.bit_generator) is np.random.PCG64 and count >= 1 and part_size >= 1
+            and 2 <= pattern_size < _U32 and part_size < _U32
+            and math.isfinite(float(hi) - float(lo))):
+        out = _draw_raw(count, part_size, pattern_size, float(lo), float(hi),
+                        rng.bit_generator)
+        if out is not None:
+            return out
+    return _draw_loop(count, part_size, pattern_size, tau_range, rng)
+
+
+_U32 = 1 << 32
+_LOW32 = np.uint64(0xFFFFFFFF)
+
+
+def _draw_raw(count: int, part_size: int, pattern_size: int, lo: float, hi: float,
+              bit_generator: np.random.PCG64):
+    """draw_candidates decoded from raw PCG64 words, or None, with the
+    state restored, when the loop would have rejected and redrawn a number.
+
+    numpy's scalar ``integers(n)`` takes nothing for n = 1 and otherwise
+    one ``next_uint32``: the low half of a fresh 64-bit word, whose high
+    half is buffered for the next one (``has_uint32``/``uinteger``). It
+    maps u to ``(u * n) >> 32``, and redraws when the low 32 bits of
+    ``u * n`` fall below ``(2**32 - n) % n``. ``uniform(lo, hi)`` takes one
+    whole word w, leaves the buffer alone and returns
+    ``lo + (hi - lo) * ((w >> 11) * 2**-53)``.
+    """
+    # the draws that take a 32-bit number, in the loop's order per candidate
+    sizes = [n for n in (part_size, pattern_size, pattern_size - 1) if n > 1]
+    k = len(sizes)
+    start = bit_generator.state
+    buffered = start["has_uint32"]
+    n32 = k * count
+    # the 32-bit draws take the buffered half, then fresh words two halves
+    # at a time; each candidate's uniform takes the word after its 32-bit draws
+    words32 = (n32 - buffered + 1) // 2
+    j = np.arange(words32)
+    c = np.arange(1, count + 1)
+    raw = bit_generator.random_raw(words32 + count)
+    w32 = raw[j + (buffered + 2 * j) // k]
+    w64 = raw[(c * k - buffered + 1) // 2 + c - 1]
+    halves = np.empty(buffered + 2 * words32, dtype=np.uint64)
+    halves[:buffered] = start["uinteger"]
+    halves[buffered::2] = w32 & _LOW32
+    halves[buffered + 1::2] = w32 >> np.uint64(32)
+    m = halves[:n32].reshape(count, k) * np.array(sizes, dtype=np.uint64)
+    threshold = np.array([(_U32 - n) % n for n in sizes], dtype=np.uint64)
+    if np.any((m & _LOW32) < threshold):
+        bit_generator.state = start
+        return None
+    end = bit_generator.state
+    end["has_uint32"] = (n32 - buffered) % 2
+    if words32:
+        end["uinteger"] = int(w32[-1] >> np.uint64(32))
+    bit_generator.state = end
+    cols = iter((m >> np.uint64(32)).astype(np.int64).T)
+    zero = np.zeros(count, dtype=np.int64)
+    lm = next(cols) if part_size > 1 else zero
+    p1 = next(cols)
+    b = next(cols) if pattern_size > 2 else zero
+    unit = (w64 >> np.uint64(11)).astype(np.float64) * (1.0 / 9007199254740992.0)
+    return lm, p1, b + (b >= p1), lo + (hi - lo) * unit
+
+
+def _draw_loop(count: int, part_size: int, pattern_size: int, tau_range,
+               rng: np.random.Generator):
+    """draw_candidates one scalar draw at a time, for any bit generator."""
     lm = np.empty(count, dtype=np.int64)
     p1 = np.empty(count, dtype=np.int64)
     p2 = np.empty(count, dtype=np.int64)

@@ -139,14 +139,24 @@ def generate_corpus(model: Model3D, schema: LandmarkSchema,
     return Dataset(samples, schema)
 
 
+# faces whose blob centres a SyntheticMapSource keeps: about 1.5 KB each,
+# so at most about 6 MB
+CENTRE_STORE_LIMIT = 4096
+
+
 class SyntheticMapSource:
     """On-demand synthetic probability maps, deterministic per sample.
 
-    Each request draws the sample's blob centres from its ground truth,
-    seeded by its image_ref, and nothing is kept between requests; the
-    maps are evaluated only where they are read. An augmented sample's
-    occluded landmarks lose their maps through the occluded-dropout
-    channel.
+    A face's blob centres are drawn from its ground truth, seeded by its
+    image_ref, on its first request. The source keeps them, read-only,
+    for its first CENTRE_STORE_LIMIT distinct faces, under everything the
+    draw reads: the image_ref and the ground-truth coordinates, visibility
+    and annotated flags. Faces past the limit are drawn on every request.
+    Each request returns a fresh BlobMaps over the centres, evaluated only
+    where it is read, so no raster outlives a request. An augmented
+    sample's occluded landmarks lose their maps through the
+    occluded-dropout channel, since its visibility differs from its
+    source's.
     """
 
     def __init__(self, cfg: SynthConfig, seed: int,
@@ -154,9 +164,19 @@ class SyntheticMapSource:
         self.cfg = cfg
         self.seed = int(seed)
         self.size = size
+        self._centres: dict[tuple, np.ndarray] = {}
 
     def maps_for(self, sample) -> BlobMaps:
-        return sample_blobs(sample, self.cfg, self.seed, self.size)
+        gt = sample.ground_truth
+        key = (sample.image_ref, gt.coords.tobytes(), gt.visibility.tobytes(),
+               gt.annotated.tobytes())
+        centres = self._centres.get(key)
+        if centres is None:
+            centres = sample_blobs(sample, self.cfg, self.seed, self.size).centres
+            centres.flags.writeable = False
+            if len(self._centres) < CENTRE_STORE_LIMIT:
+                self._centres[key] = centres
+        return BlobMaps(centres, self.cfg.peak_sigma, self.cfg.floor, self.size)
 
 
 class FileMapSource:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from facealign import default_model3d, default_pattern, default_schema
+from facealign import default_model3d, default_pattern, default_schema, heatmaps
 from facealign.heatmaps import SynthConfig
 from facealign.synthetic import CorpusConfig, SyntheticMapSource, generate_corpus
 
@@ -35,3 +35,16 @@ def clean_maps():
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def blob_draws(monkeypatch):
+    """Every blob-centre draw (heatmaps.draw_blobs) made during the test."""
+    draws, draw = [], heatmaps.draw_blobs
+
+    def counted(*args, **kwargs):
+        draws.append(args)
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(heatmaps, "draw_blobs", counted)
+    return draws

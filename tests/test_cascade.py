@@ -29,7 +29,7 @@ from facealign.cascade import (
     train_cascade,
     train_parts,
 )
-from facealign.errors import NumericError
+from facealign.errors import FormatError, NumericError
 from facealign.features import SplitParams, extract_pattern_values
 from facealign.heatmaps import BlobMaps, ProbabilityMaps, SynthConfig
 from facealign.pipeline import RunConfig, train_model
@@ -652,6 +652,25 @@ class TestPredictDegenerate:
 
     def test_branch_cost_empty(self):
         assert _branch_cost(np.zeros((0, 3))) == 0.0
+
+    @pytest.mark.parametrize("init_mode", ["mean", "3d"])
+    @pytest.mark.parametrize("L", [10, 30])
+    def test_maps_with_the_wrong_landmark_count(self, tiny_corpus, pattern, model3d,
+                                                init_mode, L):
+        # too few maps used to end in an IndexError, too many in one under
+        # the 3D init and in a prediction from the first 24 maps under mean
+        stage = PartsStage([PartModel(np.arange(24), [single_leaf_tree(24)] * 2)], 0.1, 1.0)
+        model = CascadeModel(
+            stages=[stage], init_mode=init_mode, feature_mode="heatmap",
+            schema=tiny_corpus.schema, mean_shape=mean_shape_init(tiny_corpus),
+            pattern=pattern, config=TrainConfig(Z=3), model3d=model3d,
+        )
+        bbox = tiny_corpus.samples[0].bbox
+        with pytest.raises(FormatError, match=f"maps hold {L} landmarks, the model's "
+                                              "schema has 24"):
+            predict(model, ProbabilityMaps(np.ones((L, 160, 160), np.float32)), bbox)
+        assert predict(model, ProbabilityMaps(np.ones((24, 160, 160), np.float32)),
+                       bbox).shape.landmark_count == 24
 
 
 class TestServingLatency:

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from facealign.errors import FormatError
 from facealign.features import (
     FreakPattern,
     SplitParams,
+    _draw_raw,
     draw_candidates,
     extract_pattern_values,
     gen_candidates,
@@ -42,6 +43,31 @@ def ref_gen_candidates(count, part_landmarks, pattern_size, tau_range, rng):
         tau = float(rng.uniform(*tau_range))
         out.append(SplitParams(tau=tau, p1=p1, p2=p2, landmark=l))
     return out
+
+
+def ref_draw(count, part_size, pattern_size, tau_range, rng):
+    """Candidate oracle over part-local rows, one scalar integers or
+    uniform call per value: lists (lm, p1, p2, tau)."""
+    rows = []
+    for _ in range(count):
+        lm = int(rng.integers(part_size))
+        p1 = int(rng.integers(pattern_size))
+        p2 = int(rng.integers(pattern_size - 1))
+        rows.append((lm, p1, p2 + (p2 >= p1), float(rng.uniform(*tau_range))))
+    return [list(col) for col in zip(*rows)]
+
+
+BIT_GENERATORS = (np.random.PCG64, np.random.MT19937, np.random.Philox)
+
+
+def same_state(a, b) -> bool:
+    """Whether two generators' bit generator states are equal; MT19937 and
+    Philox states hold arrays."""
+    def flat(state):
+        if isinstance(state, dict):
+            return [(k, flat(v)) for k, v in sorted(state.items())]
+        return np.asarray(state).tolist()
+    return flat(a.bit_generator.state) == flat(b.bit_generator.state)
 
 
 def make_shape(L, xy=(50.0, 50.0)):
@@ -183,16 +209,28 @@ class TestGenCandidates:
         with pytest.raises(ValueError):
             gen_candidates(5, [], pattern)
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=120, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), count=st.integers(1, 60),
            part=st.lists(st.integers(0, 200), min_size=1, max_size=30, unique=True),
-           M=st.integers(2, 64), lo=st.floats(-50, 50), width=st.floats(0, 50))
-    def test_array_draw_matches_oracle(self, seed, count, part, M, lo, width):
+           M=st.integers(2, 64), lo=st.floats(-50, 50), width=st.floats(0, 50),
+           buffered=st.booleans(), bit_generator=st.sampled_from(BIT_GENERATORS))
+    @example(seed=1, count=5, part=[7], M=2, lo=-0.3, width=0.6, buffered=True,
+             bit_generator=np.random.PCG64)
+    @example(seed=2, count=4, part=[3], M=3, lo=0.0, width=1.0, buffered=False,
+             bit_generator=np.random.PCG64)
+    def test_array_draw_matches_oracle(self, seed, count, part, M, lo, width, buffered,
+                                       bit_generator):
         # the array draw takes the stream of the rng.choice loop: same
-        # values and the generator left in the same state
+        # values and the generator left in the same state, also when a
+        # 32-bit half is buffered at the start, a part has one landmark
+        # (integers(1) takes nothing), the pattern two offsets, or the bit
+        # generator is not the PCG64 the raw decode emulates
         pattern = FreakPattern(np.zeros((M, 2)), np.zeros(M), 1.0)
         tau_range = (lo, lo + width)
-        r_ref, r_arr, r_gen = (np.random.default_rng(seed) for _ in range(3))
+        r_ref, r_arr, r_gen = (np.random.Generator(bit_generator(seed)) for _ in range(3))
+        if buffered:
+            for r in (r_ref, r_arr, r_gen):
+                r.integers(7)
         ref = ref_gen_candidates(count, part, M, tau_range, r_ref)
         lm, p1, p2, tau = draw_candidates(count, len(part), M, tau_range, r_arr)
         assert gen_candidates(count, part, pattern, tau_range=tau_range, rng=r_gen) == ref
@@ -200,7 +238,32 @@ class TestGenCandidates:
             [[c.landmark for c in ref], [c.p1 for c in ref], [c.p2 for c in ref],
              [c.tau for c in ref]]
         assert lm.dtype == p1.dtype == p2.dtype == np.int64 and tau.dtype == np.float64
-        assert r_ref.bit_generator.state == r_arr.bit_generator.state == r_gen.bit_generator.state
+        assert same_state(r_ref, r_arr) and same_state(r_ref, r_gen)
+
+    @pytest.mark.parametrize("part_size, M, frequent", [
+        (2 ** 31 + 5, 43, True), (24, 2 ** 31 + 3, True), (1, 2 ** 31 + 1, True),
+        (2 ** 32 - 1, 2, False), (2 ** 32 + 7, 5, False)])
+    def test_array_draw_with_frequent_rejections(self, part_size, M, frequent):
+        # just above 2**31 about half of the 32-bit draws are redrawn by
+        # Lemire's rejection, which the raw decode cannot follow: it
+        # restores the state and gives way to the loop; from 2**32 on,
+        # integers takes 64-bit draws and only the loop runs
+        declined = 0
+        for seed in range(12):
+            r_ref, r_arr, r_raw = (np.random.default_rng(seed) for _ in range(3))
+            if seed % 2:
+                for r in (r_ref, r_arr, r_raw):
+                    r.integers(7)
+            before = r_raw.bit_generator.state
+            if part_size < 2 ** 32 and \
+                    _draw_raw(6, part_size, M, -0.3, 0.3, r_raw.bit_generator) is None:
+                declined += 1
+                assert r_raw.bit_generator.state == before
+            ref = ref_draw(6, part_size, M, (-0.3, 0.3), r_ref)
+            got = draw_candidates(6, part_size, M, (-0.3, 0.3), r_arr)
+            assert [a.tolist() for a in got] == ref
+            assert same_state(r_arr, r_ref)
+        assert declined >= 10 if frequent else declined == 0
 
 
 class TestExtraction:

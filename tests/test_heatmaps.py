@@ -1,4 +1,7 @@
+import os
 import struct
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -9,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import facealign
 from facealign.errors import FormatError, NumericError
 from facealign.features import FreakPattern, extract_pattern_values
 from facealign.heatmaps import (
@@ -76,6 +80,15 @@ class TestSmooth:
     def test_rejects_nonpositive_sigma(self):
         with pytest.raises(ValueError):
             smooth(ProbabilityMaps(np.ones((1, 4, 4))), 0.0)
+
+    def test_package_import_leaves_scipy_ndimage_unloaded(self):
+        # only smooth needs scipy.ndimage, and it imports it when called
+        src = os.path.dirname(os.path.dirname(os.path.abspath(facealign.__file__)))
+        code = ("import sys, facealign, facealign.cli, facealign.pipeline; "
+                "print('scipy.ndimage' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, check=True, timeout=60)
+        assert out.stdout.strip() == "False"
 
 
 class TestPeaks:

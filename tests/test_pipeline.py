@@ -10,7 +10,7 @@ from facealign.modelio import save_model
 from facealign.pipeline import ABLATION_ROWS, RunConfig, predict_dataset, run_ablate, train_model
 from facealign.pose import bbox_center, robust_init
 from facealign.shapes import load_dataset, save_dataset
-from facealign.synthetic import FileMapSource, generate_corpus, write_corpus
+from facealign.synthetic import FileMapSource, SyntheticMapSource, generate_corpus, write_corpus
 
 
 def same_prediction(a, b) -> bool:
@@ -72,6 +72,27 @@ def test_training_builds_no_raster(model3d, schema, monkeypatch, feature_mode):
                     seed=9, init_mode="3d", feature_mode=feature_mode, val_fraction=0.2)
     train_model(cfg, generate_corpus(model3d, schema, cfg.corpus_config()))
     assert calls == []
+
+
+def test_training_draws_each_face_once(model3d, schema, monkeypatch, blob_draws):
+    # the benchmark's train config: 300 faces requested at the init and at
+    # every stage, each face's blob centres drawn on its first request
+    requests, maps_for = [], SyntheticMapSource.maps_for
+
+    def counted(self, sample):
+        requests.append(sample.image_ref)
+        return maps_for(self, sample)
+
+    monkeypatch.setattr(SyntheticMapSource, "maps_for", counted)
+    cfg = RunConfig(corpus={"count": 300, "seed": 1_000_003, "tag": "train"},
+                    synth={"coordinate_noise_sigma": 1.0, "outlier_rate": 0.1},
+                    train={"T": 4, "K1": 12, "K2": 6, "depth": 3, "candidates_per_node": 16,
+                           "shrinkage": 0.3, "Z": 5},
+                    seed=5, init_mode="3d", val_fraction=0.2)
+    model = train_model(cfg, generate_corpus(model3d, schema, cfg.corpus_config()))
+    assert len(model.stages) == 4
+    assert len(requests) == 1500 and len(set(requests)) == 300
+    assert len(blob_draws) == 300
 
 
 def test_training_initials_use_the_train_seed(model3d, schema, monkeypatch):

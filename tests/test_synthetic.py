@@ -4,10 +4,11 @@ import struct
 import numpy as np
 import pytest
 
+from facealign import synthetic
 from facealign.errors import FormatError, NumericError
-from facealign.heatmaps import ProbabilityMaps, SynthConfig, write_maps
+from facealign.heatmaps import ProbabilityMaps, SynthConfig, sample_blobs, write_maps
 from facealign.pose import project_points
-from facealign.shapes import save_dataset
+from facealign.shapes import AugmentConfig, augment, save_dataset
 from facealign.synthetic import (
     CorpusConfig,
     FileMapSource,
@@ -107,6 +108,64 @@ class TestMapSources:
         mb = src.maps_for(b.samples[0])
         assert a.samples[0].image_ref == b.samples[0].image_ref
         assert not np.array_equal(ma.maps, mb.maps)
+
+    def test_requests_share_centres_not_maps(self, tiny_corpus):
+        src = SyntheticMapSource(SynthConfig(coordinate_noise_sigma=1.0), 3)
+        s = tiny_corpus.samples[0]
+        a, b = src.maps_for(s), src.maps_for(s)
+        assert a is not b
+        np.testing.assert_array_equal(a.centres, b.centres)
+        x, y = np.meshgrid(np.arange(-2, 162, 7), np.arange(-2, 162, 5))
+        rows = np.arange(24)[:, None, None]
+        np.testing.assert_array_equal(a.read(rows, x, y), b.read(rows, x, y))
+        np.testing.assert_array_equal(a.peaks(), b.peaks())
+        # a raster built for one request is not handed to the next
+        assert a.maps is not src.maps_for(s).maps
+        np.testing.assert_array_equal(
+            a.centres, sample_blobs(s, src.cfg, src.seed, src.size).centres)
+
+    def test_kept_centres_are_read_only(self, tiny_corpus):
+        src = SyntheticMapSource(SynthConfig(), 3)
+        s = tiny_corpus.samples[1]
+        with pytest.raises(ValueError, match="read-only"):
+            src.maps_for(s).centres[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            src.maps_for(s).centres[:] = 1.0
+        np.testing.assert_array_equal(
+            src.maps_for(s).centres, sample_blobs(s, src.cfg, src.seed, src.size).centres)
+
+    def test_centre_store_is_bounded(self, tiny_corpus, monkeypatch, blob_draws):
+        # past the limit a face is drawn on every request and not kept
+        monkeypatch.setattr(synthetic, "CENTRE_STORE_LIMIT", 3)
+        src = SyntheticMapSource(SynthConfig(coordinate_noise_sigma=1.0), 3)
+        faces = tiny_corpus.samples[:5]
+        first = [src.maps_for(s).centres for s in faces]
+        second = [src.maps_for(s).centres for s in faces]
+        assert len(blob_draws) == 5 + 2
+        assert len(src._centres) == 3
+        for s, a, b in zip(faces, first, second):
+            want = sample_blobs(s, src.cfg, src.seed, src.size).centres
+            np.testing.assert_array_equal(a, want)
+            np.testing.assert_array_equal(b, want)
+
+    def test_occluded_copy_gets_its_own_maps(self, model3d, schema):
+        # an augmented copy shares its source's image_ref and coordinates;
+        # its occluded landmarks lose their maps to the dropout channel
+        ds = generate_corpus(model3d, schema, CorpusConfig(count=6, seed=4))
+        grown = augment(ds, 12, AugmentConfig(occlusion_prob=1.0, occlusion_frac=0.6), 2)
+        src = SyntheticMapSource(SynthConfig(occluded_dropout=1.0), 3)
+        copies = [c for c in grown.samples[6:] if not np.array_equal(
+            c.ground_truth.visibility, ds.samples[c.source_index].ground_truth.visibility)]
+        assert copies
+        for c in copies:
+            source = ds.samples[c.source_index]
+            assert c.image_ref == source.image_ref
+            own, theirs = src.maps_for(c).centres, src.maps_for(source).centres
+            np.testing.assert_array_equal(
+                own, sample_blobs(c, src.cfg, src.seed, src.size).centres)
+            np.testing.assert_array_equal(
+                theirs, sample_blobs(source, src.cfg, src.seed, src.size).centres)
+            assert np.isnan(own[:, 0]).sum() > np.isnan(theirs[:, 0]).sum()
 
     def test_file_source_round_trip(self, tiny_corpus, tmp_path):
         cfg = SynthConfig(coordinate_noise_sigma=0.5)
