@@ -13,6 +13,7 @@ import numpy as np
 from .errors import FormatError, InitError, is_int, is_real, real_range
 from .features import (
     DEFAULT_TAU_RANGE,
+    STAGE_SCALE_FLOOR,
     FreakPattern,
     SplitParams,
     draw_candidates,
@@ -39,7 +40,7 @@ class TrainConfig:
     Z: int = 25                    # consensus hypotheses for 3d init
     subset_size: int = 6
     tau_range: tuple[float, float] = DEFAULT_TAU_RANGE
-    scale_floor: float = 0.2
+    scale_floor: float = STAGE_SCALE_FLOOR
     coarse_to_fine: bool = True
 
     def __post_init__(self):
@@ -279,22 +280,18 @@ def fit_node(residuals: np.ndarray, candidates: list[SplitParams],
 
 
 def fit_tree(residuals, ann_mask, gt_vis, V, part_global, cfg: TrainConfig,
-             rng: np.random.Generator, pattern_size: int, cols=None) -> Tree:
+             rng: np.random.Generator, pattern_size: int, cols) -> Tree:
     """Greedily fit one regression tree on the given sample rows.
 
     residuals/ann_mask: (n, d) with d = part_size*2; gt_vis: (n, part_size).
-    V: (n, part_size, M) pattern reads of the rows.  With ``cols``, V is
-    instead the part's reads of all N faces of the stage as one
-    (part_size·M, N) table, as ``train_parts`` builds it once per part,
-    and row i is face ``cols[i]``.  Each node draws its candidates from
+    V: the part's pattern reads of all N faces of the stage as one
+    (part_size·M, N) table, as ``train_parts`` builds it once per part;
+    row i is face ``cols[i]``.  Each node draws its candidates from
     ``rng`` and splits on ``best_split``, or becomes a leaf when no
     candidate lowers the cost; nodes are numbered in preorder and leaves
     in the order they are made.
     """
     P, M = len(part_global), pattern_size
-    if cols is None:
-        V = np.ascontiguousarray(V.reshape(len(residuals), P * M).T)
-        cols = np.arange(len(residuals))
     N = V.shape[1]
     nodes, leaf_residual, leaf_visibility = [], [], []
     # depth first, left before right: (rows, depth, parent node, child slot)
@@ -555,7 +552,6 @@ def train_cascade(train: Dataset, val: Dataset, maps_provider, init_fn,
         # validation stopping rule can end training
         if improvement < config.early_stop_delta and not switched:
             log[-1]["note"] = log[-1].get("note", "") + " early stop"
-            prev_val_nme = val_nme
             break
         prev_val_nme = val_nme
 

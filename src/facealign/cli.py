@@ -97,15 +97,10 @@ def _config_from_args(args) -> RunConfig:
     }
     if args.coarse_to_fine is not None:
         overrides["coarse_to_fine"] = args.coarse_to_fine == "on"
-    if args.maps_dir is not None:
-        overrides["maps_source"] = "files"
-    if getattr(args, "count", None) is not None:
-        overrides["corpus"] = {"count": args.count}
     cfg = RunConfig.from_file(args.config, overrides)
-    if getattr(args, "count", None) is not None and args.config is not None:
+    if getattr(args, "count", None) is not None:
         # merge rather than clobber corpus settings from the file
-        cfg.corpus = {**RunConfig.from_file(args.config).corpus,
-                      "count": args.count}
+        cfg.corpus = {**cfg.corpus, "count": args.count}
     return cfg
 
 

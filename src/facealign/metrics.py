@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SchemaError
+from .shapes import Shape
 
 
 @dataclass
@@ -158,8 +159,6 @@ def evaluate(preds, gts, bboxes, normalization="height", epsilon=8.0,
 
 
 def restrict_to_landmarks(shape, indices):
-    from .shapes import Shape
-
     idx = np.asarray(indices, dtype=np.int64)
     return Shape(shape.coords[idx], shape.visibility[idx], shape.annotated[idx])
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
+from dataclasses import asdict
 
 import numpy as np
 
@@ -41,30 +42,6 @@ class _ArrayPack:
         return b"".join(self.blobs)
 
 
-def _schema_dict(schema: LandmarkSchema) -> dict:
-    d = {
-        "names": schema.names,
-        "parts": schema.parts.tolist(),
-        "distinct": [bool(v) for v in schema.distinct],
-        "mirror": schema.mirror.tolist(),
-    }
-    if schema.eyes is not None:
-        d["eyes"] = schema.eyes
-    return d
-
-
-def _config_dict(cfg: TrainConfig) -> dict:
-    return {
-        "T": cfg.T, "K1": cfg.K1, "K2": cfg.K2, "depth": cfg.depth,
-        "candidates_per_node": cfg.candidates_per_node,
-        "shrinkage": cfg.shrinkage, "subsample": cfg.subsample,
-        "early_stop_delta": cfg.early_stop_delta, "seed": cfg.seed,
-        "Z": cfg.Z, "subset_size": cfg.subset_size,
-        "tau_range": list(cfg.tau_range), "scale_floor": cfg.scale_floor,
-        "coarse_to_fine": cfg.coarse_to_fine,
-    }
-
-
 def save_model(model: CascadeModel, path) -> None:
     pack = _ArrayPack()
     pack.add("mean_shape/coords", model.mean_shape.coords)
@@ -91,8 +68,8 @@ def save_model(model: CascadeModel, path) -> None:
         "version": MODEL_VERSION,
         "init_mode": model.init_mode,
         "feature_mode": model.feature_mode,
-        "config": _config_dict(model.config),
-        "schema": _schema_dict(model.schema),
+        "config": asdict(model.config),
+        "schema": model.schema.to_dict(),
         "pattern_diameter": model.pattern.base_diameter,
         "has_model3d": model.model3d is not None,
         "model3d_names": model.model3d.names if model.model3d is not None else [],
@@ -143,14 +120,8 @@ def load_model(path) -> CascadeModel:
     if off != len(body):
         raise FormatError("model payload length mismatch")
 
-    sd = header["schema"]
-    schema = LandmarkSchema(
-        names=sd["names"], parts=np.asarray(sd["parts"]),
-        distinct=np.asarray(sd["distinct"], dtype=bool),
-        mirror=np.asarray(sd["mirror"]), eyes=sd.get("eyes"),
-    )
-    cfgd = header["config"]
-    config = TrainConfig(**cfgd)
+    schema = LandmarkSchema.from_dict(header["schema"])
+    config = TrainConfig(**header["config"])
     mean_shape = Shape(
         arrays["mean_shape/coords"], arrays["mean_shape/visibility"],
         arrays["mean_shape/annotated"],

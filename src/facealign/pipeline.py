@@ -8,8 +8,6 @@ import json
 import os
 from dataclasses import asdict, dataclass, field, replace
 
-import numpy as np
-
 from . import default_model3d, default_schema
 from .cascade import (
     CascadeModel,
@@ -21,13 +19,14 @@ from .cascade import (
 from .errors import DataError, is_int, is_real
 from .features import FreakPattern, default_pattern
 from .heatmaps import SynthConfig
-from .metrics import cross_matrix, evaluate, normalizer
+from .metrics import ced_curve, cross_matrix, evaluate
 from .modelio import load_model, save_model
 from .pose import Model3D, mean_shape_init
 from .shapes import (
     AugmentConfig,
     Dataset,
     LandmarkSchema,
+    augment,
     load_dataset,
     split_train_val,
 )
@@ -49,8 +48,7 @@ class RunConfig:
     schema: str = "builtin"
     model3d: str = "builtin"
     pattern: str = "builtin"
-    maps_source: str = "synthetic"     # "synthetic" | "files"
-    maps_dir: str | None = None
+    maps_dir: str | None = None        # read .fapm maps here; None synthesizes them
     synth: dict = field(default_factory=dict)       # SynthConfig overrides
     corpus: dict = field(default_factory=dict)      # CorpusConfig overrides
     train: dict = field(default_factory=dict)       # TrainConfig overrides
@@ -65,8 +63,7 @@ class RunConfig:
 
     def __post_init__(self):
         for name, allowed in (("init_mode", ("3d", "mean")),
-                              ("feature_mode", ("heatmap", "gray")),
-                              ("maps_source", ("synthetic", "files"))):
+                              ("feature_mode", ("heatmap", "gray"))):
             if getattr(self, name) not in allowed:
                 raise DataError(f"{name} must be one of {list(allowed)}, "
                                 f"not {getattr(self, name)!r}")
@@ -133,9 +130,7 @@ class RunConfig:
         return _build("corpus", CorpusConfig, kw)
 
     def map_source(self, schema=None):
-        if self.maps_source == "files":
-            if self.maps_dir is None:
-                raise DataError("maps_source 'files' requires maps_dir")
+        if self.maps_dir is not None:
             return FileMapSource(self.maps_dir, schema)
         return SyntheticMapSource(self.synth_config(), self.seed)
 
@@ -186,9 +181,7 @@ def train_model(cfg: RunConfig, dataset: Dataset | None = None) -> CascadeModel:
         attach_pose_initials(train, model3d, maps, Z=tc.Z,
                              subset_size=tc.subset_size, seed=tc.seed)
     if cfg.augment_target is not None:
-        from .shapes import augment as augment_fn
-
-        train = augment_fn(train, cfg.augment_target, aug_cfg, cfg.seed)
+        train = augment(train, cfg.augment_target, aug_cfg, cfg.seed)
     mean = mean_shape_init(train)
     init_fn = make_initializer(cfg.init_mode, mean, model3d, tc)
     return train_cascade(
@@ -261,8 +254,6 @@ def run_eval(cfg: RunConfig, model_path: str, normalization: str = "height",
              epsilon: float = 8.0, out_path: str | None = None):
     model = load_model(model_path)
     ds = load_run_dataset(cfg, model.schema)
-    if model.schema.landmark_count != ds.schema.landmark_count:
-        raise DataError("model schema does not match test set schema")
     maps = cfg.map_source(model.schema)
     preds = predict_dataset(model, ds, maps, seed=cfg.seed)
     report = evaluate(
@@ -280,8 +271,6 @@ def run_eval(cfg: RunConfig, model_path: str, normalization: str = "height",
         out_path = os.path.join(cfg.output_dir, "report.txt")
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write(report.to_text())
-    from .metrics import ced_curve
-
     with open(os.path.join(cfg.output_dir, "ced.txt"), "w", encoding="utf-8") as fh:
         for e, c in ced_curve(report.per_image_nme):
             fh.write(f"{e:.6f} {c:.6f}\n")

@@ -58,29 +58,31 @@ class LandmarkSchema:
     def distinct_indices(self) -> np.ndarray:
         return np.flatnonzero(self.distinct)
 
-    @classmethod
-    def load(cls, path) -> "LandmarkSchema":
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        return cls(
-            names=list(raw["names"]),
-            parts=np.asarray(raw["parts"]),
-            distinct=np.asarray(raw["distinct"], dtype=bool),
-            mirror=np.asarray(raw["mirror"]),
-            eyes=raw.get("eyes"),
-        )
-
-    def save(self, path) -> None:
+    def to_dict(self) -> dict:
+        """The JSON form of a schema file, also stored in model headers."""
         raw = {
             "names": self.names,
             "parts": self.parts.tolist(),
-            "distinct": [bool(d) for d in self.distinct],
+            "distinct": self.distinct.tolist(),
             "mirror": self.mirror.tolist(),
         }
         if self.eyes is not None:
             raw["eyes"] = self.eyes
+        return raw
+
+    @classmethod
+    def from_dict(cls, raw: dict) -> "LandmarkSchema":
+        return cls(names=list(raw["names"]), parts=raw["parts"], distinct=raw["distinct"],
+                   mirror=raw["mirror"], eyes=raw.get("eyes"))
+
+    @classmethod
+    def load(cls, path) -> "LandmarkSchema":
+        with open(path, "r", encoding="utf-8") as fh:
+            return cls.from_dict(json.load(fh))
+
+    def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(raw, fh, indent=1, sort_keys=True)
+            json.dump(self.to_dict(), fh, indent=1, sort_keys=True)
             fh.write("\n")
 
 
@@ -118,7 +120,6 @@ class Sample:
     ground_truth: Shape
     bbox: tuple[float, float, float, float]  # x, y, w, h
     initial: Shape | None = None
-    source_index: int | None = None          # index of the source sample when augmented
     pose: object | None = None               # RigidPose estimated for this sample, if any
 
     def __post_init__(self):
@@ -317,8 +318,7 @@ def augment(dataset: Dataset, target_count: int, noise_cfg: AugmentConfig,
         raise ValueError("target_count must be >= dataset size")
     out = list(dataset.samples)
     for j in range(target_count - n):
-        src_idx = j % n
-        src = dataset.samples[src_idx]
+        src = dataset.samples[j % n]
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xA0, j]))
         gt = src.ground_truth.copy()
         _occlude(gt, src.bbox, noise_cfg, rng)
@@ -327,7 +327,6 @@ def augment(dataset: Dataset, target_count: int, noise_cfg: AugmentConfig,
             ground_truth=gt,
             bbox=src.bbox,
             initial=_perturbed_initial(src, noise_cfg, rng),
-            source_index=src_idx,
             pose=src.pose,
         )
         out.append(aug)

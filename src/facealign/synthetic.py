@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .heatmaps import (
 )
 # robust_init stays importable here: facebench/tracing.py wraps it by this name
 from .pose import Model3D, RigidPose, consensus_inits, euler_to_rotation, robust_init
-from .shapes import Dataset, LandmarkSchema, Sample, Shape
+from .shapes import Dataset, LandmarkSchema, Sample, Shape, save_dataset
 
 
 @dataclass
@@ -42,10 +42,9 @@ class CorpusConfig:
     deform_seed: int = 12345
     deform_style: str = "independent"  # "independent" | "coupled"
     sign_patterns: list[list[int]] | None = None  # restrict per-part signs
-    size: int = FACE_SIZE
 
     def __post_init__(self):
-        for name, low in (("count", 1), ("size", 1), ("seed", 0), ("deform_seed", 0)):
+        for name, low in (("count", 1), ("seed", 0), ("deform_seed", 0)):
             v = getattr(self, name)
             if not is_int(v) or v < low:
                 raise ValueError(f"{name} must be an integer >= {low}, not {v!r}")
@@ -96,9 +95,8 @@ def generate_corpus(model: Model3D, schema: LandmarkSchema,
                     cfg: CorpusConfig) -> Dataset:
     """Deterministic dataset of projected deformed faces (no map files)."""
     modes = part_deform_modes(model, schema, cfg.deform_seed)
-    H = W = cfg.size
-    center = np.array([W / 2.0, H / 2.0])
-    focal = float(H)
+    center = np.array([FACE_SIZE / 2.0, FACE_SIZE / 2.0])
+    focal = float(FACE_SIZE)
     samples = []
     for i in range(cfg.count):
         rng = _face_rng(cfg, i)
@@ -203,19 +201,16 @@ class FileMapSource:
 
 
 def write_corpus(dataset: Dataset, synth_cfg: SynthConfig, out_dir,
-                 corpus_cfg: CorpusConfig | None = None,
-                 write_map_files: bool = True) -> None:
-    """Materialize a corpus: annotations, optional map files, manifest."""
-    from .shapes import save_dataset
-
+                 corpus_cfg: CorpusConfig, write_map_files: bool = True) -> None:
+    """Materialize a corpus: annotations, optional map files, manifest.
+    Map files are synthesized with the corpus seed."""
     os.makedirs(out_dir, exist_ok=True)
     maps_dir = os.path.join(out_dir, "maps")
     save_dataset(dataset, os.path.join(out_dir, "annotations.jsonl"))
     if write_map_files:
         os.makedirs(maps_dir, exist_ok=True)
-        seed = synth_cfg_seed(corpus_cfg)
         for s in dataset.samples:
-            write_maps(synthesize(s, synth_cfg, seed),
+            write_maps(synthesize(s, synth_cfg, corpus_cfg.seed),
                        os.path.join(maps_dir, f"{s.image_ref}.fapm"))
     manifest = {
         "count": len(dataset),
@@ -227,16 +222,12 @@ def write_corpus(dataset: Dataset, synth_cfg: SynthConfig, out_dir,
             "occluded_dropout": synth_cfg.occluded_dropout,
             "floor": synth_cfg.floor,
         },
-        "seed": corpus_cfg.seed if corpus_cfg is not None else None,
+        "seed": corpus_cfg.seed,
         "maps_written": write_map_files,
     }
     with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
         fh.write("\n")
-
-
-def synth_cfg_seed(corpus_cfg) -> int:
-    return corpus_cfg.seed if corpus_cfg is not None else 0
 
 
 def attach_pose_initials(dataset: Dataset, model: Model3D, map_source,

@@ -160,6 +160,16 @@ class TestBestSplitOracle:
         assert not mask.any()
 
 
+def table(V):
+    """train_parts' (part_size*M, N) table of per-face reads V (N, part_size, M)."""
+    return np.ascontiguousarray(V.reshape(len(V), -1).T)
+
+
+def fit_all_rows(res, ann, vis, V, part, cfg, rng):
+    """fit_tree on every face of V, read through its table."""
+    return fit_tree(res, ann, vis, table(V), part, cfg, rng, V.shape[2], cols=np.arange(len(V)))
+
+
 def leaf_cfg(**kw):
     base = dict(depth=0, candidates_per_node=4, tau_range=(-0.5, 0.5))
     base.update(kw)
@@ -172,8 +182,7 @@ class TestTreeLeaves:
         ann = np.ones((6, 2))
         vis = np.ones((6, 1))
         V = np.zeros((6, 1, 43))
-        tree = fit_tree(res, ann, vis, V, [0], leaf_cfg(),
-                        np.random.default_rng(0), 43)
+        tree = fit_all_rows(res, ann, vis, V, [0], leaf_cfg(), np.random.default_rng(0))
         assert tree.n_nodes == 0
         np.testing.assert_allclose(tree.leaf_residual[0], [2.0, -1.0])
 
@@ -182,8 +191,7 @@ class TestTreeLeaves:
         ann = np.ones((4, 2))
         vis = np.array([[1.0], [1.0], [1.0], [0.0]])
         V = np.zeros((4, 1, 43))
-        tree = fit_tree(res, ann, vis, V, [0], leaf_cfg(),
-                        np.random.default_rng(0), 43)
+        tree = fit_all_rows(res, ann, vis, V, [0], leaf_cfg(), np.random.default_rng(0))
         assert tree.leaf_visibility[0, 0] == pytest.approx(0.75)
 
     def test_unannotated_leaf_residual_is_zero(self):
@@ -195,8 +203,8 @@ class TestTreeLeaves:
         res[:, 0:2] *= ann[:, 0:2]  # masked residual, as train_parts builds it
         vis = np.ones((5, 2))
         V = np.zeros((5, 2, 43))
-        tree = fit_tree(res, ann, vis, V, [0, 1], leaf_cfg(depth=2),
-                        np.random.default_rng(3), 43)
+        tree = fit_all_rows(res, ann, vis, V, [0, 1], leaf_cfg(depth=2),
+                            np.random.default_rng(3))
         assert np.all(tree.leaf_residual[:, 0:2] == 0.0)
 
 
@@ -265,12 +273,11 @@ class TestFitTreeOracle:
     @settings(max_examples=120, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), N=st.integers(1, 90), part_size=st.integers(1, 4),
            M=st.integers(2, 9), depth=st.integers(0, 5), C=st.integers(1, 24),
-           exponent=st.integers(-6, 3), decimals=st.sampled_from([None, 0, 1]),
-           through_table=st.booleans())
+           exponent=st.integers(-6, 3), decimals=st.sampled_from([None, 0, 1]))
     def test_matches_recursive_builder(self, seed, N, part_size, M, depth, C, exponent,
-                                       decimals, through_table):
-        # every tree array bitwise equal to the recursive builder's, from
-        # per-row reads or from train_parts' (part_size*M, N) table
+                                       decimals):
+        # every tree array bitwise equal to the recursive builder's, on a
+        # subset of the faces of train_parts' (part_size*M, N) table
         r = np.random.default_rng(seed)
         part = np.sort(r.choice(30, size=part_size, replace=False))
         V = r.normal(size=(N, part_size, M))
@@ -284,11 +291,7 @@ class TestFitTreeOracle:
         cfg = leaf_cfg(depth=depth, candidates_per_node=C)
         rng_ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
         ref = ref_fit_tree(res, ann, vis, V[sub], part, cfg, rng_ref)
-        if through_table:
-            table = np.ascontiguousarray(V.reshape(N, -1).T)
-            tree = fit_tree(res, ann, vis, table, part, cfg, rng, M, cols=sub)
-        else:
-            tree = fit_tree(res, ann, vis, V[sub], part, cfg, rng, M)
+        tree = fit_tree(res, ann, vis, table(V), part, cfg, rng, M, cols=sub)
         for f in TREE_ARRAYS:
             a, b = getattr(tree, f), getattr(ref, f)
             assert a.dtype == b.dtype and a.shape == b.shape, f
@@ -304,8 +307,9 @@ class TestFitTreeOracle:
         gc.collect()
         gc.disable()
         try:
-            tree = fit_tree(res, np.ones((40, 4)), np.ones((40, 2)), V, [0, 1],
-                            leaf_cfg(depth=4, candidates_per_node=8), np.random.default_rng(1), 6)
+            tree = fit_all_rows(res, np.ones((40, 4)), np.ones((40, 2)), V, [0, 1],
+                                leaf_cfg(depth=4, candidates_per_node=8),
+                                np.random.default_rng(1))
             assert tree.n_nodes > 0
             assert gc.collect() == 0
         finally:

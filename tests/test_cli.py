@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from facealign import pipeline
-from facealign.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, run
+from facealign.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, _config_from_args, build_parser, run
 from facealign.errors import DataError
 from facealign.heatmaps import ProbabilityMaps, read_maps, write_maps
 from facealign.pipeline import RunConfig
+from facealign.synthetic import FileMapSource
 
 
 def write_config(path, **kw):
@@ -46,6 +47,32 @@ class TestRunConfig:
         p.write_text(json.dumps({"bogus": 1}))
         with pytest.raises(DataError):
             RunConfig.from_file(p)
+
+    @pytest.mark.parametrize("command, config, key", [
+        ("train", {"maps_source": "synthetic"}, "maps_source"),
+        ("train", {"maps_source": "files"}, "maps_source"),
+        ("synth", {"maps_source": "files"}, "maps_source"),
+        ("synth", {"corpus": {"count": 4, "size": 160}}, "size"),
+        ("synth", {"corpus": {"count": 4, "size": 320}}, "size"),
+    ])
+    def test_removed_keys_exit_2(self, tmp_path, capsys, command, config, key):
+        # maps come from files exactly when maps_dir is set, and every face
+        # is drawn on the FACE_SIZE square its maps cover, so neither key
+        # has a setting left
+        cfg = write_config(tmp_path / "c.json", **config)
+        rc = run([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == EXIT_DATA
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("with_file", [False, True])
+    def test_count_merges_into_the_corpus_settings(self, tmp_path, with_file):
+        corpus = {"deform_magnitude": 2.0, "count": 24} if with_file else {}
+        argv = ["synth", "--count", "5"]
+        if with_file:
+            argv += ["--config", str(write_config(tmp_path / "c.json", corpus=corpus))]
+        cfg = _config_from_args(build_parser().parse_args(argv))
+        assert cfg.corpus == {**corpus, "count": 5}
 
 
 class TestExitCodes:
@@ -97,7 +124,6 @@ BAD_SETTINGS = st.one_of(
     st.tuples(st.just("synth"), st.just("bogus"), st.integers()),
     st.tuples(st.none(), st.just("init_mode"), _bad_choice(["3d", "mean"])),
     st.tuples(st.none(), st.just("feature_mode"), _bad_choice(["heatmap", "gray"])),
-    st.tuples(st.none(), st.just("maps_source"), _bad_choice(["synthetic", "files"])),
     st.tuples(st.none(), st.just("val_fraction"),
               st.one_of(st.floats(max_value=0.0), st.floats(min_value=1.0))),
 )
@@ -105,7 +131,7 @@ BAD_SETTINGS = st.one_of(
 
 # (corpus key, bad value) for `facealign synth`
 BAD_CORPUS = st.one_of(
-    st.tuples(st.sampled_from(["count", "size"]), st.integers(-5, 0)),
+    st.tuples(st.just("count"), st.integers(-5, 0)),
     st.tuples(st.sampled_from(["yaw_range", "pitch_range", "roll_range", "shift_range"]),
               st.floats(max_value=-1e-6, allow_nan=False, allow_infinity=False)),
     st.tuples(st.just("scale_range"),
@@ -349,6 +375,29 @@ class TestPipelineCommands:
                   "--out", str(out2)])
         assert rc == EXIT_OK
         assert (out2 / "model.facm").exists()
+
+    def test_maps_dir_in_the_config_reads_map_files(self, workdir, map_faces, tmp_path,
+                                                    monkeypatch):
+        # maps_dir alone selects the .fapm files, as --maps-dir does
+        _, cfg, _ = workdir
+        maps, ann = map_faces / "maps", map_faces / "annotations.jsonl"
+        cfg_maps = write_config(tmp_path / "maps.json", maps_dir=str(maps))
+        reads = []
+        file_maps_for = FileMapSource.maps_for
+        monkeypatch.setattr(FileMapSource, "maps_for",
+                            lambda self, s: reads.append(s) or file_maps_for(self, s))
+        by_config, by_flag = tmp_path / "by_config", tmp_path / "by_flag"
+        assert run(["train", "--config", str(cfg_maps), "--dataset", str(ann),
+                    "--out", str(by_config)]) == EXIT_OK
+        trained_reads = len(reads)
+        assert trained_reads > 0
+        assert run(["train", "--config", str(cfg), "--dataset", str(ann), "--maps-dir", str(maps),
+                    "--out", str(by_flag)]) == EXIT_OK
+        assert (by_config / "model.facm").read_bytes() == (by_flag / "model.facm").read_bytes()
+        del reads[:]
+        assert run(["eval", "--config", str(cfg_maps), "--dataset", str(ann),
+                    "--model", str(by_config / "model.facm"), "--out", str(by_config)]) == EXIT_OK
+        assert len(reads) >= 24
 
     @pytest.mark.parametrize("damage, code, message", [
         ("nan", EXIT_NUMERIC, "non-finite probability map value"),

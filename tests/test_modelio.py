@@ -1,6 +1,8 @@
 import hashlib
 import json
 import struct
+from dataclasses import asdict
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -79,6 +81,18 @@ class TestRoundTrip:
                     assert a.dtype == b.dtype
                     np.testing.assert_array_equal(a, b)
 
+    def test_header_config_and_schema(self, trained, tmp_path):
+        # the header stores the TrainConfig fields and the schema file's form
+        model, _, _ = trained
+        p = tmp_path / "m.facm"
+        save_model(model, p)
+        header = read_header(p)
+        assert header["config"] == json.loads(json.dumps(asdict(model.config)))
+        schema_file = resources.files("facealign.data").joinpath("face24_schema.json")
+        assert header["schema"] == json.loads(schema_file.read_text(encoding="utf-8"))
+        model.schema.save(tmp_path / "schema.json")
+        assert header["schema"] == json.loads((tmp_path / "schema.json").read_text())
+
 
 class TestCorruption:
     def save(self, trained, tmp_path):
@@ -105,6 +119,13 @@ class TestCorruption:
         p.write_bytes(b"")
         with pytest.raises(FormatError):
             load_model(p)
+
+
+def read_header(path) -> dict:
+    raw = path.read_bytes()
+    off = len(MODEL_MAGIC)
+    (hlen,) = struct.unpack("<q", raw[off:off + 8])
+    return json.loads(raw[off + 8:off + 8 + hlen])
 
 
 def rewrite_model(path, edit):

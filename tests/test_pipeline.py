@@ -46,7 +46,7 @@ def test_augmented_training_is_reproducible(model3d, schema, tmp_path, maps_sour
     ds = generate_corpus(model3d, schema, cfg.corpus_config())
     if maps_source == "files":
         write_corpus(ds, cfg.synth_config(), tmp_path / "corpus", cfg.corpus_config())
-        cfg = replace(cfg, maps_source="files", maps_dir=str(tmp_path / "corpus" / "maps"))
+        cfg = replace(cfg, maps_dir=str(tmp_path / "corpus" / "maps"))
     before = [(s.initial, s.pose, s.ground_truth.visibility.copy()) for s in ds.samples]
     aug_cfg = replace(cfg, augment_target=40,
                       augment={"yaw_noise": 10.0, "pitch_noise": 10.0, "roll_noise": 10.0,

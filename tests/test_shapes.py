@@ -171,7 +171,6 @@ class TestAugment:
         assert len(out) == n + 10
         extra = out.samples[n:]
         for j, s in enumerate(extra):
-            assert s.source_index == j % n
             src = tiny_corpus.samples[j % n]
             # image, box and ground-truth coordinates are the source's
             assert s.image_ref == src.image_ref and s.bbox == src.bbox
@@ -182,8 +181,8 @@ class TestAugment:
         for frac in (0.25, 0.5):
             cfg = AugmentConfig(occlusion_prob=1.0, occlusion_frac=frac)
             hit = 0
-            for s in augment(tiny_corpus, n + 30, cfg, 0).samples[n:]:
-                vis = tiny_corpus.samples[s.source_index].ground_truth.visibility
+            for j, s in enumerate(augment(tiny_corpus, n + 30, cfg, 0).samples[n:]):
+                vis = tiny_corpus.samples[j % n].ground_truth.visibility
                 fell = (vis > 0) & (s.ground_truth.visibility == 0)
                 # every other landmark keeps the source's visibility
                 np.testing.assert_array_equal(s.ground_truth.visibility[~fell], vis[~fell])
@@ -195,10 +194,10 @@ class TestAugment:
                     hit += 1
             assert hit
         cfg = AugmentConfig(yaw_noise=10.0, occlusion_frac=0.5)
-        for s in augment(tiny_corpus, n + 30, cfg, 0).samples[n:]:
+        for j, s in enumerate(augment(tiny_corpus, n + 30, cfg, 0).samples[n:]):
             np.testing.assert_array_equal(
                 s.ground_truth.visibility,
-                tiny_corpus.samples[s.source_index].ground_truth.visibility)
+                tiny_corpus.samples[j % n].ground_truth.visibility)
 
     def test_deterministic(self, tiny_corpus, model3d):
         cfg = AugmentConfig.paper_defaults(model3d)

@@ -154,11 +154,12 @@ class TestMapSources:
         ds = generate_corpus(model3d, schema, CorpusConfig(count=6, seed=4))
         grown = augment(ds, 12, AugmentConfig(occlusion_prob=1.0, occlusion_frac=0.6), 2)
         src = SyntheticMapSource(SynthConfig(occluded_dropout=1.0), 3)
-        copies = [c for c in grown.samples[6:] if not np.array_equal(
-            c.ground_truth.visibility, ds.samples[c.source_index].ground_truth.visibility)]
+        # the j-th copy's source is face j % 6
+        copies = [(c, ds.samples[j % 6]) for j, c in enumerate(grown.samples[6:])]
+        copies = [(c, source) for c, source in copies if not np.array_equal(
+            c.ground_truth.visibility, source.ground_truth.visibility)]
         assert copies
-        for c in copies:
-            source = ds.samples[c.source_index]
+        for c, source in copies:
             assert c.image_ref == source.image_ref
             own, theirs = src.maps_for(c).centres, src.maps_for(source).centres
             np.testing.assert_array_equal(
