@@ -30,19 +30,27 @@ EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", default=None, help="flat JSON config file")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--dataset", default=None, help="annotations JSONL path")
-    p.add_argument("--out", dest="output_dir", default=None,
-                   help="output directory")
-    p.add_argument("--init", dest="init_mode", choices=["mean", "3d"],
-                   default=None)
-    p.add_argument("--features", dest="feature_mode",
-                   choices=["gray", "heatmap"], default=None)
-    p.add_argument("--coarse-to-fine", choices=["on", "off"], default=None)
-    p.add_argument("--maps-dir", default=None,
-                   help="read maps from files here instead of synthesizing")
+# flags that several subcommands share; each subcommand registers the ones
+# its run_* function reads, so a flag it would ignore is a usage error
+COMMON_FLAGS = {
+    "--config": dict(default=None, help="flat JSON config file"),
+    "--seed": dict(type=int, default=None),
+    "--dataset": dict(default=None, help="annotations JSONL path"),
+    "--out": dict(dest="output_dir", default=None, help="output directory"),
+    "--init": dict(dest="init_mode", choices=["mean", "3d"], default=None),
+    "--features": dict(dest="feature_mode", choices=["gray", "heatmap"], default=None),
+    "--coarse-to-fine": dict(choices=["on", "off"], default=None),
+    "--maps-dir": dict(default=None,
+                       help="read maps from files here instead of synthesizing"),
+}
+# predict and eval take init, features and coarse-to-fine from the model
+# file, and ablate from its rows
+NO_MODE_FLAGS = ("--config", "--seed", "--out", "--dataset", "--maps-dir")
+
+
+def _add_common(p: argparse.ArgumentParser, *flags) -> None:
+    for flag in flags:
+        p.add_argument(flag, **COMMON_FLAGS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -54,48 +62,43 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic corpus")
-    _add_common(p)
+    _add_common(p, "--config", "--seed", "--out")
     p.add_argument("--count", type=int, default=None)
     p.add_argument("--no-maps", action="store_true",
                    help="write annotations only, synthesize maps on demand")
 
     p = sub.add_parser("train", help="train a cascade model")
-    _add_common(p)
+    _add_common(p, *COMMON_FLAGS)
 
     p = sub.add_parser("predict", help="run a trained model over a dataset")
-    _add_common(p)
+    _add_common(p, *NO_MODE_FLAGS)
     p.add_argument("--model", required=True)
 
     p = sub.add_parser("eval", help="predict and report metrics")
-    _add_common(p)
+    _add_common(p, *NO_MODE_FLAGS)
     p.add_argument("--model", required=True)
     p.add_argument("--epsilon", type=float, default=8.0)
     p.add_argument("--normalization", default="height",
                    choices=["height", "pupils", "corners"])
 
     p = sub.add_parser("cross", help="train/test matrix across datasets")
-    _add_common(p)
+    # its datasets are positional
+    _add_common(p, *(f for f in COMMON_FLAGS if f != "--dataset"))
     p.add_argument("datasets", nargs="+", help="annotation files, one per set")
     p.add_argument("--no-pooled", action="store_true",
                    help="skip the pooled all-sets model")
 
     p = sub.add_parser("ablate",
                        help="sweep init/feature/coarse-to-fine configurations")
-    _add_common(p)
+    _add_common(p, *NO_MODE_FLAGS)
     p.add_argument("--epsilon", type=float, default=4.0)
     return ap
 
 
 def _config_from_args(args) -> RunConfig:
-    overrides = {
-        "seed": args.seed,
-        "dataset": args.dataset,
-        "output_dir": args.output_dir,
-        "init_mode": args.init_mode,
-        "feature_mode": args.feature_mode,
-        "maps_dir": args.maps_dir,
-    }
-    if args.coarse_to_fine is not None:
+    overrides = {k: getattr(args, k, None) for k in
+                 ("seed", "dataset", "output_dir", "init_mode", "feature_mode", "maps_dir")}
+    if getattr(args, "coarse_to_fine", None) is not None:
         overrides["coarse_to_fine"] = args.coarse_to_fine == "on"
     cfg = RunConfig.from_file(args.config, overrides)
     if getattr(args, "count", None) is not None:

@@ -136,15 +136,13 @@ def per_landmark_nme(preds, gts, ds) -> np.ndarray:
 
 
 def evaluate(preds, gts, bboxes, normalization="height", epsilon=8.0,
-             schema=None, pred_vis=None, gt_vis=None,
-             occlusion_threshold=0.5) -> EvalReport:
-    """Full metric suite for one prediction set."""
+             schema=None) -> EvalReport:
+    """Full metric suite for one prediction set of Shapes; occlusion
+    precision and recall come from the visibility of preds and gts."""
     ds = [normalizer(gt, bbox, normalization, schema) for gt, bbox in zip(gts, bboxes)]
     per_image = [nme(p, g, d) for p, g, d in zip(preds, gts, ds)]
     auc, fr = auc_fr(per_image, epsilon)
-    prec = rec = None
-    if pred_vis is not None and gt_vis is not None:
-        prec, rec = occlusion_pr(pred_vis, gt_vis, occlusion_threshold)
+    prec, rec = occlusion_pr([p.visibility for p in preds], [g.visibility for g in gts])
     return EvalReport(
         per_image_nme=per_image,
         nme=float(np.mean(per_image)),
@@ -163,19 +161,19 @@ def restrict_to_landmarks(shape, indices):
     return Shape(shape.coords[idx], shape.visibility[idx], shape.annotated[idx])
 
 
-def cross_matrix(models_predict, testsets, distinct_indices) -> np.ndarray:
+def cross_matrix(preds, testsets, distinct_indices) -> np.ndarray:
     """NME (height) of each model on each test set over the shared distinct
-    subset.  models_predict: list of callables (sample -> predicted Shape).
+    subset.  preds[i][j][k]: model i's predicted Shape for sample k of
+    test set j.
     """
     idx = np.asarray(distinct_indices, dtype=np.int64)
     if len(idx) < 24:
         raise SchemaError("shared distinct subset must have at least 24 landmarks")
-    out = np.zeros((len(models_predict), len(testsets)))
-    for i, predict_fn in enumerate(models_predict):
+    out = np.zeros((len(preds), len(testsets)))
+    for i, model_preds in enumerate(preds):
         for j, ds in enumerate(testsets):
             errs = []
-            for s in ds.samples:
-                pred = predict_fn(s)
+            for s, pred in zip(ds.samples, model_preds[j], strict=True):
                 gt_r = restrict_to_landmarks(s.ground_truth, idx)
                 pr_r = restrict_to_landmarks(pred, idx)
                 d = normalizer(s.ground_truth, s.bbox, "height")

@@ -121,7 +121,10 @@ def load_model(path) -> CascadeModel:
         raise FormatError("model payload length mismatch")
 
     schema = LandmarkSchema.from_dict(header["schema"])
-    config = TrainConfig(**header["config"])
+    try:
+        config = TrainConfig(**header["config"])
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"model header config: {exc}") from None
     mean_shape = Shape(
         arrays["mean_shape/coords"], arrays["mean_shape/visibility"],
         arrays["mean_shape/annotated"],

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 from . import default_model3d, default_schema
 from .cascade import (
@@ -116,9 +116,11 @@ class RunConfig:
         return default_pattern() if self.pattern == "builtin" else FreakPattern.load(self.pattern)
 
     def train_config(self) -> TrainConfig:
-        kw = dict(self.train)
+        if "coarse_to_fine" in self.train:
+            raise DataError("bad train config: train.coarse_to_fine is not a train key, "
+                            "coarse_to_fine is a top-level key")
+        kw = {**self.train, "coarse_to_fine": self.coarse_to_fine}
         kw.setdefault("seed", self.seed)
-        kw.setdefault("coarse_to_fine", self.coarse_to_fine)
         return _build("train", TrainConfig, kw)
 
     def synth_config(self) -> SynthConfig:
@@ -171,7 +173,7 @@ def train_model(cfg: RunConfig, dataset: Dataset | None = None) -> CascadeModel:
     maps = cfg.map_source(schema)
     train, val = split_train_val(dataset, cfg.val_fraction, cfg.seed)
     if cfg.augment_target is not None:
-        aug_cfg = _build("augment", AugmentConfig, {**cfg.augment, "model3d": model3d})
+        aug_cfg = _build("augment", AugmentConfig, cfg.augment)
         if cfg.augment_target < len(train):
             raise DataError(f"augment_target {cfg.augment_target} is below the "
                             f"{len(train)} faces of the training split")
@@ -181,7 +183,10 @@ def train_model(cfg: RunConfig, dataset: Dataset | None = None) -> CascadeModel:
         attach_pose_initials(train, model3d, maps, Z=tc.Z,
                              subset_size=tc.subset_size, seed=tc.seed)
     if cfg.augment_target is not None:
-        train = augment(train, cfg.augment_target, aug_cfg, cfg.seed)
+        train = augment(train, cfg.augment_target, aug_cfg, cfg.seed, model3d)
+    # a mean-init model never reads a 3D model, so it stores none
+    if cfg.init_mode != "3d":
+        model3d = None
     mean = mean_shape_init(train)
     init_fn = make_initializer(cfg.init_mode, mean, model3d, tc)
     return train_cascade(
@@ -191,10 +196,15 @@ def train_model(cfg: RunConfig, dataset: Dataset | None = None) -> CascadeModel:
     )
 
 
+def _output_file(cfg: RunConfig, name: str) -> str:
+    """Path of output file name in cfg.output_dir, which is created."""
+    os.makedirs(cfg.output_dir, exist_ok=True)
+    return os.path.join(cfg.output_dir, name)
+
+
 def run_train(cfg: RunConfig, dataset: Dataset | None = None) -> str:
     model = train_model(cfg, dataset)
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    model_path = os.path.join(cfg.output_dir, "model.facm")
+    model_path = _output_file(cfg, "model.facm")
     save_model(model, model_path)
     tc = model.config
     log_lines = [
@@ -218,8 +228,7 @@ def run_train(cfg: RunConfig, dataset: Dataset | None = None) -> str:
             f"stopped early at stage {last['stage']} of {tc.T}: "
             f"relative improvement {last['improvement']:.4%} < {tc.early_stop_delta:.0%}"
         )
-    with open(os.path.join(cfg.output_dir, "training_log.txt"), "w",
-              encoding="utf-8") as fh:
+    with open(_output_file(cfg, "training_log.txt"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(log_lines) + "\n")
     return model_path
 
@@ -230,14 +239,12 @@ def predict_dataset(model: CascadeModel, dataset: Dataset, maps_source,
             for s in dataset.samples]
 
 
-def run_predict(cfg: RunConfig, model_path: str, out_path: str | None = None) -> str:
+def run_predict(cfg: RunConfig, model_path: str) -> str:
     model = load_model(model_path)
     ds = load_run_dataset(cfg, model.schema)
     maps = cfg.map_source(model.schema)
     preds = predict_dataset(model, ds, maps, seed=cfg.seed)
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    if out_path is None:
-        out_path = os.path.join(cfg.output_dir, "predictions.jsonl")
+    out_path = _output_file(cfg, "predictions.jsonl")
     with open(out_path, "w", encoding="utf-8") as fh:
         for s, p in zip(ds.samples, preds):
             rec = {
@@ -251,7 +258,7 @@ def run_predict(cfg: RunConfig, model_path: str, out_path: str | None = None) ->
 
 
 def run_eval(cfg: RunConfig, model_path: str, normalization: str = "height",
-             epsilon: float = 8.0, out_path: str | None = None):
+             epsilon: float = 8.0):
     model = load_model(model_path)
     ds = load_run_dataset(cfg, model.schema)
     maps = cfg.map_source(model.schema)
@@ -263,22 +270,17 @@ def run_eval(cfg: RunConfig, model_path: str, normalization: str = "height",
         normalization=normalization,
         epsilon=epsilon,
         schema=model.schema,
-        pred_vis=[p.shape.visibility for p in preds],
-        gt_vis=[s.ground_truth.visibility for s in ds.samples],
     )
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    if out_path is None:
-        out_path = os.path.join(cfg.output_dir, "report.txt")
+    out_path = _output_file(cfg, "report.txt")
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write(report.to_text())
-    with open(os.path.join(cfg.output_dir, "ced.txt"), "w", encoding="utf-8") as fh:
+    with open(_output_file(cfg, "ced.txt"), "w", encoding="utf-8") as fh:
         for e, c in ced_curve(report.per_image_nme):
             fh.write(f"{e:.6f} {c:.6f}\n")
     return report, out_path
 
 
-def run_cross(base_cfg: RunConfig, dataset_paths: list[str],
-              include_pooled: bool = True, out_path: str | None = None):
+def run_cross(base_cfg: RunConfig, dataset_paths: list[str], include_pooled: bool = True):
     """Train one model per dataset (plus a pooled model) and emit the
     distinct-landmark NME matrix."""
     schema = base_cfg.load_schema()
@@ -290,19 +292,10 @@ def run_cross(base_cfg: RunConfig, dataset_paths: list[str],
     if include_pooled:
         pooled = Dataset([s for ds in datasets for s in ds.samples], schema)
         models.append(train_model(base_cfg, pooled))
-
-    def predict_fn_for(model):
-        def fn(sample):
-            return predict(model, maps.maps_for(sample), sample.bbox, seed=base_cfg.seed).shape
-
-        return fn
-
-    matrix = cross_matrix(
-        [predict_fn_for(m) for m in models], datasets, schema.distinct_indices
-    )
-    os.makedirs(base_cfg.output_dir, exist_ok=True)
-    if out_path is None:
-        out_path = os.path.join(base_cfg.output_dir, "cross_matrix.txt")
+    preds = [[[p.shape for p in predict_dataset(m, ds, maps, seed=base_cfg.seed)]
+              for ds in datasets] for m in models]
+    matrix = cross_matrix(preds, datasets, schema.distinct_indices)
+    out_path = _output_file(base_cfg, "cross_matrix.txt")
     names = list(dataset_paths)
     row_names = names + (["All"] if include_pooled else [])
     with open(out_path, "w", encoding="utf-8") as fh:
@@ -320,8 +313,7 @@ ABLATION_ROWS = [
 ]
 
 
-def run_ablate(base_cfg: RunConfig, dataset: Dataset | None = None,
-               epsilon: float = 4.0, out_path: str | None = None):
+def run_ablate(base_cfg: RunConfig, dataset: Dataset | None = None, epsilon: float = 4.0):
     """Sweep initialization/feature/coarse-to-fine configurations on one
     dataset and report height-normalized metrics per row."""
     schema = base_cfg.load_schema()
@@ -330,10 +322,8 @@ def run_ablate(base_cfg: RunConfig, dataset: Dataset | None = None,
     maps = base_cfg.map_source(schema)
     rows = []
     for name, init_mode, feature_mode, cf in ABLATION_ROWS:
-        cfg = RunConfig(**{**asdict(base_cfg),
-                           "init_mode": init_mode,
-                           "feature_mode": feature_mode,
-                           "coarse_to_fine": cf})
+        cfg = replace(base_cfg, init_mode=init_mode, feature_mode=feature_mode,
+                      coarse_to_fine=cf)
         model = train_model(cfg, dataset)
         preds = predict_dataset(model, dataset, maps, seed=cfg.seed)
         report = evaluate(
@@ -343,9 +333,7 @@ def run_ablate(base_cfg: RunConfig, dataset: Dataset | None = None,
             normalization="height", epsilon=epsilon, schema=schema,
         )
         rows.append((name, report.nme, report.auc, report.fr))
-    os.makedirs(base_cfg.output_dir, exist_ok=True)
-    if out_path is None:
-        out_path = os.path.join(base_cfg.output_dir, "ablation.txt")
+    out_path = _output_file(base_cfg, "ablation.txt")
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write(f"config nme auc_{epsilon:g} fr_{epsilon:g}\n")
         for name, nme_v, auc_v, fr_v in rows:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParseError, SchemaError
+from .errors import ParseError, SchemaError, is_real
 
 
 @dataclass
@@ -72,13 +72,22 @@ class LandmarkSchema:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "LandmarkSchema":
+        if not isinstance(raw, dict):
+            raise SchemaError(f"a schema is a JSON object, not {type(raw).__name__}")
+        missing = [k for k in ("names", "parts", "distinct", "mirror") if k not in raw]
+        if missing:
+            raise SchemaError(f"schema lacks keys {missing}")
         return cls(names=list(raw["names"]), parts=raw["parts"], distinct=raw["distinct"],
                    mirror=raw["mirror"], eyes=raw.get("eyes"))
 
     @classmethod
     def load(cls, path) -> "LandmarkSchema":
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+            try:
+                raw = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise SchemaError(f"schema {path}: {exc}") from None
+        return cls.from_dict(raw)
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -259,23 +268,31 @@ class AugmentConfig:
     roll_noise: float = 0.0
     occlusion_prob: float = 0.0
     occlusion_frac: float = 0.25      # occluder side as fraction of bbox size
-    model3d: object | None = None     # Model3D used to re-project perturbed poses
+
+    def __post_init__(self):
+        for name in ("yaw_noise", "pitch_noise", "roll_noise"):
+            v = getattr(self, name)
+            if not (is_real(v) and 0.0 <= v < math.inf):
+                raise ValueError(f"{name} must be a finite number >= 0, not {v!r}")
+        for name in ("occlusion_prob", "occlusion_frac"):
+            v = getattr(self, name)
+            if not (is_real(v) and 0.0 <= v <= 1.0):
+                raise ValueError(f"{name} must be a number in [0, 1], not {v!r}")
 
     @classmethod
-    def paper_defaults(cls, model3d=None) -> "AugmentConfig":
+    def paper_defaults(cls) -> "AugmentConfig":
         return cls(
             yaw_noise=15.0,
             pitch_noise=15.0,
             roll_noise=15.0,
             occlusion_prob=0.3,
-            model3d=model3d,
         )
 
 
-def _perturbed_initial(sample, cfg, rng):
+def _perturbed_initial(sample, cfg, model3d, rng):
     from .pose import perturb_pose, project_points  # local import avoids a cycle
 
-    if sample.pose is None or cfg.model3d is None:
+    if sample.pose is None or model3d is None:
         return None if sample.initial is None else sample.initial.copy()
     angles = rng.uniform(
         [-cfg.yaw_noise, -cfg.pitch_noise, -cfg.roll_noise],
@@ -284,7 +301,7 @@ def _perturbed_initial(sample, cfg, rng):
     x, y, w, h = sample.bbox
     center = (x + w / 2.0, y + h / 2.0)
     pose = perturb_pose(sample.pose, *np.radians(angles))
-    coords, vis = project_points(cfg.model3d, pose, center=center)
+    coords, vis = project_points(model3d, pose, center=center)
     return Shape(coords, vis, np.ones(len(vis), dtype=np.uint8))
 
 
@@ -303,13 +320,13 @@ def _occlude(shape: Shape, bbox, cfg, rng) -> None:
 
 
 def augment(dataset: Dataset, target_count: int, noise_cfg: AugmentConfig,
-            seed: int) -> Dataset:
+            seed: int, model3d=None) -> Dataset:
     """Grow the training set to >= target_count samples.
 
     The originals are kept verbatim.  Each extra sample reuses a source
     sample's image, maps and ground-truth coordinates; only the initial
-    shape (pose-noise re-projection) and the ground-truth visibility under
-    a synthetic occluder differ.
+    shape (pose-noise re-projection through model3d) and the ground-truth
+    visibility under a synthetic occluder differ.
     """
     n = len(dataset)
     if n == 0:
@@ -326,7 +343,7 @@ def augment(dataset: Dataset, target_count: int, noise_cfg: AugmentConfig,
             image_ref=src.image_ref,
             ground_truth=gt,
             bbox=src.bbox,
-            initial=_perturbed_initial(src, noise_cfg, rng),
+            initial=_perturbed_initial(src, noise_cfg, model3d, rng),
             pose=src.pose,
         )
         out.append(aug)

@@ -7,12 +7,13 @@ detector.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, is_int, is_real, real_range
+from .errors import FormatError, SchemaError, is_int, is_real, real_range
 from .heatmaps import (
     FACE_SIZE,
     BlobMaps,
@@ -58,6 +59,13 @@ class CorpusConfig:
             raise ValueError(f"unknown deform_style {self.deform_style!r}")
         if not isinstance(self.tag, str):
             raise ValueError(f"tag must be a string, not {self.tag!r}")
+        p = self.sign_patterns
+        if p is not None and not (
+                isinstance(p, list)
+                and all(isinstance(row, list) and row
+                        and all(is_real(v) and math.isfinite(v) for v in row) for row in p)):
+            raise ValueError(f"sign_patterns must be a list of non-empty lists of "
+                             f"finite numbers, not {p!r}")
 
 
 def part_deform_modes(model: Model3D, schema: LandmarkSchema,
@@ -94,6 +102,10 @@ def _deform_coefficients(cfg: CorpusConfig, schema, rng) -> np.ndarray:
 def generate_corpus(model: Model3D, schema: LandmarkSchema,
                     cfg: CorpusConfig) -> Dataset:
     """Deterministic dataset of projected deformed faces (no map files)."""
+    for pattern in cfg.sign_patterns or ():
+        if len(pattern) != schema.part_count:
+            raise SchemaError(f"sign pattern {pattern} has {len(pattern)} entries, "
+                              f"the schema has {schema.part_count} parts")
     modes = part_deform_modes(model, schema, cfg.deform_seed)
     center = np.array([FACE_SIZE / 2.0, FACE_SIZE / 2.0])
     focal = float(FACE_SIZE)

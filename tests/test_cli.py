@@ -1,3 +1,4 @@
+import argparse
 import json
 import struct
 
@@ -7,19 +8,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from facealign import pipeline
+from facealign.cascade import predict
 from facealign.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, _config_from_args, build_parser, run
 from facealign.errors import DataError
 from facealign.heatmaps import ProbabilityMaps, read_maps, write_maps
+from facealign.metrics import nme, normalizer, restrict_to_landmarks
 from facealign.pipeline import RunConfig
+from facealign.shapes import load_dataset
 from facealign.synthetic import FileMapSource
+
+
+TRAIN = {"T": 2, "K1": 4, "K2": 4, "depth": 2, "candidates_per_node": 12,
+         "shrinkage": 0.4, "Z": 5}
 
 
 def write_config(path, **kw):
     cfg = {
         "corpus": {"count": 24},
         "synth": {"coordinate_noise_sigma": 0.5},
-        "train": {"T": 2, "K1": 4, "K2": 4, "depth": 2,
-                  "candidates_per_node": 12, "shrinkage": 0.4, "Z": 5},
+        "train": TRAIN,
         "seed": 3,
     }
     cfg.update(kw)
@@ -73,6 +80,41 @@ class TestRunConfig:
             argv += ["--config", str(write_config(tmp_path / "c.json", corpus=corpus))]
         cfg = _config_from_args(build_parser().parse_args(argv))
         assert cfg.corpus == {**corpus, "count": 5}
+
+
+# the option strings each subcommand accepts: a common flag that a
+# command's run_* function would not read is not registered for it
+PARSER_TABLE = {
+    "synth": {"--config", "--seed", "--out", "--count", "--no-maps"},
+    "train": {"--config", "--seed", "--out", "--dataset", "--maps-dir",
+              "--init", "--features", "--coarse-to-fine"},
+    "predict": {"--config", "--seed", "--out", "--dataset", "--maps-dir", "--model"},
+    "eval": {"--config", "--seed", "--out", "--dataset", "--maps-dir", "--model",
+             "--epsilon", "--normalization"},
+    "cross": {"--config", "--seed", "--out", "--maps-dir", "--init", "--features",
+              "--coarse-to-fine", "--no-pooled"},
+    "ablate": {"--config", "--seed", "--out", "--dataset", "--maps-dir", "--epsilon"},
+}
+
+
+class TestParser:
+    def test_option_strings_per_command(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        table = {name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
+                 for name, p in sub.choices.items()}
+        assert table == PARSER_TABLE
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--model", "m.facm", "--init", "mean"],
+        ["predict", "--model", "m.facm", "--coarse-to-fine", "off"],
+        ["ablate", "--features", "gray"],
+        ["synth", "--dataset", "faces.jsonl"],
+        ["cross", "--dataset", "faces.jsonl", "a.jsonl"],
+    ])
+    def test_ignored_flag_is_a_usage_error(self, tmp_path, capsys, argv):
+        assert run(argv + ["--out", str(tmp_path / "out")]) == EXIT_USAGE
+        assert not (tmp_path / "out").exists()
 
 
 class TestExitCodes:
@@ -140,6 +182,10 @@ BAD_CORPUS = st.one_of(
     st.tuples(st.sampled_from(["count", "seed", "deform_seed"]),
               st.one_of(st.booleans(), st.text(max_size=3), st.floats(allow_nan=False),
                         st.none())),
+    # the builtin schema has 10 parts, so a pattern needs 10 signs
+    st.tuples(st.just("sign_patterns"),
+              st.sampled_from([[[1, 2]], "x", ["x"], [[]], [1] * 10, [["a"] * 10],
+                               [[1] * 10, [1] * 9], [[True] * 10], [[float("inf")] * 10]])),
 )
 
 _not_int = st.one_of(st.booleans(), st.text(max_size=4), st.none(),
@@ -209,7 +255,14 @@ class TestConfigErrors:
     @pytest.mark.parametrize("extra", [{"augment_target": 2},
                                        {"augment_target": 40, "augment": {"bogus": 1}},
                                        # geometric augmentation is not supported
-                                       {"augment_target": 40, "augment": {"mirror_prob": 0.5}}])
+                                       {"augment_target": 40, "augment": {"mirror_prob": 0.5}},
+                                       # the 3D model is the run's model3d setting
+                                       {"augment_target": 40, "augment": {"model3d": "builtin"}},
+                                       {"augment_target": 40, "augment": {"occlusion_prob": "x"}},
+                                       {"augment_target": 40, "augment": {"yaw_noise": -400}},
+                                       {"augment_target": 40,
+                                        "augment": {"occlusion_prob": 1.0,
+                                                    "occlusion_frac": 3.0}}])
     def test_bad_augmentation_is_data_error(self, faces, extra, capsys):
         cfg = write_config(faces / "bad_aug.json", **extra)
         rc = run(["train", "--config", str(cfg),
@@ -248,12 +301,34 @@ class TestConfigErrors:
         with pytest.raises(DataError, match=key):
             RunConfig.from_file(path)
 
+    def test_train_coarse_to_fine_key_exits_2(self, faces, capsys):
+        # coarse_to_fine has one source, the top-level key (or
+        # --coarse-to-fine); a copy in the train section is refused
+        cfg = write_config(faces / "cf.json", train={**TRAIN, "coarse_to_fine": False})
+        rc = run(["train", "--config", str(cfg), "--dataset", str(faces / "annotations.jsonl"),
+                  "--out", str(faces / "cf_out")])
+        assert rc == EXIT_DATA
+        assert "train.coarse_to_fine" in capsys.readouterr().err
+        assert not (faces / "cf_out").exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"names": ["a"]}', "'parts', 'distinct', 'mirror'"),
+        ("[1]", "not list"),
+        ("{bad", "Expecting property name"),
+    ])
+    def test_bad_schema_file_exits_2(self, tmp_path, capsys, text, message):
+        (tmp_path / "schema.json").write_text(text)
+        cfg = write_config(tmp_path / "c.json", schema=str(tmp_path / "schema.json"))
+        assert run(["synth", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_DATA
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("seed", ["x", True, 1.5, -1])
     @pytest.mark.parametrize("command", ["synth", "train"])
     def test_bad_seed_exits_2(self, faces, seed, command, capsys):
         cfg = write_config(faces / "bad_seed.json", seed=seed)
-        rc = run([command, "--config", str(cfg),
-                  "--dataset", str(faces / "annotations.jsonl"),
+        dataset = ["--dataset", str(faces / "annotations.jsonl")] if command == "train" else []
+        rc = run([command, "--config", str(cfg), *dataset,
                   "--out", str(faces / "bad_seed_out")])
         assert rc == EXIT_DATA
         assert "seed must be an integer" in capsys.readouterr().err
@@ -362,6 +437,41 @@ class TestPipelineCommands:
         first = (out / "report.txt").read_bytes()
         assert run(args) == EXIT_OK
         assert (out / "report.txt").read_bytes() == first
+
+    def test_cross(self, workdir, tmp_path, capsys, monkeypatch):
+        _, cfg, _ = workdir
+        sets = []
+        for tag, seed in (("seta", 31), ("setb", 32)):
+            set_cfg = write_config(tmp_path / f"{tag}.json",
+                                   corpus={"count": 24, "seed": seed, "tag": tag})
+            assert run(["synth", "--config", str(set_cfg), "--out", str(tmp_path / tag),
+                        "--no-maps"]) == EXIT_OK
+            sets.append(str(tmp_path / tag / "annotations.jsonl"))
+        models, train_model = [], pipeline.train_model
+        monkeypatch.setattr(pipeline, "train_model",
+                            lambda *a: models.append(train_model(*a)) or models[-1])
+        assert run(["cross", "--config", str(cfg), *sets,
+                    "--out", str(tmp_path / "cross")]) == EXIT_OK
+        lines = (tmp_path / "cross" / "cross_matrix.txt").read_text().splitlines()
+        assert lines[0] == "train\\test " + " ".join(sets)
+        assert [line.split()[0] for line in lines[1:]] == sets + ["All"]
+        # each entry is the mean per-sample NME over the distinct landmarks
+        run_cfg = RunConfig.from_file(cfg)
+        schema = run_cfg.load_schema()
+        maps, idx = run_cfg.map_source(schema), schema.distinct_indices
+        datasets = [load_dataset(p, schema) for p in sets]
+        assert len(models) == 3
+        for model, line in zip(models, lines[1:]):
+            want = []
+            for ds in datasets:
+                errs = [nme(restrict_to_landmarks(
+                                predict(model, maps.maps_for(s), s.bbox, seed=run_cfg.seed).shape,
+                                idx),
+                            restrict_to_landmarks(s.ground_truth, idx),
+                            normalizer(s.ground_truth, s.bbox, "height"))
+                        for s in ds.samples]
+                want.append(f"{np.mean(errs):.4f}")
+            assert line.split()[1:] == want
 
     def test_train_with_file_maps(self, workdir, tmp_path):
         # maps read back from disk instead of synthesized on demand

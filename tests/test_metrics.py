@@ -206,8 +206,10 @@ class TestPerLandmark:
 class TestEvaluate:
     def test_report_fields_and_determinism(self):
         r = np.random.default_rng(11)
-        gts = [shape(r.uniform(0, 100, size=(3, 2))) for _ in range(6)]
-        preds = [shape(g.coords + r.normal(0, 2, size=(3, 2))) for g in gts]
+        gts = [shape(r.uniform(0, 100, size=(3, 2)), vis=r.integers(0, 2, 3).astype(float))
+               for _ in range(6)]
+        preds = [shape(g.coords + r.normal(0, 2, size=(3, 2)), vis=r.uniform(0, 1, 3))
+                 for g in gts]
         bboxes = [(0, 0, 100, 100)] * 6
         a = evaluate(preds, gts, bboxes, epsilon=8.0)
         b = evaluate(preds, gts, bboxes, epsilon=8.0)
@@ -215,6 +217,10 @@ class TestEvaluate:
         assert a.nme == pytest.approx(np.mean(a.per_image_nme))
         assert 0.0 <= a.auc <= 1.0
         assert 0.0 <= a.fr <= 100.0
+        # occlusion is scored from the visibility of the given Shapes
+        assert (a.occlusion_precision, a.occlusion_recall) == occlusion_pr(
+            [p.visibility for p in preds], [g.visibility for g in gts])
+        assert a.occlusion_precision is not None and a.occlusion_recall is not None
 
 
 class TestCrossMatrix:
@@ -224,17 +230,15 @@ class TestCrossMatrix:
             range(half, len(tiny_corpus))
         )
 
-    def identity_predictor(self, offset=0.0):
-        def fn(sample):
-            gt = sample.ground_truth
-            return Shape(gt.coords + offset, gt.visibility, gt.annotated)
-
-        return fn
+    def shifted(self, testsets, offset=0.0):
+        """One model's predictions: each ground truth moved by offset."""
+        return [[Shape(s.ground_truth.coords + offset, s.ground_truth.visibility,
+                       s.ground_truth.annotated) for s in ds.samples] for ds in testsets]
 
     def test_identical_testsets_identical_columns(self, schema, tiny_corpus):
         a, _ = self.make_sets(schema, tiny_corpus)
         m = cross_matrix(
-            [self.identity_predictor(1.0), self.identity_predictor(2.0)],
+            [self.shifted([a, a], 1.0), self.shifted([a, a], 2.0)],
             [a, a],
             schema.distinct_indices,
         )
@@ -242,17 +246,17 @@ class TestCrossMatrix:
 
     def test_perfect_predictor_diagonal_zero(self, schema, tiny_corpus):
         a, b = self.make_sets(schema, tiny_corpus)
-        m = cross_matrix([self.identity_predictor()], [a, b], schema.distinct_indices)
+        m = cross_matrix([self.shifted([a, b])], [a, b], schema.distinct_indices)
         np.testing.assert_allclose(m, 0.0, atol=1e-12)
 
     def test_entries_match_independent_recompute(self, schema, tiny_corpus):
         a, b = self.make_sets(schema, tiny_corpus)
-        fn = self.identity_predictor(3.0)
-        m = cross_matrix([fn], [a, b], schema.distinct_indices)
+        preds = self.shifted([a, b], 3.0)
+        m = cross_matrix([preds], [a, b], schema.distinct_indices)
         for j, ds in enumerate((a, b)):
             errs = []
-            for s in ds.samples:
-                pred = restrict_to_landmarks(fn(s), schema.distinct_indices)
+            for s, p in zip(ds.samples, preds[j]):
+                pred = restrict_to_landmarks(p, schema.distinct_indices)
                 gt = restrict_to_landmarks(s.ground_truth, schema.distinct_indices)
                 d = normalizer(s.ground_truth, s.bbox, "height")
                 errs.append(nme(pred, gt, d))
@@ -260,4 +264,4 @@ class TestCrossMatrix:
 
     def test_needs_24_distinct(self, tiny_corpus):
         with pytest.raises(SchemaError):
-            cross_matrix([self.identity_predictor()], [tiny_corpus], np.arange(10))
+            cross_matrix([self.shifted([tiny_corpus])], [tiny_corpus], np.arange(10))

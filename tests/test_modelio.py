@@ -194,6 +194,34 @@ class TestVersion:
         assert "unsupported model version 1" in capsys.readouterr().err
 
 
+# a header config that TrainConfig refuses: an unknown key, a bad value
+BAD_CONFIGS = pytest.mark.parametrize("edit, message", [
+    (lambda header, arrays: header["config"].update(size=3), "unexpected keyword argument 'size'"),
+    (lambda header, arrays: header["config"].update(T=0), "T must be an integer >= 1"),
+], ids=["unknown-key", "bad-value"])
+
+
+class TestHeaderConfig:
+    @BAD_CONFIGS
+    def test_rejected(self, trained, tmp_path, edit, message):
+        p = tmp_path / "bad.facm"
+        save_model(trained[0], p)
+        rewrite_model(p, edit)
+        with pytest.raises(FormatError, match=message):
+            load_model(p)
+
+    @BAD_CONFIGS
+    def test_predict_cli_exits_2(self, trained, tiny_corpus, tmp_path, capsys, edit, message):
+        ann = tmp_path / "faces.jsonl"
+        save_dataset(tiny_corpus, ann)
+        p = tmp_path / "bad.facm"
+        save_model(trained[0], p)
+        rewrite_model(p, edit)
+        assert run(["predict", "--model", str(p), "--dataset", str(ann),
+                    "--out", str(tmp_path / "out")]) == EXIT_DATA
+        assert message in capsys.readouterr().err
+
+
 class TestStageLayout:
     @BAD_STAGES
     def test_rejected(self, trained, tmp_path, edit, message):

@@ -5,8 +5,9 @@ import pytest
 
 from facealign import heatmaps, pipeline
 from facealign.cascade import predict
+from facealign.errors import DataError
 from facealign.heatmaps import ProbabilityMaps
-from facealign.modelio import save_model
+from facealign.modelio import load_model, save_model
 from facealign.pipeline import ABLATION_ROWS, RunConfig, predict_dataset, run_ablate, train_model
 from facealign.pose import bbox_center, robust_init
 from facealign.shapes import load_dataset, save_dataset
@@ -148,15 +149,52 @@ def test_gray_model_serves_from_its_maps(model3d, schema, tmp_path):
     assert moved
 
 
-def test_run_ablate_reports_every_row(model3d, schema, tmp_path):
+def test_mean_init_model_holds_no_3d_model(model3d, schema, tmp_path):
+    cfg = RunConfig(corpus={"count": 20, "seed": 4}, synth={"coordinate_noise_sigma": 1.0},
+                    train={"T": 2, "K1": 3, "K2": 2, "depth": 2, "candidates_per_node": 8},
+                    seed=3, init_mode="mean", val_fraction=0.2)
+    ds = generate_corpus(model3d, schema, cfg.corpus_config())
+    model = train_model(cfg, ds)
+    assert model.model3d is None
+    save_model(model, tmp_path / "mean.facm")
+    raw = (tmp_path / "mean.facm").read_bytes()
+    # the JSON header names every array and records has_model3d
+    assert b'"has_model3d":false' in raw and b'"model3d_names":[]' in raw
+    assert b"model3d/" not in raw
+    loaded = load_model(tmp_path / "mean.facm")
+    assert loaded.model3d is None
+    # a mean model file written with a 3D model attached loads and predicts
+    # the same, bitwise
+    save_model(replace(model, model3d=model3d), tmp_path / "with3d.facm")
+    with3d = load_model(tmp_path / "with3d.facm")
+    assert with3d.model3d is not None
+    source = cfg.map_source(schema)
+    for s in ds.samples:
+        maps = source.maps_for(s)
+        p = predict(loaded, maps, s.bbox)
+        assert same_prediction(p, predict(with3d, maps, s.bbox))
+        assert same_prediction(p, predict(model, maps, s.bbox))
+
+
+def test_run_ablate_reports_every_row(model3d, schema, tmp_path, monkeypatch):
+    # the base config's coarse_to_fine is off: each row sets its own
     cfg = RunConfig(corpus={"count": 24, "seed": 5}, synth={"coordinate_noise_sigma": 1.0},
                     train={"T": 2, "K1": 2, "K2": 2, "depth": 2,
                            "candidates_per_node": 8, "Z": 3},
-                    seed=2, val_fraction=0.2, output_dir=str(tmp_path))
+                    seed=2, val_fraction=0.2, coarse_to_fine=False, output_dir=str(tmp_path))
     save_dataset(generate_corpus(model3d, schema, cfg.corpus_config()), tmp_path / "faces.jsonl")
     ds = load_dataset(tmp_path / "faces.jsonl", schema)
+    # a coarse_to_fine copy in the train section would override the rows'
+    with pytest.raises(DataError, match="train.coarse_to_fine"):
+        run_ablate(replace(cfg, train={**cfg.train, "coarse_to_fine": False}), ds)
+    assert not (tmp_path / "ablation.txt").exists()
+    models = []
+    monkeypatch.setattr(pipeline, "train_model",
+                        lambda *a: models.append(train_model(*a)) or models[-1])
     rows, path = run_ablate(cfg, ds)
     assert [r[0] for r in rows] == [r[0] for r in ABLATION_ROWS]
+    assert [(m.init_mode, m.feature_mode, m.config.coarse_to_fine) for m in models] == [
+        r[1:] for r in ABLATION_ROWS]
     assert np.all(np.isfinite([r[1:] for r in rows]))
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()

@@ -165,9 +165,9 @@ class TestAugment:
         for a, b in zip(out.samples, tiny_corpus.samples):
             assert a is b  # originals verbatim
 
-    def test_growth_and_metadata(self, tiny_corpus):
+    def test_growth_and_metadata(self, tiny_corpus, model3d):
         n = len(tiny_corpus)
-        out = augment(tiny_corpus, n + 10, AugmentConfig.paper_defaults(), 0)
+        out = augment(tiny_corpus, n + 10, AugmentConfig.paper_defaults(), 0, model3d)
         assert len(out) == n + 10
         extra = out.samples[n:]
         for j, s in enumerate(extra):
@@ -200,9 +200,9 @@ class TestAugment:
                 tiny_corpus.samples[j % n].ground_truth.visibility)
 
     def test_deterministic(self, tiny_corpus, model3d):
-        cfg = AugmentConfig.paper_defaults(model3d)
-        a = augment(tiny_corpus, 45, cfg, 3)
-        b = augment(tiny_corpus, 45, cfg, 3)
+        cfg = AugmentConfig.paper_defaults()
+        a = augment(tiny_corpus, 45, cfg, 3, model3d)
+        b = augment(tiny_corpus, 45, cfg, 3, model3d)
         for x, y in zip(a.samples[30:], b.samples[30:]):
             np.testing.assert_array_equal(x.initial.coords, y.initial.coords)
             np.testing.assert_array_equal(x.initial.visibility, y.initial.visibility)
