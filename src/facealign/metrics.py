@@ -102,19 +102,17 @@ def auc_fr(per_image_nme, epsilon: float) -> tuple[float, float]:
     return auc, fr
 
 
-def occlusion_pr(pred_vis, gt_vis, threshold: float = 0.5):
+def occlusion_pr(pred_vis, gt_vis):
     """Precision/recall (percent) of occlusion detection.
 
-    Occluded means visibility below threshold (predictions) or 0 (ground
+    Occluded means visibility below 0.5 (predictions) or 0 (ground
     truth).  Zero-denominator cases return None rather than 0.
     """
-    if not 0.0 < threshold < 1.0:
-        raise ValueError("threshold must lie in (0,1)")
     pv = np.concatenate([np.asarray(p, dtype=np.float64).ravel() for p in pred_vis]) \
         if isinstance(pred_vis, (list, tuple)) else np.asarray(pred_vis, dtype=np.float64).ravel()
     gv = np.concatenate([np.asarray(g, dtype=np.float64).ravel() for g in gt_vis]) \
         if isinstance(gt_vis, (list, tuple)) else np.asarray(gt_vis, dtype=np.float64).ravel()
-    pred_occ = pv < threshold
+    pred_occ = pv < 0.5
     gt_occ = gv < 0.5
     tp = np.count_nonzero(pred_occ & gt_occ)
     precision = 100.0 * tp / pred_occ.sum() if pred_occ.any() else None

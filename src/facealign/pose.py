@@ -9,7 +9,10 @@ a batched linear scaled-orthographic estimate, then Gauss-Newton steps with
 a closed-form Jacobian, each a batched 6x6 normal-equation solve. Every
 hypothesis keeps its own convergence and failure state, and its own focal
 length and image centre, so one that fails or converges drops out while
-the others carry on. fit_pose is a batch of one.
+the others carry on. The loop holds the active hypotheses in compact
+arrays, compacted only when one leaves, and the start's per-subset SVD is
+cached by the subset points; the numpy calls per iteration are what cost,
+not their arithmetic. fit_pose is a batch of one.
 
 robust_inits runs the consensus search for F faces at once: the Z
 hypothesis subsets are drawn once, and one fit_poses call solves all F*Z
@@ -43,8 +46,10 @@ INIT_CHUNK = 32
 _EYE3 = np.eye(3)
 _EYE6 = np.eye(6)
 _EYE3.flags.writeable = _EYE6.flags.writeable = False
-# component k of a x b is a[_NEXT[k]] b[_PREV[k]] - a[_PREV[k]] b[_NEXT[k]]
-_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
+# component k of a x b is a[_NEXT[k]] b[_PREV[k]] - a[_PREV[k]] b[_NEXT[k]],
+# the difference of the two rows of a[_NEXT_PREV] * b[_NEXT_PREV[::-1]],
+# the products np.cross takes in the same order, at less call overhead
+_NEXT_PREV = np.array([[1, 2, 0], [2, 0, 1]])  # rows _NEXT, _PREV
 
 
 @dataclass
@@ -63,6 +68,8 @@ class Model3D:
         L = self.points.shape[0]
         if not (self.normals.shape[0] == len(self.distinct) == L):
             raise SchemaError("model arrays must share L")
+        if not (np.isfinite(self.points).all() and np.isfinite(self.normals).all()):
+            raise SchemaError("model points and normals must be finite")
         if int(self.distinct.sum()) < 4:
             raise SchemaError("need at least 4 distinct landmarks")
 
@@ -78,17 +85,23 @@ class Model3D:
     def load(cls, path) -> "Model3D":
         names, pts, nrm, dst = [], [], [], []
         with open(path, "r", encoding="utf-8") as fh:
-            for raw in fh:
+            for lineno, raw in enumerate(fh, 1):
                 line = raw.split("#", 1)[0].strip()
                 if not line:
                     continue
                 tok = line.split()
                 if len(tok) != 8:
-                    raise SchemaError(f"model line needs 8 fields, got {len(tok)}")
+                    raise SchemaError(f"{path} line {lineno}: model line needs 8 fields, "
+                                      f"got {len(tok)}")
+                try:
+                    point, normal = [float(v) for v in tok[1:4]], [float(v) for v in tok[4:7]]
+                    flag = int(tok[7]) != 0
+                except ValueError as exc:
+                    raise SchemaError(f"{path} line {lineno}: {exc}") from None
                 names.append(tok[0])
-                pts.append([float(v) for v in tok[1:4]])
-                nrm.append([float(v) for v in tok[4:7]])
-                dst.append(int(tok[7]) != 0)
+                pts.append(point)
+                nrm.append(normal)
+                dst.append(flag)
         return cls(np.array(pts), np.array(nrm), np.array(dst), names)
 
     def save(self, path) -> None:
@@ -104,9 +117,10 @@ class Model3D:
 
 
 def _rotations_ok(R: np.ndarray) -> np.ndarray:
-    """(B, 3, 3) -> (B,) bool: orthonormal within tolerance, det not negative."""
+    """(B, 3, 3) -> (B,) bool: orthonormal within tolerance, det not
+    negative; False for a non-finite rotation."""
     err = np.abs(R @ R.transpose(0, 2, 1) - _EYE3).max(axis=(1, 2))
-    return ~(err > ORTHONORMAL_TOL) & ~(np.linalg.det(R) < 0)
+    return (err <= ORTHONORMAL_TOL) & (np.linalg.det(R) >= 0)
 
 
 def _check_rotation(R: np.ndarray) -> None:
@@ -124,10 +138,10 @@ class RigidPose:
         self.rotation = np.asarray(self.rotation, dtype=np.float64).reshape(3, 3)
         self.translation = np.asarray(self.translation, dtype=np.float64).reshape(3)
         _check_rotation(self.rotation)
-        if self.translation[2] <= 0:
+        if not 0 < self.translation[2] < math.inf:
             raise FitError("translation must have positive depth")
-        if self.focal <= 0:
-            raise FitError("focal must be positive")
+        if not 0 < self.focal < math.inf:
+            raise FitError("focal must be finite and positive")
 
     @property
     def scale(self) -> float:
@@ -211,12 +225,10 @@ def score_shapes(maps, coords: np.ndarray) -> np.ndarray:
     then summed over landmarks in order, so it does not depend on the batch.
     """
     c = np.rint(np.asarray(coords, dtype=np.float64)).astype(np.int64)
-    L = maps.landmark_count
-    vals = maps.read(np.arange(L), c[..., 0], c[..., 1])
-    total = np.zeros(len(vals))
-    for l in range(L):
-        total += vals[:, l]
-    return total
+    vals = maps.read(np.arange(maps.landmark_count), c[..., 0], c[..., 1])
+    # a running sum from 0.0: cumsum adds in the same order, and + 0.0 is
+    # the start's only effect, turning a sum of -0.0 values into 0.0
+    return np.cumsum(vals, axis=1)[:, -1] + 0.0
 
 
 class PoseFits(NamedTuple):
@@ -229,18 +241,26 @@ class PoseFits(NamedTuple):
     reason: np.ndarray       # (B,) object: failure message, None where ok
 
 
+# skew(w), row-major, as positions in [w0, w1, w2, -w0, -w1, -w2, 0]
+_SKEW = np.array([6, 5, 1, 2, 6, 3, 4, 0, 6])
+
+
 def _exp_so3(w: np.ndarray) -> np.ndarray:
     """Rodrigues' formula for (B, 3) rotation vectors -> (B, 3, 3)."""
-    K = np.zeros((len(w), 3, 3))
-    K[:, 0, 1], K[:, 0, 2], K[:, 1, 2] = -w[:, 2], w[:, 1], -w[:, 0]
-    K[:, 1, 0], K[:, 2, 0], K[:, 2, 1] = w[:, 2], -w[:, 1], w[:, 0]
-    # np.linalg.norm(w, axis=1) without its checks: the same sum and sqrt
+    K = np.concatenate([w, -w, np.zeros((len(w), 1))], axis=1).take(_SKEW, axis=1)
+    K = K.reshape(-1, 3, 3)
+    # np.linalg.norm(w, axis=1), as in fit_poses' start
     theta = np.sqrt(np.add.reduce(w * w, axis=1))
-    small = theta < 1e-12
-    th = np.where(small, 1.0, theta)
-    a = np.where(small, 1.0, np.sin(th) / th)[:, None, None]
-    b = np.where(small, 0.0, (1 - np.cos(th)) / th**2)[:, None, None]
-    return _EYE3 + a * K + b * (K @ K)
+    # the small-angle limits only where some angle is small
+    any_small = theta.min(initial=np.inf) < 1e-12
+    if any_small:
+        small = theta < 1e-12
+        theta = np.where(small, 1.0, theta)
+    a = np.sin(theta) / theta
+    b = (1 - np.cos(theta)) / theta**2
+    if any_small:
+        a[small], b[small] = 1.0, 0.0
+    return _EYE3 + a[:, None, None] * K + b[:, None, None] * (K @ K)
 
 
 def fit_pose(coords2d: np.ndarray, points3d: np.ndarray,
@@ -281,82 +301,117 @@ def fit_poses(coords2d: np.ndarray, points3d: np.ndarray,
     c = np.full((B, 2), center, dtype=np.float64)
     focal = np.full(B, focal, dtype=np.float64)
     reason = np.full(B, None, dtype=object)
-    R = np.tile(_EYE3, (B, 1, 1))
-    s = np.ones(B)
-    txy = np.zeros((B, 2))  # scaled in-plane offset: uv = c + s * (R X)_xy + txy
+    # per hypothesis: rotation (row-major) then [tx, ty, s], the scaled
+    # in-plane offset and the scale, uv = c + s * (R X)_xy + txy
+    RT = np.tile(np.r_[_EYE3.ravel(), 0.0, 0.0, 1.0], (B, 1))
 
     # start: least squares of the centred peaks on the centred 3D points,
     # through one SVD per subset that also gives the rank test
-    Xc = X - X.mean(axis=1, keepdims=True)
-    U, S, Vt = np.linalg.svd(Xc, full_matrices=False)
-    tol = 1e-9 * np.maximum(1.0, np.abs(Xc).max(axis=(1, 2)))
-    full_rank = (S > tol[:, None]).sum(axis=1) == 3
+    full_rank, U, S, Vt = _subset_basis(X.shape, X.tobytes())
     if not full_rank.all():
         reason[~full_rank] = "degenerate (coplanar) 3D configuration"
     a = np.flatnonzero(full_rank)
     rel = uv[a] - uv[a].mean(axis=1, keepdims=True)
-    IJ = Vt[a].transpose(0, 2, 1) @ ((U[a].transpose(0, 2, 1) @ rel) / S[a, :, None])
-    ni = np.linalg.norm(IJ[..., 0], axis=1)
-    nj = np.linalg.norm(IJ[..., 1], axis=1)
+    IJ = Vt.transpose(0, 2, 1) @ ((U.transpose(0, 2, 1) @ rel) / S)
+    # np.linalg.norm(v, axis=1) without its checks: the same sum and sqrt
+    ni, nj = (np.sqrt(np.add.reduce(v * v, axis=1)) for v in (IJ[..., 0], IJ[..., 1]))
     bad = ~(ni > 0) | ~(nj > 0)
     if bad.any():
         reason[a[bad]] = "degenerate orthographic estimate"
     a, IJ, ni, nj = a[~bad], IJ[~bad], ni[~bad], nj[~bad]
-    s[a] = np.sqrt(ni * nj)
     # orthonormalise the rows [I, J, I x J] by SVD, flipping the last
     # singular direction where that is needed for det +1
     I, J = IJ[..., 0] / ni[:, None], IJ[..., 1] / nj[:, None]
-    Uo, _, Vto = np.linalg.svd(np.stack([I, J, np.cross(I, J)], axis=1))
+    IxJ = I[:, _NEXT_PREV] * J[:, _NEXT_PREV[::-1]]
+    Uo, _, Vto = np.linalg.svd(np.stack([I, J, IxJ[:, 0] - IxJ[:, 1]], axis=1))
     Uo[:, :, 2] *= np.sign(np.linalg.det(Uo @ Vto))[:, None]
-    R[a] = Uo @ Vto
-    proj = X[a] @ R[a].transpose(0, 2, 1)
-    txy[a] = (uv[a] - c[a, None] - s[a, None, None] * proj[..., :2]).mean(axis=1)
 
+    # The active hypotheses' state, compacted only when some leave, in two
+    # blocks: Q holds what the iterations do not change (points X, the
+    # point factors X12 of the Jacobian, centre C and peaks UV), D what they
+    # do (rotation and [tx, ty, s]). A hypothesis' D row is written back to
+    # RT when it leaves.
+    # Row j of d(R X)/dw = -R skew(X) is X x R[j]. X12 and D[:, rcols] hold
+    # the factors of both of its products, laid out (product, point, image
+    # row j, component), so one multiply and one subtract give the rotation
+    # columns of every Jacobian row.
+    xcols = 3 * np.arange(n)[:, None, None] + _NEXT_PREV[:, None, None]
+    rcols = 3 * np.arange(2)[:, None] + _NEXT_PREV[::-1, None, None]
+    xcols, rcols = (np.broadcast_to(v, (2, n, 2, 3)).ravel() for v in (xcols, rcols))
+    Ra, s = Uo @ Vto, np.sqrt(ni * nj)
+    proj = X[a] @ Ra.transpose(0, 2, 1)
+    txy = (uv[a] - c[a, None] - s[:, None, None] * proj[..., :2]).mean(axis=1)
+    Xf = X[a].reshape(-1, 3 * n)
+    Q = np.concatenate([Xf, Xf[:, xcols], np.tile(c[a], n), uv[a].reshape(-1, 2 * n)], axis=1)
+    D = np.concatenate([Ra.reshape(-1, 9), txy, s[:, None]], axis=1)
+    idx, Jac = a, None
+
+    def state():
+        """Views of the blocks: Xa, X12, C, UV, Ra, and P = [tx, ty, s]."""
+        return (Q[:, :3 * n].reshape(-1, n, 3), Q[:, 3 * n:15 * n],
+                Q[:, 15 * n:17 * n].reshape(-1, n, 2), Q[:, 17 * n:].reshape(-1, n, 2),
+                D[:, :9].reshape(-1, 3, 3), D[:, 9:])
+
+    def leave(keep, *extra):
+        """Write back the D rows where keep is False; idx, Q, D, then each
+        of extra, compacted to where keep is True."""
+        drop, kept = (~keep).nonzero()[0], keep.nonzero()[0]
+        RT[idx[drop]] = D.take(drop, axis=0)
+        return tuple(v.take(kept, axis=0) for v in (idx, Q, D) + extra)
+
+    Xa, X12, C, UV, Ra, P = state()
     for _ in range(MAX_ITER):
-        if not len(a):
+        if not len(idx):
             break
-        Xa, Ra, sa = X[a], R[a], s[a]
         proj = Xa @ Ra.transpose(0, 2, 1)
-        r = (c[a, None] + sa[:, None, None] * proj[..., :2] + txy[a, None, :]
-             - uv[a]).reshape(-1, 2 * n)
-        bad = ~np.isfinite(r).all(axis=1)
-        if bad.any():
-            reason[a[bad]] = "pose iteration diverged"
-            a, Xa, Ra, sa, proj, r = (v[~bad] for v in (a, Xa, Ra, sa, proj, r))
-        # parameters: rotation increment (3), txy (2), scale (1); row k of
-        # d(R X)/dw = -R skew(X) is X x R[k], for the image rows k = 0, 1,
-        # written out with permuted components (np.cross costs more here)
-        Xl, Rk = Xa[:, :, None, :], Ra[:, None, :2, :]
-        Jac = np.empty((len(a), n, 2, 6))
-        Jac[..., 0:3] = ((Xl[..., _NEXT] * Rk[..., _PREV] - Xl[..., _PREV] * Rk[..., _NEXT])
-                         * sa[:, None, None, None])
-        Jac[..., 3:5] = _EYE3[:2, :2]
+        r = (C + P[:, 2, None, None] * proj[..., :2] + P[:, None, :2] - UV).reshape(-1, 2 * n)
+        if not np.isfinite(r).all():
+            finite = np.isfinite(r).all(axis=1)
+            reason[idx[~finite]] = "pose iteration diverged"
+            idx, Q, D, proj, r = leave(finite, proj, r)
+            Xa, X12, C, UV, Ra, P = state()
+        # parameters: rotation increment (3), txy (2), scale (1). One
+        # buffer per active set; A = Jt @ J on the buffer and its own
+        # transpose takes numpy's syrk path.
+        if Jac is None or len(Jac) != len(idx):
+            Jac = np.empty((len(idx), n, 2, 6))
+            Jac[..., 3:5] = _EYE3[:2, :2]
+            J = Jac.reshape(-1, 2 * n, 6)
+            Jt = J.transpose(0, 2, 1)
+        XR = X12 * D.take(rcols, axis=1)
+        cross = XR[:, :6 * n] - XR[:, 6 * n:]
+        cross *= P[:, 2, None]
+        Jac[..., 0:3] = cross.reshape(-1, n, 2, 3)
         Jac[..., 5] = proj[..., :2]
-        Jac = Jac.reshape(-1, 2 * n, 6)
-        Jt = Jac.transpose(0, 2, 1)
-        A = Jt @ Jac
-        singular = ~(np.linalg.det(A) != 0)
-        if singular.any():
-            A[singular] = _EYE6
+        A = Jt @ J
+        regular = np.linalg.det(A) != 0
+        any_singular = not regular.all()
+        if any_singular:
+            A[~regular] = _EYE6
         step = np.linalg.solve(A, -(Jt @ r[..., None]))[..., 0]
-        bad = singular | ~np.isfinite(step).all(axis=1)
-        if bad.any():
-            reason[a[bad]] = "pose iteration diverged"
-            reason[a[singular]] = "pose solve failed: singular normal equations"
-            a, Ra, step = a[~bad], Ra[~bad], step[~bad]
-        R[a] = Ra @ _exp_so3(step[:, 0:3])
-        txy[a] += step[:, 3:5]
-        s[a] += step[:, 5]
-        bad = s[a] <= 0
-        if bad.any():
-            reason[a[bad]] = "negative projection scale"
-        a = a[~bad & ~(np.sqrt(np.add.reduce(step * step, axis=1)) < STEP_TOL)]
+        if any_singular or not np.isfinite(step).all():
+            finite = np.isfinite(step).all(axis=1)
+            reason[idx[~finite]] = "pose iteration diverged"
+            reason[idx[~regular]] = "pose solve failed: singular normal equations"
+            idx, Q, D, step = leave(finite & regular, step)
+            Xa, X12, C, UV, Ra, P = state()
+        D[:, :9] = (Ra @ _exp_so3(step[:, 0:3])).reshape(-1, 9)
+        P += step[:, 3:6]
+        negative = P[:, 2] <= 0
+        done = negative | (np.sqrt(np.add.reduce(step * step, axis=1)) < STEP_TOL)
+        if done.any():
+            reason[idx[negative]] = "negative projection scale"
+            idx, Q, D = leave(~done)
+            Xa, X12, C, UV, Ra, P = state()
+    RT[idx] = D
+    R = np.ascontiguousarray(RT[:, :9]).reshape(B, 3, 3)
 
     ok = np.array([m is None for m in reason], dtype=bool)
     t = np.zeros((B, 3))
-    t[ok] = np.column_stack([txy[ok] / s[ok, None], focal[ok] / s[ok]])
+    t[ok] = np.column_stack([RT[ok, 9:11] / RT[ok, 11, None], focal[ok] / RT[ok, 11]])
     for bad, msg in ((~_rotations_ok(R), "rotation matrix fails orthonormality tolerance"),
-                     (~(t[:, 2] > 0), "translation must have positive depth")):
+                     (~((t[:, 2] > 0) & (t[:, 2] < np.inf)),
+                      "translation must have positive depth")):
         reason[ok & bad] = msg
         ok &= ~bad
     return PoseFits(R, t, ok, reason)
@@ -380,6 +435,25 @@ def _hypothesis_subsets(seed: int, Z: int, subset_size: int, distinct: tuple) ->
     ])
     ids.flags.writeable = False
     return ids
+
+
+@functools.lru_cache(maxsize=16)
+def _subset_basis(shape: tuple, points: bytes):
+    """fit_poses' start for one batch of 3D subsets, (B, n, 3) float64
+    bytes: the (B,) full-rank mask, and U (k, n, 3), S (k, 3, 1) and Vt
+    (k, 3, 3) of the centred points' SVD for the k full-rank subsets.
+    Serving passes the same subsets on every call, so they are factorised
+    once per key and shared read-only."""
+    X = np.frombuffer(points).reshape(shape)
+    Xc = X - X.mean(axis=1, keepdims=True)
+    U, S, Vt = np.linalg.svd(Xc, full_matrices=False)
+    tol = 1e-9 * np.maximum(1.0, np.abs(Xc).max(axis=(1, 2)))
+    full_rank = (S > tol[:, None]).sum(axis=1) == 3
+    a = np.flatnonzero(full_rank)
+    out = (full_rank, U[a], S[a, :, None], Vt[a])
+    for v in out:
+        v.flags.writeable = False
+    return out
 
 
 def robust_init(maps, model: Model3D, Z: int = 25, subset_size: int = 6,

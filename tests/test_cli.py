@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from facealign import pipeline
+from facealign import default_model3d, pipeline
 from facealign.cascade import predict
 from facealign.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, _config_from_args, build_parser, run
 from facealign.errors import DataError
@@ -320,6 +320,30 @@ class TestConfigErrors:
         (tmp_path / "schema.json").write_text(text)
         cfg = write_config(tmp_path / "c.json", schema=str(tmp_path / "schema.json"))
         assert run(["synth", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_DATA
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("field, value, message", [
+        (2, "nan", "finite"),
+        (5, "1e400", "finite"),
+        (1, "x", "line 5"),
+        (7, "1.0", "line 5"),
+    ])
+    @pytest.mark.parametrize("command", ["synth", "train"])
+    def test_bad_model_file_exits_2(self, faces, tmp_path, capsys, command, field, value,
+                                    message):
+        # one bad field on the fifth line of the 3D model file
+        path = tmp_path / "model.txt"
+        default_model3d().save(path)
+        lines = path.read_text().splitlines()
+        tok = lines[4].split()
+        tok[field] = value
+        lines[4] = " ".join(tok)
+        path.write_text("\n".join(lines) + "\n")
+        cfg = write_config(tmp_path / "c.json", model3d=str(path))
+        dataset = ["--dataset", str(faces / "annotations.jsonl")] if command == "train" else []
+        rc = run([command, "--config", str(cfg), *dataset, "--out", str(tmp_path / "out")])
+        assert rc == EXIT_DATA
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 

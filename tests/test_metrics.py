@@ -184,9 +184,14 @@ class TestOcclusionPR:
         prec, rec = occlusion_pr(pred, gt)
         assert rec is None
 
-    def test_threshold_validation(self):
-        with pytest.raises(ValueError):
-            occlusion_pr([np.ones(1)], [np.ones(1)], threshold=1.0)
+    def test_threshold_is_one_half(self):
+        # a predicted visibility below 0.5 is occluded; the threshold is
+        # fixed, not a parameter
+        pred = [np.array([0.5, np.nextafter(0.5, 0.0), 0.0, 1.0])]
+        gt = [np.array([1.0, 0.0, 0.0, 1.0])]
+        assert occlusion_pr(pred, gt) == (100.0, 100.0)
+        with pytest.raises(TypeError):
+            occlusion_pr(pred, gt, threshold=0.4)
 
 
 class TestPerLandmark:

@@ -41,7 +41,7 @@ from facealign.pose import (
     score_shapes,
 )
 from facealign.shapes import Sample
-from oracles import map_values
+from oracles import exp_so3_lockstep, fit_poses_lockstep, map_values, score_shapes_per_landmark
 
 angles = st.floats(-np.pi, np.pi, allow_nan=False)
 
@@ -588,6 +588,114 @@ class TestRobustInits:
         assert consensus_inits([], None, model3d, 5, 6, 0) == []
 
 
+large_batches = st.tuples(
+    st.integers(4, 8),
+    st.lists(st.sampled_from(HYPOTHESIS_KINDS), min_size=1, max_size=40),
+    st.integers(0, 2**32 - 1),
+)
+
+
+def counted_fit_poses(monkeypatch, *args):
+    """fit_poses(*args) and the number of hypotheses each Gauss-Newton
+    iteration steps, counted at its one _exp_so3 call per iteration."""
+    steps, exp_so3 = [], pose._exp_so3
+
+    def counting(w):
+        steps.append(len(w))
+        return exp_so3(w)
+
+    monkeypatch.setattr(pose, "_exp_so3", counting)
+    return fit_poses(*args), steps
+
+
+# peaks scaled about the image origin, which becomes the hypothesis'
+# centre: at 1e160 the iteration diverges, at 1e-100 the normal equations
+# are singular and at 1e-200 the orthographic start is degenerate
+PEAK_SCALES = (1e160, 1e-100, 1e-200)
+
+
+class TestLockstepOracle:
+    """fit_poses against the lockstep loop it replaced, bit for bit."""
+
+    @given(large_batches, st.booleans(),
+           st.lists(st.sampled_from((None, None, None) + PEAK_SCALES), max_size=40))
+    @settings(max_examples=60, deadline=None)
+    def test_bitwise_equal(self, model3d, batch, own_focal_and_centre, peak_scales):
+        uv, X = make_batch(model3d, *batch)
+        B = len(uv)
+        focal, center = 160.0, CENTER
+        if own_focal_and_centre or any(peak_scales):
+            r = np.random.default_rng(batch[2])
+            focal = r.uniform(96.0, 200.0, B) if own_focal_and_centre else np.full(B, 160.0)
+            center = np.array(CENTER) + (r.uniform(-10, 10, (B, 2)) if own_focal_and_centre
+                                         else np.zeros((B, 2)))
+            for b, f in enumerate(peak_scales[:B]):
+                if f is not None:
+                    uv[b], center[b] = (uv[b] - center[b]) * f, 0.0
+        want_steps = []
+        with np.errstate(all="ignore"):
+            want = fit_poses_lockstep(uv, X, focal, center, want_steps)
+            with pytest.MonkeyPatch.context() as mp:
+                got, steps = counted_fit_poses(mp, uv, X, focal, center)
+        assert np.array_equal(got.rotation, want.rotation)
+        assert np.array_equal(got.translation, want.translation)
+        assert np.array_equal(got.ok, want.ok)
+        assert got.reason.tolist() == want.reason.tolist()
+        assert steps == want_steps
+
+    @given(st.lists(st.tuples(st.sampled_from([0.0, 1e-300, 1e-13, 1e-12, 1e-6, 1.0, 4.0]),
+                              st.integers(0, 2**32 - 1)), min_size=1, max_size=12))
+    @settings(max_examples=40, deadline=None)
+    def test_exp_so3_bitwise_equal(self, rows):
+        # rotation vectors of given lengths, small-angle ones among them
+        w = np.array([length * np.random.default_rng(seed).normal(size=3) for length, seed in rows])
+        assert pose._exp_so3(w).tobytes() == exp_so3_lockstep(w).tobytes()
+        # the loop passes a column slice of its (k, 6) step
+        step = np.column_stack([w, w])
+        assert pose._exp_so3(step[:, 0:3]).tobytes() == exp_so3_lockstep(w).tobytes()
+
+    def test_subset_basis_is_cached_read_only(self, model3d):
+        uv, X = make_batch(model3d, 6, ["pose"] * 5, 3)
+        pose._subset_basis.cache_clear()
+        first = fit_poses(uv, X, 160.0, CENTER)
+        basis = pose._subset_basis(X.shape, X.tobytes())
+        assert pose._subset_basis.cache_info().hits == 1
+        assert all(not v.flags.writeable for v in basis)
+        with pytest.raises(ValueError):
+            basis[1][0, 0, 0] = 0.0
+        again = fit_poses(uv, X, 160.0, CENTER)
+        assert pose._subset_basis.cache_info().hits == 2
+        assert np.array_equal(again.rotation, first.rotation)
+        # one model point moved by one ulp is another key
+        X[2, 3, 1] = np.nextafter(X[2, 3, 1], np.inf)
+        fit_poses(uv, X, 160.0, CENTER)
+        info = pose._subset_basis.cache_info()
+        assert (info.hits, info.misses) == (2, 2)
+
+    @given(kinds=st.lists(st.sampled_from(FACE_KINDS), min_size=1, max_size=6),
+           seed=st.integers(0, 2**32 - 1), Z=st.integers(1, 25))
+    @settings(max_examples=20, deadline=None)
+    def test_robust_inits_bitwise_equal(self, model3d, kinds, seed, Z):
+        # faces with outlier peaks, through the lockstep loop and the
+        # per-landmark score sum, then through the package's own
+        maps, bboxes = make_faces(model3d, ["outliers"] + kinds, seed)
+        centers = [bbox_center(b) for b in bboxes]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pose, "fit_poses", fit_poses_lockstep)
+            mp.setattr(pose, "score_shapes", score_shapes_per_landmark)
+            want = robust_inits(maps, model3d, Z, 6, seed % 1000, centers)
+        got = robust_inits(maps, model3d, Z, 6, seed % 1000, centers)
+        assert len(got) == len(want) == len(maps)
+        for g, w in zip(got, want):
+            assert (g is None) == (w is None)
+            if g is not None:
+                assert g.score == w.score
+                assert np.array_equal(g.shape.coords, w.shape.coords)
+                assert np.array_equal(g.shape.visibility, w.shape.visibility)
+                assert np.array_equal(g.pose.rotation, w.pose.rotation)
+                assert np.array_equal(g.pose.translation, w.pose.translation)
+
+
 class TestHypothesisSubsets:
     @staticmethod
     def per_face_draw(seed, Z, subset_size, distinct):
@@ -633,6 +741,13 @@ class TestScoreShapes:
                 want += float(map_values(maps.maps[l], coords[b, l: l + 1])[0])
             assert got[b] == want
             assert score_shape(maps, coords[b]) == want
+        assert got.tobytes() == score_shapes_per_landmark(maps, coords).tobytes()
+
+    def test_negative_zero_values_sum_to_zero(self):
+        # a running sum from 0.0 never ends at -0.0
+        maps = ProbabilityMaps(np.full((5, 8, 8), -0.0))
+        got = score_shapes(maps, np.full((3, 5, 2), 2.0))
+        assert got.tobytes() == np.zeros(3).tobytes()
 
 
 def noiseless_maps_for_pose(model, R, t, size=160):
@@ -750,3 +865,50 @@ class TestModelIO:
     def test_needs_four_distinct(self):
         with pytest.raises(SchemaError):
             Model3D(np.zeros((5, 3)), np.zeros((5, 3)), [True, True, True, False, False])
+
+    @pytest.mark.parametrize("where", ["points", "normals"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, model3d, where, value):
+        arrays = {"points": model3d.points.copy(), "normals": model3d.normals.copy()}
+        arrays[where][3, 1] = value
+        with pytest.raises(SchemaError, match="finite"):
+            Model3D(arrays["points"], arrays["normals"], model3d.distinct)
+
+    @pytest.mark.parametrize("field, value, message", [
+        (2, "nan", "finite"),
+        (5, "1e400", "finite"),
+        (1, "x", "line 5: could not convert string to float: 'x'"),
+        (7, "1.0", "line 5: invalid literal for int"),
+    ])
+    def test_bad_model_file(self, tmp_path, model3d, field, value, message):
+        p = tmp_path / "m.txt"
+        model3d.save(p)
+        lines = p.read_text().splitlines()
+        tok = lines[4].split()
+        tok[field] = value
+        lines[4] = " ".join(tok)
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SchemaError, match=message):
+            Model3D.load(p)
+
+
+class TestNonFinitePose:
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rotation_check_fails(self, value):
+        R = np.eye(3)
+        R[1, 2] = value
+        assert not pose._rotations_ok(np.stack([np.eye(3), R, np.full((3, 3), value)]))[1:].any()
+        assert pose._rotations_ok(np.eye(3)[None])[0]
+        with pytest.raises(FitError, match="orthonormality"):
+            RigidPose(R, [0.0, 0.0, 400.0], 160.0)
+
+    @pytest.mark.parametrize("depth", [np.nan, np.inf, 0.0, -1.0])
+    def test_depth_must_be_finite_and_positive(self, depth):
+        with pytest.raises(FitError, match="positive depth"):
+            RigidPose(np.eye(3), [0.0, 0.0, depth], 160.0)
+
+    @pytest.mark.parametrize("focal", [np.nan, np.inf, 0.0, -160.0])
+    def test_focal_must_be_finite_and_positive(self, focal):
+        with pytest.raises(FitError, match="focal must be finite and positive"):
+            RigidPose(np.eye(3), [0.0, 0.0, 400.0], focal)
