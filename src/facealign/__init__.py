@@ -7,7 +7,7 @@ from importlib import resources
 
 from .cascade import CascadeModel, TrainConfig, predict, train_cascade
 from .features import FreakPattern, SplitParams, default_pattern
-from .heatmaps import ProbabilityMaps, SynthConfig, peak_coords, read_maps, smooth, synthesize, write_maps
+from .heatmaps import ProbabilityMaps, SynthConfig, read_maps, smooth, synthesize, write_maps
 from .metrics import EvalReport, auc_fr, evaluate, nme, normalizer, occlusion_pr
 from .modelio import load_model, save_model
 from .pose import InitResult, Model3D, RigidPose, fit_pose, mean_shape_init, project_points, robust_init, score_shape

@@ -5,12 +5,11 @@ early stopping, and visibility estimation stored on the leaves.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FormatError, InitError, is_int, is_real, real_range
+from .errors import FormatError, InitError, is_finite, is_int, is_real, real_range
 from .features import (
     DEFAULT_TAU_RANGE,
     STAGE_SCALE_FLOOR,
@@ -22,6 +21,7 @@ from .features import (
     stage_scale,
 )
 from .heatmaps import GrayMaps
+from .metrics import nme_percent, normalizer
 from .pose import Model3D, anchor_shape, bbox_center, consensus_inits, robust_init
 from .shapes import Dataset, LandmarkSchema, Shape
 
@@ -51,13 +51,13 @@ class TrainConfig:
             if not is_int(v) or v < low:
                 raise ValueError(f"{name} must be an integer >= {low}, not {v!r}")
         self.tau_range = real_range("tau_range", self.tau_range)
-        if not 0.0 < self.shrinkage <= 1.0:
-            raise ValueError("shrinkage must lie in (0,1]")
-        if not 0.0 < self.subsample <= 1.0:
-            raise ValueError("subsample must lie in (0,1]")
+        for name in ("shrinkage", "subsample"):
+            v = getattr(self, name)
+            if not (is_real(v) and 0.0 < v <= 1.0):
+                raise ValueError(f"{name} must be a number in (0, 1], not {v!r}")
         if not (is_real(self.scale_floor) and 0.0 < self.scale_floor <= 1.0):
             raise ValueError(f"scale_floor must be a number in (0, 1], not {self.scale_floor!r}")
-        if not (is_real(self.early_stop_delta) and abs(self.early_stop_delta) < math.inf):
+        if not is_finite(self.early_stop_delta):
             raise ValueError(f"early_stop_delta must be a finite number, "
                              f"not {self.early_stop_delta!r}")
 
@@ -397,17 +397,6 @@ def apply_stage(stage: PartsStage, V, coords, vis=None) -> None:
             vis[:, p] = keep ** K * vis[:, p] + weights @ pm.leaf_visibility[local]
 
 
-def _height_normalizers(bboxes: np.ndarray) -> np.ndarray:
-    return np.sqrt(bboxes[:, 2] * bboxes[:, 3])
-
-
-def _nme_percent(coords, gt_coords, ann, d) -> float:
-    dist = np.linalg.norm(coords - gt_coords, axis=2)
-    w = ann.astype(np.float64)
-    per_img = (dist * w).sum(axis=1) / np.maximum(w.sum(axis=1), 1)
-    return float(np.mean(100.0 * per_img / d))
-
-
 class TrainingArrays:
     """Per-sample arrays materialized from a Dataset for the cascade."""
 
@@ -418,12 +407,16 @@ class TrainingArrays:
         self.gt_coords = np.zeros((n, L, 2))
         self.ann = np.zeros((n, L), dtype=np.uint8)
         self.gt_vis = np.zeros((n, L))
-        self.bboxes = np.zeros((n, 4))
+        self.d = np.zeros(n)  # height normalizers
         for i, s in enumerate(dataset.samples):
             self.gt_coords[i] = s.ground_truth.coords
             self.ann[i] = s.ground_truth.annotated
             self.gt_vis[i] = s.ground_truth.visibility
-            self.bboxes[i] = s.bbox
+            self.d[i] = normalizer(s.ground_truth, s.bbox, "height")
+
+    def nme(self, coords) -> float:
+        """Mean percent NME of coords over these faces."""
+        return float(np.mean(nme_percent(coords, self.gt_coords, self.ann, self.d)))
 
 
 def feature_maps(maps, feature_mode: str):
@@ -478,15 +471,20 @@ def relative_improvement(prev_nme: float, cur_nme: float) -> float:
     return (prev_nme - cur_nme) / prev_nme if prev_nme > 0 else 0.0
 
 
-def stop_stage(val_nmes, delta: float, T: int) -> int:
-    """Stage count the stopping rule yields for a validation NME sequence.
-
-    val_nmes[0] is the initialization error, val_nmes[t] the error after
-    stage t.  Training halts at the first stage whose relative improvement
-    falls below delta, and never runs more than T stages.
+def stops_at(val_nmes, t: int, delta: float, switched_at: int | None = None) -> bool:
+    """The stopping rule: training halts after stage t when its relative
+    improvement, val_nmes[t - 1] to val_nmes[t], falls below delta, unless
+    t is the stage on which the coarse-to-fine switch fired, so the fine
+    phase always gets a stage.  val_nmes[0] is the initialization error.
     """
+    return t != switched_at and relative_improvement(val_nmes[t - 1], val_nmes[t]) < delta
+
+
+def stop_stage(val_nmes, delta: float, T: int, switched_at: int | None = None) -> int:
+    """Stage count the stopping rule yields for a validation NME sequence:
+    the first stage at which it halts, and never more than T stages."""
     for t in range(1, min(len(val_nmes) - 1, T) + 1):
-        if relative_improvement(val_nmes[t - 1], val_nmes[t]) < delta:
+        if stops_at(val_nmes, t, delta, switched_at):
             return t
     return min(len(val_nmes) - 1, T)
 
@@ -510,8 +508,6 @@ def train_cascade(train: Dataset, val: Dataset, maps_provider, init_fn,
     va = TrainingArrays(val)
     tr_coords = init_fn(train.samples, maps_provider)
     va_coords = init_fn(val.samples, maps_provider)
-    d_tr = _height_normalizers(tr.bboxes)
-    d_va = _height_normalizers(va.bboxes)
 
     all_landmarks = [np.arange(L)]
     parts_p10 = fine_parts(schema)
@@ -519,13 +515,13 @@ def train_cascade(train: Dataset, val: Dataset, maps_provider, init_fn,
 
     stages: list[PartsStage] = []
     log: list[dict] = []
-    prev_val_nme = _nme_percent(va_coords, va.gt_coords, va.ann, d_va)
-    init_train_nme = _nme_percent(tr_coords, tr.gt_coords, tr.ann, d_tr)
-    log.append({"stage": 0, "train_nme": init_train_nme, "val_nme": prev_val_nme,
+    val_nmes = [va.nme(va_coords)]
+    log.append({"stage": 0, "train_nme": tr.nme(tr_coords), "val_nme": val_nmes[0],
                 "parts": 0, "note": "initialization"})
-    fine = False
-    for t in range(config.T):
-        scale = stage_scale(t, config.T, floor=config.scale_floor)
+    switched_at = None
+    for t in range(1, config.T + 1):
+        fine = switched_at is not None
+        scale = stage_scale(t - 1, config.T, floor=config.scale_floor)
         parts = parts_p10 if fine else all_landmarks
         K = config.K2 if fine else config.K1
         V_tr = extract_stage_features(train, tr_coords, maps_provider, pattern,
@@ -538,22 +534,17 @@ def train_cascade(train: Dataset, val: Dataset, maps_provider, init_fn,
         V_va = extract_stage_features(val, va_coords, maps_provider, pattern,
                                       scale, feature_mode)
         apply_stage(stage, V_va, va_coords)
-        train_nme = _nme_percent(tr_coords, tr.gt_coords, tr.ann, d_tr)
-        val_nme = _nme_percent(va_coords, va.gt_coords, va.ann, d_va)
-        improvement = relative_improvement(prev_val_nme, val_nme)
-        log.append({"stage": t + 1, "train_nme": train_nme, "val_nme": val_nme,
-                    "parts": len(parts), "improvement": improvement})
-        switched = False
-        if config.coarse_to_fine and not fine and train_nme < val_nme:
-            fine = True
-            switched = True
+        train_nme = tr.nme(tr_coords)
+        val_nmes.append(va.nme(va_coords))
+        log.append({"stage": t, "train_nme": train_nme, "val_nme": val_nmes[t],
+                    "parts": len(parts),
+                    "improvement": relative_improvement(val_nmes[t - 1], val_nmes[t])})
+        if config.coarse_to_fine and not fine and train_nme < val_nmes[t]:
+            switched_at = t
             log[-1]["note"] = "coarse-to-fine triggered"
-        # the fine phase always gets at least one stage before the
-        # validation stopping rule can end training
-        if improvement < config.early_stop_delta and not switched:
+        if stops_at(val_nmes, t, config.early_stop_delta, switched_at):
             log[-1]["note"] = log[-1].get("note", "") + " early stop"
             break
-        prev_val_nme = val_nme
 
     return CascadeModel(
         stages=stages,

@@ -1,6 +1,7 @@
 """Exception hierarchy shared across the package, and the type tests the
-configuration classes use before raising."""
+configuration classes and loaders use before raising."""
 
+import math
 from numbers import Integral, Real
 
 
@@ -46,13 +47,18 @@ def is_real(value) -> bool:
     return isinstance(value, Real) and not isinstance(value, bool)
 
 
+def is_finite(value) -> bool:
+    """A real number, as is_real, that is neither NaN nor infinite."""
+    return is_real(value) and math.isfinite(value)
+
+
 def real_range(name: str, value, low: float = float("-inf")) -> tuple[float, float]:
-    """A (lo, hi) setting as a tuple, with low < lo <= hi; ValueError
-    otherwise."""
+    """A (lo, hi) setting as a tuple of finite numbers, with
+    low < lo <= hi; ValueError otherwise."""
     try:
         lo, hi = value
     except (TypeError, ValueError):
         raise ValueError(f"{name} must be a pair (lo, hi), not {value!r}") from None
-    if not (is_real(lo) and is_real(hi) and low < lo <= hi):
+    if not (is_finite(lo) and is_finite(hi) and low < lo <= hi):
         raise ValueError(f"{name} must be a pair with {low} < lo <= hi, not {value!r}")
     return lo, hi

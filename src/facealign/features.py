@@ -12,7 +12,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, is_finite
 
 STAGE_SCALE_FLOOR = 0.2
 DEFAULT_TAU_RANGE = (-0.3, 0.3)
@@ -28,12 +28,20 @@ class FreakPattern:
 
     def __post_init__(self):
         self.offsets = np.asarray(self.offsets, dtype=np.float64).reshape(-1, 2)
-        self.rings = np.asarray(self.rings, dtype=np.int64).reshape(-1)
+        try:
+            self.rings = np.asarray(self.rings, dtype=np.int64).reshape(-1)
+        except OverflowError:
+            raise FormatError("ring ids must be 64-bit integers") from None
         if len(self.offsets) < 2:
             # a split test differences two distinct offsets
             raise FormatError(f"pattern needs at least 2 offsets, not {len(self.offsets)}")
         if len(self.rings) != len(self.offsets):
             raise FormatError("ring ids must match offsets")
+        if not (is_finite(self.base_diameter) and self.base_diameter > 0):
+            raise FormatError(f"pattern diameter must be a finite number > 0, "
+                              f"not {self.base_diameter!r}")
+        if not np.isfinite(self.offsets).all():
+            raise FormatError("pattern offsets must be finite")
         radius = np.linalg.norm(self.offsets, axis=1).max()
         if radius > self.base_diameter / 2.0 + 1e-6:
             raise FormatError("offset outside base diameter")
@@ -51,13 +59,17 @@ class FreakPattern:
                 if not line:
                     continue
                 tok = line.split()
-                if tok[0] == "diameter":
-                    diameter = float(tok[1])
-                    continue
-                if len(tok) != 3:
-                    raise FormatError(f"pattern line needs 3 fields: {line!r}")
-                rings.append(int(tok[0]))
-                offs.append([float(tok[1]), float(tok[2])])
+                fields = 2 if tok[0] == "diameter" else 3
+                if len(tok) != fields:
+                    raise FormatError(f"pattern line needs {fields} fields: {line!r}")
+                try:
+                    if fields == 2:
+                        diameter = float(tok[1])
+                    else:
+                        rings.append(int(tok[0]))
+                        offs.append([float(tok[1]), float(tok[2])])
+                except ValueError:
+                    raise FormatError(f"pattern line holds a non-number: {line!r}") from None
         if diameter is None:
             raise FormatError("pattern file missing diameter line")
         return cls(np.array(offs), np.array(rings), diameter)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, NumericError
+from .errors import FormatError, NumericError, is_finite, is_real
 
 MAP_MAGIC = b"FAPM"
 MAP_VERSION = 1
@@ -119,7 +119,7 @@ class BlobMaps:
         return np.where((x >= 0) & (x < W) & (y >= 0) & (y < H), v, 0.0)
 
     def peaks(self) -> np.ndarray:
-        """Per-landmark argmax as (x, y) pairs, as peak_coords of the raster.
+        """Per-landmark argmax as (x, y) pairs, as the raster's peaks().
 
         The blob peaks at the in-bounds pixel nearest its centre, so only a
         4x4 window around floor(centre), clipped to the map, is evaluated.
@@ -185,14 +185,16 @@ class SynthConfig:
     floor: float = 0.0
 
     def __post_init__(self):
-        if self.peak_sigma <= 0:
-            raise ValueError("peak_sigma must be positive")
+        if not (is_finite(self.peak_sigma) and self.peak_sigma > 0):
+            raise ValueError(f"peak_sigma must be a finite number > 0, not {self.peak_sigma!r}")
         for name in ("outlier_rate", "occluded_dropout"):
             v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must lie in [0,1]")
-        if self.coordinate_noise_sigma < 0 or self.floor < 0:
-            raise ValueError("sigmas and floor must be non-negative")
+            if not (is_real(v) and 0.0 <= v <= 1.0):
+                raise ValueError(f"{name} must be a number in [0, 1], not {v!r}")
+        for name in ("coordinate_noise_sigma", "floor"):
+            v = getattr(self, name)
+            if not (is_finite(v) and v >= 0):
+                raise ValueError(f"{name} must be a finite number >= 0, not {v!r}")
 
 
 def _gaussian_kernel(sigma: float) -> np.ndarray:
@@ -215,11 +217,6 @@ def smooth(maps: ProbabilityMaps, sigma: float) -> ProbabilityMaps:
     out = correlate1d(data, k, axis=1, mode="reflect")
     out = correlate1d(out, k, axis=2, mode="reflect")
     return ProbabilityMaps(out)
-
-
-def peak_coords(maps) -> np.ndarray:
-    """Per-landmark argmax as (x, y) pairs; ties go to the row-major-first cell."""
-    return maps.peaks()
 
 
 def _blob(H, W, cx, cy, sigma):

@@ -43,16 +43,22 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
 
+def nme_percent(coords, gt_coords, annotated, d) -> np.ndarray:
+    """Per-face percent mean landmark distance over annotated landmarks,
+    / d. coords, gt_coords: (n, L, 2); annotated: (n, L); d: (n,) or one
+    normalizer for all. A face with no annotated landmark reads 0."""
+    dist = np.linalg.norm(coords - gt_coords, axis=2)
+    w = annotated.astype(np.float64)
+    return 100.0 * ((dist * w).sum(axis=1) / np.maximum(w.sum(axis=1), 1)) / d
+
+
 def nme(pred, gt, d: float) -> float:
-    """Percent mean landmark distance over annotated landmarks, / d."""
+    """nme_percent of one face."""
     if d <= 0:
         raise ValueError("normalizer must be positive")
-    w = gt.annotated.astype(np.float64)
-    total_w = w.sum()
-    if total_w == 0:
+    if not gt.annotated.any():
         raise ValueError("no annotated landmarks")
-    dist = np.linalg.norm(pred.coords - gt.coords, axis=1)
-    return float(100.0 * (w * dist).sum() / (total_w * d))
+    return float(nme_percent(pred.coords[None], gt.coords[None], gt.annotated[None], d)[0])
 
 
 def normalizer(gt, bbox, mode: str, schema=None) -> float:

@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import FitError, InitError, SchemaError
+from .errors import FitError, InitError, SchemaError, is_finite
 from .heatmaps import FACE_SIZE
 from .shapes import Shape
 
@@ -138,9 +138,9 @@ class RigidPose:
         self.rotation = np.asarray(self.rotation, dtype=np.float64).reshape(3, 3)
         self.translation = np.asarray(self.translation, dtype=np.float64).reshape(3)
         _check_rotation(self.rotation)
-        if not 0 < self.translation[2] < math.inf:
-            raise FitError("translation must have positive depth")
-        if not 0 < self.focal < math.inf:
+        if not (all(map(is_finite, self.translation)) and self.translation[2] > 0):
+            raise FitError("translation must be finite, with positive depth")
+        if not (is_finite(self.focal) and self.focal > 0):
             raise FitError("focal must be finite and positive")
 
     @property

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParseError, SchemaError, is_real
+from .errors import ParseError, SchemaError, is_finite, is_real
 
 
 @dataclass
@@ -110,7 +110,7 @@ class Shape:
         L = self.coords.shape[0]
         if not (len(self.visibility) == len(self.annotated) == L):
             raise SchemaError("shape fields must share L")
-        if np.any((self.visibility < 0) | (self.visibility > 1)):
+        if not ((self.visibility >= 0) & (self.visibility <= 1)).all():
             raise SchemaError("visibility out of [0,1]")
         if np.any((self.annotated != 0) & (self.annotated != 1)):
             raise SchemaError("annotated flags must be binary")
@@ -133,8 +133,8 @@ class Sample:
 
     def __post_init__(self):
         x, y, w, h = self.bbox
-        if w <= 0 or h <= 0:
-            raise SchemaError("bbox must have positive width and height")
+        if not (all(map(is_finite, self.bbox)) and w > 0 and h > 0):
+            raise SchemaError("bbox must be finite, with positive width and height")
         if self.initial is not None and self.initial.landmark_count != self.landmark_count:
             raise SchemaError("initial shape L differs from ground truth")
 
@@ -168,20 +168,24 @@ def _shape_from_record(rec, schema, line_no):
     ann = np.zeros(L, dtype=np.uint8)
     index = {n: i for i, n in enumerate(schema.names)}
     lms = rec.get("landmarks", [])
+    if not isinstance(lms, list):
+        raise ParseError("landmarks must be a list", line=line_no)
     if len(lms) > L:
         raise SchemaError(f"record has {len(lms)} landmarks, schema has {L}")
     for lm in lms:
         try:
             name = lm["name"]
-            x, y = float(lm["x"]), float(lm["y"])
-        except (KeyError, TypeError, ValueError) as exc:
+            x, y, v = float(lm["x"]), float(lm["y"]), float(lm.get("v", 1.0))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"bad landmark entry: {exc}", line=line_no)
-        if name not in index:
+        if not (is_finite(x) and is_finite(y) and is_finite(v)):
+            raise ParseError(f"landmark {name!r} has a non-finite x, y or v", line=line_no)
+        if not isinstance(name, str) or name not in index:
             raise SchemaError(f"unknown landmark name {name!r}")
         i = index[name]
         coords[i] = (x, y)
         ann[i] = 1
-        vis[i] = float(lm.get("v", 1.0))
+        vis[i] = v
     return Shape(coords, np.where(ann == 1, vis, 1.0), ann)
 
 
@@ -197,16 +201,20 @@ def load_dataset(path, schema: LandmarkSchema) -> Dataset:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ParseError(str(exc), line=line_no)
-            if "image" not in rec or "bbox" not in rec:
+            if not isinstance(rec, dict) or "image" not in rec or "bbox" not in rec:
                 raise ParseError("record missing image/bbox", line=line_no)
-            if "L" in rec and int(rec["L"]) != schema.landmark_count:
+            try:
+                count = int(rec.get("L", schema.landmark_count))
+                bbox = tuple(float(v) for v in rec["bbox"])
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ParseError(f"bad L or bbox: {exc}", line=line_no) from None
+            if len(bbox) != 4:
+                raise ParseError("bbox must have 4 entries", line=line_no)
+            if count != schema.landmark_count:
                 raise SchemaError(
                     f"record L={rec['L']} does not match schema L={schema.landmark_count}"
                 )
             gt = _shape_from_record(rec, schema, line_no)
-            bbox = tuple(float(v) for v in rec["bbox"])
-            if len(bbox) != 4:
-                raise ParseError("bbox must have 4 entries", line=line_no)
             samples.append(Sample(image_ref=str(rec["image"]), ground_truth=gt, bbox=bbox))
     return Dataset(samples, schema)
 
@@ -272,7 +280,7 @@ class AugmentConfig:
     def __post_init__(self):
         for name in ("yaw_noise", "pitch_noise", "roll_noise"):
             v = getattr(self, name)
-            if not (is_real(v) and 0.0 <= v < math.inf):
+            if not (is_finite(v) and v >= 0.0):
                 raise ValueError(f"{name} must be a finite number >= 0, not {v!r}")
         for name in ("occlusion_prob", "occlusion_frac"):
             v = getattr(self, name)

@@ -7,13 +7,12 @@ detector.
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, SchemaError, is_int, is_real, real_range
+from .errors import FormatError, SchemaError, is_finite, is_int, real_range
 from .heatmaps import (
     FACE_SIZE,
     BlobMaps,
@@ -52,8 +51,8 @@ class CorpusConfig:
         for name in ("yaw_range", "pitch_range", "roll_range", "shift_range",
                      "deform_magnitude"):
             v = getattr(self, name)
-            if not is_real(v) or not v >= 0:
-                raise ValueError(f"{name} must be a number >= 0, not {v!r}")
+            if not (is_finite(v) and v >= 0):
+                raise ValueError(f"{name} must be a finite number >= 0, not {v!r}")
         self.scale_range = real_range("scale_range", self.scale_range, low=0.0)
         if self.deform_style not in ("independent", "coupled"):
             raise ValueError(f"unknown deform_style {self.deform_style!r}")
@@ -63,7 +62,7 @@ class CorpusConfig:
         if p is not None and not (
                 isinstance(p, list)
                 and all(isinstance(row, list) and row
-                        and all(is_real(v) and math.isfinite(v) for v in row) for row in p)):
+                        and all(is_finite(v) for v in row) for row in p)):
             raise ValueError(f"sign_patterns must be a list of non-empty lists of "
                              f"finite numbers, not {p!r}")
 

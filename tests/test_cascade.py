@@ -15,8 +15,6 @@ from facealign.cascade import (
     TrainingArrays,
     Tree,
     _branch_cost,
-    _height_normalizers,
-    _nme_percent,
     apply_stage,
     best_split,
     fit_node,
@@ -26,12 +24,14 @@ from facealign.cascade import (
     predict,
     relative_improvement,
     stop_stage,
+    stops_at,
     train_cascade,
     train_parts,
 )
 from facealign.errors import FormatError, NumericError
 from facealign.features import SplitParams, extract_pattern_values
 from facealign.heatmaps import BlobMaps, ProbabilityMaps, SynthConfig
+from facealign.metrics import nme_percent, normalizer
 from facealign.pipeline import RunConfig, train_model
 from facealign.pose import anchor_shape, bbox_center, mean_shape_init, robust_init
 from facealign.shapes import Dataset
@@ -576,6 +576,62 @@ class TestStoppingRule:
         assert relative_improvement(0.0, 5.0) == 0.0
         assert relative_improvement(10.0, 11.0) == pytest.approx(-0.1)
 
+    def test_switch_stage_gets_a_grace_stage(self):
+        # improvements 10%, 0.5%, 0.5%: stage 2 is sub-threshold, but the
+        # switch fired there, so the rule halts at stage 3
+        vals = [100.0, 90.0, 89.55, 89.10225]
+        assert [stops_at(vals, t, 0.01) for t in (1, 2, 3)] == [False, True, True]
+        assert [stops_at(vals, t, 0.01, switched_at=2) for t in (1, 2, 3)] == [False, False, True]
+        assert stop_stage(vals, 0.01, T=20) == 2
+        assert stop_stage(vals, 0.01, T=20, switched_at=2) == 3
+        assert stop_stage(vals, 0.01, T=2, switched_at=2) == 2
+
+
+class TestTrainingStops:
+    """train_cascade stops where stop_stage, given its logged validation
+    NMEs and switch stage, says it does."""
+
+    CFG = dict(K1=2, K2=2, depth=2, candidates_per_node=6, shrinkage=0.3)
+
+    @pytest.fixture(scope="class")
+    def split(self, model3d, schema):
+        ds = generate_corpus(model3d, schema, CorpusConfig(count=16, seed=8))
+        return Dataset(ds.samples[:12], schema), Dataset(ds.samples[12:], schema)
+
+    def train(self, split, pattern, cfg):
+        train, val = split
+        mean = mean_shape_init(train)
+        return train_cascade(train, val, SyntheticMapSource(SynthConfig(), 8),
+                             make_initializer("mean", mean, None, cfg), cfg, pattern,
+                             init_mode="mean", mean_shape=mean)
+
+    @staticmethod
+    def rule_stages(model):
+        log, cfg = model.training_log, model.config
+        switched = [e["stage"] for e in log if "coarse-to-fine" in e.get("note", "")]
+        return stop_stage([e["val_nme"] for e in log], cfg.early_stop_delta, cfg.T,
+                          switched[0] if switched else None)
+
+    @settings(max_examples=12, deadline=None)
+    @given(T=st.integers(1, 4), coarse_to_fine=st.booleans(), seed=st.integers(0, 50),
+           delta=st.sampled_from([-1.0, 0.0, 0.02, 0.1, 0.999]))
+    def test_stage_count_is_the_rules(self, split, pattern, T, coarse_to_fine, seed, delta):
+        cfg = TrainConfig(T=T, early_stop_delta=delta, coarse_to_fine=coarse_to_fine,
+                          seed=seed, **self.CFG)
+        model = self.train(split, pattern, cfg)
+        assert len(model.stages) == self.rule_stages(model)
+        assert len(model.training_log) == len(model.stages) + 1
+
+    def test_sub_threshold_switch_stage_trains_one_more(self, split, pattern):
+        # every stage is sub-threshold, and the switch fires on stage 1
+        cfg = TrainConfig(T=4, early_stop_delta=0.999, seed=3, **self.CFG)
+        model = self.train(split, pattern, cfg)
+        log = model.training_log
+        assert log[1]["note"] == "coarse-to-fine triggered"
+        assert log[1]["improvement"] < cfg.early_stop_delta
+        assert len(model.stages) == 2 == self.rule_stages(model)
+        assert "early stop" in log[2]["note"]
+
 
 class FlatMapsFor(SyntheticMapSource):
     """Synthetic maps, except that the named faces get only flat maps, on
@@ -616,8 +672,9 @@ class TestInitializer:
         model = train_cascade(train, val, src, init_fn, self.CFG, pattern,
                               init_mode="3d", mean_shape=mean, model3d=model3d)
         va = TrainingArrays(val)
-        assert model.training_log[0]["val_nme"] == _nme_percent(
-            np.stack(want), va.gt_coords, va.ann, _height_normalizers(va.bboxes))
+        d = [normalizer(s.ground_truth, s.bbox, "height") for s in val.samples]
+        assert model.training_log[0]["val_nme"] == np.mean(
+            nme_percent(np.stack(want), va.gt_coords, va.ann, np.array(d)))
 
     def test_samples_with_an_initial_keep_it(self, model3d, schema):
         train, _ = self.split(model3d, schema)

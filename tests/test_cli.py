@@ -283,6 +283,73 @@ class TestConfigErrors:
         assert "at least 2 offsets" in capsys.readouterr().err
         assert not (faces / "one_offset_out" / "model.facm").exists()
 
+    @pytest.mark.parametrize("text, message", [
+        ("diameter x\n0 0 0\n0 1 0\n", "non-number"),
+        ("diameter\n0 0 0\n0 1 0\n", "needs 2 fields"),
+        ("diameter 32\n0 0 0\n1.5 1 0\n", "non-number"),
+        ("diameter 32\n0 0 0\n0 nan 0\n", "offsets must be finite"),
+        ("diameter 32\n0 0 0\n0 1 inf\n", "offsets must be finite"),
+        ("diameter nan\n0 0 0\n0 1 0\n", "diameter must be a finite number"),
+        ("diameter inf\n0 0 0\n0 1 0\n", "diameter must be a finite number"),
+        ("diameter 0\n0 0 0\n0 0 0\n", "diameter must be a finite number"),
+    ])
+    def test_bad_pattern_file_exits_2(self, faces, capsys, text, message):
+        pattern = faces / "bad_pattern.txt"
+        pattern.write_text(text)
+        cfg = write_config(faces / "bad_pattern.json", pattern=str(pattern))
+        rc = run(["train", "--config", str(cfg),
+                  "--dataset", str(faces / "annotations.jsonl"),
+                  "--out", str(faces / "bad_pattern_out")])
+        assert rc == EXIT_DATA
+        assert message in capsys.readouterr().err
+        assert not (faces / "bad_pattern_out" / "model.facm").exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda r: r["bbox"].__setitem__(0, "x"), "line 1: bad L or bbox"),
+        (lambda r: r.__setitem__("L", "x"), "line 1: bad L or bbox"),
+        (lambda r: r.__setitem__("landmarks", 5), "line 1: landmarks must be a list"),
+        (lambda r: r["landmarks"][0].__setitem__("x", float("nan")), "non-finite"),
+        (lambda r: r["landmarks"][0].__setitem__("y", float("inf")), "non-finite"),
+        (lambda r: r["landmarks"][0].__setitem__("v", float("nan")), "non-finite"),
+        (lambda r: r["bbox"].__setitem__(2, float("nan")), "bbox must be finite"),
+    ])
+    def test_bad_annotation_exits_2(self, faces, tmp_path, capsys, edit, message):
+        lines = (faces / "annotations.jsonl").read_text().splitlines()
+        rec = json.loads(lines[0])
+        edit(rec)
+        path = tmp_path / "bad.jsonl"
+        path.write_text("\n".join([json.dumps(rec)] + lines[1:]) + "\n")
+        rc = run(["train", "--config", str(faces / "c.json"), "--dataset", str(path),
+                  "--out", str(tmp_path / "out")])
+        assert rc == EXIT_DATA
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("synth", "peak_sigma", float("nan")),
+        ("synth", "peak_sigma", float("inf")),
+        ("synth", "peak_sigma", True),
+        ("synth", "coordinate_noise_sigma", float("nan")),
+        ("synth", "floor", float("nan")),
+        ("synth", "floor", False),
+        ("synth", "outlier_rate", True),
+        ("corpus", "yaw_range", float("inf")),
+        ("corpus", "shift_range", float("inf")),
+        ("corpus", "scale_range", [1.0, float("inf")]),
+        ("train", "shrinkage", True),
+        ("train", "subsample", True),
+        ("train", "tau_range", [-0.3, float("inf")]),
+    ])
+    def test_non_finite_setting_exits_2(self, faces, tmp_path, capsys, section, key, value):
+        settings = {"corpus": {"count": 4, key: value}, "train": {**TRAIN, key: value}}
+        cfg = write_config(tmp_path / "c.json", **{section: settings.get(section, {key: value})})
+        command = ["train", "--dataset", str(faces / "annotations.jsonl")] \
+            if section == "train" else ["synth"]
+        rc = run([*command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == EXIT_DATA
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @settings(max_examples=40, deadline=None)
     @given(bad=BAD_CORPUS)
     def test_bad_corpus_value_is_data_error(self, faces, bad):
@@ -451,6 +518,19 @@ class TestPipelineCommands:
         assert len(ced) == 24
         captured = capsys.readouterr()
         assert "nme:" in captured.out
+
+    def test_eval_on_a_nan_bbox_width_exits_2(self, workdir, tmp_path, capsys):
+        _, cfg, out = workdir
+        lines = (out / "annotations.jsonl").read_text().splitlines()
+        rec = json.loads(lines[3])
+        rec["bbox"][2] = float("nan")
+        path = tmp_path / "nan_width.jsonl"
+        path.write_text("\n".join(lines[:3] + [json.dumps(rec)] + lines[4:]) + "\n")
+        rc = run(["eval", "--config", str(cfg), "--dataset", str(path),
+                  "--model", str(out / "model.facm"), "--out", str(tmp_path / "eval")])
+        assert rc == EXIT_DATA
+        assert "bbox must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "eval").exists()
 
     def test_eval_report_rerun_identical(self, workdir, capsys):
         _, cfg, out = workdir

@@ -119,6 +119,40 @@ class TestPattern:
         with pytest.raises(FormatError):
             FreakPattern.load(p)
 
+    @pytest.mark.parametrize("offsets, diameter", [
+        ([[0.0, 0.0], [np.nan, 0.0]], 32.0),
+        ([[0.0, 0.0], [1.0, -np.inf]], 32.0),
+        ([[0.0, 0.0], [1.0, 0.0]], np.nan),
+        ([[0.0, 0.0], [1.0, 0.0]], np.inf),
+        ([[0.0, 0.0], [0.0, 0.0]], 0.0),
+        ([[0.0, 0.0], [0.0, 0.0]], -4.0),
+        ([[0.0, 0.0], [1.0, 0.0]], True),
+    ])
+    def test_rejects_non_finite_values(self, offsets, diameter):
+        with pytest.raises(FormatError, match="finite"):
+            FreakPattern(np.array(offsets), np.zeros(2), diameter)
+
+    @settings(max_examples=200, deadline=None)
+    @given(line=st.integers(0, 3), field=st.integers(0, 2),
+           value=st.one_of(st.sampled_from(["nan", "inf", "-inf", "x", "", "1e400", "1.5",
+                                            "-3", "0", "1" * 400, "diameter", "#"]),
+                           st.text(st.characters(min_codepoint=32, max_codepoint=126),
+                                   max_size=6)))
+    def test_one_corrupt_token_loads_or_is_a_format_error(self, tmp_path_factory, line,
+                                                          field, value):
+        lines = [["diameter", "32.0"], ["0", "0.0", "0.0"], ["0", "16.0", "0.0"],
+                 ["1", "3.0", "4.0"]]
+        tok = lines[line]
+        tok[min(field, len(tok) - 1)] = value
+        p = tmp_path_factory.getbasetemp() / "corrupt_pattern.txt"
+        p.write_text("".join(" ".join(t) + "\n" for t in lines))
+        try:
+            pat = FreakPattern.load(p)
+        except FormatError:
+            return
+        assert np.isfinite(pat.offsets).all()
+        assert np.isfinite(pat.base_diameter) and pat.base_diameter > 0
+
 
 class TestStageScale:
     def test_endpoints(self):

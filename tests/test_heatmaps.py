@@ -24,7 +24,6 @@ from facealign.heatmaps import (
     SynthConfig,
     _gaussian_kernel,
     draw_blobs,
-    peak_coords,
     read_maps,
     smooth,
     synthesize,
@@ -95,24 +94,24 @@ class TestPeaks:
     def test_delta(self):
         g = np.zeros((1, 30, 30))
         g[0, 20, 10] = 1.0  # row 20 = y, col 10 = x
-        assert tuple(peak_coords(ProbabilityMaps(g))[0]) == (10.0, 20.0)
+        assert tuple(ProbabilityMaps(g).peaks()[0]) == (10.0, 20.0)
 
     def test_uniform_tie_break(self):
         g = np.ones((1, 5, 5))
-        assert tuple(peak_coords(ProbabilityMaps(g))[0]) == (0.0, 0.0)
+        assert tuple(ProbabilityMaps(g).peaks()[0]) == (0.0, 0.0)
 
     def test_two_equal_maxima_row_major_first(self):
         g = np.zeros((1, 10, 10))
         g[0, 3, 3] = 2.0
         g[0, 7, 7] = 2.0
-        assert tuple(peak_coords(ProbabilityMaps(g))[0]) == (3.0, 3.0)
+        assert tuple(ProbabilityMaps(g).peaks()[0]) == (3.0, 3.0)
 
     @given(st.floats(0.1, 100.0), st.integers(0, 100))
     @settings(max_examples=30, deadline=None)
     def test_scale_invariance(self, factor, seed):
         g = np.random.default_rng(seed).uniform(size=(2, 8, 8))
-        a = peak_coords(ProbabilityMaps(g))
-        b = peak_coords(ProbabilityMaps(factor * g))
+        a = ProbabilityMaps(g).peaks()
+        b = ProbabilityMaps(factor * g).peaks()
         np.testing.assert_array_equal(a, b)
 
 
@@ -146,7 +145,7 @@ class TestSynthesize:
 
     def test_noiseless_peaks_equal_truth(self):
         coords, maps = self.run_shape(SynthConfig())
-        np.testing.assert_array_equal(peak_coords(maps), np.rint(coords))
+        np.testing.assert_array_equal(maps.peaks(), np.rint(coords))
 
     def test_unannotated_is_flat_floor(self):
         cfg = SynthConfig(floor=0.05)
@@ -179,7 +178,7 @@ class TestSynthesize:
             maps = synthesize_from_shape(
                 truth, np.ones(1), np.ones(1, np.uint8), cfg, r, (160, 160)
             )
-            dists.append(np.linalg.norm(peak_coords(maps)[0] - truth[0]))
+            dists.append(np.linalg.norm(maps.peaks()[0] - truth[0]))
         oracle_rng = np.random.default_rng(987654)
         pts = oracle_rng.uniform(0.0, 159.0, size=(200000, 2))
         expected = np.mean(np.linalg.norm(pts - truth[0], axis=1))
@@ -395,7 +394,7 @@ class TestBlobMaps:
         got, want = blobs.read(lm, xs, ys), raster.read(lm, xs, ys)
         assert got.dtype == want.dtype == np.float64
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
-        np.testing.assert_array_equal(blobs.peaks(), peak_coords(raster))
+        np.testing.assert_array_equal(blobs.peaks(), raster.peaks())
 
     def test_read_broadcasts_and_reads_zero_off_the_map(self):
         blobs = BlobMaps(np.array([[2.0, 3.0], [np.nan, np.nan]]), 1.0, 0.25, (6, 5))

@@ -10,6 +10,7 @@ from facealign.metrics import (
     cross_matrix,
     evaluate,
     nme,
+    nme_percent,
     normalizer,
     occlusion_pr,
     per_landmark_nme,
@@ -51,6 +52,24 @@ class TestNME:
         gt = shape([[0, 0]], ann=[0])
         with pytest.raises(ValueError):
             nme(gt, gt, 1.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 12), L=st.integers(1, 30))
+    def test_batch_rows_are_nme_of_each_face(self, seed, n, L):
+        r = np.random.default_rng(seed)
+        coords = r.uniform(0, 160, size=(n, L, 2))
+        gt = r.uniform(0, 160, size=(n, L, 2))
+        ann = (r.random((n, L)) < 0.8).astype(np.uint8)
+        ann[:, 0] = 1
+        d = r.uniform(20, 200, size=n)
+        got = nme_percent(coords, gt, ann, d)
+        want = [nme(shape(coords[i]), shape(gt[i], ann=ann[i]), d[i]) for i in range(n)]
+        assert got.tolist() == want
+
+    def test_face_without_annotations_reads_zero(self):
+        got = nme_percent(np.ones((2, 3, 2)), np.zeros((2, 3, 2)),
+                          np.array([[0, 0, 0], [1, 1, 1]]), 100.0)
+        assert got[0] == 0.0 and got[1] == pytest.approx(100.0 * np.sqrt(2) / 100.0)
 
 
 def eyes_schema():

@@ -13,7 +13,6 @@ from facealign.heatmaps import (
     BlobMaps,
     ProbabilityMaps,
     SynthConfig,
-    peak_coords,
     synthesize_from_shape,
 )
 from facealign.pose import (
@@ -249,7 +248,7 @@ def ref_fit_pose(coords2d, points3d, focal=160.0, center=None, steps=None):
 
 def ref_robust_init(maps, model, Z, subset_size, seed, center):
     """The consensus loop: (winning index, score, coords, visibility, pose)."""
-    peaks = peak_coords(maps)
+    peaks = maps.peaks()
     focal = float(maps.face_size[0])
     best = None
     for z in range(Z):
@@ -427,7 +426,7 @@ class TestRobustInitOracle:
             .choice(model3d.distinct_indices, size=subset_size, replace=False)
             for k in range(Z)
         ])
-        fits = fit_poses(peak_coords(maps)[ids], model3d.points[ids], 160.0, CENTER)
+        fits = fit_poses(maps.peaks()[ids], model3d.points[ids], 160.0, CENTER)
         winners = [k for k in range(Z) if fits.ok[k]
                    and np.array_equal(fits.rotation[k], res.pose.rotation)]
         assert winners == [z]
@@ -446,7 +445,7 @@ class TestRobustInitOracle:
             .choice(model3d.distinct_indices, size=6, replace=False)
             for k in range(25)
         ])
-        fits = fit_poses(peak_coords(maps)[ids], model3d.points[ids], 160.0, CENTER)
+        fits = fit_poses(maps.peaks()[ids], model3d.points[ids], 160.0, CENTER)
         ok = np.flatnonzero(fits.ok)
         scores = score_shapes(maps, project_poses(model3d, fits.rotation[ok],
                                                   fits.translation[ok], 160.0, CENTER)[0])
@@ -907,6 +906,14 @@ class TestNonFinitePose:
     def test_depth_must_be_finite_and_positive(self, depth):
         with pytest.raises(FitError, match="positive depth"):
             RigidPose(np.eye(3), [0.0, 0.0, depth], 160.0)
+
+    @pytest.mark.parametrize("i", [0, 1])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_translation_must_be_finite(self, i, value):
+        t = [0.0, 0.0, 400.0]
+        t[i] = value
+        with pytest.raises(FitError, match="finite"):
+            RigidPose(np.eye(3), t, 160.0)
 
     @pytest.mark.parametrize("focal", [np.nan, np.inf, 0.0, -160.0])
     def test_focal_must_be_finite_and_positive(self, focal):

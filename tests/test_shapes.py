@@ -2,8 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from facealign.errors import ParseError, SchemaError
+from facealign.errors import DataError, ParseError, SchemaError
 from facealign.shapes import (
     AugmentConfig,
     Dataset,
@@ -75,6 +77,33 @@ class TestSchema:
         assert total == 24
 
 
+DELETE = object()
+# one field of a record: a top-level key, a bbox entry, a landmark entry or
+# one key of a landmark entry
+RECORD_FIELDS = ([("image",), ("bbox",), ("L",), ("landmarks",), ("landmarks", 2)]
+                 + [("bbox", i) for i in range(4)]
+                 + [("landmarks", 2, k) for k in ("name", "x", "y", "v")])
+BAD_VALUES = st.one_of(
+    st.sampled_from([DELETE, float("nan"), float("inf"), float("-inf"), None, True, "x", "",
+                     "12", [], {}, [1.0], 10 ** 400, -1.0, 2.0, 0.0]),
+    st.floats(), st.integers(), st.text(max_size=4),
+    st.lists(st.floats(allow_nan=False), max_size=5),
+)
+
+
+def corrupted(rec, path, value):
+    """rec with the field at path set to value, or deleted for DELETE."""
+    *head, last = path
+    node = rec
+    for key in head:
+        node = node[key]
+    if value is DELETE:
+        del node[last]
+    else:
+        node[last] = value
+    return rec
+
+
 class TestDatasetIO:
     def test_two_full_records(self, tmp_path):
         p = tmp_path / "ann.jsonl"
@@ -111,6 +140,37 @@ class TestDatasetIO:
             load_dataset(p, small_schema())
         assert exc.value.line == 2
 
+    @pytest.mark.parametrize("path, value, error", [
+        (("bbox", 2), "x", ParseError),
+        (("L",), "x", ParseError),
+        (("landmarks",), 5, ParseError),
+        (("landmarks", 1, "x"), float("nan"), ParseError),
+        (("landmarks", 1, "y"), float("inf"), ParseError),
+        (("landmarks", 1, "v"), float("nan"), ParseError),
+        (("landmarks", 1, "v"), "x", ParseError),
+        (("bbox", 2), float("nan"), SchemaError),
+        (("bbox", 0), float("-inf"), SchemaError),
+    ])
+    def test_bad_field_is_refused(self, tmp_path, path, value, error):
+        p = tmp_path / "ann.jsonl"
+        write_jsonl(p, [corrupted(full_record(), path, value)])
+        with pytest.raises(error):
+            load_dataset(p, small_schema())
+
+    @settings(max_examples=200, deadline=None)
+    @given(path=st.sampled_from(RECORD_FIELDS), value=BAD_VALUES)
+    def test_one_corrupt_field_loads_or_is_a_data_error(self, tmp_path_factory, path, value):
+        p = tmp_path_factory.getbasetemp() / "corrupt.jsonl"
+        write_jsonl(p, [full_record("img0"), corrupted(full_record("img1"), path, value)])
+        try:
+            ds = load_dataset(p, small_schema())
+        except DataError:
+            return
+        for s in ds.samples:
+            gt = s.ground_truth
+            assert np.isfinite(gt.coords).all() and np.isfinite(s.bbox).all()
+            assert ((gt.visibility >= 0) & (gt.visibility <= 1)).all()
+
     def test_save_load_round_trip(self, tmp_path, tiny_corpus):
         p = tmp_path / "rt.jsonl"
         save_dataset(tiny_corpus, p)
@@ -129,9 +189,24 @@ class TestShape:
         with pytest.raises(SchemaError):
             Shape(np.zeros((2, 2)), [0.5, 1.5], [1, 1])
 
+    def test_rejects_nan_visibility(self):
+        with pytest.raises(SchemaError):
+            Shape(np.zeros((2, 2)), [0.5, np.nan], [1, 1])
+
     def test_rejects_non_binary_annotated(self):
         with pytest.raises(SchemaError):
             Shape(np.zeros((2, 2)), [1.0, 1.0], [1, 2])
+
+
+class TestSample:
+    @pytest.mark.parametrize("i", range(4))
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_bbox(self, i, value):
+        bbox = [0.0, 0.0, 10.0, 10.0]
+        bbox[i] = value
+        gt = Shape(np.zeros((2, 2)), [1.0, 1.0], [1, 1])
+        with pytest.raises(SchemaError, match="finite"):
+            Sample("img", gt, tuple(bbox))
 
 
 class TestSplit:
