@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FormatError, InitError, is_finite, is_int, is_real, real_range
+from .errors import DataError, FormatError, InitError, is_finite, is_int, is_real, real_range
 from .features import (
     DEFAULT_TAU_RANGE,
     STAGE_SCALE_FLOOR,
@@ -21,7 +21,7 @@ from .features import (
     stage_scale,
 )
 from .heatmaps import GrayMaps
-from .metrics import nme_percent, normalizer
+from .metrics import GroundTruth
 from .pose import Model3D, anchor_shape, bbox_center, consensus_inits, robust_init
 from .shapes import Dataset, LandmarkSchema, Shape
 
@@ -199,10 +199,14 @@ class PartsStage:
         self.col_pos = np.concatenate([np.arange(2 * m) for m in sizes])
 
 
+# the values of a model's init_mode and feature_mode
+MODES = {"init_mode": ("3d", "mean"), "feature_mode": ("heatmap", "gray")}
+
+
 @dataclass
 class CascadeModel:
     stages: list[PartsStage]
-    init_mode: str                 # "mean" | "3d"
+    init_mode: str                 # "3d" (needs model3d) | "mean"
     feature_mode: str              # "heatmap" | "gray"
     schema: LandmarkSchema
     mean_shape: Shape
@@ -397,28 +401,6 @@ def apply_stage(stage: PartsStage, V, coords, vis=None) -> None:
             vis[:, p] = keep ** K * vis[:, p] + weights @ pm.leaf_visibility[local]
 
 
-class TrainingArrays:
-    """Per-sample arrays materialized from a Dataset for the cascade."""
-
-    def __init__(self, dataset: Dataset):
-        self.dataset = dataset
-        n = len(dataset)
-        L = dataset.schema.landmark_count
-        self.gt_coords = np.zeros((n, L, 2))
-        self.ann = np.zeros((n, L), dtype=np.uint8)
-        self.gt_vis = np.zeros((n, L))
-        self.d = np.zeros(n)  # height normalizers
-        for i, s in enumerate(dataset.samples):
-            self.gt_coords[i] = s.ground_truth.coords
-            self.ann[i] = s.ground_truth.annotated
-            self.gt_vis[i] = s.ground_truth.visibility
-            self.d[i] = normalizer(s.ground_truth, s.bbox, "height")
-
-    def nme(self, coords) -> float:
-        """Mean percent NME of coords over these faces."""
-        return float(np.mean(nme_percent(coords, self.gt_coords, self.ann, self.d)))
-
-
 def feature_maps(maps, feature_mode: str):
     """What the features of a model read: the landmark maps themselves,
     or in the grayscale ablation their max over all maps."""
@@ -499,13 +481,13 @@ def train_cascade(train: Dataset, val: Dataset, maps_provider, init_fn,
     coarse-to-fine switch once training error drops below validation error.
     """
     if len(train) == 0:
-        raise ValueError("empty training set")
+        raise DataError("empty training set")
     if len(val) == 0:
-        raise ValueError("empty validation set")
+        raise DataError("empty validation set")
     schema = train.schema
     L = schema.landmark_count
-    tr = TrainingArrays(train)
-    va = TrainingArrays(val)
+    tr, va = (GroundTruth([s.ground_truth for s in ds.samples], [s.bbox for s in ds.samples])
+              for ds in (train, val))
     tr_coords = init_fn(train.samples, maps_provider)
     va_coords = init_fn(val.samples, maps_provider)
 
@@ -515,8 +497,8 @@ def train_cascade(train: Dataset, val: Dataset, maps_provider, init_fn,
 
     stages: list[PartsStage] = []
     log: list[dict] = []
-    val_nmes = [va.nme(va_coords)]
-    log.append({"stage": 0, "train_nme": tr.nme(tr_coords), "val_nme": val_nmes[0],
+    val_nmes = [float(va.nme(va_coords).mean())]
+    log.append({"stage": 0, "train_nme": float(tr.nme(tr_coords).mean()), "val_nme": val_nmes[0],
                 "parts": 0, "note": "initialization"})
     switched_at = None
     for t in range(1, config.T + 1):
@@ -527,15 +509,15 @@ def train_cascade(train: Dataset, val: Dataset, maps_provider, init_fn,
         V_tr = extract_stage_features(train, tr_coords, maps_provider, pattern,
                                       scale, feature_mode)
         stage = train_parts(
-            tr.gt_coords, tr.ann, tr.gt_vis, tr_coords, V_tr, parts,
+            tr.coords, tr.annotated, tr.visibility, tr_coords, V_tr, parts,
             K, config.shrinkage, config.subsample, config, rng, scale,
         )
         stages.append(stage)
         V_va = extract_stage_features(val, va_coords, maps_provider, pattern,
                                       scale, feature_mode)
         apply_stage(stage, V_va, va_coords)
-        train_nme = tr.nme(tr_coords)
-        val_nmes.append(va.nme(va_coords))
+        train_nme = float(tr.nme(tr_coords).mean())
+        val_nmes.append(float(va.nme(va_coords).mean()))
         log.append({"stage": t, "train_nme": train_nme, "val_nme": val_nmes[t],
                     "parts": len(parts),
                     "improvement": relative_improvement(val_nmes[t - 1], val_nmes[t])})
@@ -572,7 +554,7 @@ def predict(model: CascadeModel, maps, bbox,
     used_fallback = False
     if seed is None:
         seed = model.config.seed
-    if model.init_mode == "3d" and model.model3d is not None:
+    if model.init_mode == "3d":
         try:
             res = robust_init(
                 maps, model.model3d, Z=model.config.Z,

@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import DataError, NumericError
+from .errors import DataError, NumericError, is_finite
 from .pipeline import (
     RunConfig,
     run_ablate,
@@ -48,6 +48,14 @@ COMMON_FLAGS = {
 NO_MODE_FLAGS = ("--config", "--seed", "--out", "--dataset", "--maps-dir")
 
 
+def _epsilon(text: str) -> float:
+    """An --epsilon value: a finite number > 0, else a usage error."""
+    value = float(text)
+    if not (is_finite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, not {text!r}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser, *flags) -> None:
     for flag in flags:
         p.add_argument(flag, **COMMON_FLAGS[flag])
@@ -77,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="predict and report metrics")
     _add_common(p, *NO_MODE_FLAGS)
     p.add_argument("--model", required=True)
-    p.add_argument("--epsilon", type=float, default=8.0)
+    p.add_argument("--epsilon", type=_epsilon, default=8.0)
     p.add_argument("--normalization", default="height",
                    choices=["height", "pupils", "corners"])
 
@@ -91,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ablate",
                        help="sweep init/feature/coarse-to-fine configurations")
     _add_common(p, *NO_MODE_FLAGS)
-    p.add_argument("--epsilon", type=float, default=4.0)
+    p.add_argument("--epsilon", type=_epsilon, default=4.0)
     return ap
 
 

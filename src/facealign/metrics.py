@@ -10,8 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SchemaError
-from .shapes import Shape
+from .errors import SchemaError, is_finite
 
 
 @dataclass
@@ -54,8 +53,8 @@ def nme_percent(coords, gt_coords, annotated, d) -> np.ndarray:
 
 def nme(pred, gt, d: float) -> float:
     """nme_percent of one face."""
-    if d <= 0:
-        raise ValueError("normalizer must be positive")
+    if not (is_finite(d) and d > 0):
+        raise ValueError(f"normalizer must be a finite number > 0, not {d!r}")
     if not gt.annotated.any():
         raise ValueError("no annotated landmarks")
     return float(nme_percent(pred.coords[None], gt.coords[None], gt.annotated[None], d)[0])
@@ -85,6 +84,43 @@ def normalizer(gt, bbox, mode: str, schema=None) -> float:
     raise ValueError(f"unknown normalization mode {mode!r}")
 
 
+class GroundTruth:
+    """A face set's ground truth, stacked: coords (n, L, 2), annotated and
+    visibility (n, L), and one ``normalizer`` d (n,) per face. SchemaError
+    for no faces, and naming a face whose d fails or is not finite and > 0."""
+
+    def __init__(self, gts, bboxes, normalization="height", schema=None):
+        if not len(gts):
+            raise SchemaError("no faces to score")
+        self.coords = np.stack([g.coords for g in gts])
+        self.annotated = np.stack([g.annotated for g in gts])
+        self.visibility = np.stack([g.visibility for g in gts])
+        self.d = np.empty(len(gts))
+        for i, (gt, bbox) in enumerate(zip(gts, bboxes, strict=True)):
+            try:
+                self.d[i] = normalizer(gt, bbox, normalization, schema)
+            except SchemaError as exc:
+                raise SchemaError(f"face {i}: {exc}") from None
+        bad = np.flatnonzero(~(np.isfinite(self.d) & (self.d > 0)))
+        if len(bad):
+            raise SchemaError(f"face {bad[0]}: {normalization} normalizer "
+                              f"{self.d[bad[0]]:g} is not a finite number > 0")
+
+    def nme(self, coords, landmarks=slice(None)) -> np.ndarray:
+        """Per-face nme_percent of coords (n, L, 2) over the landmark columns."""
+        if len(coords) != len(self.d):
+            raise ValueError(f"{len(coords)} predicted faces for {len(self.d)} ground truths")
+        return nme_percent(coords[:, landmarks], self.coords[:, landmarks],
+                           self.annotated[:, landmarks], self.d)
+
+    def check_annotated(self, landmarks=slice(None)) -> None:
+        """SchemaError naming the first face that annotates none of the
+        given landmark columns, whose NME would read 0."""
+        bare = np.flatnonzero(~self.annotated[:, landmarks].any(axis=1))
+        if len(bare):
+            raise SchemaError(f"face {bare[0]} has no annotated landmark to score")
+
+
 def ced_curve(per_image_nme) -> list[tuple[float, float]]:
     """(e, CED(e)) breakpoints of the empirical step function."""
     errs = np.sort(np.asarray(per_image_nme, dtype=np.float64))
@@ -95,8 +131,8 @@ def ced_curve(per_image_nme) -> list[tuple[float, float]]:
 def auc_fr(per_image_nme, epsilon: float) -> tuple[float, float]:
     """Exact area under the empirical CED on [0, epsilon], and the failure
     rate (percent of images with error above epsilon)."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not (is_finite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be a finite number > 0, not {epsilon!r}")
     errs = np.asarray(per_image_nme, dtype=np.float64)
     if len(errs) == 0:
         raise ValueError("empty error list")
@@ -114,55 +150,40 @@ def occlusion_pr(pred_vis, gt_vis):
     Occluded means visibility below 0.5 (predictions) or 0 (ground
     truth).  Zero-denominator cases return None rather than 0.
     """
-    pv = np.concatenate([np.asarray(p, dtype=np.float64).ravel() for p in pred_vis]) \
-        if isinstance(pred_vis, (list, tuple)) else np.asarray(pred_vis, dtype=np.float64).ravel()
-    gv = np.concatenate([np.asarray(g, dtype=np.float64).ravel() for g in gt_vis]) \
-        if isinstance(gt_vis, (list, tuple)) else np.asarray(gt_vis, dtype=np.float64).ravel()
-    pred_occ = pv < 0.5
-    gt_occ = gv < 0.5
+    pred_occ = np.asarray(pred_vis, dtype=np.float64).ravel() < 0.5
+    gt_occ = np.asarray(gt_vis, dtype=np.float64).ravel() < 0.5
     tp = np.count_nonzero(pred_occ & gt_occ)
     precision = 100.0 * tp / pred_occ.sum() if pred_occ.any() else None
     recall = 100.0 * tp / gt_occ.sum() if gt_occ.any() else None
     return precision, recall
 
 
-def per_landmark_nme(preds, gts, ds) -> np.ndarray:
-    """Mean per-landmark normalized error (percent) over annotated entries."""
-    L = gts[0].landmark_count
-    acc = np.zeros(L)
-    cnt = np.zeros(L)
-    for pred, gt, d in zip(preds, gts, ds):
-        dist = np.linalg.norm(pred.coords - gt.coords, axis=1)
-        mask = gt.annotated.astype(bool)
-        acc[mask] += 100.0 * dist[mask] / d
-        cnt[mask] += 1
-    return np.where(cnt > 0, acc / np.maximum(cnt, 1), np.nan)
-
-
 def evaluate(preds, gts, bboxes, normalization="height", epsilon=8.0,
              schema=None) -> EvalReport:
-    """Full metric suite for one prediction set of Shapes; occlusion
-    precision and recall come from the visibility of preds and gts."""
-    ds = [normalizer(gt, bbox, normalization, schema) for gt, bbox in zip(gts, bboxes)]
-    per_image = [nme(p, g, d) for p, g, d in zip(preds, gts, ds)]
+    """Full metric suite for preds, Shapes, against the GroundTruth of gts;
+    occlusion precision and recall come from the visibility of both.
+    SchemaError naming a face with no annotated landmark."""
+    truth = GroundTruth(gts, bboxes, normalization, schema)
+    truth.check_annotated()
+    coords = np.stack([p.coords for p in preds])
+    per_image = truth.nme(coords)
     auc, fr = auc_fr(per_image, epsilon)
-    prec, rec = occlusion_pr([p.visibility for p in preds], [g.visibility for g in gts])
+    # per landmark: the mean of 100 * distance / d over the faces annotating it
+    err = 100.0 * np.linalg.norm(coords - truth.coords, axis=2) / truth.d[:, None]
+    count = truth.annotated.sum(axis=0)
+    per_landmark = np.where(truth.annotated, err, 0.0).sum(axis=0) / np.where(count, count, np.nan)
+    prec, rec = occlusion_pr(np.stack([p.visibility for p in preds]), truth.visibility)
     return EvalReport(
-        per_image_nme=per_image,
+        per_image_nme=per_image.tolist(),
         nme=float(np.mean(per_image)),
         auc=auc,
         fr=fr,
-        per_landmark_nme=per_landmark_nme(preds, gts, ds).tolist(),
+        per_landmark_nme=per_landmark.tolist(),
         normalization=normalization,
         epsilon=epsilon,
         occlusion_precision=prec,
         occlusion_recall=rec,
     )
-
-
-def restrict_to_landmarks(shape, indices):
-    idx = np.asarray(indices, dtype=np.int64)
-    return Shape(shape.coords[idx], shape.visibility[idx], shape.annotated[idx])
 
 
 def cross_matrix(preds, testsets, distinct_indices) -> np.ndarray:
@@ -173,14 +194,13 @@ def cross_matrix(preds, testsets, distinct_indices) -> np.ndarray:
     idx = np.asarray(distinct_indices, dtype=np.int64)
     if len(idx) < 24:
         raise SchemaError("shared distinct subset must have at least 24 landmarks")
+    truths = [GroundTruth([s.ground_truth for s in ds.samples], [s.bbox for s in ds.samples])
+              for ds in testsets]
+    for truth in truths:
+        truth.check_annotated(idx)
     out = np.zeros((len(preds), len(testsets)))
     for i, model_preds in enumerate(preds):
-        for j, ds in enumerate(testsets):
-            errs = []
-            for s, pred in zip(ds.samples, model_preds[j], strict=True):
-                gt_r = restrict_to_landmarks(s.ground_truth, idx)
-                pr_r = restrict_to_landmarks(pred, idx)
-                d = normalizer(s.ground_truth, s.bbox, "height")
-                errs.append(nme(pr_r, gt_r, d))
-            out[i, j] = float(np.mean(errs))
+        for j, truth in enumerate(truths):
+            coords = np.stack([p.coords for p in model_preds[j]])
+            out[i, j] = float(np.mean(truth.nme(coords, idx)))
     return out

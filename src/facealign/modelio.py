@@ -16,7 +16,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .cascade import FOREST_FIELDS, CascadeModel, PartModel, PartsStage, TrainConfig
+from .cascade import FOREST_FIELDS, MODES, CascadeModel, PartModel, PartsStage, TrainConfig
 from .errors import FormatError
 from .features import FreakPattern
 from .pose import Model3D
@@ -120,6 +120,12 @@ def load_model(path) -> CascadeModel:
     if off != len(body):
         raise FormatError("model payload length mismatch")
 
+    for name, allowed in MODES.items():
+        if header.get(name) not in allowed:
+            raise FormatError(f"model header {name} must be one of {list(allowed)}, "
+                              f"not {header.get(name)!r}")
+    if header["init_mode"] == "3d" and not header["has_model3d"]:
+        raise FormatError("model header init_mode is '3d' but the model stores no 3D model")
     schema = LandmarkSchema.from_dict(header["schema"])
     try:
         config = TrainConfig(**header["config"])

@@ -10,6 +10,7 @@ from dataclasses import dataclass, field, replace
 
 from . import default_model3d, default_schema
 from .cascade import (
+    MODES,
     CascadeModel,
     TrainConfig,
     make_initializer,
@@ -62,8 +63,7 @@ class RunConfig:
     output_dir: str = "out"
 
     def __post_init__(self):
-        for name, allowed in (("init_mode", ("3d", "mean")),
-                              ("feature_mode", ("heatmap", "gray"))):
+        for name, allowed in MODES.items():
             if getattr(self, name) not in allowed:
                 raise DataError(f"{name} must be one of {list(allowed)}, "
                                 f"not {getattr(self, name)!r}")

@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import FitError, InitError, SchemaError, is_finite
+from .errors import DataError, FitError, InitError, SchemaError, is_finite
 from .heatmaps import FACE_SIZE
 from .shapes import Shape
 
@@ -287,7 +287,8 @@ def fit_poses(coords2d: np.ndarray, points3d: np.ndarray,
     refined by Gauss-Newton on the reprojection residual until its
     parameter step drops below 1e-6 or after 100 iterations. A hypothesis
     fails, and stops iterating, on a rank-deficient 3D subset, a degenerate
-    orthographic estimate, a non-finite residual or step, a singular solve,
+    orthographic estimate (a row norm that is 0 or not finite, as when the
+    peaks' spread overflows), a non-finite residual or step, a singular solve,
     a non-positive scale, or a final rotation or depth that RigidPose
     would reject; the others carry on.
     """
@@ -315,7 +316,7 @@ def fit_poses(coords2d: np.ndarray, points3d: np.ndarray,
     IJ = Vt.transpose(0, 2, 1) @ ((U.transpose(0, 2, 1) @ rel) / S)
     # np.linalg.norm(v, axis=1) without its checks: the same sum and sqrt
     ni, nj = (np.sqrt(np.add.reduce(v * v, axis=1)) for v in (IJ[..., 0], IJ[..., 1]))
-    bad = ~(ni > 0) | ~(nj > 0)
+    bad = ~(np.isfinite(ni) & (ni > 0) & np.isfinite(nj) & (nj > 0))
     if bad.any():
         reason[a[bad]] = "degenerate orthographic estimate"
     a, IJ, ni, nj = a[~bad], IJ[~bad], ni[~bad], nj[~bad]
@@ -541,7 +542,7 @@ def mean_shape_init(train) -> Shape:
     onto a concrete face box.
     """
     if len(train) == 0:
-        raise ValueError("empty training set")
+        raise DataError("empty training set")
     L = train.schema.landmark_count
     acc = np.zeros((L, 2))
     cnt = np.zeros(L)
@@ -554,7 +555,7 @@ def mean_shape_init(train) -> Shape:
         cnt[mask] += 1
     if np.any(cnt == 0):
         missing = np.flatnonzero(cnt == 0)
-        raise ValueError(f"landmarks never annotated: {missing.tolist()}")
+        raise SchemaError(f"landmarks never annotated: {missing.tolist()}")
     mean = acc / cnt[:, None]
     return Shape(mean, np.ones(L), np.ones(L, dtype=np.uint8))
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParseError, SchemaError, is_finite, is_real
+from .errors import DataError, ParseError, SchemaError, is_finite, is_real
 
 
 @dataclass
@@ -205,6 +205,8 @@ def load_dataset(path, schema: LandmarkSchema) -> Dataset:
                 raise ParseError("record missing image/bbox", line=line_no)
             try:
                 count = int(rec.get("L", schema.landmark_count))
+                if count != float(rec.get("L", count)):
+                    raise ValueError(f"L must be an integer, not {rec['L']!r}")
                 bbox = tuple(float(v) for v in rec["bbox"])
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ParseError(f"bad L or bbox: {exc}", line=line_no) from None
@@ -252,7 +254,7 @@ def split_train_val(dataset: Dataset, val_fraction: float, seed: int):
         raise ValueError("val_fraction must lie in (0,1)")
     n = len(dataset)
     if n < 2:
-        raise ValueError("need at least 2 samples to split")
+        raise DataError(f"need at least 2 samples to split, the dataset has {n}")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x51]))
     perm = rng.permutation(n)
     n_val = int(math.floor(n * val_fraction))

@@ -12,7 +12,6 @@ from facealign.cascade import (
     PartModel,
     PartsStage,
     TrainConfig,
-    TrainingArrays,
     Tree,
     _branch_cost,
     apply_stage,
@@ -671,10 +670,11 @@ class TestInitializer:
         assert np.array_equal(init_fn(val.samples, src), np.stack(want))
         model = train_cascade(train, val, src, init_fn, self.CFG, pattern,
                               init_mode="3d", mean_shape=mean, model3d=model3d)
-        va = TrainingArrays(val)
+        gt = np.stack([s.ground_truth.coords for s in val.samples])
+        ann = np.stack([s.ground_truth.annotated for s in val.samples])
         d = [normalizer(s.ground_truth, s.bbox, "height") for s in val.samples]
         assert model.training_log[0]["val_nme"] == np.mean(
-            nme_percent(np.stack(want), va.gt_coords, va.ann, np.array(d)))
+            nme_percent(np.stack(want), gt, ann, np.array(d)))
 
     def test_samples_with_an_initial_keep_it(self, model3d, schema):
         train, _ = self.split(model3d, schema)

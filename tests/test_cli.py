@@ -1,6 +1,7 @@
 import argparse
 import json
 import struct
+import traceback
 
 import numpy as np
 import pytest
@@ -12,10 +13,11 @@ from facealign.cascade import predict
 from facealign.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, _config_from_args, build_parser, run
 from facealign.errors import DataError
 from facealign.heatmaps import ProbabilityMaps, read_maps, write_maps
-from facealign.metrics import nme, normalizer, restrict_to_landmarks
+from facealign.metrics import nme, normalizer
 from facealign.pipeline import RunConfig
-from facealign.shapes import load_dataset
+from facealign.shapes import Shape, load_dataset
 from facealign.synthetic import FileMapSource
+from test_modelio import rewrite_model, without_model3d
 
 
 TRAIN = {"T": 2, "K1": 4, "K2": 4, "depth": 2, "candidates_per_node": 12,
@@ -565,13 +567,15 @@ class TestPipelineCommands:
         maps, idx = run_cfg.map_source(schema), schema.distinct_indices
         datasets = [load_dataset(p, schema) for p in sets]
         assert len(models) == 3
+        def distinct(shape):
+            return Shape(shape.coords[idx], shape.visibility[idx], shape.annotated[idx])
+
         for model, line in zip(models, lines[1:]):
             want = []
             for ds in datasets:
-                errs = [nme(restrict_to_landmarks(
-                                predict(model, maps.maps_for(s), s.bbox, seed=run_cfg.seed).shape,
-                                idx),
-                            restrict_to_landmarks(s.ground_truth, idx),
+                errs = [nme(distinct(predict(model, maps.maps_for(s), s.bbox,
+                                             seed=run_cfg.seed).shape),
+                            distinct(s.ground_truth),
                             normalizer(s.ground_truth, s.bbox, "height"))
                         for s in ds.samples]
                 want.append(f"{np.mean(errs):.4f}")
@@ -660,4 +664,119 @@ class TestPipelineCommands:
                          "--maps-dir", str(maps), "--out", str(tmp_path / "out")])
         assert rc == EXIT_DATA
         assert f"holds {L} landmark maps, the schema has 24" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "model.facm").exists()
+
+
+class Probe:
+    """Command lines over the workdir's faces and model, with edited copies
+    of either written under tmp."""
+
+    def __init__(self, workdir, tmp):
+        _, self.cfg, out = workdir
+        self.ann, self.model, self.tmp = out / "annotations.jsonl", out / "model.facm", tmp
+
+    def faces(self, edit=None, keep=None, name="faces.jsonl") -> str:
+        """The faces file, cut to its first keep records and passed through
+        edit(records)."""
+        recs = [json.loads(line) for line in self.ann.read_text().splitlines()][:keep]
+        if edit is not None:
+            edit(recs)
+        path = self.tmp / name
+        path.write_text("".join(json.dumps(r) + "\n" for r in recs))
+        return str(path)
+
+    def bad_model(self, edit) -> str:
+        """A copy of the model rewritten by edit(header, arrays)."""
+        path = self.tmp / "model.facm"
+        path.write_bytes(self.model.read_bytes())
+        rewrite_model(path, edit)
+        return str(path)
+
+    def command(self, name, *args) -> list:
+        return [name, "--config", str(self.cfg), "--out", str(self.tmp / "out"), *args]
+
+    def eval(self, *args, faces=None, model=None) -> list:
+        return self.command("eval", "--dataset", faces or str(self.ann),
+                            "--model", model or str(self.model), *args)
+
+    def train(self, faces) -> list:
+        return self.command("train", "--dataset", faces)
+
+
+EYES = ("leye_out", "leye_in", "reye_in", "reye_out")
+
+
+def bare_face(recs):
+    recs[3]["landmarks"] = []
+
+
+def coincident_eyes(recs):
+    # both pupils and both outer corners on one pixel: a normalizer of 0
+    lms = recs[3]["landmarks"]
+    lms[:] = [lm for lm in lms if lm["name"] not in EYES]
+    lms += [{"name": name, "x": 80.0, "y": 60.0} for name in EYES]
+
+
+def never_annotated(recs):
+    for rec in recs:
+        rec["landmarks"] = [lm for lm in rec["landmarks"] if lm["name"] != "leye_in"]
+
+
+def set_header(**values):
+    return lambda header, arrays: header.update(values)
+
+
+# (command line from a Probe, exit code, text on stderr): inputs that used
+# to end in a traceback or pass unchecked; a new probe is one more row
+PROBES = [
+    pytest.param(lambda p: p.eval(faces=p.faces(bare_face)), EXIT_DATA,
+                 "face 3 has no annotated landmark", id="eval-face-without-landmarks"),
+    pytest.param(lambda p: p.eval("--normalization", "pupils", faces=p.faces(coincident_eyes)),
+                 EXIT_DATA, "face 3: pupils normalizer 0 is not a finite number > 0",
+                 id="eval-pupils-normalizer-0"),
+    pytest.param(lambda p: p.eval("--normalization", "corners", faces=p.faces(coincident_eyes)),
+                 EXIT_DATA, "face 3: corners normalizer 0 is not a finite number > 0",
+                 id="eval-corners-normalizer-0"),
+    pytest.param(lambda p: p.eval(faces=p.faces(keep=0)), EXIT_DATA, "no faces to score",
+                 id="eval-no-faces"),
+    pytest.param(lambda p: p.eval(faces=p.faces(lambda r: r[0].update(L=24.9))), EXIT_DATA,
+                 "line 1: bad L or bbox: L must be an integer, not 24.9", id="eval-L-24.9"),
+    pytest.param(lambda p: p.command("cross", "--no-pooled", p.faces(bare_face), str(p.ann)),
+                 EXIT_DATA, "face 3 has no annotated landmark", id="cross-face-without-landmarks"),
+    *[pytest.param(lambda p, v=v: p.eval("--epsilon", v), EXIT_USAGE,
+                   f"argument --epsilon: must be a finite number > 0, not '{v}'",
+                   id=f"eval-epsilon-{v}") for v in ("0", "-1", "nan", "inf")],
+    pytest.param(lambda p: p.command("ablate", "--dataset", str(p.ann), "--epsilon", "-1"),
+                 EXIT_USAGE, "argument --epsilon: must be a finite number > 0, not '-1'",
+                 id="ablate-epsilon--1"),
+    pytest.param(lambda p: p.train(p.faces(keep=1)), EXIT_DATA,
+                 "need at least 2 samples to split, the dataset has 1", id="train-one-face"),
+    # the default val_fraction, 0.1, of 4 faces
+    pytest.param(lambda p: p.train(p.faces(keep=4)), EXIT_DATA, "empty validation set",
+                 id="train-empty-validation-split"),
+    pytest.param(lambda p: p.train(p.faces(never_annotated)), EXIT_DATA,
+                 "landmarks never annotated: [5]", id="train-landmark-never-annotated"),
+    pytest.param(lambda p: p.eval(model=p.bad_model(set_header(init_mode="bogus"))), EXIT_DATA,
+                 "init_mode must be one of ['3d', 'mean'], not 'bogus'", id="model-init-mode"),
+    pytest.param(lambda p: p.eval(model=p.bad_model(set_header(feature_mode="bogus"))),
+                 EXIT_DATA, "feature_mode must be one of ['heatmap', 'gray'], not 'bogus'",
+                 id="model-feature-mode"),
+    pytest.param(lambda p: p.eval(model=p.bad_model(without_model3d)), EXIT_DATA,
+                 "init_mode is '3d' but the model stores no 3D model", id="model-3d-without-3d"),
+]
+
+
+class TestProbes:
+    @pytest.mark.parametrize("argv, code, message", PROBES)
+    def test_exit_code_without_traceback(self, workdir, tmp_path, capsys, argv, code, message):
+        try:
+            rc = run(argv(Probe(workdir, tmp_path)))
+        except Exception:
+            # what the facealign entry point prints for an uncaught exception
+            traceback.print_exc()
+            rc = 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert rc == code
+        assert message in err
         assert not (tmp_path / "out" / "model.facm").exists()

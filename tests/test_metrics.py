@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from facealign.errors import SchemaError
 from facealign.metrics import (
+    GroundTruth,
     auc_fr,
     ced_curve,
     cross_matrix,
@@ -13,10 +14,9 @@ from facealign.metrics import (
     nme_percent,
     normalizer,
     occlusion_pr,
-    per_landmark_nme,
-    restrict_to_landmarks,
 )
 from facealign.shapes import Dataset, LandmarkSchema, Sample, Shape
+from oracles import per_landmark_nme_loop
 
 
 def shape(coords, vis=None, ann=None):
@@ -47,6 +47,12 @@ class TestNME:
         gt = shape([[0, 0]])
         with pytest.raises(ValueError):
             nme(gt, gt, 0.0)
+
+    @pytest.mark.parametrize("d", [-1.0, float("nan"), float("inf")])
+    def test_requires_finite_normalizer(self, d):
+        gt = shape([[0, 0]])
+        with pytest.raises(ValueError, match="finite number > 0"):
+            nme(gt, gt, d)
 
     def test_requires_annotations(self):
         gt = shape([[0, 0]], ann=[0])
@@ -161,8 +167,9 @@ class TestAucFr:
         assert a[1] == b[1]
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            auc_fr([1.0], 0.0)
+        for epsilon in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite number > 0"):
+                auc_fr([1.0], epsilon)
         with pytest.raises(ValueError):
             auc_fr([], 1.0)
 
@@ -214,17 +221,87 @@ class TestOcclusionPR:
 
 
 class TestPerLandmark:
+    # a 10 x 10 box: the height normalizer is 10
     def test_basic(self):
         pred = [shape([[3.0, 0.0], [0.0, 4.0]])]
         gt = [shape([[0.0, 0.0], [0.0, 0.0]])]
-        out = per_landmark_nme(pred, gt, [10.0])
+        out = evaluate(pred, gt, [(0, 0, 10, 10)]).per_landmark_nme
         np.testing.assert_allclose(out, [30.0, 40.0])
 
     def test_unannotated_is_nan(self):
         pred = [shape([[3.0, 0.0], [0.0, 4.0]])]
         gt = [shape([[0.0, 0.0], [0.0, 0.0]], ann=[1, 0])]
-        out = per_landmark_nme(pred, gt, [10.0])
-        assert np.isnan(out[1])
+        out = evaluate(pred, gt, [(0, 0, 10, 10)]).per_landmark_nme
+        assert out[0] == 30.0 and np.isnan(out[1])
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 64), L=st.integers(1, 30),
+           p=st.floats(0.0, 1.0))
+    def test_matches_the_per_face_loops(self, seed, n, L, p):
+        # random annotation masks in which every face annotates at least
+        # one landmark, and about a third exactly one
+        r = np.random.default_rng(seed)
+        ann = (r.random((n, L)) < p).astype(np.uint8)
+        ann[r.random(n) < 0.3] = 0
+        ann[np.arange(n), r.integers(0, L, n)] = 1
+        gt_coords = r.uniform(0, 160, size=(n, L, 2))
+        gts = [shape(gt_coords[i], ann=ann[i]) for i in range(n)]
+        preds = [shape(gt_coords[i] + r.normal(0, 4, size=(L, 2))) for i in range(n)]
+        bboxes = [(0.0, 0.0, *r.uniform(20, 200, 2)) for _ in range(n)]
+        report = evaluate(preds, gts, bboxes)
+        d = [normalizer(g, b, "height") for g, b in zip(gts, bboxes)]
+        np.testing.assert_allclose(report.per_image_nme,
+                                   [nme(pr, g, di) for pr, g, di in zip(preds, gts, d)],
+                                   rtol=1e-12, atol=0)
+        np.testing.assert_allclose(report.per_landmark_nme, per_landmark_nme_loop(preds, gts, d),
+                                   rtol=1e-12, atol=0)
+
+
+class TestGroundTruth:
+    def test_stacks_faces_and_height_normalizers(self):
+        gts = [shape([[1.0, 2.0], [3.0, 4.0]], vis=[1.0, 0.0], ann=[1, 0]),
+               shape([[5.0, 6.0], [7.0, 8.0]])]
+        truth = GroundTruth(gts, [(0, 0, 4.0, 9.0), (1, 1, 10.0, 10.0)])
+        assert truth.coords.tolist() == [g.coords.tolist() for g in gts]
+        assert truth.annotated.tolist() == [[1, 0], [1, 1]]
+        assert truth.visibility.tolist() == [[1.0, 0.0], [1.0, 1.0]]
+        assert truth.d.tolist() == [6.0, 10.0]
+
+    def test_nme_of_a_landmark_subset(self):
+        gts = [shape([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]], ann=[1, 0, 1])]
+        truth = GroundTruth(gts, [(0, 0, 10, 10)])
+        coords = np.array([[[3.0, 4.0], [99.0, 0.0], [6.0, 8.0]]])
+        assert truth.nme(coords).tolist() == [75.0]
+        assert truth.nme(coords, [0, 1]).tolist() == [50.0]
+
+    @pytest.mark.parametrize("mode, coords", [
+        # coincident eyes: a normalizer of 0
+        ("pupils", [[5.0, 5.0], [5.0, 5.0], [0.0, 0.0]]),
+        ("corners", [[5.0, 5.0], [5.0, 5.0], [0.0, 0.0]]),
+        # an eye distance that overflows
+        ("corners", [[-1e308, 0.0], [1e308, 0.0], [0.0, 0.0]]),
+    ])
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_normalizer_must_be_finite_and_positive(self, mode, coords):
+        gts = [shape([[0.0, 0.0], [3.0, 4.0], [1.0, 1.0]]), shape(coords)]
+        with pytest.raises(SchemaError, match=f"face 1: {mode} normalizer .* finite number > 0"):
+            GroundTruth(gts, [(0, 0, 10, 10)] * 2, mode, eyes_schema())
+
+    def test_names_the_face_without_eye_annotations(self):
+        gts = [shape([[0.0, 0.0], [3.0, 4.0], [1.0, 1.0]]),
+               shape([[0.0, 0.0], [3.0, 4.0], [1.0, 1.0]], ann=[1, 0, 1])]
+        with pytest.raises(SchemaError, match="face 1: eye landmarks not annotated"):
+            GroundTruth(gts, [(0, 0, 10, 10)] * 2, "pupils", eyes_schema())
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_nme_needs_one_prediction_per_face(self, n):
+        truth = GroundTruth([shape([[0.0, 0.0]])] * 2, [(0, 0, 10, 10)] * 2)
+        with pytest.raises(ValueError, match=f"{n} predicted faces for 2 ground truths"):
+            truth.nme(np.zeros((n, 1, 2)))
+
+    def test_no_faces(self):
+        with pytest.raises(SchemaError, match="no faces"):
+            GroundTruth([], [])
 
 
 class TestEvaluate:
@@ -245,6 +322,11 @@ class TestEvaluate:
         assert (a.occlusion_precision, a.occlusion_recall) == occlusion_pr(
             [p.visibility for p in preds], [g.visibility for g in gts])
         assert a.occlusion_precision is not None and a.occlusion_recall is not None
+
+    def test_face_without_annotations_is_refused(self):
+        gts = [shape([[0.0, 0.0]]), shape([[0.0, 0.0]], ann=[0])]
+        with pytest.raises(SchemaError, match="face 1 has no annotated landmark"):
+            evaluate(gts, gts, [(0, 0, 10, 10)] * 2)
 
 
 class TestCrossMatrix:
@@ -280,11 +362,21 @@ class TestCrossMatrix:
         for j, ds in enumerate((a, b)):
             errs = []
             for s, p in zip(ds.samples, preds[j]):
-                pred = restrict_to_landmarks(p, schema.distinct_indices)
-                gt = restrict_to_landmarks(s.ground_truth, schema.distinct_indices)
-                d = normalizer(s.ground_truth, s.bbox, "height")
-                errs.append(nme(pred, gt, d))
+                idx, gt = schema.distinct_indices, s.ground_truth
+                pred = Shape(p.coords[idx], p.visibility[idx], p.annotated[idx])
+                gt_r = Shape(gt.coords[idx], gt.visibility[idx], gt.annotated[idx])
+                errs.append(nme(pred, gt_r, normalizer(gt, s.bbox, "height")))
             assert m[0, j] == pytest.approx(np.mean(errs))
+
+    def test_face_without_annotated_distinct_landmarks_is_refused(self, schema, tiny_corpus):
+        a, b = self.make_sets(schema, tiny_corpus)
+        gt = b.samples[2].ground_truth
+        ann = gt.annotated.copy()
+        ann[schema.distinct_indices] = 0
+        b = Dataset([*b.samples[:2], Sample("bare", Shape(gt.coords, gt.visibility, ann),
+                                            b.samples[2].bbox), *b.samples[3:]], schema)
+        with pytest.raises(SchemaError, match="face 2 has no annotated landmark"):
+            cross_matrix([self.shifted([a, b])], [a, b], schema.distinct_indices)
 
     def test_needs_24_distinct(self, tiny_corpus):
         with pytest.raises(SchemaError):

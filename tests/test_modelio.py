@@ -222,6 +222,28 @@ class TestHeaderConfig:
         assert message in capsys.readouterr().err
 
 
+def without_model3d(header, arrays):
+    header["has_model3d"] = False
+    for name in [n for n in arrays if n.startswith("model3d/")]:
+        del arrays[name]
+
+
+class TestHeaderModes:
+    @pytest.mark.parametrize("edit, message", [
+        (lambda header, arrays: header.update(init_mode="bogus"), "init_mode must be one of"),
+        (lambda header, arrays: header.update(feature_mode="bogus"),
+         "feature_mode must be one of"),
+        (lambda header, arrays: header.pop("init_mode"), "init_mode must be one of"),
+        (without_model3d, "stores no 3D model"),
+    ], ids=["init-mode", "feature-mode", "no-init-mode", "3d-without-3d-model"])
+    def test_rejected(self, trained, tmp_path, edit, message):
+        p = tmp_path / "bad.facm"
+        save_model(trained[0], p)
+        rewrite_model(p, edit)
+        with pytest.raises(FormatError, match=message):
+            load_model(p)
+
+
 class TestStageLayout:
     @BAD_STAGES
     def test_rejected(self, trained, tmp_path, edit, message):

@@ -608,9 +608,10 @@ def counted_fit_poses(monkeypatch, *args):
 
 
 # peaks scaled about the image origin, which becomes the hypothesis'
-# centre: at 1e160 the iteration diverges, at 1e-100 the normal equations
-# are singular and at 1e-200 the orthographic start is degenerate
-PEAK_SCALES = (1e160, 1e-100, 1e-200)
+# centre: at 1e153 the iteration diverges, at 1e160 the orthographic
+# start's row norms overflow, at 1e-100 the normal equations are singular
+# and at 1e-200 the orthographic start is degenerate
+PEAK_SCALES = (1e153, 1e160, 1e-100, 1e-200)
 
 
 class TestLockstepOracle:
@@ -693,6 +694,25 @@ class TestLockstepOracle:
                 assert np.array_equal(g.shape.visibility, w.shape.visibility)
                 assert np.array_equal(g.pose.rotation, w.pose.rotation)
                 assert np.array_equal(g.pose.translation, w.pose.translation)
+
+
+class TestOverflowingPeaks:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e155, 1e160, 1e307])
+    def test_fail_the_hypothesis_not_the_batch(self, model3d, scale):
+        uv, X = make_batch(model3d, 6, ["pose", "outliers", "pose", "pose"], 7)
+        want = fit_poses(uv, X, 160.0, CENTER)
+        big = uv.copy()
+        big[[1, 3]] = (uv[[1, 3]] - CENTER) * scale + CENTER
+        got = fit_poses(big, X, 160.0, CENTER)
+        assert got.reason[[1, 3]].tolist() == ["degenerate orthographic estimate"] * 2
+        assert not got.ok[[1, 3]].any()
+        for b in (0, 2):
+            assert got.reason[b] == want.reason[b]
+            assert np.array_equal(got.rotation[b], want.rotation[b])
+            assert np.array_equal(got.translation[b], want.translation[b])
+        with pytest.raises(FitError, match="degenerate orthographic estimate"):
+            fit_pose(big[1], X[1], 160.0, CENTER)
 
 
 class TestHypothesisSubsets:
@@ -842,7 +862,7 @@ class TestMeanShape:
         ds = copy.deepcopy(tiny_corpus.subset([0, 1]))
         for s in ds.samples:
             s.ground_truth.annotated[5] = 0
-        with pytest.raises(ValueError, match="5"):
+        with pytest.raises(SchemaError, match=r"never annotated: \[5\]"):
             mean_shape_init(ds)
 
     def test_anchor_round_trip(self, tiny_corpus):

@@ -150,12 +150,21 @@ class TestDatasetIO:
         (("landmarks", 1, "v"), "x", ParseError),
         (("bbox", 2), float("nan"), SchemaError),
         (("bbox", 0), float("-inf"), SchemaError),
+        # an L that int() would truncate to the schema's 5
+        (("L",), 5.5, ParseError),
+        (("L",), 5.000001, ParseError),
     ])
     def test_bad_field_is_refused(self, tmp_path, path, value, error):
         p = tmp_path / "ann.jsonl"
         write_jsonl(p, [corrupted(full_record(), path, value)])
         with pytest.raises(error):
             load_dataset(p, small_schema())
+
+    @pytest.mark.parametrize("L", [5, 5.0, "5"])
+    def test_integral_L_loads(self, tmp_path, L):
+        p = tmp_path / "ann.jsonl"
+        write_jsonl(p, [full_record(L=5) | {"L": L}])
+        assert load_dataset(p, small_schema()).samples[0].ground_truth.annotated.all()
 
     @settings(max_examples=200, deadline=None)
     @given(path=st.sampled_from(RECORD_FIELDS), value=BAD_VALUES)
@@ -220,6 +229,10 @@ class TestSplit:
         a = split_train_val(tiny_corpus, 0.2, 1)
         b = split_train_val(tiny_corpus, 0.2, 2)
         assert [s.image_ref for s in a[1].samples] != [s.image_ref for s in b[1].samples]
+
+    def test_too_few_samples_is_a_data_error(self, tiny_corpus):
+        with pytest.raises(DataError, match="need at least 2 samples to split, the dataset has 1"):
+            split_train_val(tiny_corpus.subset([0]), 0.2, 0)
 
     def test_sizes(self, tiny_corpus):
         tr, va = split_train_val(tiny_corpus, 0.2, 0)
