@@ -248,7 +248,8 @@ def best_split(residuals: np.ndarray, features: np.ndarray, tau: np.ndarray):
     candidates within SHORTLIST_TOL·Σ‖r‖² of the lowest score get the
     mean-centred cost ``_branch_cost(left) + _branch_cost(right)``, in
     index order, so the winner and its cost are those of scoring every
-    candidate that way.  Returns (best_index, cost, left_mask).
+    candidate that way.  Returns (best_index, cost, left_mask, left_cost,
+    right_cost), cost being left_cost + right_cost.
     """
     masks = features > tau[:, None]
     n_left = masks.sum(axis=1)
@@ -259,13 +260,13 @@ def best_split(residuals: np.ndarray, features: np.ndarray, tau: np.ndarray):
     gain = (np.where(n_left > 0, (s_left * s_left).sum(axis=1) / np.maximum(n_left, 1), 0.0)
             + np.where(n_right > 0, (s_right * s_right).sum(axis=1) / np.maximum(n_right, 1), 0.0))
     score = total - gain
-    best_idx, best_cost = -1, np.inf
+    best_idx, best_cost, branches = -1, np.inf, None
     for c in np.flatnonzero(score <= score.min() + SHORTLIST_TOL * total):
         m = masks[c]
-        cost = _branch_cost(residuals[m]) + _branch_cost(residuals[~m])
-        if cost < best_cost:
-            best_idx, best_cost = int(c), cost
-    return best_idx, best_cost, masks[best_idx]
+        left, right = _branch_cost(residuals[m]), _branch_cost(residuals[~m])
+        if left + right < best_cost:
+            best_idx, best_cost, branches = int(c), left + right, (left, right)
+    return best_idx, best_cost, masks[best_idx], *branches
 
 
 def fit_node(residuals: np.ndarray, candidates: list[SplitParams],
@@ -280,7 +281,7 @@ def fit_node(residuals: np.ndarray, candidates: list[SplitParams],
         raise ValueError("need at least 2 samples to split")
     if len(candidates) == 0:
         raise ValueError("need at least 1 candidate")
-    return best_split(residuals, features, np.array([c.tau for c in candidates]))
+    return best_split(residuals, features, np.array([c.tau for c in candidates]))[:3]
 
 
 def fit_tree(residuals, ann_mask, gt_vis, V, part_global, cfg: TrainConfig,
@@ -290,28 +291,43 @@ def fit_tree(residuals, ann_mask, gt_vis, V, part_global, cfg: TrainConfig,
     residuals/ann_mask: (n, d) with d = part_size*2; gt_vis: (n, part_size).
     V: the part's pattern reads of all N faces of the stage as one
     (part_size·M, N) table, as ``train_parts`` builds it once per part;
-    row i is face ``cols[i]``.  Each node draws its candidates from
-    ``rng`` and splits on ``best_split``, or becomes a leaf when no
-    candidate lowers the cost; nodes are numbered in preorder and leaves
-    in the order they are made.
+    row i is face ``cols[i]``.  Each node with at least 2 rows above the
+    last level draws its candidates from ``rng`` and splits on
+    ``best_split``, or becomes a leaf when no candidate lowers its cost;
+    nodes are numbered in preorder and leaves in the order they are made.
+
+    The candidates and the generator's final state are those of one
+    ``draw_candidates`` call per drawing node, in preorder. They are drawn
+    as one block for every node the tree can have, a C-row slice per
+    drawing node; if some go unused, the generator is reset and advanced
+    by the used rows alone. A child's cost is the branch cost its parent's
+    split computed: the same rows in the same order.
     """
     P, M = len(part_global), pattern_size
     N = V.shape[1]
+    C = cfg.candidates_per_node
+    # a tree has at most 2^depth - 1 nodes above its last level, and at
+    # most 2n - 1 nodes, since a split sends rows both ways
+    room = max(min(2 ** cfg.depth, 2 * len(residuals)) - 1, 0)
+    start = rng.bit_generator.state
+    drawn = draw_candidates(C * room, P, M, cfg.tau_range, rng) if room else None
+    used = 0
     nodes, leaf_residual, leaf_visibility = [], [], []
-    # depth first, left before right: (rows, depth, parent node, child slot)
-    stack = [(np.arange(len(residuals)), 0, None, None)]
+    # depth first, left before right: (rows, depth, parent node, child
+    # slot, the rows' branch cost)
+    stack = [(np.arange(len(residuals)), 0, None, None, _branch_cost(residuals))]
     while stack:
-        idx, depth, parent, slot = stack.pop()
+        idx, depth, parent, slot, cost = stack.pop()
         split = None
         if depth < cfg.depth and len(idx) >= 2:
-            lm, p1, p2, tau = draw_candidates(cfg.candidates_per_node, P, M, cfg.tau_range, rng)
+            lm, p1, p2, tau = (v[used * C:(used + 1) * C] for v in drawn)
+            used += 1
             # flat indices into the (part_size*M, N) table: row * N + face
             col = cols[idx]
             F = (np.take(V, ((lm * M + p1) * N)[:, None] + col)
                  - np.take(V, ((lm * M + p2) * N)[:, None] + col))
-            res = residuals[idx]
-            best, cost, mask = best_split(res, F, tau)
-            if cost < _branch_cost(res):
+            best, split_cost, mask, left_cost, right_cost = best_split(residuals[idx], F, tau)
+            if split_cost < cost:
                 # lm, p1, p2, tau, left, right; each child fills its slot
                 split = [lm[best], p1[best], p2[best], tau[best], None, None]
         if split is None:
@@ -323,10 +339,14 @@ def fit_tree(residuals, ann_mask, gt_vis, V, part_global, cfg: TrainConfig,
         else:
             child = len(nodes)
             nodes.append(split)
-            stack.append((idx[~mask], depth + 1, split, 5))
-            stack.append((idx[mask], depth + 1, split, 4))
+            stack.append((idx[~mask], depth + 1, split, 5, right_cost))
+            stack.append((idx[mask], depth + 1, split, 4, left_cost))
         if parent is not None:
             parent[slot] = child
+    if used < room:
+        rng.bit_generator.state = start
+        if used:
+            draw_candidates(C * used, P, M, cfg.tau_range, rng)
     lm, p1, p2, tau, left, right = zip(*nodes) if nodes else [()] * 6
     return Tree(
         node_landmark=np.array(lm, dtype=np.int64),

@@ -91,6 +91,22 @@ def save_model(model: CascadeModel, path) -> None:
         fh.write(digest)
 
 
+# what each checked header value must be; a bool is never a number
+_KINDS = {"an integer": int, "a number": (int, float), "a boolean": bool,
+          "a list": list, "an object": dict}
+
+
+def _field(record: dict, key: str, kind: str, where: str = "model header"):
+    """record[key], or FormatError when the key is missing or its value is
+    not of the _KINDS kind."""
+    if key not in record:
+        raise FormatError(f"{where} has no {key}")
+    value = record[key]
+    if not isinstance(value, _KINDS[kind]) or (isinstance(value, bool) and kind != "a boolean"):
+        raise FormatError(f"{where} {key} must be {kind}, not {value!r}")
+    return value
+
+
 def load_model(path) -> CascadeModel:
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -103,61 +119,80 @@ def load_model(path) -> CascadeModel:
         raise FormatError("bad model magic")
     (hlen,) = struct.unpack("<q", body[len(MODEL_MAGIC): len(MODEL_MAGIC) + 8])
     off = len(MODEL_MAGIC) + 8
-    header = json.loads(body[off: off + hlen].decode("utf-8"))
-    if header["version"] != MODEL_VERSION:
-        raise FormatError(f"unsupported model version {header['version']}")
+    try:
+        header = json.loads(body[off: off + hlen].decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError among them
+        raise FormatError(f"model header: {exc}") from None
+    if not isinstance(header, dict):
+        raise FormatError("model header must be an object")
+    version = _field(header, "version", "an integer")
+    if version != MODEL_VERSION:
+        raise FormatError(f"unsupported model version {version}")
     off += hlen
     arrays = {}
-    for entry in header["arrays"]:
-        dt = np.dtype(entry["dtype"])
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = dt.itemsize * count
-        arrays[entry["name"]] = np.frombuffer(
-            body[off: off + nbytes], dtype=dt
-        ).reshape(shape).copy()
-        off += nbytes
+    try:
+        for entry in _field(header, "arrays", "a list"):
+            dt = np.dtype(entry["dtype"])
+            shape = tuple(entry["shape"])
+            count = int(np.prod(shape)) if shape else 1
+            nbytes = dt.itemsize * count
+            arrays[entry["name"]] = np.frombuffer(
+                body[off: off + nbytes], dtype=dt
+            ).reshape(shape).copy()
+            off += nbytes
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"model header arrays: {exc!r}") from None
     if off != len(body):
         raise FormatError("model payload length mismatch")
+
+    def array(name):
+        if name not in arrays:
+            raise FormatError(f"model payload has no array {name}")
+        return arrays[name]
 
     for name, allowed in MODES.items():
         if header.get(name) not in allowed:
             raise FormatError(f"model header {name} must be one of {list(allowed)}, "
                               f"not {header.get(name)!r}")
-    if header["init_mode"] == "3d" and not header["has_model3d"]:
+    has_model3d = _field(header, "has_model3d", "a boolean")
+    if header["init_mode"] == "3d" and not has_model3d:
         raise FormatError("model header init_mode is '3d' but the model stores no 3D model")
-    schema = LandmarkSchema.from_dict(header["schema"])
+    schema = LandmarkSchema.from_dict(_field(header, "schema", "an object"))
     try:
-        config = TrainConfig(**header["config"])
+        config = TrainConfig(**_field(header, "config", "an object"))
     except (TypeError, ValueError) as exc:
         raise FormatError(f"model header config: {exc}") from None
     mean_shape = Shape(
-        arrays["mean_shape/coords"], arrays["mean_shape/visibility"],
-        arrays["mean_shape/annotated"],
+        array("mean_shape/coords"), array("mean_shape/visibility"),
+        array("mean_shape/annotated"),
     )
     pattern = FreakPattern(
-        arrays["pattern/offsets"], arrays["pattern/rings"],
-        header["pattern_diameter"],
+        array("pattern/offsets"), array("pattern/rings"),
+        _field(header, "pattern_diameter", "a number"),
     )
     model3d = None
-    if header["has_model3d"]:
+    if has_model3d:
         model3d = Model3D(
-            arrays["model3d/points"], arrays["model3d/normals"],
-            arrays["model3d/distinct"].astype(bool),
+            array("model3d/points"), array("model3d/normals"),
+            array("model3d/distinct").astype(bool),
             header.get("model3d_names", []),
         )
     stages = []
-    for si, sm in enumerate(header["stages"]):
+    for si, sm in enumerate(_field(header, "stages", "a list")):
+        where = f"model header stage {si}"
+        if not isinstance(sm, dict):
+            raise FormatError(f"{where} must be an object, not {sm!r}")
         parts = [
             PartModel.from_arrays(
-                arrays[f"s{si}/p{pi}/landmarks"],
-                {f: arrays[f"s{si}/p{pi}/{f}"] for f in FOREST_FIELDS},
+                array(f"s{si}/p{pi}/landmarks"),
+                {f: array(f"s{si}/p{pi}/{f}") for f in FOREST_FIELDS},
             )
-            for pi in range(sm["parts"])
+            for pi in range(_field(sm, "parts", "an integer", where))
         ]
+        shrinkage = _field(sm, "shrinkage", "a number", where)
+        scale = _field(sm, "scale", "a number", where)
         try:
-            stages.append(PartsStage(parts=parts, shrinkage=sm["shrinkage"],
-                                     scale=sm["scale"]))
+            stages.append(PartsStage(parts=parts, shrinkage=shrinkage, scale=scale))
         except (ValueError, IndexError) as exc:
             raise FormatError(f"stage {si}: {exc}") from None
     return CascadeModel(
@@ -169,5 +204,5 @@ def load_model(path) -> CascadeModel:
         pattern=pattern,
         config=config,
         model3d=model3d,
-        training_log=header["training_log"],
+        training_log=_field(header, "training_log", "a list"),
     )

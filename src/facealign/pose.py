@@ -9,7 +9,9 @@ a batched linear scaled-orthographic estimate, then Gauss-Newton steps with
 a closed-form Jacobian, each a batched 6x6 normal-equation solve. Every
 hypothesis keeps its own convergence and failure state, and its own focal
 length and image centre, so one that fails or converges drops out while
-the others carry on. The loop holds the active hypotheses in compact
+the others carry on. The loop stops after MAX_ITER iterations, when the
+consensus winner has long settled; a hypothesis still stepping then is
+kept and scored, not failed. It holds the active hypotheses in compact
 arrays, compacted only when one leaves, and the start's per-subset SVD is
 cached by the subset points; the numpy calls per iteration are what cost,
 not their arithmetic. fit_pose is a batch of one.
@@ -38,7 +40,10 @@ from .heatmaps import FACE_SIZE
 from .shapes import Shape
 
 ORTHONORMAL_TOL = 1e-6
-MAX_ITER = 100
+# Gauss-Newton iterations per hypothesis. The consensus winner settles in
+# about 6; on the benchmark's corpora 15 picks the winner 100 iterations
+# pick, without waiting for slow hypotheses that never win.
+MAX_ITER = 15
 STEP_TOL = 1e-6
 # faces whose maps consensus_inits holds at once; a 24x160x160 float32
 # raster read from a .fapm file is 2.5 MB
@@ -285,12 +290,14 @@ def fit_poses(coords2d: np.ndarray, points3d: np.ndarray,
 
     Each hypothesis starts from a linear scaled-orthographic estimate and is
     refined by Gauss-Newton on the reprojection residual until its
-    parameter step drops below 1e-6 or after 100 iterations. A hypothesis
-    fails, and stops iterating, on a rank-deficient 3D subset, a degenerate
-    orthographic estimate (a row norm that is 0 or not finite, as when the
-    peaks' spread overflows), a non-finite residual or step, a singular solve,
-    a non-positive scale, or a final rotation or depth that RigidPose
-    would reject; the others carry on.
+    parameter step drops below STEP_TOL (1e-6) or after MAX_ITER (15)
+    iterations. A hypothesis still stepping at the cap is kept, not failed:
+    its last iterate is its pose, and robust_inits scores it like any
+    other. A hypothesis fails, and stops iterating, on a rank-deficient 3D
+    subset, a degenerate orthographic estimate (a row norm that is 0 or not
+    finite, as when the peaks' spread overflows), a non-finite residual or
+    step, a singular solve, a non-positive scale, or a final rotation or
+    depth that RigidPose would reject; the others carry on.
     """
     if center is None:
         center = default_center()

@@ -161,12 +161,12 @@ class Dataset:
         return Dataset([self.samples[i] for i in indices], self.schema)
 
 
-def _shape_from_record(rec, schema, line_no):
-    L = schema.landmark_count
+def _shape_from_record(rec, index: dict, line_no):
+    """One record's Shape; index maps each schema name to its landmark."""
+    L = len(index)
     coords = np.zeros((L, 2))
     vis = np.ones(L)
     ann = np.zeros(L, dtype=np.uint8)
-    index = {n: i for i, n in enumerate(schema.names)}
     lms = rec.get("landmarks", [])
     if not isinstance(lms, list):
         raise ParseError("landmarks must be a list", line=line_no)
@@ -178,7 +178,8 @@ def _shape_from_record(rec, schema, line_no):
             x, y, v = float(lm["x"]), float(lm["y"]), float(lm.get("v", 1.0))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"bad landmark entry: {exc}", line=line_no)
-        if not (is_finite(x) and is_finite(y) and is_finite(v)):
+        # float() has made each a float, so math.isfinite is is_finite
+        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(v)):
             raise ParseError(f"landmark {name!r} has a non-finite x, y or v", line=line_no)
         if not isinstance(name, str) or name not in index:
             raise SchemaError(f"unknown landmark name {name!r}")
@@ -192,6 +193,7 @@ def _shape_from_record(rec, schema, line_no):
 def load_dataset(path, schema: LandmarkSchema) -> Dataset:
     """Read newline-delimited annotation records (one JSON object per face)."""
     samples = []
+    index = {n: i for i, n in enumerate(schema.names)}
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
@@ -216,7 +218,7 @@ def load_dataset(path, schema: LandmarkSchema) -> Dataset:
                 raise SchemaError(
                     f"record L={rec['L']} does not match schema L={schema.landmark_count}"
                 )
-            gt = _shape_from_record(rec, schema, line_no)
+            gt = _shape_from_record(rec, index, line_no)
             samples.append(Sample(image_ref=str(rec["image"]), ground_truth=gt, bbox=bbox))
     return Dataset(samples, schema)
 

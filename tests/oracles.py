@@ -2,8 +2,9 @@
 
 import numpy as np
 
-from facealign.cascade import leaf_ids
+from facealign.cascade import Tree, _branch_cost, best_split, leaf_ids
 from facealign.errors import FitError, FormatError, NumericError
+from facealign.features import draw_candidates
 from facealign.pose import MAX_ITER, ORTHONORMAL_TOL, STEP_TOL, PoseFits, default_center
 
 
@@ -32,6 +33,56 @@ def apply_stage_per_part(stage, V, coords, vis=None) -> None:
             keep = 1.0 - 1.0 / K
             weights = (1.0 / K) * keep ** np.arange(K - 1, -1, -1)
             vis[:, p] = keep ** K * vis[:, p] + weights @ pm.leaf_visibility[leaf]
+
+
+def fit_tree_per_node(residuals, ann_mask, gt_vis, V, part_global, cfg, rng,
+                      pattern_size, cols) -> Tree:
+    """cascade.fit_tree as it was before its block draw: every drawing node
+    makes its own draw_candidates call and recomputes its rows' branch
+    cost; the tree and the generator's final state must agree bitwise."""
+    P, M = len(part_global), pattern_size
+    N = V.shape[1]
+    nodes, leaf_residual, leaf_visibility = [], [], []
+    # depth first, left before right: (rows, depth, parent node, child slot)
+    stack = [(np.arange(len(residuals)), 0, None, None)]
+    while stack:
+        idx, depth, parent, slot = stack.pop()
+        split = None
+        if depth < cfg.depth and len(idx) >= 2:
+            lm, p1, p2, tau = draw_candidates(cfg.candidates_per_node, P, M, cfg.tau_range, rng)
+            # flat indices into the (part_size*M, N) table: row * N + face
+            col = cols[idx]
+            F = (np.take(V, ((lm * M + p1) * N)[:, None] + col)
+                 - np.take(V, ((lm * M + p2) * N)[:, None] + col))
+            res = residuals[idx]
+            best, cost, mask = best_split(res, F, tau)[:3]
+            if cost < _branch_cost(res):
+                # lm, p1, p2, tau, left, right; each child fills its slot
+                split = [lm[best], p1[best], p2[best], tau[best], None, None]
+        if split is None:
+            num = residuals[idx].sum(axis=0)
+            den = ann_mask[idx].sum(axis=0)
+            leaf_residual.append(np.where(den > 0, num / np.maximum(den, 1), 0.0))
+            leaf_visibility.append(gt_vis[idx].mean(axis=0))
+            child = ~(len(leaf_residual) - 1)
+        else:
+            child = len(nodes)
+            nodes.append(split)
+            stack.append((idx[~mask], depth + 1, split, 5))
+            stack.append((idx[mask], depth + 1, split, 4))
+        if parent is not None:
+            parent[slot] = child
+    lm, p1, p2, tau, left, right = zip(*nodes) if nodes else [()] * 6
+    return Tree(
+        node_landmark=np.array(lm, dtype=np.int64),
+        node_p1=np.array(p1, dtype=np.int64),
+        node_p2=np.array(p2, dtype=np.int64),
+        node_tau=np.array(tau, dtype=np.float64),
+        node_left=np.array(left, dtype=np.int64),
+        node_right=np.array(right, dtype=np.int64),
+        leaf_residual=np.asarray(leaf_residual, dtype=np.float64),
+        leaf_visibility=np.asarray(leaf_visibility, dtype=np.float64),
+    )
 
 
 def per_landmark_nme_loop(preds, gts, ds) -> np.ndarray:
@@ -88,11 +139,11 @@ def exp_so3_lockstep(w):
     return EYE3 + a * K + b * (K @ K)
 
 
-def fit_poses_lockstep(coords2d, points3d, focal, center, steps=None):
+def fit_poses_lockstep(coords2d, points3d, focal, center, steps=None, max_iter=MAX_ITER):
     """pose.fit_poses as the lockstep loop that gathered the active
     hypotheses' state from, and scattered it back to, the full arrays on
-    every iteration. Appends the number of hypotheses each iteration steps
-    to ``steps`` when given."""
+    every iteration, for at most ``max_iter`` iterations. Appends the
+    number of hypotheses each iteration steps to ``steps`` when given."""
     if center is None:
         center = default_center()
     uv = np.asarray(coords2d, dtype=np.float64)
@@ -135,7 +186,7 @@ def fit_poses_lockstep(coords2d, points3d, focal, center, steps=None):
     proj = X[a] @ R[a].transpose(0, 2, 1)
     txy[a] = (uv[a] - c[a, None] - s[a, None, None] * proj[..., :2]).mean(axis=1)
 
-    for _ in range(MAX_ITER):
+    for _ in range(max_iter):
         if not len(a):
             break
         Xa, Ra, sa = X[a], R[a], s[a]

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from facealign import cascade, features
 from facealign.cascade import (
     CascadeModel,
     PartModel,
@@ -28,14 +29,14 @@ from facealign.cascade import (
     train_parts,
 )
 from facealign.errors import FormatError, NumericError
-from facealign.features import SplitParams, extract_pattern_values
+from facealign.features import SplitParams, draw_candidates, extract_pattern_values
 from facealign.heatmaps import BlobMaps, ProbabilityMaps, SynthConfig
 from facealign.metrics import nme_percent, normalizer
 from facealign.pipeline import RunConfig, train_model
 from facealign.pose import anchor_shape, bbox_center, mean_shape_init, robust_init
 from facealign.shapes import Dataset
 from facealign.synthetic import CorpusConfig, SyntheticMapSource, generate_corpus
-from oracles import apply_stage_per_part
+from oracles import apply_stage_per_part, fit_tree_per_node
 
 
 def cand(tau, p1=0, p2=1, landmark=0):
@@ -313,6 +314,105 @@ class TestFitTreeOracle:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+def generator(kind, seed):
+    """PCG64, whose draws fit_tree decodes from raw words; PCG64 holding a
+    buffered 32-bit half; or MT19937, which draws through the scalar loop."""
+    if kind == "mt19937":
+        return np.random.Generator(np.random.MT19937(seed))
+    rng = np.random.default_rng(seed)
+    if kind == "buffered":
+        rng.integers(7)  # keeps the high half of a word for the next draw
+    return rng
+
+
+def tree_case(seed, N, part_size, M, decimals):
+    """A part, reads V (N, part_size, M) and the sorted face rows of one
+    tree with their masked residuals, annotation mask and visibility."""
+    r = np.random.default_rng(seed)
+    part = np.sort(r.choice(30, size=part_size, replace=False))
+    V = r.normal(size=(N, part_size, M))
+    if decimals is not None:
+        V = np.round(V, decimals)  # many equal features, and nodes no split helps
+    sub = np.sort(r.choice(N, size=int(r.integers(1, N + 1)), replace=False))
+    ann = np.repeat(r.random((len(sub), part_size)) > 0.2, 2, axis=1).astype(np.float64)
+    res = r.normal(size=(len(sub), 2 * part_size)) * ann
+    return part, V, sub, res, ann, r.random((len(sub), part_size))
+
+
+def assert_same_tree(tree, want):
+    for f in TREE_ARRAYS:
+        a, b = getattr(tree, f), getattr(want, f)
+        assert a.dtype == b.dtype and a.shape == b.shape, f
+        assert a.tobytes() == b.tobytes(), f
+
+
+def assert_same_state(rng, ref):
+    # an MT19937 state holds an array
+    np.testing.assert_equal(rng.bit_generator.state, ref.bit_generator.state)
+
+
+class TestFitTreeBlockDraw:
+    """fit_tree's one block of candidate draws and carried branch costs
+    against a draw_candidates call and a branch cost per node."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), N=st.integers(1, 40), part_size=st.integers(1, 4),
+           M=st.integers(2, 9), depth=st.integers(0, 4), C=st.integers(1, 24),
+           decimals=st.sampled_from([None, 0, 1]),
+           kind=st.sampled_from(["pcg64", "buffered", "mt19937"]))
+    def test_equals_per_node_draws(self, seed, N, part_size, M, depth, C, decimals, kind):
+        # small N leaves nodes of 0 or 1 rows above the last level; rounded
+        # reads leave nodes that no candidate splits, so rows go unused
+        part, V, sub, res, ann, vis = tree_case(seed, N, part_size, M, decimals)
+        cfg = leaf_cfg(depth=depth, candidates_per_node=C)
+        rng, rng_ref = generator(kind, seed), generator(kind, seed)
+        tree = fit_tree(res, ann, vis, table(V), part, cfg, rng, M, cols=sub)
+        want = fit_tree_per_node(res, ann, vis, table(V), part, cfg, rng_ref, M, cols=sub)
+        assert_same_tree(tree, want)
+        assert_same_state(rng, rng_ref)
+
+    @pytest.mark.parametrize("kind", ["pcg64", "buffered", "mt19937"])
+    def test_a_lone_leaf_takes_one_node_of_draws(self, kind):
+        # equal residuals: the root draws, cannot split, and the 14 other
+        # nodes' rows of the depth-4 block are given back
+        res = np.tile([[1.5, -0.5]], (12, 1))
+        V = np.random.default_rng(2).normal(size=(12, 1, 5))
+        rng, ref = generator(kind, 9), generator(kind, 9)
+        tree = fit_all_rows(res, np.ones((12, 2)), np.ones((12, 1)), V, [3],
+                            leaf_cfg(depth=4, candidates_per_node=6), rng)
+        assert tree.n_nodes == 0
+        draw_candidates(6, 1, 5, (-0.5, 0.5), ref)
+        assert_same_state(rng, ref)
+
+    def test_declined_raw_decode(self, monkeypatch):
+        # the scalar loop's draws, as when the raw decode meets a number
+        # the loop would have drawn again
+        monkeypatch.setattr(features, "_draw_raw", lambda *args: None)
+        part, V, sub, res, ann, vis = tree_case(4, 30, 3, 6, None)
+        cfg = leaf_cfg(depth=4, candidates_per_node=10)
+        rng, rng_ref = generator("buffered", 4), generator("buffered", 4)
+        assert_same_tree(fit_tree(res, ann, vis, table(V), part, cfg, rng, 6, cols=sub),
+                         fit_tree_per_node(res, ann, vis, table(V), part, cfg, rng_ref, 6,
+                                           cols=sub))
+        assert_same_state(rng, rng_ref)
+
+    def test_at_most_two_draws_per_tree(self, monkeypatch):
+        calls = []
+
+        def counted(count, *args):
+            calls.append(count)
+            return draw_candidates(count, *args)
+
+        monkeypatch.setattr(cascade, "draw_candidates", counted)
+        part, V, sub, res, ann, vis = tree_case(5, 60, 2, 6, 1)
+        for depth in range(5):
+            calls.clear()
+            fit_tree(res, ann, vis, table(V), part, leaf_cfg(depth=depth, candidates_per_node=8),
+                     np.random.default_rng(depth), 6, cols=sub)
+            assert len(calls) <= 2
+            assert calls[:1] == ([8 * (2 ** depth - 1)] if depth else [])
 
 
 def leaf_id_single(tree: Tree, V1: np.ndarray) -> int:

@@ -43,7 +43,10 @@ def _annotations(tree):
 
 
 def _used_names(tree):
-    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    """Names read anywhere in tree: assigning a name, such as a dataclass
+    field ``nme: float``, is not a use of it."""
+    used = {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
     for ann in _annotations(tree):
         for node in ast.walk(ann):
             if isinstance(node, ast.Constant) and isinstance(node.value, str):

@@ -264,3 +264,69 @@ class TestStageLayout:
         assert run(["predict", "--model", str(p), "--dataset", str(ann),
                     "--out", str(tmp_path / "out")]) == EXIT_DATA
         assert message in capsys.readouterr().err
+
+
+# one wrongly typed value per header key that load_model reads through its
+# one checked lookup
+WRONG_TYPES = {"version": "2", "has_model3d": 1, "stages": {}, "schema": [],
+               "pattern_diameter": True, "training_log": {}}
+
+
+def write_body(path, header_bytes):
+    """A model file whose header is the given bytes, with a valid checksum."""
+    body = MODEL_MAGIC + struct.pack("<q", len(header_bytes)) + header_bytes
+    path.write_bytes(body + hashlib.sha256(body).digest())
+
+
+class TestHeaderKeys:
+    @pytest.mark.parametrize("key", sorted(WRONG_TYPES))
+    def test_missing_key(self, trained, tmp_path, key):
+        p = tmp_path / "bad.facm"
+        save_model(trained[0], p)
+        rewrite_model(p, lambda header, arrays: header.pop(key))
+        with pytest.raises(FormatError, match=f"model header has no {key}"):
+            load_model(p)
+
+    @pytest.mark.parametrize("key", sorted(WRONG_TYPES))
+    def test_wrongly_typed_key(self, trained, tmp_path, key):
+        p = tmp_path / "bad.facm"
+        save_model(trained[0], p)
+        rewrite_model(p, lambda header, arrays: header.update({key: WRONG_TYPES[key]}))
+        with pytest.raises(FormatError, match=f"model header {key} must be "):
+            load_model(p)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda header, arrays: header["stages"][1].pop("parts"), "stage 1 has no parts"),
+        (lambda header, arrays: header["stages"][0].update(scale="1"),
+         "stage 0 scale must be a number"),
+        (lambda header, arrays: header["stages"].append(3), "stage 2 must be an object"),
+        (lambda header, arrays: arrays.pop("pattern/rings"), "no array pattern/rings"),
+    ], ids=["stage-parts", "stage-scale", "stage-entry", "array"])
+    def test_stage_entries_and_arrays(self, trained, tmp_path, edit, message):
+        p = tmp_path / "bad.facm"
+        save_model(trained[0], p)
+        rewrite_model(p, edit)
+        with pytest.raises(FormatError, match=message):
+            load_model(p)
+
+    @pytest.mark.parametrize("header, message", [
+        (b"\xff{", "model header: "), (b"{1: 2}", "model header: "),
+        (b"[2]", "must be an object"),
+        (b'{"version": 2, "arrays": [{"name": "x"}]}', "model header arrays: KeyError"),
+    ], ids=["not-utf8", "not-json", "not-an-object", "array-entry"])
+    def test_unreadable_header(self, tmp_path, header, message):
+        p = tmp_path / "bad.facm"
+        write_body(p, header)
+        with pytest.raises(FormatError, match=message):
+            load_model(p)
+
+    def test_predict_cli_exits_2_without_training_log(self, trained, tiny_corpus, tmp_path,
+                                                      capsys):
+        ann = tmp_path / "faces.jsonl"
+        save_dataset(tiny_corpus, ann)
+        p = tmp_path / "bad.facm"
+        save_model(trained[0], p)
+        rewrite_model(p, lambda header, arrays: header.pop("training_log"))
+        assert run(["predict", "--model", str(p), "--dataset", str(ann),
+                    "--out", str(tmp_path / "out")]) == EXIT_DATA
+        assert "model header has no training_log" in capsys.readouterr().err

@@ -40,6 +40,7 @@ from facealign.pose import (
     score_shapes,
 )
 from facealign.shapes import Sample
+from facealign.synthetic import CorpusConfig, SyntheticMapSource, generate_corpus
 from oracles import exp_so3_lockstep, fit_poses_lockstep, map_values, score_shapes_per_landmark
 
 angles = st.floats(-np.pi, np.pi, allow_nan=False)
@@ -694,6 +695,83 @@ class TestLockstepOracle:
                 assert np.array_equal(g.shape.visibility, w.shape.visibility)
                 assert np.array_equal(g.pose.rotation, w.pose.rotation)
                 assert np.array_equal(g.pose.translation, w.pose.translation)
+
+
+# the serve_3d benchmark's pool: its corpus and its map noise and seed;
+# inits_and_winners uses its model's subset size 6 and train seed 5
+SERVE_POOL = CorpusConfig(count=60, seed=5_000_011, tag="serve3d")
+SERVE_SYNTH = SynthConfig(coordinate_noise_sigma=1.0, outlier_rate=0.1)
+
+
+def inits_and_winners(maps, centers, model, Z, cap):
+    """robust_inits at MAX_ITER cap, and per face the indices of the
+    hypotheses whose pose is the winner's (None where every one failed)."""
+    fits = []
+
+    def kept_fit_poses(*args, **kwargs):
+        fits.append(real_fit_poses(*args, **kwargs))
+        return fits[-1]
+
+    real_fit_poses = pose.fit_poses
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pose, "MAX_ITER", cap)
+        mp.setattr(pose, "fit_poses", kept_fit_poses)
+        got = robust_inits(maps, model, Z, 6, 5, centers)
+    (fit,) = fits
+    rotation, ok = fit.rotation.reshape(len(maps), Z, 3, 3), fit.ok.reshape(len(maps), Z)
+    winners = [None if g is None else
+               [k for k in range(Z) if ok[f, k] and np.array_equal(rotation[f, k], g.pose.rotation)]
+               for f, g in enumerate(got)]
+    return got, winners
+
+
+class TestIterationCap:
+    """MAX_ITER ends the loop once the consensus winner has settled; a
+    hypothesis still stepping at the cap is kept and scored."""
+
+    @pytest.fixture(scope="class")
+    def serve_pool(self, model3d, schema):
+        samples = generate_corpus(model3d, schema, SERVE_POOL).samples
+        source = SyntheticMapSource(SERVE_SYNTH, SERVE_POOL.seed)
+        return [source.maps_for(s) for s in samples], [bbox_center(s.bbox) for s in samples]
+
+    @pytest.mark.parametrize("cap", [1, 4, 100])
+    def test_oracle_takes_the_cap(self, model3d, cap):
+        uv, X = make_batch(model3d, 6, ["pose", "outliers"] * 10, 21)
+        want_steps = []
+        want = fit_poses_lockstep(uv, X, 160.0, CENTER, want_steps, max_iter=cap)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pose, "MAX_ITER", cap)
+            got, steps = counted_fit_poses(mp, uv, X, 160.0, CENTER)
+        assert steps == want_steps and len(steps) <= cap
+        assert np.array_equal(got.rotation, want.rotation)
+        assert np.array_equal(got.translation, want.translation)
+        assert got.reason.tolist() == want.reason.tolist()
+
+    def test_hypotheses_active_at_the_cap_are_kept(self, model3d):
+        uv, X = make_batch(model3d, 6, ["pose"] * 8, 3)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pose, "MAX_ITER", 1)
+            fits, steps = counted_fit_poses(mp, uv, X, 160.0, CENTER)
+        # all 8 were still stepping when the loop stopped, and all are poses
+        assert steps == [8]
+        assert fits.ok.all() and fits.reason.tolist() == [None] * 8
+        uncapped = []
+        fit_poses_lockstep(uv, X, 160.0, CENTER, uncapped, max_iter=100)
+        assert uncapped[0] == 8 and len(uncapped) > 1
+
+    @pytest.mark.parametrize("Z", [25, 5])
+    def test_same_winner_as_100_iterations(self, model3d, serve_pool, Z):
+        maps, centers = serve_pool
+        slow, slow_winners = inits_and_winners(maps, centers, model3d, Z, 100)
+        fast, fast_winners = inits_and_winners(maps, centers, model3d, Z, MAX_ITER)
+        assert fast_winners == slow_winners
+        assert all(w is not None and len(w) == 1 for w in fast_winners)
+        moved = np.array([np.abs(a.shape.coords - b.shape.coords).max()
+                          for a, b in zip(fast, slow)])
+        assert moved.max() <= 0.05
+        # nearly every init is bitwise the 100-iteration one
+        assert np.count_nonzero(moved == 0.0) >= 0.9 * len(maps)
 
 
 class TestOverflowingPeaks:
