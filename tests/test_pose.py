@@ -193,10 +193,10 @@ def _ref_orthonormalize(I, J):
     return U @ D @ Vt
 
 
-def ref_fit_pose(coords2d, points3d, focal=160.0, center=None, steps=None):
+def ref_fit_pose(coords2d, points3d, focal=160.0, center=None, steps=None, max_iter=MAX_ITER):
     """One hypothesis: lstsq scaled-orthographic start, then Gauss-Newton
-    with a Jacobian filled one correspondence at a time. Appends each step
-    to ``steps`` when given."""
+    with a Jacobian filled one correspondence at a time, for at most
+    ``max_iter`` iterations. Appends each step to ``steps`` when given."""
     if center is None:
         center = default_center()
     uv = np.asarray(coords2d, dtype=np.float64).reshape(-1, 2)
@@ -218,7 +218,7 @@ def ref_fit_pose(coords2d, points3d, focal=160.0, center=None, steps=None):
     c = np.asarray(center, dtype=np.float64)
     proj = X @ R.T
     txy = (uv - c - s * proj[:, :2]).mean(axis=0)
-    for _ in range(MAX_ITER):
+    for _ in range(max_iter):
         proj = X @ R.T
         r = (c + s * proj[:, :2] + txy - uv).ravel()
         if not np.all(np.isfinite(r)):
@@ -275,13 +275,19 @@ def ref_robust_init(maps, model, Z, subset_size, seed, center):
 CENTER = (80.0, 80.0)
 # failures decided before any Gauss-Newton step, which rounding cannot flip
 START_FAILURES = ("degenerate (coplanar) 3D configuration", "degenerate orthographic estimate")
+# The solver comparison's cap, by which every hypothesis it compares has
+# converged, so the batched 6x6 normal-equation solve and lstsq reach the
+# same fixed point. Stopped mid-descent at MAX_ITER, their iterates differ
+# by the two solves' rounding, about 1e-8 relative on ill-conditioned
+# subsets; TestIterationCap checks the cap itself.
+CONVERGED_CAP = 100
 
 
 def _ref_outcome(uv, X):
     """(failure message or None, R, t, Gauss-Newton steps taken)."""
     steps = []
     try:
-        pose = ref_fit_pose(uv, X, 160.0, CENTER, steps)
+        pose = ref_fit_pose(uv, X, 160.0, CENTER, steps, CONVERGED_CAP)
     except FitError as exc:
         return str(exc), None, None, len(steps)
     return None, pose.rotation, pose.translation, len(steps)
@@ -351,7 +357,9 @@ class TestFitPosesOracle:
     @settings(max_examples=60, deadline=None)
     def test_matches_per_hypothesis_loop(self, model3d, batch):
         uv, X = make_batch(model3d, *batch)
-        fits = fit_poses(uv, X, 160.0, CENTER)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pose, "MAX_ITER", CONVERGED_CAP)
+            fits = fit_poses(uv, X, 160.0, CENTER)
         assert fits.ok.tolist() == [m is None for m in fits.reason]
         for b in range(len(uv)):
             ref = _ref_outcome(uv[b], X[b])
