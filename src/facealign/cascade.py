@@ -9,7 +9,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, FormatError, InitError, is_finite, is_int, is_real, real_range
+from .errors import (BOOL, FINITE, FRACTION, DataError, FormatError, InitError, at_least, check,
+                     real_range, setting)
 from .features import (
     DEFAULT_TAU_RANGE,
     STAGE_SCALE_FLOOR,
@@ -28,38 +29,24 @@ from .shapes import Dataset, LandmarkSchema, Shape
 
 @dataclass
 class TrainConfig:
-    T: int = 20                    # max stages
-    K1: int = 50                   # trees per coarse stage
-    K2: int = 50                   # trees per part in fine stages
-    depth: int = 4
-    candidates_per_node: int = 200
-    shrinkage: float = 0.1         # nu
-    subsample: float = 0.5         # eta, fraction of samples per tree
-    early_stop_delta: float = 0.01  # relative validation improvement
-    seed: int = 0
-    Z: int = 25                    # consensus hypotheses for 3d init
-    subset_size: int = 6
+    T: int = setting(20, at_least(1))                     # max stages
+    K1: int = setting(50, at_least(1))                    # trees per coarse stage
+    K2: int = setting(50, at_least(1))                    # trees per part in fine stages
+    depth: int = setting(4, at_least(0))
+    candidates_per_node: int = setting(200, at_least(1))
+    shrinkage: float = setting(0.1, FRACTION)             # nu
+    subsample: float = setting(0.5, FRACTION)             # eta, fraction of samples per tree
+    early_stop_delta: float = setting(0.01, FINITE)       # relative validation improvement
+    seed: int = setting(0, at_least(0))
+    Z: int = setting(25, at_least(1))                     # consensus hypotheses for 3d init
+    subset_size: int = setting(6, at_least(4))
     tau_range: tuple[float, float] = DEFAULT_TAU_RANGE
-    scale_floor: float = STAGE_SCALE_FLOOR
-    coarse_to_fine: bool = True
+    scale_floor: float = setting(STAGE_SCALE_FLOOR, FRACTION)
+    coarse_to_fine: bool = setting(True, BOOL)
 
     def __post_init__(self):
-        for name, low in (("T", 1), ("K1", 1), ("K2", 1), ("depth", 0),
-                          ("candidates_per_node", 1), ("Z", 1), ("subset_size", 4),
-                          ("seed", 0)):
-            v = getattr(self, name)
-            if not is_int(v) or v < low:
-                raise ValueError(f"{name} must be an integer >= {low}, not {v!r}")
+        check(self)
         self.tau_range = real_range("tau_range", self.tau_range)
-        for name in ("shrinkage", "subsample"):
-            v = getattr(self, name)
-            if not (is_real(v) and 0.0 < v <= 1.0):
-                raise ValueError(f"{name} must be a number in (0, 1], not {v!r}")
-        if not (is_real(self.scale_floor) and 0.0 < self.scale_floor <= 1.0):
-            raise ValueError(f"scale_floor must be a number in (0, 1], not {self.scale_floor!r}")
-        if not is_finite(self.early_stop_delta):
-            raise ValueError(f"early_stop_delta must be a finite number, "
-                             f"not {self.early_stop_delta!r}")
 
 
 @dataclass
@@ -154,14 +141,45 @@ def leaf_ids(part: PartModel, V: np.ndarray) -> np.ndarray:
     return ~cur
 
 
+# dtype kind and rank of a part's packed arrays; the others are 1-D integers
+_PACKED_KINDS = {"node_tau": ("f", 1), "leaf_residual": ("f", 2), "leaf_visibility": ("f", 2)}
+
+
+def _check_packed(pm: PartModel) -> None:
+    """ValueError unless pm's arrays are a forest ``leaf_ids`` can walk:
+    1-D integer landmarks, roots and node arrays of one length, a 1-D
+    float node_tau and 2-D float leaf rows of one count; landmarks, node
+    landmark rows and pattern offsets >= 0, node landmark rows below the
+    part size; each root and child naming a node or a leaf row, and each
+    child a node after its own, so that every walk ends in a leaf."""
+    for f in ("landmarks",) + FOREST_FIELDS:
+        a = getattr(pm, f)
+        kind, ndim = _PACKED_KINDS.get(f, ("i", 1))
+        if a.dtype.kind != kind or a.ndim != ndim:
+            raise ValueError(f"packed {f} is a {a.ndim}-D {a.dtype} array")
+    n, leaves = len(pm.node_tau), len(pm.leaf_residual)
+    if len(pm.leaf_visibility) != leaves or any(
+            len(getattr(pm, f)) != n for f in FOREST_FIELDS if f.startswith("node")):
+        raise ValueError("a part's node arrays, and its leaf arrays, must share a length")
+    if min(a.min(initial=0) for a in (pm.landmarks, pm.node_landmark, pm.node_p1, pm.node_p2)) < 0 \
+            or pm.node_landmark.max(initial=-1) >= len(pm.landmarks):
+        raise ValueError(f"packed indices must be >= 0, and node landmark rows below "
+                         f"the part's {len(pm.landmarks)} landmarks")
+    for f, before in (("roots", -1), ("node_left", np.arange(n)), ("node_right", np.arange(n))):
+        c = getattr(pm, f)
+        if not np.where(c >= 0, (c > before) & (c < n), ~c < leaves).all():
+            raise ValueError(f"{f} must name a leaf row or a node after its own")
+
+
 @dataclass
 class PartsStage:
     """K trees for each of disjoint parts. Construction packs the parts
     into one forest over global landmark ids, so ``apply_stage`` traverses
     a stage once; ``forest.landmarks`` lists the covered landmarks part
     after part, and its leaf rows are each part's padded to the widest.
-    ValueError for no parts, parts with different tree counts, a shared
-    landmark or leaf rows of the wrong width.
+    ValueError for a part's packed arrays that ``_check_packed`` refuses,
+    no parts, parts with different tree counts, a shared landmark or leaf
+    rows of the wrong width.
     """
 
     parts: list[PartModel]
@@ -170,6 +188,8 @@ class PartsStage:
 
     def __post_init__(self):
         parts = self.parts
+        for pm in parts:
+            _check_packed(pm)
         if not parts or len({pm.n_trees for pm in parts}) > 1:
             raise ValueError("a stage needs one or more parts with the same tree count")
         sizes = [len(pm.landmarks) for pm in parts]

@@ -1,7 +1,13 @@
-"""Exception hierarchy shared across the package, and the type tests the
-configuration classes and loaders use before raising."""
+"""Exception hierarchy shared across the package, and the one refusal of a
+value that breaks its rule: "<name> must be <what>, not <value>".
+
+A rule is a (test, what) pair: test(value) is true for a valid value. A
+config class states each field's rule with ``setting`` and calls
+``check``; a single value goes through ``require``.
+"""
 
 import math
+from dataclasses import field, fields
 from numbers import Integral, Real
 
 
@@ -62,3 +68,60 @@ def real_range(name: str, value, low: float = float("-inf")) -> tuple[float, flo
     if not (is_finite(lo) and is_finite(hi) and low < lo <= hi):
         raise ValueError(f"{name} must be a pair with {low} < lo <= hi, not {value!r}")
     return lo, hi
+
+
+def require(name: str, value, rule, error=ValueError):
+    """value, or error("<name> must be <what>, not <value!r>") when it
+    fails rule."""
+    test, what = rule
+    if not test(value):
+        raise error(f"{name} must be {what}, not {value!r}")
+    return value
+
+
+def setting(default, rule):
+    """A dataclass field with this default, whose value ``check`` tests
+    against rule; a dict default is copied for each instance."""
+    kind = ({"default_factory": lambda: dict(default)} if isinstance(default, dict)
+            else {"default": default})
+    return field(**kind, metadata={"rule": rule})
+
+
+def check(obj, error=ValueError) -> None:
+    """Refuse, through ``require``, the first field of dataclass obj, in
+    declaration order, whose value fails its ``setting`` rule."""
+    for f in fields(obj):
+        if "rule" in f.metadata:
+            require(f.name, getattr(obj, f.name), f.metadata["rule"], error)
+
+
+def at_least(n: int):
+    """An integer, not a bool, >= n."""
+    return lambda v: is_int(v) and v >= n, f"an integer >= {n}"
+
+
+def one_of(values):
+    """One of values."""
+    return lambda v: v in values, f"one of {list(values)}"
+
+
+def is_a(kind: type, what: str):
+    """An instance of kind, as what names it."""
+    return lambda v: isinstance(v, kind), what
+
+
+def or_none(rule):
+    """rule, or None (JSON null)."""
+    test, what = rule
+    return lambda v: v is None or test(v), f"{what} or null"
+
+
+INTEGER = is_int, "an integer"
+NUMBER = is_real, "a number"
+FINITE = is_finite, "a finite number"
+POSITIVE = (lambda v: is_finite(v) and v > 0), "a finite number > 0"
+NON_NEGATIVE = (lambda v: is_finite(v) and v >= 0), "a finite number >= 0"
+UNIT = (lambda v: is_real(v) and 0 <= v <= 1), "a number in [0, 1]"
+FRACTION = (lambda v: is_real(v) and 0 < v <= 1), "a number in (0, 1]"
+BOOL = is_a(bool, "true or false")
+STRING = is_a(str, "a string")

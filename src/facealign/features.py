@@ -12,7 +12,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import FormatError, is_finite
+from .errors import POSITIVE, FormatError, require
 
 STAGE_SCALE_FLOOR = 0.2
 DEFAULT_TAU_RANGE = (-0.3, 0.3)
@@ -37,9 +37,7 @@ class FreakPattern:
             raise FormatError(f"pattern needs at least 2 offsets, not {len(self.offsets)}")
         if len(self.rings) != len(self.offsets):
             raise FormatError("ring ids must match offsets")
-        if not (is_finite(self.base_diameter) and self.base_diameter > 0):
-            raise FormatError(f"pattern diameter must be a finite number > 0, "
-                              f"not {self.base_diameter!r}")
+        require("pattern diameter", self.base_diameter, POSITIVE, FormatError)
         if not np.isfinite(self.offsets).all():
             raise FormatError("pattern offsets must be finite")
         radius = np.linalg.norm(self.offsets, axis=1).max()

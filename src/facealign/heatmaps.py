@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, NumericError, is_finite, is_real
+from .errors import NON_NEGATIVE, POSITIVE, UNIT, FormatError, NumericError, check, setting
 
 MAP_MAGIC = b"FAPM"
 MAP_VERSION = 1
@@ -178,23 +178,13 @@ class GrayMaps:
 class SynthConfig:
     """Controls for the synthetic probability-map generator."""
 
-    peak_sigma: float = 3.0
-    coordinate_noise_sigma: float = 0.0
-    outlier_rate: float = 0.0
-    occluded_dropout: float = 0.0
-    floor: float = 0.0
+    peak_sigma: float = setting(3.0, POSITIVE)
+    coordinate_noise_sigma: float = setting(0.0, NON_NEGATIVE)
+    outlier_rate: float = setting(0.0, UNIT)
+    occluded_dropout: float = setting(0.0, UNIT)
+    floor: float = setting(0.0, NON_NEGATIVE)
 
-    def __post_init__(self):
-        if not (is_finite(self.peak_sigma) and self.peak_sigma > 0):
-            raise ValueError(f"peak_sigma must be a finite number > 0, not {self.peak_sigma!r}")
-        for name in ("outlier_rate", "occluded_dropout"):
-            v = getattr(self, name)
-            if not (is_real(v) and 0.0 <= v <= 1.0):
-                raise ValueError(f"{name} must be a number in [0, 1], not {v!r}")
-        for name in ("coordinate_noise_sigma", "floor"):
-            v = getattr(self, name)
-            if not (is_finite(v) and v >= 0):
-                raise ValueError(f"{name} must be a finite number >= 0, not {v!r}")
+    __post_init__ = check
 
 
 def _gaussian_kernel(sigma: float) -> np.ndarray:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SchemaError, is_finite
+from .errors import POSITIVE, SchemaError, require
 
 
 @dataclass
@@ -53,8 +53,7 @@ def nme_percent(coords, gt_coords, annotated, d) -> np.ndarray:
 
 def nme(pred, gt, d: float) -> float:
     """nme_percent of one face."""
-    if not (is_finite(d) and d > 0):
-        raise ValueError(f"normalizer must be a finite number > 0, not {d!r}")
+    require("normalizer", d, POSITIVE)
     if not gt.annotated.any():
         raise ValueError("no annotated landmarks")
     return float(nme_percent(pred.coords[None], gt.coords[None], gt.annotated[None], d)[0])
@@ -131,8 +130,7 @@ def ced_curve(per_image_nme) -> list[tuple[float, float]]:
 def auc_fr(per_image_nme, epsilon: float) -> tuple[float, float]:
     """Exact area under the empirical CED on [0, epsilon], and the failure
     rate (percent of images with error above epsilon)."""
-    if not (is_finite(epsilon) and epsilon > 0):
-        raise ValueError(f"epsilon must be a finite number > 0, not {epsilon!r}")
+    require("epsilon", epsilon, POSITIVE)
     errs = np.asarray(per_image_nme, dtype=np.float64)
     if len(errs) == 0:
         raise ValueError("empty error list")

@@ -17,7 +17,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .cascade import FOREST_FIELDS, MODES, CascadeModel, PartModel, PartsStage, TrainConfig
-from .errors import FormatError
+from .errors import INTEGER, NUMBER, FormatError, is_a, one_of, require
 from .features import FreakPattern
 from .pose import Model3D
 from .shapes import LandmarkSchema, Shape
@@ -91,20 +91,16 @@ def save_model(model: CascadeModel, path) -> None:
         fh.write(digest)
 
 
-# what each checked header value must be; a bool is never a number
-_KINDS = {"an integer": int, "a number": (int, float), "a boolean": bool,
-          "a list": list, "an object": dict}
+# the header's list and object values; INTEGER and NUMBER refuse a bool
+LIST, OBJECT = is_a(list, "a list"), is_a(dict, "an object")
 
 
-def _field(record: dict, key: str, kind: str, where: str = "model header"):
-    """record[key], or FormatError when the key is missing or its value is
-    not of the _KINDS kind."""
+def _field(record: dict, key: str, rule, where: str = "model header"):
+    """record[key], or FormatError when the key is missing or its value
+    fails rule."""
     if key not in record:
         raise FormatError(f"{where} has no {key}")
-    value = record[key]
-    if not isinstance(value, _KINDS[kind]) or (isinstance(value, bool) and kind != "a boolean"):
-        raise FormatError(f"{where} {key} must be {kind}, not {value!r}")
-    return value
+    return require(f"{where} {key}", record[key], rule, FormatError)
 
 
 def load_model(path) -> CascadeModel:
@@ -123,15 +119,14 @@ def load_model(path) -> CascadeModel:
         header = json.loads(body[off: off + hlen].decode("utf-8"))
     except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError among them
         raise FormatError(f"model header: {exc}") from None
-    if not isinstance(header, dict):
-        raise FormatError("model header must be an object")
-    version = _field(header, "version", "an integer")
+    require("model header", header, OBJECT, FormatError)
+    version = _field(header, "version", INTEGER)
     if version != MODEL_VERSION:
         raise FormatError(f"unsupported model version {version}")
     off += hlen
     arrays = {}
     try:
-        for entry in _field(header, "arrays", "a list"):
+        for entry in _field(header, "arrays", LIST):
             dt = np.dtype(entry["dtype"])
             shape = tuple(entry["shape"])
             count = int(np.prod(shape)) if shape else 1
@@ -151,15 +146,13 @@ def load_model(path) -> CascadeModel:
         return arrays[name]
 
     for name, allowed in MODES.items():
-        if header.get(name) not in allowed:
-            raise FormatError(f"model header {name} must be one of {list(allowed)}, "
-                              f"not {header.get(name)!r}")
-    has_model3d = _field(header, "has_model3d", "a boolean")
+        require(f"model header {name}", header.get(name), one_of(allowed), FormatError)
+    has_model3d = _field(header, "has_model3d", is_a(bool, "a boolean"))
     if header["init_mode"] == "3d" and not has_model3d:
         raise FormatError("model header init_mode is '3d' but the model stores no 3D model")
-    schema = LandmarkSchema.from_dict(_field(header, "schema", "an object"))
+    schema = LandmarkSchema.from_dict(_field(header, "schema", OBJECT))
     try:
-        config = TrainConfig(**_field(header, "config", "an object"))
+        config = TrainConfig(**_field(header, "config", OBJECT))
     except (TypeError, ValueError) as exc:
         raise FormatError(f"model header config: {exc}") from None
     mean_shape = Shape(
@@ -168,7 +161,7 @@ def load_model(path) -> CascadeModel:
     )
     pattern = FreakPattern(
         array("pattern/offsets"), array("pattern/rings"),
-        _field(header, "pattern_diameter", "a number"),
+        _field(header, "pattern_diameter", NUMBER),
     )
     model3d = None
     if has_model3d:
@@ -177,24 +170,32 @@ def load_model(path) -> CascadeModel:
             array("model3d/distinct").astype(bool),
             header.get("model3d_names", []),
         )
+        if model3d.landmark_count != schema.landmark_count:
+            raise FormatError(f"the stored 3D model has {model3d.landmark_count} landmarks, "
+                              f"the schema has {schema.landmark_count}")
     stages = []
-    for si, sm in enumerate(_field(header, "stages", "a list")):
+    for si, sm in enumerate(_field(header, "stages", LIST)):
         where = f"model header stage {si}"
-        if not isinstance(sm, dict):
-            raise FormatError(f"{where} must be an object, not {sm!r}")
+        require(where, sm, OBJECT, FormatError)
         parts = [
             PartModel.from_arrays(
                 array(f"s{si}/p{pi}/landmarks"),
                 {f: array(f"s{si}/p{pi}/{f}") for f in FOREST_FIELDS},
             )
-            for pi in range(_field(sm, "parts", "an integer", where))
+            for pi in range(_field(sm, "parts", INTEGER, where))
         ]
-        shrinkage = _field(sm, "shrinkage", "a number", where)
-        scale = _field(sm, "scale", "a number", where)
+        shrinkage = _field(sm, "shrinkage", NUMBER, where)
+        scale = _field(sm, "scale", NUMBER, where)
         try:
-            stages.append(PartsStage(parts=parts, shrinkage=shrinkage, scale=scale))
+            stage = PartsStage(parts=parts, shrinkage=shrinkage, scale=scale)
         except (ValueError, IndexError) as exc:
             raise FormatError(f"stage {si}: {exc}") from None
+        forest = stage.forest
+        offset = max(forest.node_p1.max(initial=0), forest.node_p2.max(initial=0))
+        if forest.landmarks.max(initial=0) >= schema.landmark_count or offset >= len(pattern):
+            raise FormatError(f"stage {si}: landmarks must be below the schema's "
+                              f"{schema.landmark_count} and pattern offsets below {len(pattern)}")
+        stages.append(stage)
     return CascadeModel(
         stages=stages,
         init_mode=header["init_mode"],
@@ -204,5 +205,5 @@ def load_model(path) -> CascadeModel:
         pattern=pattern,
         config=config,
         model3d=model3d,
-        training_log=_field(header, "training_log", "a list"),
+        training_log=_field(header, "training_log", LIST),
     )

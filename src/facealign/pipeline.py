@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from . import default_model3d, default_schema
 from .cascade import (
@@ -17,7 +17,8 @@ from .cascade import (
     predict,
     train_cascade,
 )
-from .errors import DataError, is_int, is_real
+from .errors import (BOOL, STRING, DataError, SchemaError, at_least, check, is_a, is_real, one_of,
+                     or_none, setting)
 from .features import FreakPattern, default_pattern
 from .heatmaps import SynthConfig
 from .metrics import ced_curve, cross_matrix, evaluate
@@ -40,52 +41,34 @@ from .synthetic import (
     write_corpus,
 )
 
+# a section of settings that a config class of its own checks
+JSON_OBJECT = is_a(dict, "a JSON object")
+
 
 @dataclass
 class RunConfig:
     """Flat experiment configuration; flags > file > defaults."""
 
-    dataset: str | None = None
-    schema: str = "builtin"
-    model3d: str = "builtin"
-    pattern: str = "builtin"
-    maps_dir: str | None = None        # read .fapm maps here; None synthesizes them
-    synth: dict = field(default_factory=dict)       # SynthConfig overrides
-    corpus: dict = field(default_factory=dict)      # CorpusConfig overrides
-    train: dict = field(default_factory=dict)       # TrainConfig overrides
-    init_mode: str = "3d"              # "3d" | "mean"
-    feature_mode: str = "heatmap"      # "heatmap" | "gray"
-    coarse_to_fine: bool = True
-    seed: int = 0
-    val_fraction: float = 0.1
-    augment_target: int | None = None
-    augment: dict = field(default_factory=dict)     # AugmentConfig overrides
-    output_dir: str = "out"
+    dataset: str | None = setting(None, or_none(STRING))
+    schema: str = setting("builtin", STRING)
+    model3d: str = setting("builtin", STRING)
+    pattern: str = setting("builtin", STRING)
+    # read .fapm maps here; None synthesizes them
+    maps_dir: str | None = setting(None, or_none(STRING))
+    synth: dict = setting({}, JSON_OBJECT)      # SynthConfig overrides
+    corpus: dict = setting({}, JSON_OBJECT)     # CorpusConfig overrides
+    train: dict = setting({}, JSON_OBJECT)      # TrainConfig overrides
+    init_mode: str = setting("3d", one_of(MODES["init_mode"]))
+    feature_mode: str = setting("heatmap", one_of(MODES["feature_mode"]))
+    coarse_to_fine: bool = setting(True, BOOL)
+    seed: int = setting(0, at_least(0))
+    val_fraction: float = setting(0.1, (lambda v: is_real(v) and 0 < v < 1, "a number in (0, 1)"))
+    augment_target: int | None = setting(None, or_none(at_least(1)))
+    augment: dict = setting({}, JSON_OBJECT)    # AugmentConfig overrides
+    output_dir: str = setting("out", STRING)
 
     def __post_init__(self):
-        for name, allowed in MODES.items():
-            if getattr(self, name) not in allowed:
-                raise DataError(f"{name} must be one of {list(allowed)}, "
-                                f"not {getattr(self, name)!r}")
-        checks = {
-            "seed": (is_int(self.seed) and self.seed >= 0, "an integer >= 0"),
-            "val_fraction": (is_real(self.val_fraction) and 0.0 < self.val_fraction < 1.0,
-                             "a number in (0, 1)"),
-            "augment_target": (self.augment_target is None
-                               or is_int(self.augment_target) and self.augment_target >= 1,
-                               "an integer >= 1 or null"),
-            "coarse_to_fine": (isinstance(self.coarse_to_fine, bool), "true or false"),
-        }
-        for name in ("schema", "model3d", "pattern", "output_dir"):
-            checks[name] = (isinstance(getattr(self, name), str), "a string")
-        for name in ("dataset", "maps_dir"):
-            v = getattr(self, name)
-            checks[name] = (v is None or isinstance(v, str), "a string or null")
-        for name in ("synth", "corpus", "train", "augment"):
-            checks[name] = (isinstance(getattr(self, name), dict), "a JSON object")
-        for name, (ok, what) in checks.items():
-            if not ok:
-                raise DataError(f"{name} must be {what}, not {getattr(self, name)!r}")
+        check(self, DataError)
 
     @classmethod
     def from_file(cls, path, overrides: dict | None = None) -> "RunConfig":
@@ -109,8 +92,13 @@ class RunConfig:
     def load_schema(self) -> LandmarkSchema:
         return default_schema() if self.schema == "builtin" else LandmarkSchema.load(self.schema)
 
-    def load_model3d(self) -> Model3D:
-        return default_model3d() if self.model3d == "builtin" else Model3D.load(self.model3d)
+    def load_model3d(self, schema: LandmarkSchema) -> Model3D:
+        """The 3D model; SchemaError unless it has the schema's landmark count."""
+        model = default_model3d() if self.model3d == "builtin" else Model3D.load(self.model3d)
+        if model.landmark_count != schema.landmark_count:
+            raise SchemaError(f"the 3D model has {model.landmark_count} landmarks, "
+                              f"the schema has {schema.landmark_count}")
+        return model
 
     def load_pattern(self) -> FreakPattern:
         return default_pattern() if self.pattern == "builtin" else FreakPattern.load(self.pattern)
@@ -152,7 +140,7 @@ def load_run_dataset(cfg: RunConfig, schema: LandmarkSchema) -> Dataset:
 
 def run_synth(cfg: RunConfig, write_map_files: bool = True) -> Dataset:
     schema = cfg.load_schema()
-    model = cfg.load_model3d()
+    model = cfg.load_model3d(schema)
     corpus_cfg = cfg.corpus_config()
     ds = generate_corpus(model, schema, corpus_cfg)
     write_corpus(ds, cfg.synth_config(), cfg.output_dir, corpus_cfg,
@@ -162,7 +150,7 @@ def run_synth(cfg: RunConfig, write_map_files: bool = True) -> Dataset:
 
 def train_model(cfg: RunConfig, dataset: Dataset | None = None) -> CascadeModel:
     schema = cfg.load_schema()
-    model3d = cfg.load_model3d()
+    model3d = cfg.load_model3d(schema)
     pattern = cfg.load_pattern()
     tc = cfg.train_config()
     if cfg.init_mode == "3d" and tc.subset_size > len(model3d.distinct_indices):

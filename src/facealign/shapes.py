@@ -15,7 +15,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, ParseError, SchemaError, is_finite, is_real
+from .errors import (NON_NEGATIVE, UNIT, DataError, ParseError, SchemaError, check, is_finite,
+                     require, setting)
+
+
+def _entries(value, kinds: str, count: int | None = None, below: int | None = None) -> bool:
+    """value is a flat sequence of numpy dtype kinds (count of them, each in
+    [0, below), when given)."""
+    try:
+        a = np.asarray(value)
+    except ValueError:  # a ragged nesting
+        return False
+    return (a.ndim == 1 and a.dtype.kind in kinds and count in (None, len(a))
+            and (below is None or bool(((a >= 0) & (a < below)).all())))
+
+
+def _eyes_ok(eyes, L: int) -> bool:
+    """eyes holds what the pupils and corners normalizers index: non-empty
+    lists left and right and single indices left_outer and right_outer,
+    all landmark indices below L."""
+    return (isinstance(eyes, dict)
+            and all(k in eyes for k in ("left", "right", "left_outer", "right_outer"))
+            and _entries(eyes["left"], "iu", below=L) and _entries(eyes["right"], "iu", below=L)
+            and _entries([eyes["left_outer"], eyes["right_outer"]], "iu", 2, below=L))
 
 
 @dataclass
@@ -29,12 +51,21 @@ class LandmarkSchema:
     eyes: dict | None = None   # optional: left/right eye index lists + outer corners
 
     def __post_init__(self):
-        self.parts = np.asarray(self.parts, dtype=np.int64)
-        self.distinct = np.asarray(self.distinct, dtype=bool)
-        self.mirror = np.asarray(self.mirror, dtype=np.int64)
+        require("schema names", self.names, (
+            lambda v: isinstance(v, list) and v and all(isinstance(n, str) for n in v),
+            "a non-empty list of strings"), SchemaError)
         L = len(self.names)
-        if not (len(self.parts) == len(self.distinct) == len(self.mirror) == L):
-            raise SchemaError("schema arrays must all have length L")
+        self.parts = np.asarray(require("schema parts", self.parts, (
+            lambda v: _entries(v, "iu", L), f"a list of {L} integers"), SchemaError), np.int64)
+        self.distinct = np.asarray(require("schema distinct", self.distinct, (
+            lambda v: _entries(v, "b", L), f"a list of {L} booleans"), SchemaError))
+        self.mirror = np.asarray(require("schema mirror", self.mirror, (
+            lambda v: _entries(v, "iu", L, below=L), f"a list of {L} landmark indices"),
+            SchemaError), np.int64)
+        require("schema eyes", self.eyes, (
+            lambda v: v is None or _eyes_ok(v, L),
+            "null or an object with landmark index lists left and right and landmark "
+            "indices left_outer and right_outer"), SchemaError)
         if self.parts.min() < 0:
             raise SchemaError("negative part id")
         # part assignment must cover every id up to the max exactly once per landmark
@@ -77,7 +108,7 @@ class LandmarkSchema:
         missing = [k for k in ("names", "parts", "distinct", "mirror") if k not in raw]
         if missing:
             raise SchemaError(f"schema lacks keys {missing}")
-        return cls(names=list(raw["names"]), parts=raw["parts"], distinct=raw["distinct"],
+        return cls(names=raw["names"], parts=raw["parts"], distinct=raw["distinct"],
                    mirror=raw["mirror"], eyes=raw.get("eyes"))
 
     @classmethod
@@ -275,21 +306,13 @@ class AugmentConfig:
     landmarks it covers.
     """
 
-    yaw_noise: float = 0.0
-    pitch_noise: float = 0.0
-    roll_noise: float = 0.0
-    occlusion_prob: float = 0.0
-    occlusion_frac: float = 0.25      # occluder side as fraction of bbox size
+    yaw_noise: float = setting(0.0, NON_NEGATIVE)
+    pitch_noise: float = setting(0.0, NON_NEGATIVE)
+    roll_noise: float = setting(0.0, NON_NEGATIVE)
+    occlusion_prob: float = setting(0.0, UNIT)
+    occlusion_frac: float = setting(0.25, UNIT)      # occluder side as fraction of bbox size
 
-    def __post_init__(self):
-        for name in ("yaw_noise", "pitch_noise", "roll_noise"):
-            v = getattr(self, name)
-            if not (is_finite(v) and v >= 0.0):
-                raise ValueError(f"{name} must be a finite number >= 0, not {v!r}")
-        for name in ("occlusion_prob", "occlusion_frac"):
-            v = getattr(self, name)
-            if not (is_real(v) and 0.0 <= v <= 1.0):
-                raise ValueError(f"{name} must be a number in [0, 1], not {v!r}")
+    __post_init__ = check
 
     @classmethod
     def paper_defaults(cls) -> "AugmentConfig":

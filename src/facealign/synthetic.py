@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, SchemaError, is_finite, is_int, real_range
+from .errors import (NON_NEGATIVE, STRING, FormatError, SchemaError, at_least, check, is_finite,
+                     one_of, real_range, setting)
 from .heatmaps import (
     FACE_SIZE,
     BlobMaps,
@@ -30,41 +31,26 @@ from .shapes import Dataset, LandmarkSchema, Sample, Shape, save_dataset
 
 @dataclass
 class CorpusConfig:
-    count: int = 100
-    seed: int = 0
-    tag: str = "synth"
-    yaw_range: float = 40.0      # degrees
-    pitch_range: float = 25.0
-    roll_range: float = 25.0
+    count: int = setting(100, at_least(1))
+    seed: int = setting(0, at_least(0))
+    tag: str = setting("synth", STRING)
+    yaw_range: float = setting(40.0, NON_NEGATIVE)     # degrees
+    pitch_range: float = setting(25.0, NON_NEGATIVE)
+    roll_range: float = setting(25.0, NON_NEGATIVE)
     scale_range: tuple[float, float] = (1.0, 1.3)
-    shift_range: float = 6.0     # pixels
-    deform_magnitude: float = 4.0  # model units
-    deform_seed: int = 12345
-    deform_style: str = "independent"  # "independent" | "coupled"
-    sign_patterns: list[list[int]] | None = None  # restrict per-part signs
+    shift_range: float = setting(6.0, NON_NEGATIVE)    # pixels
+    deform_magnitude: float = setting(4.0, NON_NEGATIVE)  # model units
+    deform_seed: int = setting(12345, at_least(0))
+    deform_style: str = setting("independent", one_of(("independent", "coupled")))
+    # restrict per-part signs; None, the default, leaves them free
+    sign_patterns: list[list[int]] | None = setting(None, (
+        lambda p: p is None or isinstance(p, list) and all(
+            isinstance(row, list) and row and all(map(is_finite, row)) for row in p),
+        "a list of non-empty lists of finite numbers"))
 
     def __post_init__(self):
-        for name, low in (("count", 1), ("seed", 0), ("deform_seed", 0)):
-            v = getattr(self, name)
-            if not is_int(v) or v < low:
-                raise ValueError(f"{name} must be an integer >= {low}, not {v!r}")
-        for name in ("yaw_range", "pitch_range", "roll_range", "shift_range",
-                     "deform_magnitude"):
-            v = getattr(self, name)
-            if not (is_finite(v) and v >= 0):
-                raise ValueError(f"{name} must be a finite number >= 0, not {v!r}")
+        check(self)
         self.scale_range = real_range("scale_range", self.scale_range, low=0.0)
-        if self.deform_style not in ("independent", "coupled"):
-            raise ValueError(f"unknown deform_style {self.deform_style!r}")
-        if not isinstance(self.tag, str):
-            raise ValueError(f"tag must be a string, not {self.tag!r}")
-        p = self.sign_patterns
-        if p is not None and not (
-                isinstance(p, list)
-                and all(isinstance(row, list) and row
-                        and all(is_finite(v) for v in row) for row in p)):
-            raise ValueError(f"sign_patterns must be a list of non-empty lists of "
-                             f"finite numbers, not {p!r}")
 
 
 def part_deform_modes(model: Model3D, schema: LandmarkSchema,

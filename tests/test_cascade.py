@@ -655,6 +655,26 @@ class TestStageForest:
         with pytest.raises(ValueError):
             PartsStage(parts, 0.1, 1.0)
 
+    @pytest.mark.parametrize("arrays, message", [
+        ({"node_left": [0]}, "node_left must name a leaf row or a node after its own"),
+        ({"node_right": [~2]}, "node_right must name a leaf row or a node after its own"),
+        ({"node_landmark": [2]}, "node landmark rows below the part's 2 landmarks"),
+        ({"node_p2": [-1]}, "packed indices must be >= 0"),
+        ({"node_tau": np.zeros(1, np.int64)}, "packed node_tau is a 1-D int64 array"),
+        ({"node_p1": [0, 1]}, "node arrays, and its leaf arrays, must share a length"),
+        ({"leaf_visibility": np.zeros((3, 2))}, "must share a length"),
+    ], ids=["child-cycle", "leaf-out-of-range", "node-landmark-row", "negative-offset",
+            "integer-thresholds", "node-lengths", "leaf-counts"])
+    def test_rejects_packed_arrays_leaf_ids_cannot_walk(self, arrays, message):
+        # one node over two leaves, with one array replaced; a node that is
+        # its own child would make leaf_ids loop for ever
+        one_node = {"node_landmark": [0], "node_p1": [0], "node_p2": [1], "node_tau": [0.0],
+                    "node_left": [~0], "node_right": [~1], "leaf_residual": np.zeros((2, 4)),
+                    "leaf_visibility": np.zeros((2, 2))}
+        tree = Tree(**{k: np.asarray(v) for k, v in {**one_node, **arrays}.items()})
+        with pytest.raises(ValueError, match=message):
+            PartsStage([PartModel(np.arange(2), [tree])], 0.1, 1.0)
+
 
 class TestStoppingRule:
     def test_documented_sequence(self):

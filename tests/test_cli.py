@@ -8,13 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from facealign import default_model3d, pipeline
+from facealign import default_model3d, default_schema, pipeline
 from facealign.cascade import predict
 from facealign.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, _config_from_args, build_parser, run
 from facealign.errors import DataError
 from facealign.heatmaps import ProbabilityMaps, read_maps, write_maps
 from facealign.metrics import nme, normalizer
 from facealign.pipeline import RunConfig
+from facealign.pose import Model3D
 from facealign.shapes import Shape, load_dataset
 from facealign.synthetic import FileMapSource
 from test_modelio import rewrite_model, without_model3d
@@ -692,6 +693,30 @@ class Probe:
         rewrite_model(path, edit)
         return str(path)
 
+    def config(self, **values) -> "Probe":
+        """Run with a copy of the config that sets values."""
+        cfg = {**json.loads(self.cfg.read_text()), **values}
+        self.cfg = self.tmp / "config.json"
+        self.cfg.write_text(json.dumps(cfg))
+        return self
+
+    def schema(self, edit) -> str:
+        """The bundled schema, passed through edit(raw), as a file."""
+        raw = default_schema().to_dict()
+        edit(raw)
+        path = self.tmp / "schema.json"
+        path.write_text(json.dumps(raw))
+        return str(path)
+
+    def model3d(self, count) -> str:
+        """The bundled 3D model cut, or extended with copies of its first
+        points, to count points, as a file."""
+        m = default_model3d()
+        path = self.tmp / "model3d.txt"
+        Model3D(np.resize(m.points, (count, 3)), np.resize(m.normals, (count, 3)),
+                np.resize(m.distinct, count)).save(path)
+        return str(path)
+
     def command(self, name, *args) -> list:
         return [name, "--config", str(self.cfg), "--out", str(self.tmp / "out"), *args]
 
@@ -724,6 +749,23 @@ def never_annotated(recs):
 
 def set_header(**values):
     return lambda header, arrays: header.update(values)
+
+
+def set_schema(key, value):
+    return lambda raw: raw.update({key: value})
+
+
+def set_array(name, change):
+    """A model edit that replaces array name by change(array)."""
+    return lambda header, arrays: arrays.update({name: change(arrays[name])})
+
+
+def train_with_schema(edit):
+    return lambda p: p.config(schema=p.schema(edit)).train(str(p.ann))
+
+
+def bad_forest_model(name, change):
+    return lambda p: p.eval(model=p.bad_model(set_array(name, change)))
 
 
 # (command line from a Probe, exit code, text on stderr): inputs that used
@@ -763,6 +805,44 @@ PROBES = [
                  id="model-feature-mode"),
     pytest.param(lambda p: p.eval(model=p.bad_model(without_model3d)), EXIT_DATA,
                  "init_mode is '3d' but the model stores no 3D model", id="model-3d-without-3d"),
+    *[pytest.param(train_with_schema(set_schema(key, [])), EXIT_DATA,
+                   f"schema {key} must be a ", id=f"train-schema-empty-{key}")
+      for key in ("names", "parts", "distinct", "mirror")],
+    pytest.param(train_with_schema(lambda raw: raw["mirror"].__setitem__(0, 99)), EXIT_DATA,
+                 "schema mirror must be a list of 24 landmark indices",
+                 id="train-schema-mirror-99"),
+    pytest.param(train_with_schema(lambda raw: raw.update(parts=list(map(str, raw["parts"])))),
+                 EXIT_DATA, "schema parts must be a list of 24 integers",
+                 id="train-schema-string-parts"),
+    pytest.param(train_with_schema(set_schema("distinct", "yes")), EXIT_DATA,
+                 "schema distinct must be a list of 24 booleans, not 'yes'",
+                 id="train-schema-distinct-yes"),
+    pytest.param(train_with_schema(lambda raw: raw["eyes"].update(left=[99])), EXIT_DATA,
+                 "schema eyes must be null or an object with landmark index lists",
+                 id="train-schema-eye-99"),
+    *[pytest.param(lambda p, n=n: p.config(model3d=p.model3d(n)).train(str(p.ann)), EXIT_DATA,
+                   f"the 3D model has {n} landmarks, the schema has 24",
+                   id=f"train-model3d-{n}-points") for n in (20, 30)],
+    pytest.param(lambda p: p.eval(model=p.bad_model(lambda header, arrays: arrays.update(
+                     {k: v[:20] for k, v in arrays.items() if k.startswith("model3d/")}))),
+                 EXIT_DATA, "the stored 3D model has 20 landmarks, the schema has 24",
+                 id="model-3d-model-20-points"),
+    pytest.param(lambda p: p.eval("--normalization", "pupils", model=p.bad_model(
+                     lambda header, arrays: header["schema"]["eyes"].update(left=[99]))),
+                 EXIT_DATA, "schema eyes must be null or an object with landmark index lists",
+                 id="model-schema-eye-99"),
+    pytest.param(bad_forest_model("s0/p0/node_left", lambda a: a + 10 ** 6), EXIT_DATA,
+                 "stage 0: node_left must name a leaf row or a node after its own",
+                 id="model-forest-child-out-of-range"),
+    pytest.param(bad_forest_model("s0/p0/roots", lambda a: a[:, None]), EXIT_DATA,
+                 "stage 0: packed roots is a 2-D int64 array", id="model-forest-2d-roots"),
+    pytest.param(bad_forest_model("s0/p0/node_p1", lambda a: a + 10 ** 3), EXIT_DATA,
+                 "stage 0: landmarks must be below the schema's 24 and pattern offsets below",
+                 id="model-forest-offset-past-pattern"),
+    pytest.param(bad_forest_model("s0/p0/node_left", lambda a: a.astype(np.float64)), EXIT_DATA,
+                 "stage 0: packed node_left is a 1-D float64 array", id="model-forest-float-child"),
+    pytest.param(bad_forest_model("s0/p0/landmarks", lambda a: a - 1), EXIT_DATA,
+                 "stage 0: packed indices must be >= 0", id="model-forest-negative-landmark"),
 ]
 
 

@@ -198,7 +198,9 @@ class TestVersion:
 BAD_CONFIGS = pytest.mark.parametrize("edit, message", [
     (lambda header, arrays: header["config"].update(size=3), "unexpected keyword argument 'size'"),
     (lambda header, arrays: header["config"].update(T=0), "T must be an integer >= 1"),
-], ids=["unknown-key", "bad-value"])
+    (lambda header, arrays: header["config"].update(coarse_to_fine="x"),
+     "coarse_to_fine must be true or false, not 'x'"),
+], ids=["unknown-key", "bad-value", "bad-coarse-to-fine"])
 
 
 class TestHeaderConfig:
