@@ -151,7 +151,8 @@ def _check_packed(pm: PartModel) -> None:
     float node_tau and 2-D float leaf rows of one count; landmarks, node
     landmark rows and pattern offsets >= 0, node landmark rows below the
     part size; each root and child naming a node or a leaf row, and each
-    child a node after its own, so that every walk ends in a leaf."""
+    child a node after its own, so that every walk ends in a leaf; finite
+    thresholds and leaf residuals, and leaf visibility in [0, 1]."""
     for f in ("landmarks",) + FOREST_FIELDS:
         a = getattr(pm, f)
         kind, ndim = _PACKED_KINDS.get(f, ("i", 1))
@@ -169,6 +170,10 @@ def _check_packed(pm: PartModel) -> None:
         c = getattr(pm, f)
         if not np.where(c >= 0, (c > before) & (c < n), ~c < leaves).all():
             raise ValueError(f"{f} must name a leaf row or a node after its own")
+    v = pm.leaf_visibility
+    if not (np.isfinite(pm.node_tau).all() and np.isfinite(pm.leaf_residual).all()
+            and ((v >= 0) & (v <= 1)).all()):
+        raise ValueError("node_tau and leaf_residual must be finite, leaf_visibility in [0, 1]")
 
 
 @dataclass
@@ -199,9 +204,9 @@ class PartsStage:
         covered = np.concatenate([pm.landmarks for pm in parts])
         if len(np.unique(covered)) < len(covered):
             raise ValueError("parts of a stage must not share a landmark")
-        self.leaf_start = np.cumsum([0] + [len(pm.leaf_residual) for pm in parts])
-        residual = np.zeros((self.leaf_start[-1], 2 * max(sizes)))
-        for pm, lo in zip(parts, self.leaf_start):
+        leaf_start = np.cumsum([0] + [len(pm.leaf_residual) for pm in parts])
+        residual = np.zeros((leaf_start[-1], 2 * max(sizes)))
+        for pm, lo in zip(parts, leaf_start):
             residual[lo:lo + len(pm.leaf_residual), :pm.leaf_residual.shape[1]] = pm.leaf_residual
         self.forest = PartModel.from_arrays(covered, {
             **_relocated(parts),
@@ -217,6 +222,18 @@ class PartsStage:
         part_of = np.repeat(np.arange(len(parts)), 2 * np.array(sizes))
         self.col_tree = part_of * K + np.arange(K)[:, None]
         self.col_pos = np.concatenate([np.arange(2 * m) for m in sizes])
+        # per part size m, for visibility: the (g, K) forest leaf columns
+        # of its g parts, each part's shift from forest leaf row to a row
+        # of their stacked leaf_visibility, those rows and the (g, m)
+        # landmark ids
+        self.vis_groups = []
+        for m in dict.fromkeys(sizes):
+            qs = [q for q, size in enumerate(sizes) if size == m]
+            lv = [parts[q].leaf_visibility for q in qs]
+            shift = np.cumsum([0] + [len(v) for v in lv[:-1]]) - leaf_start[qs]
+            self.vis_groups.append((np.array(qs)[:, None] * K + np.arange(K), shift[:, None],
+                                    np.concatenate(lv),
+                                    np.stack([parts[q].landmarks for q in qs])))
 
 
 # the values of a model's init_mode and feature_mode
@@ -418,9 +435,10 @@ def apply_stage(stage: PartsStage, V, coords, vis=None) -> None:
     One traversal of the stage forest gives every tree's leaf, and one
     gather the (K, n, columns) shrunk steps. Each column adds its part's K
     steps one tree after the other, the order training added them in.
-    Visibility gets, part by part, the closed form of the per-tree blend
-    ``vis <- (1 - 1/K) vis + leafvis/K``, a convex combination, so it
-    stays in [0, 1] up to rounding; ``predict`` clips its result.
+    Visibility gets, one matmul per part size, the closed form of the
+    per-tree blend ``vis <- (1 - 1/K) vis + leafvis/K``, a convex
+    combination, so it stays in [0, 1] up to rounding; ``predict`` clips
+    its result.
     """
     n = coords.shape[0]
     forest, cov = stage.forest, stage.forest.landmarks
@@ -435,10 +453,11 @@ def apply_stage(stage: PartsStage, V, coords, vis=None) -> None:
         K = stage.col_tree.shape[0]
         keep = 1.0 - 1.0 / K
         weights = (1.0 / K) * keep ** np.arange(K - 1, -1, -1)
-        for q, pm in enumerate(stage.parts):
-            p = pm.landmarks
-            local = leaf[:, q * K:(q + 1) * K] - stage.leaf_start[q]
-            vis[:, p] = keep ** K * vis[:, p] + weights @ pm.leaf_visibility[local]
+        for cols, shift, leaf_vis, p in stage.vis_groups:
+            # each (K,) @ (K, m) item of the C-ordered (n, g, K, m) stack
+            # (take keeps C order, leaf[:, cols] would not) is one part's
+            # product, with the BLAS call and rounding of a part on its own
+            vis[:, p] = keep ** K * vis[:, p] + weights @ leaf_vis[leaf.take(cols, axis=1) + shift]
 
 
 def feature_maps(maps, feature_mode: str):

@@ -35,6 +35,10 @@ MAP_VERSION = 1
 
 FACE_SIZE = 160  # face crops are resized so the face region is 160x160
 
+# per float dtype, its bits as an unsigned integer and the bits of +inf: a
+# value whose bits are below them is +0.0 or positive finite
+_INF_BITS = {np.dtype("<f4"): ("<u4", 0x7F800000), np.dtype("<f8"): ("<u8", 0x7FF0000000000000)}
+
 
 @dataclass
 class ProbabilityMaps:
@@ -46,6 +50,11 @@ class ProbabilityMaps:
         self.maps = np.asarray(self.maps)
         if self.maps.ndim != 3:
             raise FormatError("maps must be a (L, H, W) array")
+        # one integer pass accepts a raster of +0.0 and positive finite
+        # values; -0.0, bad values and other dtypes take min and max
+        bits, inf = _INF_BITS.get(self.maps.dtype, (None, 0))
+        if bits and self.maps.size and self.maps.view(bits).max() < inf:
+            return
         # min and max are NaN where any value is, and infinite where any is
         lo, hi = (self.maps.min(), self.maps.max()) if self.maps.size else (0, 0)
         if not (np.isfinite(lo) and np.isfinite(hi)):

@@ -17,7 +17,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .cascade import FOREST_FIELDS, MODES, CascadeModel, PartModel, PartsStage, TrainConfig
-from .errors import INTEGER, NUMBER, FormatError, is_a, one_of, require
+from .errors import FINITE, INTEGER, NUMBER, POSITIVE, FormatError, is_a, one_of, require
 from .features import FreakPattern
 from .pose import Model3D
 from .shapes import LandmarkSchema, Shape
@@ -159,6 +159,10 @@ def load_model(path) -> CascadeModel:
         array("mean_shape/coords"), array("mean_shape/visibility"),
         array("mean_shape/annotated"),
     )
+    if mean_shape.landmark_count != schema.landmark_count \
+            or not np.isfinite(mean_shape.coords).all():
+        raise FormatError(f"the stored mean shape must have the schema's "
+                          f"{schema.landmark_count} landmarks, with finite coordinates")
     pattern = FreakPattern(
         array("pattern/offsets"), array("pattern/rings"),
         _field(header, "pattern_diameter", NUMBER),
@@ -184,8 +188,8 @@ def load_model(path) -> CascadeModel:
             )
             for pi in range(_field(sm, "parts", INTEGER, where))
         ]
-        shrinkage = _field(sm, "shrinkage", NUMBER, where)
-        scale = _field(sm, "scale", NUMBER, where)
+        shrinkage = _field(sm, "shrinkage", FINITE, where)
+        scale = _field(sm, "scale", POSITIVE, where)
         try:
             stage = PartsStage(parts=parts, shrinkage=shrinkage, scale=scale)
         except (ValueError, IndexError) as exc:

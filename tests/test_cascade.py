@@ -645,6 +645,25 @@ class TestStageForest:
         np.testing.assert_array_equal(coords, want_coords)
         np.testing.assert_array_equal(vis, want_vis)
 
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_one_blend_per_part_size(self, n):
+        # interleaved, repeated part sizes blend visibility in one matmul
+        # per size, bitwise the per-part products
+        r = np.random.default_rng(20)
+        sizes, K, M = [2, 3, 2, 1, 3, 2], 6, 43
+        ids = r.permutation(sum(sizes))
+        parts = [PartModel(ids[lo:lo + m], [random_tree(r, m, M, 3) for _ in range(K)])
+                 for lo, m in zip(np.cumsum([0] + sizes), sizes)]
+        stage = PartsStage(parts, 0.3, 1.0)
+        assert [g[3].shape for g in stage.vis_groups] == [(3, 2), (2, 3), (1, 1)]
+        V = r.uniform(size=(n, len(ids), M))
+        coords, vis = r.uniform(0, 160, size=(n, len(ids), 2)), r.uniform(size=(n, len(ids)))
+        want_coords, want_vis = coords.copy(), vis.copy()
+        apply_stage_per_part(stage, V, want_coords, want_vis)
+        apply_stage(stage, V, coords, vis)
+        np.testing.assert_array_equal(coords, want_coords)
+        np.testing.assert_array_equal(vis, want_vis)
+
     @pytest.mark.parametrize("counts, landmarks", [
         ((2, 3), ([0, 1], [2, 3])),   # tree counts differ
         ((2, 2), ([0, 1], [1, 2])),   # landmark 1 in both parts
@@ -663,8 +682,13 @@ class TestStageForest:
         ({"node_tau": np.zeros(1, np.int64)}, "packed node_tau is a 1-D int64 array"),
         ({"node_p1": [0, 1]}, "node arrays, and its leaf arrays, must share a length"),
         ({"leaf_visibility": np.zeros((3, 2))}, "must share a length"),
+        ({"node_tau": [np.nan]}, "node_tau and leaf_residual must be finite"),
+        ({"leaf_residual": np.full((2, 4), np.inf)}, "node_tau and leaf_residual must be finite"),
+        ({"leaf_visibility": np.full((2, 2), 1.5)}, r"leaf_visibility in \[0, 1\]"),
+        ({"leaf_visibility": np.full((2, 2), np.nan)}, r"leaf_visibility in \[0, 1\]"),
     ], ids=["child-cycle", "leaf-out-of-range", "node-landmark-row", "negative-offset",
-            "integer-thresholds", "node-lengths", "leaf-counts"])
+            "integer-thresholds", "node-lengths", "leaf-counts", "nan-threshold",
+            "infinite-residual", "visibility-above-1", "nan-visibility"])
     def test_rejects_packed_arrays_leaf_ids_cannot_walk(self, arrays, message):
         # one node over two leaves, with one array replaced; a node that is
         # its own child would make leaf_ids loop for ever

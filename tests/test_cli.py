@@ -18,7 +18,7 @@ from facealign.pipeline import RunConfig
 from facealign.pose import Model3D
 from facealign.shapes import Shape, load_dataset
 from facealign.synthetic import FileMapSource
-from test_modelio import rewrite_model, without_model3d
+from test_modelio import cut_mean_shape, rewrite_model, set_stage, without_model3d
 
 
 TRAIN = {"T": 2, "K1": 4, "K2": 4, "depth": 2, "candidates_per_node": 12,
@@ -843,6 +843,15 @@ PROBES = [
                  "stage 0: packed node_left is a 1-D float64 array", id="model-forest-float-child"),
     pytest.param(bad_forest_model("s0/p0/landmarks", lambda a: a - 1), EXIT_DATA,
                  "stage 0: packed indices must be >= 0", id="model-forest-negative-landmark"),
+    pytest.param(lambda p: p.eval(model=p.bad_model(cut_mean_shape)), EXIT_DATA,
+                 "the stored mean shape must have the schema's 24 landmarks",
+                 id="model-mean-shape-20-rows"),
+    pytest.param(bad_forest_model("s0/p0/leaf_residual", lambda a: np.full_like(a, np.nan)),
+                 EXIT_DATA, "stage 0: node_tau and leaf_residual must be finite",
+                 id="model-forest-nan-leaves"),
+    pytest.param(lambda p: p.eval(model=p.bad_model(set_stage(0, shrinkage=float("nan")))),
+                 EXIT_DATA, "model header stage 0 shrinkage must be a finite number, not nan",
+                 id="model-nan-shrinkage"),
 ]
 
 

@@ -309,6 +309,97 @@ class TestMapFiles:
             with pytest.raises(want):
                 ProbabilityMaps(maps)
 
+    # the one integer pass accepts only words below the bits of +inf; the
+    # words at and around that edge, and -0.0 beside bad values, must meet
+    # the min/max rule's class and message
+    F32_WORDS = [
+        [0x7F7FFFFF],              # largest finite
+        [0x7F800000],              # +inf
+        [0xFF800000],              # -inf
+        [0x7FC00001],              # NaN
+        [0xFFC00000],              # NaN with the sign bit
+        [0x80000000],              # -0.0
+        [0x80000000, 0x7FC00001],  # -0.0 beside a NaN
+        [0x80000000, 0xBF800000],  # -0.0 beside -1.0
+        [0x00000001, 0x007FFFFF],  # subnormals
+        [0x80000001],              # negative subnormal
+    ]
+    F64_WORDS = [
+        [0x7FEFFFFFFFFFFFFF],
+        [0x7FF0000000000000],
+        [0xFFF0000000000000],
+        [0x7FF8000000000001],
+        [0xFFF8000000000000],
+        [0x8000000000000000],
+        [0x8000000000000000, 0x7FF8000000000001],
+        [0x8000000000000000, 0xBFF0000000000000],
+        [0x0000000000000001, 0x000FFFFFFFFFFFFF],
+        [0x8000000000000001],
+    ]
+    MESSAGES = {NumericError: "non-finite probability map value",
+                FormatError: "negative probability map value"}
+
+    @classmethod
+    def assert_value_rule(cls, maps):
+        """ProbabilityMaps(maps) raises the oracle's class with the min/max
+        rule's message, or keeps every value it accepts bit for bit."""
+        want = map_value_error(maps)
+        if want is None:
+            assert ProbabilityMaps(maps).maps.tobytes() == maps.tobytes()
+        else:
+            with pytest.raises(want) as info:
+                ProbabilityMaps(maps)
+            assert type(info.value) is want and str(info.value) == cls.MESSAGES[want]
+
+    @staticmethod
+    def with_words(words, bits, floats):
+        """A (2, 3, 4) raster of 0.5 with words at its first and last cells."""
+        maps = np.full((2, 3, 4), 0.5, dtype=floats)
+        flat = maps.view(bits).reshape(-1)
+        flat[0], flat[-1] = words[0], words[-1]
+        return maps
+
+    @pytest.mark.parametrize("words", F32_WORDS, ids=lambda w: "+".join(map(hex, w)))
+    def test_float32_words(self, tmp_path, words):
+        maps = self.with_words(words, "<u4", "<f4")
+        self.assert_value_rule(maps)
+        # a map file reads through the same check
+        want = map_value_error(maps)
+        path = self.raw_file(tmp_path / "m.fapm", maps)
+        if want is None:
+            assert read_maps(path).maps.tobytes() == maps.tobytes()
+        else:
+            with pytest.raises(want, match=self.MESSAGES[want]):
+                read_maps(path)
+
+    @pytest.mark.parametrize("words", F64_WORDS, ids=lambda w: "+".join(map(hex, w)))
+    def test_float64_words(self, words):
+        self.assert_value_rule(self.with_words(words, "<u8", "<f8"))
+
+    @pytest.mark.parametrize("words", F32_WORDS, ids=lambda w: "+".join(map(hex, w)))
+    def test_big_endian_float32_takes_min_max(self, words):
+        # the bytes of -1.0 (BF 80 00 00) read little-endian are a small
+        # integer; a big-endian raster must not take the integer pass
+        self.assert_value_rule(self.with_words(words, "<u4", "<f4").astype(">f4"))
+
+    @pytest.mark.parametrize("maps", [
+        np.full((2, 3, 4), 0x7F800000, dtype=np.uint32),
+        np.full((2, 3, 4), -1, dtype=np.int32),
+        np.full((1, 2, 2), -0x80000000, dtype=np.int64),
+        np.arange(24, dtype=np.int16).reshape(2, 3, 4),
+    ], ids=["uint32-inf-bits", "int32-negative", "int64-sign-word", "int16"])
+    def test_integer_rasters_take_min_max(self, maps):
+        self.assert_value_rule(maps)
+
+    @settings(max_examples=300, deadline=None)
+    @given(words=hnp.arrays(
+        np.uint32, hnp.array_shapes(min_dims=3, max_dims=3, min_side=0, max_side=4),
+        elements=st.integers(0, 2 ** 32 - 1) | st.sampled_from(
+            [w for ws in F32_WORDS for w in ws] + [0, 0x3F000000])))
+    def test_raw_float32_words_match_oracle(self, words):
+        # st.floats(width=32) rarely draws a NaN with its sign bit set
+        self.assert_value_rule(words.view("<f4"))
+
 
 def ref_blob_centres(coords, visibility, annotated, cfg, rng, size):
     """Centre oracle: four draws per landmark (normal pair, outlier test,

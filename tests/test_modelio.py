@@ -300,7 +300,7 @@ class TestHeaderKeys:
     @pytest.mark.parametrize("edit, message", [
         (lambda header, arrays: header["stages"][1].pop("parts"), "stage 1 has no parts"),
         (lambda header, arrays: header["stages"][0].update(scale="1"),
-         "stage 0 scale must be a number"),
+         "stage 0 scale must be a finite number > 0"),
         (lambda header, arrays: header["stages"].append(3), "stage 2 must be an object"),
         (lambda header, arrays: arrays.pop("pattern/rings"), "no array pattern/rings"),
     ], ids=["stage-parts", "stage-scale", "stage-entry", "array"])
@@ -332,3 +332,49 @@ class TestHeaderKeys:
         assert run(["predict", "--model", str(p), "--dataset", str(ann),
                     "--out", str(tmp_path / "out")]) == EXIT_DATA
         assert "model header has no training_log" in capsys.readouterr().err
+
+
+def nan_first(name):
+    """A model edit that sets the first value of array name to NaN."""
+    def edit(header, arrays):
+        a = arrays[name].copy()
+        a.reshape(-1)[0] = np.nan
+        arrays[name] = a
+    return edit
+
+
+def set_array_to(name, value):
+    """A model edit that fills array name with value."""
+    return lambda header, arrays: arrays.update({name: np.full_like(arrays[name], value)})
+
+
+def set_stage(si, **values):
+    return lambda header, arrays: header["stages"][si].update(values)
+
+
+def cut_mean_shape(header, arrays):
+    arrays.update({k: v[:20] for k, v in arrays.items() if k.startswith("mean_shape/")})
+
+
+class TestStoredValues:
+    # one value per field prediction reads that used to load and make eval
+    # report nme: nan, or end in an IndexError
+    @pytest.mark.parametrize("edit, message", [
+        (nan_first("s0/p0/node_tau"), "stage 0: node_tau and leaf_residual must be finite"),
+        (nan_first("s1/p3/leaf_residual"), "stage 1: node_tau and leaf_residual must be finite"),
+        (nan_first("s1/p0/leaf_visibility"), r"stage 1: .* leaf_visibility in \[0, 1\]"),
+        (set_array_to("s0/p0/leaf_visibility", 1.5), r"stage 0: .* leaf_visibility in \[0, 1\]"),
+        (set_stage(0, shrinkage=float("nan")), "stage 0 shrinkage must be a finite number"),
+        (set_stage(1, scale=float("nan")), "stage 1 scale must be a finite number > 0"),
+        (set_stage(1, scale=0.0), "stage 1 scale must be a finite number > 0"),
+        (cut_mean_shape, "the stored mean shape must have the schema's 24 landmarks"),
+        (nan_first("mean_shape/coords"), "the stored mean shape must have the schema's 24"),
+    ], ids=["nan-threshold", "nan-residual", "nan-visibility", "visibility-above-1",
+            "nan-shrinkage", "nan-scale", "zero-scale", "mean-shape-20-rows",
+            "nan-mean-shape"])
+    def test_rejected(self, trained, tmp_path, edit, message):
+        p = tmp_path / "bad.facm"
+        save_model(trained[0], p)
+        rewrite_model(p, edit)
+        with pytest.raises(FormatError, match=message):
+            load_model(p)
