@@ -141,23 +141,13 @@ def leaf_ids(part: PartModel, V: np.ndarray) -> np.ndarray:
     return ~cur
 
 
-# dtype kind and rank of a part's packed arrays; the others are 1-D integers
-_PACKED_KINDS = {"node_tau": ("f", 1), "leaf_residual": ("f", 2), "leaf_visibility": ("f", 2)}
-
-
 def _check_packed(pm: PartModel) -> None:
     """ValueError unless pm's arrays are a forest ``leaf_ids`` can walk:
-    1-D integer landmarks, roots and node arrays of one length, a 1-D
-    float node_tau and 2-D float leaf rows of one count; landmarks, node
+    node arrays of one length and leaf rows of one count; landmarks, node
     landmark rows and pattern offsets >= 0, node landmark rows below the
     part size; each root and child naming a node or a leaf row, and each
     child a node after its own, so that every walk ends in a leaf; finite
     thresholds and leaf residuals, and leaf visibility in [0, 1]."""
-    for f in ("landmarks",) + FOREST_FIELDS:
-        a = getattr(pm, f)
-        kind, ndim = _PACKED_KINDS.get(f, ("i", 1))
-        if a.dtype.kind != kind or a.ndim != ndim:
-            raise ValueError(f"packed {f} is a {a.ndim}-D {a.dtype} array")
     n, leaves = len(pm.node_tau), len(pm.leaf_residual)
     if len(pm.leaf_visibility) != leaves or any(
             len(getattr(pm, f)) != n for f in FOREST_FIELDS if f.startswith("node")):

@@ -24,15 +24,17 @@ class EvalReport:
     epsilon: float
     occlusion_precision: float | None = None
     occlusion_recall: float | None = None
+    fallback_rate: float | None = None  # share of faces initialised from the mean shape
 
     def to_text(self) -> str:
         lines = [
             f"images: {len(self.per_image_nme)}",
             f"normalization: {self.normalization}",
             f"nme: {self.nme:.6f}",
-            f"auc_{self.epsilon:g}: {self.auc:.6f}",
-            f"fr_{self.epsilon:g}: {self.fr:.6f}",
         ]
+        if self.fallback_rate is not None:
+            lines.append(f"fallback_rate: {self.fallback_rate:.6f}")
+        lines += [f"auc_{self.epsilon:g}: {self.auc:.6f}", f"fr_{self.epsilon:g}: {self.fr:.6f}"]
         if self.occlusion_precision is not None:
             lines.append(f"occlusion_precision: {self.occlusion_precision:.6f}")
         if self.occlusion_recall is not None:

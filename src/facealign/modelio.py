@@ -26,44 +26,42 @@ MODEL_MAGIC = b"FACM"
 MODEL_VERSION = 2
 
 
-class _ArrayPack:
-    def __init__(self):
-        self.entries = []
-        self.blobs = []
-
-    def add(self, name: str, arr: np.ndarray):
-        arr = np.ascontiguousarray(arr)
-        dt = arr.dtype.newbyteorder("<")
-        data = arr.astype(dt, copy=False).tobytes(order="C")
-        self.entries.append({"name": name, "dtype": dt.str, "shape": list(arr.shape)})
-        self.blobs.append(data)
-
-    def payload(self) -> bytes:
-        return b"".join(self.blobs)
+# the dtype and rank of every array save_model writes, which load_model
+# requires; a part's arrays are keyed by field name
+F8, I8, U1 = "<f8", "<i8", "|u1"
+STORED = {
+    "mean_shape/coords": (F8, 2), "mean_shape/visibility": (F8, 1),
+    "mean_shape/annotated": (U1, 1), "pattern/offsets": (F8, 2), "pattern/rings": (I8, 1),
+    "model3d/points": (F8, 2), "model3d/normals": (F8, 2), "model3d/distinct": (U1, 1),
+    **{f: (I8, 1) for f in ("landmarks",) + FOREST_FIELDS},
+    "node_tau": (F8, 1), "leaf_residual": (F8, 2), "leaf_visibility": (F8, 2),
+}
 
 
 def save_model(model: CascadeModel, path) -> None:
-    pack = _ArrayPack()
-    pack.add("mean_shape/coords", model.mean_shape.coords)
-    pack.add("mean_shape/visibility", model.mean_shape.visibility)
-    pack.add("mean_shape/annotated", model.mean_shape.annotated)
-    pack.add("pattern/offsets", model.pattern.offsets)
-    pack.add("pattern/rings", model.pattern.rings)
+    arrays = {
+        "mean_shape/coords": model.mean_shape.coords,
+        "mean_shape/visibility": model.mean_shape.visibility,
+        "mean_shape/annotated": model.mean_shape.annotated,
+        "pattern/offsets": model.pattern.offsets,
+        "pattern/rings": model.pattern.rings,
+    }
     if model.model3d is not None:
-        pack.add("model3d/points", model.model3d.points)
-        pack.add("model3d/normals", model.model3d.normals)
-        pack.add("model3d/distinct", model.model3d.distinct.astype(np.uint8))
+        arrays["model3d/points"] = model.model3d.points
+        arrays["model3d/normals"] = model.model3d.normals
+        arrays["model3d/distinct"] = model.model3d.distinct.astype(np.uint8)
     stage_meta = []
     for si, stage in enumerate(model.stages):
         for pi, pm in enumerate(stage.parts):
-            pack.add(f"s{si}/p{pi}/landmarks", pm.landmarks)
-            for f in FOREST_FIELDS:
-                pack.add(f"s{si}/p{pi}/{f}", getattr(pm, f))
+            for f in ("landmarks",) + FOREST_FIELDS:
+                arrays[f"s{si}/p{pi}/{f}"] = getattr(pm, f)
         stage_meta.append({
             "shrinkage": stage.shrinkage,
             "scale": stage.scale,
             "parts": len(stage.parts),
         })
+    arrays = {name: np.ascontiguousarray(a, a.dtype.newbyteorder("<"))
+              for name, a in arrays.items()}
     header = {
         "version": MODEL_VERSION,
         "init_mode": model.init_mode,
@@ -75,7 +73,8 @@ def save_model(model: CascadeModel, path) -> None:
         "model3d_names": model.model3d.names if model.model3d is not None else [],
         "stages": stage_meta,
         "training_log": model.training_log,
-        "arrays": pack.entries,
+        "arrays": [{"name": name, "dtype": a.dtype.str, "shape": list(a.shape)}
+                   for name, a in arrays.items()],
     }
     header_bytes = json.dumps(header, sort_keys=True,
                               separators=(",", ":")).encode("utf-8")
@@ -83,7 +82,7 @@ def save_model(model: CascadeModel, path) -> None:
         MODEL_MAGIC
         + struct.pack("<q", len(header_bytes))
         + header_bytes
-        + pack.payload()
+        + b"".join(a.tobytes() for a in arrays.values())
     )
     digest = hashlib.sha256(body).digest()
     with open(path, "wb") as fh:
@@ -140,10 +139,15 @@ def load_model(path) -> CascadeModel:
     if off != len(body):
         raise FormatError("model payload length mismatch")
 
-    def array(name):
+    def array(name, field=None):
+        """Stored array name; FormatError unless it has the dtype and rank
+        that STORED gives field, by default name."""
         if name not in arrays:
             raise FormatError(f"model payload has no array {name}")
-        return arrays[name]
+        a = arrays[name]
+        if (a.dtype.str, a.ndim) != STORED[field or name]:
+            raise FormatError(f"stored {name} is a {a.ndim}-D {a.dtype} array")
+        return a
 
     for name, allowed in MODES.items():
         require(f"model header {name}", header.get(name), one_of(allowed), FormatError)
@@ -171,7 +175,7 @@ def load_model(path) -> CascadeModel:
     if has_model3d:
         model3d = Model3D(
             array("model3d/points"), array("model3d/normals"),
-            array("model3d/distinct").astype(bool),
+            array("model3d/distinct"),
             header.get("model3d_names", []),
         )
         if model3d.landmark_count != schema.landmark_count:
@@ -183,8 +187,8 @@ def load_model(path) -> CascadeModel:
         require(where, sm, OBJECT, FormatError)
         parts = [
             PartModel.from_arrays(
-                array(f"s{si}/p{pi}/landmarks"),
-                {f: array(f"s{si}/p{pi}/{f}") for f in FOREST_FIELDS},
+                array(f"s{si}/p{pi}/landmarks", "landmarks"),
+                {f: array(f"s{si}/p{pi}/{f}", f) for f in FOREST_FIELDS},
             )
             for pi in range(_field(sm, "parts", INTEGER, where))
         ]

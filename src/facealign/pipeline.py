@@ -259,6 +259,7 @@ def run_eval(cfg: RunConfig, model_path: str, normalization: str = "height",
         epsilon=epsilon,
         schema=model.schema,
     )
+    report.fallback_rate = sum(p.used_fallback for p in preds) / len(preds)
     out_path = _output_file(cfg, "report.txt")
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write(report.to_text())

@@ -325,7 +325,7 @@ class AugmentConfig:
 
 
 def _perturbed_initial(sample, cfg, model3d, rng):
-    from .pose import perturb_pose, project_points  # local import avoids a cycle
+    from .pose import bbox_center, perturb_pose, project_points  # local import avoids a cycle
 
     if sample.pose is None or model3d is None:
         return None if sample.initial is None else sample.initial.copy()
@@ -333,10 +333,8 @@ def _perturbed_initial(sample, cfg, model3d, rng):
         [-cfg.yaw_noise, -cfg.pitch_noise, -cfg.roll_noise],
         [cfg.yaw_noise, cfg.pitch_noise, cfg.roll_noise],
     )
-    x, y, w, h = sample.bbox
-    center = (x + w / 2.0, y + h / 2.0)
     pose = perturb_pose(sample.pose, *np.radians(angles))
-    coords, vis = project_points(model3d, pose, center=center)
+    coords, vis = project_points(model3d, pose, center=bbox_center(sample.bbox))
     return Shape(coords, vis, np.ones(len(vis), dtype=np.uint8))
 
 

@@ -202,13 +202,12 @@ def write_corpus(dataset: Dataset, synth_cfg: SynthConfig, out_dir,
     """Materialize a corpus: annotations, optional map files, manifest.
     Map files are synthesized with the corpus seed."""
     os.makedirs(out_dir, exist_ok=True)
-    maps_dir = os.path.join(out_dir, "maps")
     save_dataset(dataset, os.path.join(out_dir, "annotations.jsonl"))
     if write_map_files:
-        os.makedirs(maps_dir, exist_ok=True)
+        files = FileMapSource(os.path.join(out_dir, "maps"))
+        os.makedirs(files.directory, exist_ok=True)
         for s in dataset.samples:
-            write_maps(synthesize(s, synth_cfg, corpus_cfg.seed),
-                       os.path.join(maps_dir, f"{s.image_ref}.fapm"))
+            write_maps(synthesize(s, synth_cfg, corpus_cfg.seed), files.path_for(s))
     manifest = {
         "count": len(dataset),
         "landmarks": dataset.schema.landmark_count,

@@ -679,7 +679,6 @@ class TestStageForest:
         ({"node_right": [~2]}, "node_right must name a leaf row or a node after its own"),
         ({"node_landmark": [2]}, "node landmark rows below the part's 2 landmarks"),
         ({"node_p2": [-1]}, "packed indices must be >= 0"),
-        ({"node_tau": np.zeros(1, np.int64)}, "packed node_tau is a 1-D int64 array"),
         ({"node_p1": [0, 1]}, "node arrays, and its leaf arrays, must share a length"),
         ({"leaf_visibility": np.zeros((3, 2))}, "must share a length"),
         ({"node_tau": [np.nan]}, "node_tau and leaf_residual must be finite"),
@@ -687,8 +686,8 @@ class TestStageForest:
         ({"leaf_visibility": np.full((2, 2), 1.5)}, r"leaf_visibility in \[0, 1\]"),
         ({"leaf_visibility": np.full((2, 2), np.nan)}, r"leaf_visibility in \[0, 1\]"),
     ], ids=["child-cycle", "leaf-out-of-range", "node-landmark-row", "negative-offset",
-            "integer-thresholds", "node-lengths", "leaf-counts", "nan-threshold",
-            "infinite-residual", "visibility-above-1", "nan-visibility"])
+            "node-lengths", "leaf-counts", "nan-threshold", "infinite-residual",
+            "visibility-above-1", "nan-visibility"])
     def test_rejects_packed_arrays_leaf_ids_cannot_walk(self, arrays, message):
         # one node over two leaves, with one array replaced; a node that is
         # its own child would make leaf_ids loop for ever

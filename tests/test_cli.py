@@ -18,7 +18,14 @@ from facealign.pipeline import RunConfig
 from facealign.pose import Model3D
 from facealign.shapes import Shape, load_dataset
 from facealign.synthetic import FileMapSource
-from test_modelio import cut_mean_shape, rewrite_model, set_stage, without_model3d
+from test_modelio import (
+    cut_mean_shape,
+    rewrite_model,
+    set_array,
+    set_stage,
+    strings,
+    without_model3d,
+)
 
 
 TRAIN = {"T": 2, "K1": 4, "K2": 4, "depth": 2, "candidates_per_node": 12,
@@ -476,6 +483,10 @@ def with_landmarks(L):
     return damage
 
 
+def flat_maps(path):
+    write_maps(ProbabilityMaps(np.ones_like(read_maps(path).maps)), path)
+
+
 class TestPipelineCommands:
     def test_synth_outputs(self, workdir):
         _, _, out = workdir
@@ -516,11 +527,26 @@ class TestPipelineCommands:
                   "--epsilon", "8"])
         assert rc == EXIT_OK
         report = (out / "report.txt").read_text()
-        assert "nme:" in report and "auc_8" in report
+        assert "nme:" in report and "fallback_rate: 0.000000" in report and "auc_8" in report
         ced = (out / "ced.txt").read_text().splitlines()
         assert len(ced) == 24
         captured = capsys.readouterr()
         assert "nme:" in captured.out
+
+    def test_eval_reports_fallback_rate(self, workdir, map_faces, tmp_path, capsys):
+        # flat maps put every peak on one pixel, so every pose hypothesis
+        # fails on one face of 24, which starts from the mean shape
+        _, cfg, out = workdir
+        maps = damaged_maps(map_faces, tmp_path / "maps", flat_maps)
+        rc = run(["eval", "--config", str(cfg), "--dataset", str(map_faces / "annotations.jsonl"),
+                  "--maps-dir", str(maps), "--model", str(out / "model.facm"),
+                  "--out", str(tmp_path / "eval")])
+        assert rc == EXIT_OK
+        report = (tmp_path / "eval" / "report.txt").read_text()
+        lines = report.splitlines()
+        nme_at = next(k for k, line in enumerate(lines) if line.startswith("nme: "))
+        assert lines[nme_at + 1] == f"fallback_rate: {1 / 24:.6f}"
+        assert report in capsys.readouterr().out
 
     def test_eval_on_a_nan_bbox_width_exits_2(self, workdir, tmp_path, capsys):
         _, cfg, out = workdir
@@ -755,16 +781,11 @@ def set_schema(key, value):
     return lambda raw: raw.update({key: value})
 
 
-def set_array(name, change):
-    """A model edit that replaces array name by change(array)."""
-    return lambda header, arrays: arrays.update({name: change(arrays[name])})
-
-
 def train_with_schema(edit):
     return lambda p: p.config(schema=p.schema(edit)).train(str(p.ann))
 
 
-def bad_forest_model(name, change):
+def model_with_array(name, change):
     return lambda p: p.eval(model=p.bad_model(set_array(name, change)))
 
 
@@ -831,22 +852,27 @@ PROBES = [
                      lambda header, arrays: header["schema"]["eyes"].update(left=[99]))),
                  EXIT_DATA, "schema eyes must be null or an object with landmark index lists",
                  id="model-schema-eye-99"),
-    pytest.param(bad_forest_model("s0/p0/node_left", lambda a: a + 10 ** 6), EXIT_DATA,
+    pytest.param(model_with_array("s0/p0/node_left", lambda a: a + 10 ** 6), EXIT_DATA,
                  "stage 0: node_left must name a leaf row or a node after its own",
                  id="model-forest-child-out-of-range"),
-    pytest.param(bad_forest_model("s0/p0/roots", lambda a: a[:, None]), EXIT_DATA,
-                 "stage 0: packed roots is a 2-D int64 array", id="model-forest-2d-roots"),
-    pytest.param(bad_forest_model("s0/p0/node_p1", lambda a: a + 10 ** 3), EXIT_DATA,
+    pytest.param(model_with_array("s0/p0/roots", lambda a: a[:, None]), EXIT_DATA,
+                 "stored s0/p0/roots is a 2-D int64 array", id="model-forest-2d-roots"),
+    pytest.param(model_with_array("s0/p0/node_p1", lambda a: a + 10 ** 3), EXIT_DATA,
                  "stage 0: landmarks must be below the schema's 24 and pattern offsets below",
                  id="model-forest-offset-past-pattern"),
-    pytest.param(bad_forest_model("s0/p0/node_left", lambda a: a.astype(np.float64)), EXIT_DATA,
-                 "stage 0: packed node_left is a 1-D float64 array", id="model-forest-float-child"),
-    pytest.param(bad_forest_model("s0/p0/landmarks", lambda a: a - 1), EXIT_DATA,
+    pytest.param(model_with_array("s0/p0/node_left", lambda a: a.astype(np.float64)), EXIT_DATA,
+                 "stored s0/p0/node_left is a 1-D float64 array", id="model-forest-float-child"),
+    pytest.param(model_with_array("s0/p0/landmarks", lambda a: a - 1), EXIT_DATA,
                  "stage 0: packed indices must be >= 0", id="model-forest-negative-landmark"),
     pytest.param(lambda p: p.eval(model=p.bad_model(cut_mean_shape)), EXIT_DATA,
                  "the stored mean shape must have the schema's 24 landmarks",
                  id="model-mean-shape-20-rows"),
-    pytest.param(bad_forest_model("s0/p0/leaf_residual", lambda a: np.full_like(a, np.nan)),
+    *[pytest.param(model_with_array(name, strings), EXIT_DATA,
+                   f"stored {name} is a {rank}-D <U1 array", id=f"model-string-{tag}")
+      for name, rank, tag in (("mean_shape/coords", 2, "mean-coords"),
+                              ("mean_shape/visibility", 1, "mean-visibility"),
+                              ("pattern/offsets", 2, "offsets"))],
+    pytest.param(model_with_array("s0/p0/leaf_residual", lambda a: np.full_like(a, np.nan)),
                  EXIT_DATA, "stage 0: node_tau and leaf_residual must be finite",
                  id="model-forest-nan-leaves"),
     pytest.param(lambda p: p.eval(model=p.bad_model(set_stage(0, shrinkage=float("nan")))),

@@ -1,11 +1,15 @@
 import hashlib
 import json
+import re
 import struct
-from dataclasses import asdict
+import traceback
+from dataclasses import asdict, replace
 from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from facealign.cascade import (
     FOREST_FIELDS,
@@ -14,10 +18,10 @@ from facealign.cascade import (
     predict,
     train_cascade,
 )
-from facealign.cli import EXIT_DATA, EXIT_OK, run
+from facealign.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, run
 from facealign.errors import FormatError
 from facealign.heatmaps import SynthConfig
-from facealign.modelio import MODEL_MAGIC, load_model, save_model
+from facealign.modelio import MODEL_MAGIC, STORED, load_model, save_model
 from facealign.pose import mean_shape_init
 from facealign.shapes import save_dataset, split_train_val
 from facealign.synthetic import SyntheticMapSource
@@ -378,3 +382,151 @@ class TestStoredValues:
         rewrite_model(p, edit)
         with pytest.raises(FormatError, match=message):
             load_model(p)
+
+
+def set_array(name, change):
+    """A model edit that replaces array name by change(array)."""
+    return lambda header, arrays: arrays.update({name: change(arrays[name])})
+
+
+def strings(a):
+    return np.full(a.shape, "x")
+
+
+class TestStoredArrays:
+    @pytest.mark.parametrize("init_mode", ["3d", "mean"])
+    def test_every_saved_array_has_its_table_entry(self, trained, tmp_path, init_mode):
+        model = trained[0]
+        if init_mode == "mean":
+            model = replace(model, init_mode="mean", model3d=None)
+        p = tmp_path / "m.facm"
+        save_model(model, p)
+        keys = set()
+        for e in read_header(p)["arrays"]:
+            part = re.fullmatch(r"s\d+/p\d+/(\w+)", e["name"])
+            key = part[1] if part else e["name"]
+            assert STORED[key] == (e["dtype"], len(e["shape"])), e["name"]
+            keys.add(key)
+        assert keys == set(STORED) - ({"model3d/points", "model3d/normals", "model3d/distinct"}
+                                      if init_mode == "mean" else set())
+
+    # arrays of a dtype or rank save_model never writes: each used to load,
+    # cast, reshaped or unchecked, or to end in a ValueError traceback
+    @pytest.mark.parametrize("name, change, stored", [
+        ("mean_shape/coords", strings, "2-D <U1"),
+        ("mean_shape/visibility", strings, "1-D <U1"),
+        ("pattern/offsets", strings, "2-D <U1"),
+        ("pattern/offsets", lambda a: a.astype(str), "2-D <U"),
+        ("pattern/offsets", lambda a: a.astype(complex), "2-D complex128"),
+        ("pattern/offsets", lambda a: a[None], "3-D float64"),
+        ("mean_shape/annotated", lambda a: a.astype(float), "1-D float64"),
+        ("pattern/rings", lambda a: a.astype(float), "1-D float64"),
+        ("model3d/points", lambda a: a.astype(np.float32), "2-D float32"),
+        ("model3d/distinct", lambda a: a.astype(bool), "1-D bool"),
+        ("s0/p0/node_tau", lambda a: a.astype(np.int64), "1-D int64"),
+        ("s1/p0/landmarks", strings, "1-D <U1"),
+        ("s1/p2/leaf_visibility", lambda a: a.astype(">f8"), "2-D >f8"),
+    ], ids=["string-mean-coords", "string-mean-visibility", "string-offsets",
+            "numeric-string-offsets", "complex-offsets", "3d-offsets", "float-annotated",
+            "float-rings", "float32-points", "bool-distinct", "integer-thresholds",
+            "string-landmarks", "big-endian-visibility"])
+    def test_rejected(self, trained, tmp_path, name, change, stored):
+        p = tmp_path / "bad.facm"
+        save_model(trained[0], p)
+        rewrite_model(p, set_array(name, change))
+        with pytest.raises(FormatError, match=f"stored {name} is a {stored}"):
+            load_model(p)
+
+
+# one mutation of a valid model file: ("array", STORED key, which array of
+# that key, new dtype or rank), ("flip", array, byte, xor mask) with the
+# checksum recomputed, or ("header", value path, new value or DROP)
+DROP = "<drop>"
+RETYPE = {
+    "string": strings,
+    "numeric-string": lambda a: a.astype(str),
+    "complex": lambda a: a.astype(np.complex128),
+    "float": lambda a: a.astype(np.float64),
+    "int": lambda a: a.astype(np.int64),
+    "bool": lambda a: a.astype(bool),
+    "add-axis": lambda a: a[..., None],
+    "flatten": lambda a: a.reshape(-1),
+}
+PICK = st.integers(0, 2 ** 16)
+EDITS = st.one_of(
+    st.tuples(st.just("array"), st.sampled_from(sorted(STORED)), PICK,
+              st.sampled_from(sorted(RETYPE))),
+    st.tuples(st.just("flip"), PICK, PICK, st.integers(1, 255)),
+    st.tuples(st.just("header"), PICK, st.sampled_from(
+        [DROP, float("nan"), "x", [], [1.0], None, {}, True, -1, 1.5])),
+)
+
+
+def header_paths(node, path=()):
+    """The path of every value below node, a JSON object or list."""
+    for key, value in (node.items() if isinstance(node, dict) else enumerate(node)):
+        yield path + (key,)
+        if isinstance(value, (dict, list)):
+            yield from header_paths(value, path + (key,))
+
+
+def mutate(edit):
+    """A model edit, for rewrite_model, that applies one EDITS mutation; a
+    key the model does not store leaves it as it is."""
+    kind, *args = edit
+
+    def apply(header, arrays):
+        if kind == "array":
+            key, pick, change = args
+            names = [n for n in arrays if n == key or n.endswith("/" + key)]
+            if names:
+                name = names[pick % len(names)]
+                arrays[name] = RETYPE[change](arrays[name])
+        elif kind == "flip":
+            pick, byte, mask = args
+            name = sorted(arrays)[pick % len(arrays)]
+            a = arrays[name].copy()
+            if a.nbytes:
+                a.reshape(-1).view(np.uint8)[byte % a.nbytes] ^= mask
+            arrays[name] = a
+        else:
+            pick, value = args
+            paths = list(header_paths({k: v for k, v in header.items() if k != "arrays"}))
+            *parent, last = paths[pick % len(paths)]
+            node = header
+            for key in parent:
+                node = node[key]
+            if value == DROP:
+                del node[last]
+            else:
+                node[last] = value
+    return apply
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(trained, tiny_corpus, tmp_path_factory):
+    """A directory with a valid 3d and mean model and two faces to run them on."""
+    d = tmp_path_factory.mktemp("fuzz")
+    save_model(trained[0], d / "3d.facm")
+    save_model(replace(trained[0], init_mode="mean", model3d=None), d / "mean.facm")
+    save_dataset(replace(tiny_corpus, samples=tiny_corpus.samples[:2]), d / "faces.jsonl")
+    return d
+
+
+class TestFuzzedModelFile:
+    @given(model=st.sampled_from(["3d", "mean"]), command=st.sampled_from(["predict", "eval"]),
+           edit=EDITS)
+    @example(model="mean", command="predict", edit=("array", "mean_shape/coords", 0, "string"))
+    @settings(max_examples=100, deadline=None)
+    def test_exits_0_2_or_3(self, fuzz_inputs, model, command, edit):
+        # one mutation of a valid model through the CLI: refused with exit
+        # 2 (or 3) or run with exit 0, never a traceback
+        bad = fuzz_inputs / "bad.facm"
+        bad.write_bytes((fuzz_inputs / f"{model}.facm").read_bytes())
+        rewrite_model(bad, mutate(edit))
+        try:
+            rc = run([command, "--model", str(bad), "--dataset", str(fuzz_inputs / "faces.jsonl"),
+                      "--out", str(fuzz_inputs / "out")])
+        except Exception:
+            pytest.fail(f"{edit}: {traceback.format_exc()}")
+        assert rc in (EXIT_OK, EXIT_DATA, EXIT_NUMERIC)

@@ -4,7 +4,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from facealign import pose
@@ -247,8 +247,10 @@ def ref_fit_pose(coords2d, points3d, focal=160.0, center=None, steps=None, max_i
     return RigidPose(R, [txy[0] / s, txy[1] / s, focal / s], focal)
 
 
-def ref_robust_init(maps, model, Z, subset_size, seed, center):
-    """The consensus loop: (winning index, score, coords, visibility, pose)."""
+def ref_robust_init(maps, model, Z, subset_size, seed, center, max_iter=MAX_ITER):
+    """The consensus loop, each hypothesis fitted by ``ref_fit_pose`` for at
+    most max_iter iterations: (winning index, score, coords, visibility,
+    pose)."""
     peaks = maps.peaks()
     focal = float(maps.face_size[0])
     best = None
@@ -256,7 +258,8 @@ def ref_robust_init(maps, model, Z, subset_size, seed, center):
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x9A, z]))
         ids = rng.choice(model.distinct_indices, size=subset_size, replace=False)
         try:
-            pose = ref_fit_pose(peaks[ids], model.points[ids], focal, center)
+            pose = ref_fit_pose(peaks[ids], model.points[ids], focal, center,
+                                max_iter=max_iter)
         except FitError:
             continue
         cam = model.points @ pose.rotation.T + pose.translation
@@ -407,8 +410,11 @@ class TestFitPosesOracle:
 
 
 class TestRobustInitOracle:
+    # both run at CONVERGED_CAP: at MAX_ITER a winner still stepping left the
+    # batched solve 8.3e-5 px from lstsq's coordinates in the pinned example
     @given(seed=st.integers(0, 2**31 - 1), outliers=st.integers(0, 10),
            Z=st.integers(1, 25), subset_size=st.integers(4, 8))
+    @example(seed=4, outliers=6, Z=2, subset_size=4)
     @settings(max_examples=40, deadline=None)
     def test_matches_consensus_loop(self, model3d, seed, outliers, Z, subset_size):
         r = np.random.default_rng(seed)
@@ -419,23 +425,25 @@ class TestRobustInitOracle:
         peaks[r.choice(24, outliers, replace=False)] = r.uniform(0, 159, (outliers, 2))
         maps = synthesize_from_shape(peaks, np.ones(24), np.ones(24, np.uint8),
                                      SynthConfig(coordinate_noise_sigma=1.0), r, (160, 160))
-        try:
-            z, score, ref_coords, ref_vis, ref_pose = ref_robust_init(
-                maps, model3d, Z, subset_size, seed, CENTER)
-        except InitError:
-            with pytest.raises(InitError):
-                robust_init(maps, model3d, Z=Z, subset_size=subset_size,
-                            seed=seed, center=CENTER)
-            return
-        res = robust_init(maps, model3d, Z=Z, subset_size=subset_size,
-                          seed=seed, center=CENTER)
-        assert res.score == score
         ids = np.stack([
             np.random.default_rng(np.random.SeedSequence([seed, 0x9A, k]))
             .choice(model3d.distinct_indices, size=subset_size, replace=False)
             for k in range(Z)
         ])
-        fits = fit_poses(maps.peaks()[ids], model3d.points[ids], 160.0, CENTER)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pose, "MAX_ITER", CONVERGED_CAP)
+            try:
+                z, score, ref_coords, ref_vis, ref_pose = ref_robust_init(
+                    maps, model3d, Z, subset_size, seed, CENTER, CONVERGED_CAP)
+            except InitError:
+                with pytest.raises(InitError):
+                    robust_init(maps, model3d, Z=Z, subset_size=subset_size,
+                                seed=seed, center=CENTER)
+                return
+            res = robust_init(maps, model3d, Z=Z, subset_size=subset_size,
+                              seed=seed, center=CENTER)
+            fits = fit_poses(maps.peaks()[ids], model3d.points[ids], 160.0, CENTER)
+        assert res.score == score
         winners = [k for k in range(Z) if fits.ok[k]
                    and np.array_equal(fits.rotation[k], res.pose.rotation)]
         assert winners == [z]
@@ -443,7 +451,6 @@ class TestRobustInitOracle:
         np.testing.assert_array_equal(res.shape.visibility, ref_vis)
         np.testing.assert_allclose(res.pose.rotation, ref_pose.rotation, rtol=0, atol=1e-9)
         np.testing.assert_allclose(res.pose.translation, ref_pose.translation, rtol=1e-9)
-
 
     def test_ties_go_to_lowest_index(self, model3d):
         # noise-free frontal peaks: 12 of 25 subsets project onto the same
