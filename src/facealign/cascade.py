@@ -21,9 +21,9 @@ from .features import (
     gen_candidates,  # noqa: F401  (part of this module's interface, next to fit_node)
     stage_scale,
 )
-from .heatmaps import GrayMaps
+from .heatmaps import GrayMaps, stack_maps
 from .metrics import GroundTruth
-from .pose import Model3D, anchor_shape, bbox_center, consensus_inits, robust_init
+from .pose import INIT_CHUNK, Model3D, anchor_shape, bbox_center, consensus_inits, robust_init
 from .shapes import Dataset, LandmarkSchema, Shape
 
 
@@ -56,7 +56,10 @@ class Tree:
 
     Child entries >= 0 index another internal node; negative entries
     encode leaf id ``~child``.  A tree may be a single leaf (no nodes).
+    ``leaf_ids`` walks it as a forest of one tree.
     """
+
+    n_trees = 1
 
     node_landmark: np.ndarray   # (n_nodes,) local landmark row in the part
     node_p1: np.ndarray
@@ -251,10 +254,12 @@ class Prediction:
 
 
 def _branch_cost(sub: np.ndarray) -> float:
-    if len(sub) == 0:
+    n = len(sub)
+    if n == 0:
         return 0.0
-    mu = sub.mean(axis=0)
-    return float(((sub - mu) ** 2).sum())
+    # sub.mean(axis=0) and .sum(), the same reductions at less overhead
+    mu = np.add.reduce(sub, axis=0) / n
+    return float(np.add.reduce((sub - mu) ** 2, axis=None))
 
 
 # Relative width of best_split's shortlist.  The sufficient-statistics cost
@@ -411,7 +416,7 @@ def train_parts(gt_coords, ann, gt_vis, coords, V, parts, K, nu, eta,
                 residual[sub], W2[sub], gt_vis[np.ix_(sub, p)], VT,
                 p, cfg, rng, V.shape[2], cols=sub,
             )
-            leaf = leaf_ids(PartModel(p, [tree]), VT.T.reshape(N, len(p), -1))[:, 0]
+            leaf = leaf_ids(tree, VT.T.reshape(N, len(p), -1))[:, 0]
             coords[:, p, :] += nu * tree.leaf_residual[leaf].reshape(N, len(p), 2)
             part_trees.append(tree)
     return PartsStage(parts=[PartModel(p, t) for p, t in zip(parts, trees)],
@@ -459,11 +464,17 @@ def feature_maps(maps, feature_mode: str):
 def extract_stage_features(dataset: Dataset, coords, maps_provider,
                            pattern: FreakPattern, scale: float,
                            feature_mode: str) -> np.ndarray:
+    """(n, L, M) pattern reads of the dataset's faces at coords, (n, L, 2):
+    the maps of INIT_CHUNK faces at a time, stacked and read in one call."""
     n, L = coords.shape[0], coords.shape[1]
-    V = np.zeros((n, L, len(pattern)))
-    for i, s in enumerate(dataset.samples):
-        maps = feature_maps(maps_provider.maps_for(s), feature_mode)
-        V[i] = extract_pattern_values(maps, coords[i], pattern, scale)
+    V = np.empty((n, L, len(pattern)))
+    for lo in range(0, n, INIT_CHUNK):
+        hi = lo + INIT_CHUNK
+        maps = stack_maps([feature_maps(maps_provider.maps_for(s), feature_mode)
+                           for s in dataset.samples[lo:hi]])
+        V[lo:hi] = extract_pattern_values(maps, coords[lo:hi], pattern, scale)
+        # drop this chunk's maps before the next chunk's are requested
+        del maps
     return V
 
 

@@ -12,7 +12,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import POSITIVE, FormatError, require
+from .errors import POSITIVE, FormatError, NumericError, require
 
 STAGE_SCALE_FLOOR = 0.2
 DEFAULT_TAU_RANGE = (-0.3, 0.3)
@@ -223,12 +223,20 @@ def gen_candidates(count: int, part_landmarks, pattern: FreakPattern,
 
 def extract_pattern_values(maps, coords: np.ndarray, pattern: FreakPattern,
                            scale: float) -> np.ndarray:
-    """All pattern-point map reads for one face: (L, M) array.
+    """All pattern-point map reads for one face, (L, 2) coords -> (L, M),
+    or for a stack of F faces' maps (heatmaps.stack_maps), (F, L, 2) ->
+    (F, L, M).
 
     Row l holds map l sampled at coords[l] + scale*offsets.  These
     cached reads are what candidate features are differenced from.
+    NumericError when the rounded points' squares sum to 2**63 squared or
+    more, as they do when a point is not finite or does not fit an int64
+    pixel.
     """
-    landmarks = np.arange(coords.shape[0])
-    pts = coords[:, None, :] + scale * pattern.offsets[None, :, :]
-    c = np.rint(pts).astype(np.int64)
-    return maps.read(landmarks[:, None], c[..., 0], c[..., 1])
+    pts = coords[..., None, :] + scale * pattern.offsets
+    c = np.rint(pts)
+    # one call bounds every |c| by the root of the sum; NaN fails the test
+    if not np.vdot(c, c) < 2.0**126:
+        raise NumericError("landmark coordinates put a pattern point off the int64 pixel range")
+    c = c.astype(np.int64)
+    return maps.read(np.arange(coords.shape[-2])[:, None], c[..., 0], c[..., 1])

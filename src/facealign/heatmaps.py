@@ -13,6 +13,14 @@ raster lives no longer than the request that built it. GrayMaps wraps
 either kind as the grayscale ablation's single image, the max over all
 maps, read at the same points.
 
+stack_maps turns the maps of F faces into one map object with a leading
+face axis: peaks() is (F, L, 2), and read's arguments broadcast to a
+shape whose leading axis holds one entry per face. BlobMaps that share
+sigma, floor and size stack their (F, L, 2) centres; any other maps
+(rasters, GrayMaps) stay a list (MapStack) that is read face by face, so
+no raster is copied. Either evaluates each value with the per-face
+formula, so a stacked read is bitwise the per-face reads.
+
 Map values are unnormalized likelihoods; synthetic blobs have peak 1.
 Out-of-bounds reads return 0 everywhere in this package. ``smooth``
 imports scipy.ndimage when it is called, so importing the package does
@@ -95,6 +103,7 @@ class BlobMaps:
     """Synthetic maps held as one unit-peak Gaussian blob per landmark,
     max-ed with a constant floor and evaluated only at the pixels read.
 
+    centres are one face's (L, 2) or, from stack_maps, F faces' (F, L, 2).
     A NaN centre marks a flat floor map. Reads are bitwise equal to reads
     from the raster that ``maps`` builds, because both evaluate the blob
     in _blob's order.
@@ -102,7 +111,8 @@ class BlobMaps:
 
     def __init__(self, centres: np.ndarray, sigma: float, floor: float,
                  size: tuple[int, int]):
-        self.centres = np.asarray(centres, dtype=np.float64).reshape(-1, 2)
+        centres = np.asarray(centres, dtype=np.float64)
+        self.centres = centres if centres.ndim == 3 else centres.reshape(-1, 2)
         self.sigma = sigma
         self.floor = floor
         self.size = size
@@ -110,7 +120,7 @@ class BlobMaps:
 
     @property
     def landmark_count(self) -> int:
-        return len(self.centres)
+        return self.centres.shape[-2]
 
     @property
     def face_size(self) -> tuple[int, int]:
@@ -118,17 +128,26 @@ class BlobMaps:
 
     def read(self, landmarks, x, y) -> np.ndarray:
         """Values at integer pixels (x, y) of the landmarks' maps, broadcast
-        together; pixels off the map read 0."""
+        together, with a leading face axis when stacked; pixels off the
+        map read 0."""
         x, y = np.asarray(x), np.asarray(y)
+        if self.centres.ndim == 3:
+            nd = max(np.ndim(landmarks), x.ndim, y.ndim)
+            faces = np.arange(len(self.centres)).reshape((-1,) + (1,) * (nd - 1))
+            return self._values(self.centres[faces, landmarks], x, y)
+        return self._values(self.centres[landmarks], x, y)
+
+    def _values(self, c, x, y) -> np.ndarray:
+        """The maps of centres c at pixels (x, y), broadcast together."""
         H, W = self.size
-        c = self.centres[landmarks]
         v = np.exp(-((x - c[..., 0]) ** 2 + (y - c[..., 1]) ** 2) / (2.0 * self.sigma**2))
         # fmax keeps the floor where a NaN centre makes the blob NaN
         v = np.fmax(self.floor, v)
         return np.where((x >= 0) & (x < W) & (y >= 0) & (y < H), v, 0.0)
 
     def peaks(self) -> np.ndarray:
-        """Per-landmark argmax as (x, y) pairs, as the raster's peaks().
+        """Per-landmark argmax as (x, y) pairs, shaped like centres, as the
+        raster's peaks().
 
         The blob peaks at the in-bounds pixel nearest its centre, so only a
         4x4 window around floor(centre), clipped to the map, is evaluated.
@@ -136,21 +155,21 @@ class BlobMaps:
         floor peaks at (0, 0).
         """
         H, W = self.size
-        L = self.landmark_count
+        flat = self.centres.reshape(-1, 2)
         # a NaN (flat) centre reads its window at the origin
-        corner = np.floor(np.nan_to_num(self.centres)).astype(np.int64) - 1
+        corner = np.floor(np.nan_to_num(flat)).astype(np.int64) - 1
         k = np.arange(16)
         x = np.minimum(np.clip(corner[:, :1], 0, max(W - 4, 0)) + k % 4, W - 1)
         y = np.minimum(np.clip(corner[:, 1:], 0, max(H - 4, 0)) + k // 4, H - 1)
-        v = self.read(np.arange(L)[:, None], x, y)
-        rows, best = np.arange(L), np.argmax(v, axis=1)
+        v = self._values(flat[:, None], x, y)
+        rows, best = np.arange(len(flat)), np.argmax(v, axis=1)
         out = np.stack([x[rows, best], y[rows, best]], axis=1).astype(np.float64)
         out[~(v[rows, best] > self.floor)] = 0.0
-        return out
+        return out.reshape(self.centres.shape)
 
     @property
     def maps(self) -> np.ndarray:
-        """The (L, H, W) float64 raster, built on first use."""
+        """One face's (L, H, W) float64 raster, built on first use."""
         if self._raster is None:
             H, W = self.size
             out = np.full((self.landmark_count, H, W), self.floor, dtype=np.float64)
@@ -161,6 +180,58 @@ class BlobMaps:
         return self._raster
 
 
+class MapStack:
+    """The maps of F faces, any kind and each held as it is, read as one
+    map object with a leading face axis; ``faces`` picks, per entry of
+    that axis, which of ``maps`` it reads (all of them in order by
+    default). A read gathers from each face's maps in turn."""
+
+    def __init__(self, maps: list, faces=None):
+        self.members = maps
+        self.faces = np.arange(len(maps)) if faces is None else np.asarray(faces)
+
+    @property
+    def landmark_count(self) -> int:
+        return self.members[0].landmark_count
+
+    def peaks(self) -> np.ndarray:
+        return np.stack([m.peaks() for m in self.members])[self.faces]
+
+    def read(self, landmarks, x, y) -> np.ndarray:
+        """Values at integer pixels (x, y) of the landmarks' maps, broadcast
+        together to a shape whose leading axis has one entry per face."""
+        landmarks, x, y = np.broadcast_arrays(landmarks, x, y)
+        out = np.empty(x.shape)
+        for f, m in enumerate(self.members):
+            at = self.faces == f
+            if at.any():
+                out[at] = m.read(landmarks[at], x[at], y[at])
+        return out
+
+
+def stack_maps(maps_list: list, faces=None):
+    """One map object over the maps of F faces, with a leading face axis:
+    entry i reads maps_list[faces[i]], or maps_list[i] when faces is None.
+    BlobMaps that share sigma, floor and size stack their centres; other
+    maps become a MapStack. A lone face's maps, with faces None, are
+    returned as they are, without a face axis.
+
+    FormatError when the faces' landmark counts differ.
+    """
+    if len({m.landmark_count for m in maps_list}) > 1:
+        raise FormatError("the maps read together must share a landmark count")
+    if faces is None and len(maps_list) == 1:
+        return maps_list[0]
+    first = maps_list[0]
+    if all(type(m) is BlobMaps
+           and (m.sigma, m.floor, m.size) == (first.sigma, first.floor, first.size)
+           for m in maps_list):
+        centres = np.stack([m.centres for m in maps_list])
+        return BlobMaps(centres if faces is None else centres[faces],
+                        first.sigma, first.floor, first.size)
+    return MapStack(maps_list, faces)
+
+
 class GrayMaps:
     """The grayscale ablation's one image: at each pixel, the max over all
     landmark maps of ``landmark_maps`` (BlobMaps or ProbabilityMaps),
@@ -168,11 +239,17 @@ class GrayMaps:
 
     Every landmark reads the same image, as the pixel-difference features
     of Kazemi & Sullivan (CVPR 2014) do. A max is exact, so reads are
-    bitwise a gather from ``landmark_maps.maps.max(axis=0)``.
+    bitwise a gather from ``landmark_maps.maps.max(axis=0)``. Faces'
+    GrayMaps stack as a MapStack: a read of every face's landmark maps at
+    once holds L values per point read, megabytes for a chunk of faces.
     """
 
     def __init__(self, landmark_maps):
         self.landmark_maps = landmark_maps
+
+    @property
+    def landmark_count(self) -> int:
+        return self.landmark_maps.landmark_count
 
     def read(self, landmarks, x, y) -> np.ndarray:
         """Max over all maps at integer pixels (x, y), whichever landmarks

@@ -16,14 +16,17 @@ arrays, compacted only when one leaves, and the start's per-subset SVD is
 cached by the subset points; the numpy calls per iteration are what cost,
 not their arithmetic. fit_pose is a batch of one.
 
-robust_inits runs the consensus search for F faces at once: the Z
-hypothesis subsets are drawn once, and one fit_poses call solves all F*Z
-hypotheses. Each face then projects its surviving poses and scores them
-with one (Z, L) read of its own maps (score_shapes), summed over landmarks
-in order. No value depends on which other faces share the call, so a face
-gets bitwise the result it gets alone; robust_init is a batch of one.
-consensus_inits feeds samples to robust_inits INIT_CHUNK faces at a time,
-so a file-backed split never holds more than a chunk of rasters.
+robust_inits runs the consensus search for F faces at once: their maps
+are stacked (heatmaps.stack_maps), one peaks() call gives every face's
+peaks, the Z hypothesis subsets are drawn once, and one fit_poses call
+solves all F*Z hypotheses. Every surviving pose is projected at once,
+with its face's focal length and centre, and scored with one read of the
+stacked maps (score_shapes), each summed over landmarks in order; each
+face keeps its first maximum. No value depends on which other faces share
+the call, so a face gets bitwise the result it gets alone; robust_init is
+a batch of one. consensus_inits feeds samples to robust_inits INIT_CHUNK
+faces at a time, so a file-backed split never holds more than a chunk of
+rasters.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DataError, FitError, InitError, SchemaError, is_finite
-from .heatmaps import FACE_SIZE
+from .heatmaps import FACE_SIZE, stack_maps
 from .shapes import Shape
 
 ORTHONORMAL_TOL = 1e-6
@@ -45,8 +48,8 @@ ORTHONORMAL_TOL = 1e-6
 # pick, without waiting for slow hypotheses that never win.
 MAX_ITER = 15
 STEP_TOL = 1e-6
-# faces whose maps consensus_inits holds at once; a 24x160x160 float32
-# raster read from a .fapm file is 2.5 MB
+# faces whose maps consensus_inits and training's feature reads hold and
+# read at once; a 24x160x160 float32 raster read from a .fapm file is 2.5 MB
 INIT_CHUNK = 32
 _EYE3 = np.eye(3)
 _EYE6 = np.eye(6)
@@ -55,6 +58,10 @@ _EYE3.flags.writeable = _EYE6.flags.writeable = False
 # the difference of the two rows of a[_NEXT_PREV] * b[_NEXT_PREV[::-1]],
 # the products np.cross takes in the same order, at less call overhead
 _NEXT_PREV = np.array([[1, 2, 0], [2, 0, 1]])  # rows _NEXT, _PREV
+# fit_poses' start for every hypothesis: the identity rotation (row-major)
+# then [tx, ty, s] = [0, 0, 1]
+_RT_START = np.r_[_EYE3.ravel(), 0.0, 0.0, 1.0]
+_RT_START.flags.writeable = False
 
 
 @dataclass
@@ -206,14 +213,17 @@ def project_points(model: Model3D, pose: RigidPose,
 
 
 def project_poses(model: Model3D, rotations: np.ndarray, translations: np.ndarray,
-                  focal: float, center: tuple[float, float] | None = None):
-    """project_points for B poses at once: (B, L, 2) coords, (B, L) visibility."""
+                  focal, center=None):
+    """project_points for B poses at once: (B, L, 2) coords, (B, L)
+    visibility. focal and center are shared, a scalar and an (x, y) pair,
+    or one per pose, (B,) and (B, 2)."""
     if center is None:
         center = default_center()
+    center = np.asarray(center, dtype=np.float64)
     Rt = rotations.transpose(0, 2, 1)
     cam = model.points @ Rt + translations[:, None, :]
     s = focal / translations[:, 2]
-    coords = np.asarray(center, dtype=np.float64) + s[:, None, None] * cam[..., :2]
+    coords = (center[:, None] if center.ndim == 2 else center) + s[:, None, None] * cam[..., :2]
     visibility = ((model.normals @ Rt)[..., 2] <= 0.0).astype(np.float64)
     return coords, visibility
 
@@ -225,6 +235,7 @@ def score_shape(maps, coords: np.ndarray) -> float:
 
 def score_shapes(maps, coords: np.ndarray) -> np.ndarray:
     """score_shape for B shapes at once: (B, L, 2) coords -> (B,) scores.
+    maps are one face's, or a stack with one face per shape.
 
     One maps.read call reads every (shape, landmark) value; each score is
     then summed over landmarks in order, so it does not depend on the batch.
@@ -311,7 +322,7 @@ def fit_poses(coords2d: np.ndarray, points3d: np.ndarray,
     reason = np.full(B, None, dtype=object)
     # per hypothesis: rotation (row-major) then [tx, ty, s], the scaled
     # in-plane offset and the scale, uv = c + s * (R X)_xy + txy
-    RT = np.tile(np.r_[_EYE3.ravel(), 0.0, 0.0, 1.0], (B, 1))
+    RT = np.tile(_RT_START, (B, 1))
 
     # start: least squares of the centred peaks on the centred 3D points,
     # through one SVD per subset that also gives the rank test
@@ -319,7 +330,8 @@ def fit_poses(coords2d: np.ndarray, points3d: np.ndarray,
     if not full_rank.all():
         reason[~full_rank] = "degenerate (coplanar) 3D configuration"
     a = np.flatnonzero(full_rank)
-    rel = uv[a] - uv[a].mean(axis=1, keepdims=True)
+    # means as np.mean takes them, a sum then a division, at less overhead
+    rel = uv[a] - np.add.reduce(uv[a], axis=1, keepdims=True) / n
     IJ = Vt.transpose(0, 2, 1) @ ((U.transpose(0, 2, 1) @ rel) / S)
     # np.linalg.norm(v, axis=1) without its checks: the same sum and sqrt
     ni, nj = (np.sqrt(np.add.reduce(v * v, axis=1)) for v in (IJ[..., 0], IJ[..., 1]))
@@ -339,16 +351,10 @@ def fit_poses(coords2d: np.ndarray, points3d: np.ndarray,
     # point factors X12 of the Jacobian, centre C and peaks UV), D what they
     # do (rotation and [tx, ty, s]). A hypothesis' D row is written back to
     # RT when it leaves.
-    # Row j of d(R X)/dw = -R skew(X) is X x R[j]. X12 and D[:, rcols] hold
-    # the factors of both of its products, laid out (product, point, image
-    # row j, component), so one multiply and one subtract give the rotation
-    # columns of every Jacobian row.
-    xcols = 3 * np.arange(n)[:, None, None] + _NEXT_PREV[:, None, None]
-    rcols = 3 * np.arange(2)[:, None] + _NEXT_PREV[::-1, None, None]
-    xcols, rcols = (np.broadcast_to(v, (2, n, 2, 3)).ravel() for v in (xcols, rcols))
+    xcols, rcols = _jacobian_columns(n)
     Ra, s = Uo @ Vto, np.sqrt(ni * nj)
     proj = X[a] @ Ra.transpose(0, 2, 1)
-    txy = (uv[a] - c[a, None] - s[:, None, None] * proj[..., :2]).mean(axis=1)
+    txy = np.add.reduce(uv[a] - c[a, None] - s[:, None, None] * proj[..., :2], axis=1) / n
     Xf = X[a].reshape(-1, 3 * n)
     Q = np.concatenate([Xf, Xf[:, xcols], np.tile(c[a], n), uv[a].reshape(-1, 2 * n)], axis=1)
     D = np.concatenate([Ra.reshape(-1, 9), txy, s[:, None]], axis=1)
@@ -446,6 +452,22 @@ def _hypothesis_subsets(seed: int, Z: int, subset_size: int, distinct: tuple) ->
 
 
 @functools.lru_cache(maxsize=16)
+def _jacobian_columns(n: int):
+    """fit_poses' gather columns for n points, shared read-only.
+
+    Row j of d(R X)/dw = -R skew(X) is X x R[j]. X12 = Xf[:, xcols] and
+    D[:, rcols] hold the factors of both of its products, laid out
+    (product, point, image row j, component), so one multiply and one
+    subtract give the rotation columns of every Jacobian row."""
+    xcols = 3 * np.arange(n)[:, None, None] + _NEXT_PREV[:, None, None]
+    rcols = 3 * np.arange(2)[:, None] + _NEXT_PREV[::-1, None, None]
+    out = tuple(np.broadcast_to(v, (2, n, 2, 3)).ravel() for v in (xcols, rcols))
+    for v in out:
+        v.flags.writeable = False
+    return out
+
+
+@functools.lru_cache(maxsize=16)
 def _subset_basis(shape: tuple, points: bytes):
     """fit_poses' start for one batch of 3D subsets, (B, n, 3) float64
     bytes: the (B,) full-rank mask, and U (k, n, 3), S (k, 3, 1) and Vt
@@ -484,10 +506,11 @@ def robust_init(maps, model: Model3D, Z: int = 25, subset_size: int = 6,
 
 def robust_inits(maps_list, model: Model3D, Z: int = 25, subset_size: int = 6,
                  seed: int = 0, centers=None) -> list[InitResult | None]:
-    """robust_init for F faces, with one fit_poses call over all F*Z
-    hypotheses: one InitResult per face, or None where every hypothesis
-    failed. centers holds one (x, y) image centre per face, or is None for
-    each map's centre.
+    """robust_init for F faces, with one peaks() call, one fit_poses call
+    over all F*Z hypotheses and one read scoring every surviving pose: one
+    InitResult per face, or None where every hypothesis failed. centers
+    holds one (x, y) image centre per face, or is None for each map's
+    centre.
     """
     if Z < 1:
         raise ValueError("Z must be >= 1")
@@ -498,29 +521,38 @@ def robust_inits(maps_list, model: Model3D, Z: int = 25, subset_size: int = 6,
     if not F:
         return []
     sizes = [m.face_size for m in maps_list]
-    focals = np.array([float(H) for H, _ in sizes])
+    focals = [float(H) for H, _ in sizes]
     if centers is None:
         centers = [(W / 2.0, H / 2.0) for H, W in sizes]
-    centers = np.asarray(centers, dtype=np.float64).reshape(F, 2)
+    maps = stack_maps(maps_list)
     ids = hypothesis_subsets(seed, Z, subset_size, distinct)
-    fits = fit_poses(np.concatenate([m.peaks()[ids] for m in maps_list]),
-                     np.concatenate([model.points[ids]] * F),
-                     focal=np.repeat(focals, Z), center=np.repeat(centers, Z, axis=0))
-    ok = fits.ok.reshape(F, Z)
-    rotations = fits.rotation.reshape(F, Z, 3, 3)
-    translations = fits.translation.reshape(F, Z, 3)
+    X = model.points[ids]
+    if F == 1:
+        # a lone face: shared focal length and centre, its maps as they are
+        focal, center = focals[0], centers[0]
+    else:
+        X = np.concatenate([X] * F)
+        focal = np.repeat(focals, Z)
+        center = np.repeat(np.asarray(centers, dtype=np.float64).reshape(F, 2), Z, axis=0)
+    fits = fit_poses(maps.peaks()[..., ids, :].reshape(X.shape[:2] + (2,)), X, focal, center)
+    good = np.flatnonzero(fits.ok)
+    face = good // Z
+    if F > 1:
+        focal, center = focal[good], center[good]
+        maps = stack_maps(maps_list, face)
+    coords, vis = project_poses(model, fits.rotation[good], fits.translation[good],
+                                focal, center)
+    scores = score_shapes(maps, coords)
+    # good, and so face, ascend: each face's poses are one run
+    bounds = np.searchsorted(face, np.arange(F + 1))
     out = []
-    for f, maps in enumerate(maps_list):
-        good = np.flatnonzero(ok[f])
-        if not len(good):
+    for f in range(F):
+        lo, hi = bounds[f], bounds[f + 1]
+        if lo == hi:
             out.append(None)
             continue
-        focal = float(focals[f])
-        coords, vis = project_poses(model, rotations[f, good], translations[f, good],
-                                    focal, centers[f])
-        scores = score_shapes(maps, coords)
-        w = int(np.argmax(scores))
-        pose = RigidPose(rotations[f, good[w]], translations[f, good[w]], focal)
+        w = lo + int(np.argmax(scores[lo:hi]))
+        pose = RigidPose(fits.rotation[good[w]], fits.translation[good[w]], focals[f])
         shape = Shape(coords[w], vis[w], np.ones(vis.shape[1], dtype=np.uint8))
         out.append(InitResult(shape=shape, pose=pose, score=float(scores[w])))
     return out

@@ -2,9 +2,9 @@
 
 import numpy as np
 
-from facealign.cascade import Tree, _branch_cost, best_split, leaf_ids
+from facealign.cascade import Tree, _branch_cost, best_split, feature_maps, leaf_ids
 from facealign.errors import FitError, FormatError, NumericError
-from facealign.features import draw_candidates
+from facealign.features import draw_candidates, extract_pattern_values
 from facealign.pose import MAX_ITER, ORTHONORMAL_TOL, STEP_TOL, PoseFits, default_center
 
 
@@ -16,6 +16,16 @@ def map_values(grid: np.ndarray, coords: np.ndarray) -> np.ndarray:
     out = [float(grid[y, x]) if 0 <= x < W and 0 <= y < H else 0.0
            for x, y in np.rint(coords).astype(np.int64).reshape(-1, 2)]
     return np.array(out).reshape(coords.shape[:-1])
+
+
+def extract_stage_features_per_face(dataset, coords, maps_provider, pattern, scale,
+                                    feature_mode):
+    """cascade.extract_stage_features one face at a time: each face's maps
+    requested and read on their own."""
+    return np.stack([
+        extract_pattern_values(feature_maps(maps_provider.maps_for(s), feature_mode),
+                               coords[i], pattern, scale)
+        for i, s in enumerate(dataset.samples)])
 
 
 def apply_stage_per_part(stage, V, coords, vis=None) -> None:

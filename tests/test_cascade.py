@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from facealign.cascade import (
     _branch_cost,
     apply_stage,
     best_split,
+    extract_stage_features,
     fit_node,
     fit_tree,
     leaf_ids,
@@ -30,13 +32,14 @@ from facealign.cascade import (
 )
 from facealign.errors import FormatError, NumericError
 from facealign.features import SplitParams, draw_candidates, extract_pattern_values
-from facealign.heatmaps import BlobMaps, ProbabilityMaps, SynthConfig
+from facealign.heatmaps import BlobMaps, ProbabilityMaps, SynthConfig, write_maps
 from facealign.metrics import nme_percent, normalizer
 from facealign.pipeline import RunConfig, train_model
-from facealign.pose import anchor_shape, bbox_center, mean_shape_init, robust_init
+from facealign.pose import INIT_CHUNK, anchor_shape, bbox_center, mean_shape_init, robust_init
 from facealign.shapes import Dataset
-from facealign.synthetic import CorpusConfig, SyntheticMapSource, generate_corpus
-from oracles import apply_stage_per_part, fit_tree_per_node
+from facealign.synthetic import (CorpusConfig, FileMapSource, SyntheticMapSource,
+                                 generate_corpus)
+from oracles import apply_stage_per_part, extract_stage_features_per_face, fit_tree_per_node
 
 
 def cand(tau, p1=0, p2=1, landmark=0):
@@ -131,6 +134,17 @@ def split_case(seed, n, d, C, exponent, kind):
         src = int(r.integers(C))
         F[c], tau[c] = F[src], tau[src]
     return res, F, [cand(float(t)) for t in tau]
+
+
+class TestBranchCost:
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 40), d=st.integers(1, 6),
+           exponent=st.integers(-150, 150))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_mean_centred_sum(self, seed, n, d, exponent):
+        # the reductions np.mean and .sum() make, bit for bit
+        sub = np.random.default_rng(seed).normal(size=(n, d)) * 10.0**exponent
+        want = float(((sub - sub.mean(axis=0)) ** 2).sum()) if n else 0.0
+        assert _branch_cost(sub).hex() == want.hex()
 
 
 class TestBestSplitOracle:
@@ -495,12 +509,71 @@ class TestTraversal:
             for k, t in enumerate(trees):
                 assert leaves[i, k] == leaf_base[k] + leaf_id_single(t, V[i])
 
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_faces=st.integers(1, 8),
+           part_size=st.integers(1, 4), max_depth=st.integers(0, 5))
+    def test_a_tree_walks_as_a_forest_of_one(self, seed, n_faces, part_size, max_depth):
+        # train_parts walks each new tree without packing it
+        r = np.random.default_rng(seed)
+        tree = random_tree(r, part_size, 43, max_depth)
+        V = r.uniform(size=(n_faces, part_size, 43))
+        want = leaf_ids(PartModel(np.arange(part_size), [tree]), V)
+        assert leaf_ids(tree, V).tobytes() == want.tobytes()
+
     def test_zero_node_tree(self):
         tree = single_leaf_tree()
         assert leaf_id_single(tree, np.zeros((3, 43))) == 0
         pm = PartModel(np.arange(3), [tree, tree])
         np.testing.assert_array_equal(pm.roots, [~0, ~1])
         np.testing.assert_array_equal(leaf_ids(pm, np.zeros((5, 3, 43))), [[0, 1]] * 5)
+
+
+class TestStageFeatures:
+    """Training's feature reads, a chunk of faces' maps at a time, equal
+    the per-face reads bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def faces(self, model3d, schema, tmp_path_factory):
+        """INIT_CHUNK + 1 faces on 48x56 maps, from a synthetic source and
+        from map files of its float32 rasters."""
+        ds = generate_corpus(model3d, schema, CorpusConfig(count=INIT_CHUNK + 1, seed=21))
+        synthetic = SyntheticMapSource(SynthConfig(coordinate_noise_sigma=1.0, floor=0.05,
+                                                   occluded_dropout=0.5), 4, (48, 56))
+        files = FileMapSource(tmp_path_factory.mktemp("stage_maps"), schema)
+        for s in ds.samples:
+            write_maps(ProbabilityMaps(synthetic.maps_for(s).maps), files.path_for(s))
+        coords = np.random.default_rng(8).uniform(-6.0, 62.0, (len(ds), schema.landmark_count, 2))
+        return ds, coords, {"synthetic": synthetic, "files": files}
+
+    @pytest.mark.parametrize("n", [1, INIT_CHUNK, INIT_CHUNK + 1])
+    @pytest.mark.parametrize("mode", ["heatmap", "gray"])
+    @pytest.mark.parametrize("source", ["synthetic", "files"])
+    def test_equal_per_face_reads(self, faces, pattern, n, mode, source):
+        ds, coords, sources = faces
+        part = Dataset(ds.samples[:n], ds.schema)
+        got = extract_stage_features(part, coords[:n], sources[source], pattern, 0.6, mode)
+        want = extract_stage_features_per_face(part, coords[:n], sources[source], pattern,
+                                               0.6, mode)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("mode", ["heatmap", "gray"])
+    @pytest.mark.parametrize("source", ["synthetic", "files"])
+    def test_holds_one_chunk_of_maps(self, faces, pattern, mode, source):
+        ds, _, sources = faces
+        part = Dataset(ds.samples * 2 + ds.samples[:3], ds.schema)
+        # weak references, as ProbabilityMaps is not hashable
+        handed, most = [], []
+
+        class Counted:
+            def maps_for(self, sample):
+                m = sources[source].maps_for(sample)
+                handed.append(weakref.ref(m))
+                most.append(sum(r() is not None for r in handed))
+                return m
+
+        coords = np.zeros((len(part), ds.schema.landmark_count, 2))
+        extract_stage_features(part, coords, Counted(), pattern, 1.0, mode)
+        assert max(most) == INIT_CHUNK
 
 
 class TestTrainParts:

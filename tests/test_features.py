@@ -1,9 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from facealign.errors import FormatError
+from facealign.errors import FormatError, NumericError
 from facealign.features import (
     FreakPattern,
     SplitParams,
@@ -315,3 +317,21 @@ class TestExtraction:
                 assert V[l, p1] - V[l, p2] == pytest.approx(
                     feature_value(maps, shape, theta, pattern, scale), abs=1e-12
                 )
+
+    @pytest.mark.parametrize("value, refused", [
+        (np.nan, True), (np.inf, True), (-np.inf, True), (2.0**63, True), (-1.3e120, True),
+        (1e15, False), (-1e15, False)])
+    def test_points_off_the_int64_range_are_refused(self, pattern, value, refused):
+        # one landmark far off the map: read as 0 while its pixels fit an
+        # int64, refused before the cast otherwise
+        maps = ProbabilityMaps(np.ones((3, 8, 8)))
+        coords = np.full((3, 2), 4.0)
+        coords[1, 0] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if refused:
+                with pytest.raises(NumericError, match="int64 pixel range"):
+                    extract_pattern_values(maps, coords, pattern, 1.0)
+            else:
+                V = extract_pattern_values(maps, coords, pattern, 1.0)
+                assert (V[1] == 0).all() and (V[[0, 2]] > 0).any()

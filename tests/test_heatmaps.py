@@ -20,16 +20,19 @@ from facealign.heatmaps import (
     MAP_VERSION,
     BlobMaps,
     GrayMaps,
+    MapStack,
     ProbabilityMaps,
     SynthConfig,
     _gaussian_kernel,
     draw_blobs,
     read_maps,
     smooth,
+    stack_maps,
     synthesize,
     synthesize_from_shape,
     write_maps,
 )
+from facealign.pose import INIT_CHUNK
 from oracles import map_value_error, map_values
 
 
@@ -535,3 +538,82 @@ class TestGrayMaps:
         want = map_values(maps.maps.max(axis=0), np.stack([x, y], axis=-1))
         assert got.dtype == want.dtype == np.float64
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def face_maps(kind, r, L, H, W, sigma, floor):
+    """One face's maps: blobs with centres on and off the map and NaN
+    (flat) centres, or a float32 or float64 raster with zeros and repeated
+    maxima."""
+    if kind == "blobs":
+        centres = r.uniform(-20.0, max(H, W) + 20.0, size=(L, 2))
+        centres[r.random(L) < 0.3] = np.nan
+        return BlobMaps(centres, sigma, floor, (H, W))
+    raster = np.where(r.random((L, H, W)) < 0.5, r.random((L, H, W)),
+                      r.choice([0.0, 0.5, 1.0], size=(L, H, W)))
+    return ProbabilityMaps(raster.astype(np.float32 if kind == "float32" else np.float64))
+
+
+class TestStackedMaps:
+    """A stack of F faces' maps reads, and finds peaks, bit for bit as
+    each face's own maps do."""
+
+    @given(
+        kind=st.sampled_from(["blobs", "float32", "float64"]),
+        gray=st.booleans(),
+        F=st.sampled_from([1, INIT_CHUNK, INIT_CHUNK + 1]),
+        sigma=st.floats(0.2, 10.0),
+        floor=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+        L=st.integers(1, 5),
+        H=st.integers(1, 24),
+        W=st.integers(1, 24),
+        M=st.integers(2, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_reads_equal_per_face_reads(self, kind, gray, F, sigma, floor, L, H, W, M, seed):
+        r = np.random.default_rng(seed)
+        maps = [face_maps(kind, r, L, H, W, sigma, floor) for _ in range(F)]
+        if gray:
+            maps = [GrayMaps(m) for m in maps]
+        stack = stack_maps(maps)
+        # pattern points up to 8 px off every side of the map
+        radius = r.uniform(0.5, 4.0)
+        pattern = FreakPattern(r.uniform(-radius, radius, (M, 2)) / np.sqrt(2), np.zeros(M),
+                               2 * radius)
+        coords = r.uniform(-4.0, max(H, W) + 4.0, (F, L, 2))
+        scale = r.uniform(0.2, 1.0)
+        got = extract_pattern_values(stack, coords, pattern, scale)
+        want = np.stack([extract_pattern_values(m, coords[f], pattern, scale)
+                         for f, m in enumerate(maps)])
+        assert got.dtype == want.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+        # a stack whose entries pick faces, as robust_inits scores poses
+        faces = r.integers(F, size=7)
+        x = r.integers(-3, W + 3, (7, L))
+        y = r.integers(-3, H + 3, (7, L))
+        got = stack_maps(maps, faces).read(np.arange(L), x, y)
+        want = np.stack([maps[f].read(np.arange(L), x[b], y[b]) for b, f in enumerate(faces)])
+        assert got.tobytes() == want.tobytes()
+        if not gray:
+            want = np.stack([m.peaks() for m in maps])
+            assert stack.peaks().reshape(want.shape).tobytes() == want.tobytes()
+            assert stack_maps(maps, faces).peaks().tobytes() == want[faces].tobytes()
+
+    def test_what_each_kind_stacks_into(self):
+        r = np.random.default_rng(3)
+        blobs = [face_maps("blobs", r, 4, 9, 7, 2.0, 0.1) for _ in range(3)]
+        stacked = stack_maps(blobs)
+        assert type(stacked) is BlobMaps and stacked.centres.shape == (3, 4, 2)
+        assert stack_maps(blobs[:1]) is blobs[0]
+        assert stack_maps(blobs[:1], [0, 0]).centres.shape == (2, 4, 2)
+        # rasters are held as they are, never copied
+        rasters = [face_maps("float32", r, 4, 9, 7, 0.0, 0.0) for _ in range(3)]
+        stacked = stack_maps(rasters)
+        assert type(stacked) is MapStack
+        assert all(a is b for a, b in zip(stacked.members, rasters))
+        # blobs of another sigma, and GrayMaps, are read face by face
+        other = BlobMaps(blobs[0].centres, 3.0, 0.1, (9, 7))
+        assert type(stack_maps(blobs + [other])) is MapStack
+        assert type(stack_maps([GrayMaps(b) for b in blobs])) is MapStack
+        with pytest.raises(FormatError, match="share a landmark count"):
+            stack_maps(blobs + [face_maps("blobs", r, 5, 9, 7, 2.0, 0.1)])

@@ -3,6 +3,7 @@ import json
 import re
 import struct
 import traceback
+import warnings
 from dataclasses import asdict, replace
 from importlib import resources
 
@@ -530,3 +531,22 @@ class TestFuzzedModelFile:
         except Exception:
             pytest.fail(f"{edit}: {traceback.format_exc()}")
         assert rc in (EXIT_OK, EXIT_DATA, EXIT_NUMERIC)
+
+    @pytest.mark.parametrize("edit", [
+        mutate(("flip", 231, 231, 231)),
+        set_array("mean_shape/coords", lambda a: np.where(a == a[2, 0], -1.3e120, a)),
+        set_array("mean_shape/coords", lambda a: a * 1e300),
+    ], ids=["flipped-byte", "one-absurd-x", "every-coordinate-1e300"])
+    def test_absurd_mean_shape_is_refused(self, fuzz_inputs, edit):
+        # a finite but absurd stored mean shape (the flipped byte stores x =
+        # -1.27e120) puts pattern points off the int64 pixel range: predict
+        # refuses the face, where a cast to pixels once warned and ran on
+        bad = fuzz_inputs / "bad.facm"
+        bad.write_bytes((fuzz_inputs / "mean.facm").read_bytes())
+        rewrite_model(bad, edit)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = run(["predict", "--model", str(bad), "--dataset",
+                      str(fuzz_inputs / "faces.jsonl"), "--out", str(fuzz_inputs / "out")])
+        assert rc in (EXIT_DATA, EXIT_NUMERIC)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
