@@ -6,6 +6,7 @@ early stopping, and visibility estimation stored on the leaves.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -56,10 +57,7 @@ class Tree:
 
     Child entries >= 0 index another internal node; negative entries
     encode leaf id ``~child``.  A tree may be a single leaf (no nodes).
-    ``leaf_ids`` walks it as a forest of one tree.
     """
-
-    n_trees = 1
 
     node_landmark: np.ndarray   # (n_nodes,) local landmark row in the part
     node_p1: np.ndarray
@@ -93,6 +91,12 @@ class PartModel:
     entries >= 0 index another node of the part; negative entries encode
     leaf row ``~child``.  ``roots`` holds each tree's root in the same
     encoding, so a single-leaf tree's root is ``~leaf``.
+
+    ``walk`` holds the tables ``leaf_ids`` walks, derived on the first
+    walk and never stored: the roots, and the left and right children of
+    every node, renumbered so that leaf row j is node ``n_nodes + j``, a
+    sink listed after the nodes whose two children are itself; and the
+    most internal nodes on any root-to-leaf path, the walk's rounds.
     """
 
     def __init__(self, landmarks, trees: list[Tree]):
@@ -111,9 +115,35 @@ class PartModel:
             setattr(pm, f, arrays[f])
         return pm
 
+    @cached_property
+    def walk(self) -> tuple:
+        n = len(self.node_tau)
+        sinks = np.arange(n, n + len(self.leaf_residual))
+        left, right = (np.concatenate([np.where(c >= 0, c, n + ~c), sinks])
+                       for c in (self.node_left, self.node_right))
+        return (np.where(self.roots >= 0, self.roots, n + ~self.roots), left, right,
+                _longest_path(self.roots, self.node_left, self.node_right))
+
     @property
     def n_trees(self) -> int:
         return len(self.roots)
+
+
+def _longest_path(roots, left, right) -> int:
+    """The most internal nodes on a root-to-leaf path of a forest in
+    PartModel's encoding. Each level counts a node once, so a node with
+    several parents, which ``_check_packed`` allows, costs no more; an
+    index out of range ends a path, and a cycle stops the count past
+    len(left) levels."""
+    n = min(len(left), len(right))
+    level, rounds = roots, 0
+    while rounds <= n:
+        level = np.unique(level[(level >= 0) & (level < n)])
+        if not len(level):
+            break
+        level = np.concatenate([left[level], right[level]])
+        rounds += 1
+    return rounds
 
 
 def _relocated(forests) -> dict:
@@ -129,19 +159,28 @@ def _relocated(forests) -> dict:
 def leaf_ids(part: PartModel, V: np.ndarray) -> np.ndarray:
     """V: (n, part_size, M) cached pattern reads -> (n, K) leaf rows, one
     per face and tree of the part. A stage forest reads V: (n, L, M), its
-    node landmarks being global ids."""
-    lm = part.node_landmark
-    go_left = V[:, lm, part.node_p1] - V[:, lm, part.node_p2] > part.node_tau
-    cur = np.repeat(part.roots[None], V.shape[0], axis=0)
-    flat = cur.reshape(-1)
-    active = np.flatnonzero(flat >= 0)
-    while len(active):
-        c = flat[active]
-        child = np.where(go_left[active // part.n_trees, c],
-                         part.node_left[c], part.node_right[c])
-        flat[active] = child
-        active = active[child >= 0]
-    return ~cur
+    node landmarks being global ids.
+
+    Every node's test is made once per face, a sink's being always false,
+    which picks each node's next node; the walk then takes a fixed number
+    of steps from the roots, one gather each, whatever depth each tree
+    has.
+    """
+    roots, left, right, rounds = part.walk
+    n, M = V.shape[0], V.shape[2]
+    nodes, width = len(part.node_tau), len(left)
+    flat = V.reshape(n, V.shape[1] * M)
+    row = part.node_landmark * M
+    go_left = np.zeros((n, width), dtype=bool)
+    np.greater(flat.take(row + part.node_p1, axis=1) - flat.take(row + part.node_p2, axis=1),
+               part.node_tau, out=go_left[:, :nodes])
+    # face f's nodes are entries f * width + node of the flat step table
+    start = np.arange(0, n * width, width)[:, None]
+    step = np.where(go_left, left, right) + start
+    cur = roots + start
+    for _ in range(rounds):
+        cur = step.take(cur)
+    return cur - (start + nodes)
 
 
 def _check_packed(pm: PartModel) -> None:
@@ -174,10 +213,12 @@ class PartsStage:
     """K trees for each of disjoint parts. Construction packs the parts
     into one forest over global landmark ids, so ``apply_stage`` traverses
     a stage once; ``forest.landmarks`` lists the covered landmarks part
-    after part, and its leaf rows are each part's padded to the widest.
+    after part, and its leaf rows are each part's steps, its leaf
+    residuals times ``shrinkage``, padded to the widest. It also builds
+    everything else of ``apply_stage`` that no face changes.
     ValueError for a part's packed arrays that ``_check_packed`` refuses,
-    no parts, parts with different tree counts, a shared landmark or leaf
-    rows of the wrong width.
+    no parts, a part with no trees, parts with different tree counts, a
+    shared landmark or leaf rows of the wrong width.
     """
 
     parts: list[PartModel]
@@ -190,6 +231,9 @@ class PartsStage:
             _check_packed(pm)
         if not parts or len({pm.n_trees for pm in parts}) > 1:
             raise ValueError("a stage needs one or more parts with the same tree count")
+        K = parts[0].n_trees
+        if K == 0:
+            raise ValueError("each part of a stage needs one or more trees")
         sizes = [len(pm.landmarks) for pm in parts]
         if any(pm.leaf_residual.shape[1:] != (2 * m,) or pm.leaf_visibility.shape[1:] != (m,)
                for pm, m in zip(parts, sizes)):
@@ -198,35 +242,41 @@ class PartsStage:
         if len(np.unique(covered)) < len(covered):
             raise ValueError("parts of a stage must not share a landmark")
         leaf_start = np.cumsum([0] + [len(pm.leaf_residual) for pm in parts])
-        residual = np.zeros((leaf_start[-1], 2 * max(sizes)))
+        steps = np.zeros((leaf_start[-1], 2 * max(sizes)))
         for pm, lo in zip(parts, leaf_start):
-            residual[lo:lo + len(pm.leaf_residual), :pm.leaf_residual.shape[1]] = pm.leaf_residual
+            steps[lo:lo + len(pm.leaf_residual), :pm.leaf_residual.shape[1]] = (
+                self.shrinkage * pm.leaf_residual)
         self.forest = PartModel.from_arrays(covered, {
             **_relocated(parts),
             "node_landmark": np.concatenate([pm.landmarks[pm.node_landmark] for pm in parts]),
             **{f: np.concatenate([getattr(pm, f) for pm in parts])
                for f in ("node_p1", "node_p2", "node_tau")},
-            "leaf_residual": residual,
+            "leaf_residual": steps,
             "leaf_visibility": None,
         })
-        K = parts[0].n_trees
         # per covered coordinate column: the forest tree of each of its
         # part's K trees, (K, columns), and its position in the part's rows
         part_of = np.repeat(np.arange(len(parts)), 2 * np.array(sizes))
         self.col_tree = part_of * K + np.arange(K)[:, None]
         self.col_pos = np.concatenate([np.arange(2 * m) for m in sizes])
+        # the closed form of K per-tree blends vis <- keep vis + leafvis / K:
+        # the start's factor and each tree's weight, the last tree's first
+        keep = 1.0 - 1.0 / K
+        self.vis_keep = keep ** K
+        self.vis_weights = (1.0 / K) * keep ** np.arange(K - 1, -1, -1)
         # per part size m, for visibility: the (g, K) forest leaf columns
-        # of its g parts, each part's shift from forest leaf row to a row
-        # of their stacked leaf_visibility, those rows and the (g, m)
-        # landmark ids
+        # of its g parts and their stacked leaf_visibility rows; vis_row
+        # maps each forest leaf row to its row in the stack of its part's
+        # size, and vis_landmarks lists the parts' landmarks group by group
         self.vis_groups = []
-        for m in dict.fromkeys(sizes):
-            qs = [q for q, size in enumerate(sizes) if size == m]
-            lv = [parts[q].leaf_visibility for q in qs]
-            shift = np.cumsum([0] + [len(v) for v in lv[:-1]]) - leaf_start[qs]
-            self.vis_groups.append((np.array(qs)[:, None] * K + np.arange(K), shift[:, None],
-                                    np.concatenate(lv),
-                                    np.stack([parts[q].landmarks for q in qs])))
+        self.vis_row = np.empty(leaf_start[-1], dtype=np.int64)
+        groups = [[q for q, size in enumerate(sizes) if size == m] for m in dict.fromkeys(sizes)]
+        for qs in groups:
+            at = np.concatenate([np.arange(leaf_start[q], leaf_start[q + 1]) for q in qs])
+            self.vis_row[at] = np.arange(len(at))
+            self.vis_groups.append((np.array(qs)[:, None] * K + np.arange(K),
+                                    np.concatenate([parts[q].leaf_visibility for q in qs])))
+        self.vis_landmarks = np.concatenate([parts[q].landmarks for qs in groups for q in qs])
 
 
 # the values of a model's init_mode and feature_mode
@@ -280,8 +330,10 @@ def best_split(residuals: np.ndarray, features: np.ndarray, tau: np.ndarray):
     candidates within SHORTLIST_TOL·Σ‖r‖² of the lowest score get the
     mean-centred cost ``_branch_cost(left) + _branch_cost(right)``, in
     index order, so the winner and its cost are those of scoring every
-    candidate that way.  Returns (best_index, cost, left_mask, left_cost,
-    right_cost), cost being left_cost + right_cost.
+    candidate that way.  A shortlisted candidate whose partition an
+    earlier one made, with either side as the left, is skipped: it would
+    cost the same bits and lose the tie.  Returns (best_index, cost,
+    left_mask, left_cost, right_cost), cost being left_cost + right_cost.
     """
     masks = features > tau[:, None]
     n_left = masks.sum(axis=1)
@@ -293,8 +345,15 @@ def best_split(residuals: np.ndarray, features: np.ndarray, tau: np.ndarray):
             + np.where(n_right > 0, (s_right * s_right).sum(axis=1) / np.maximum(n_right, 1), 0.0))
     score = total - gain
     best_idx, best_cost, branches = -1, np.inf, None
-    for c in np.flatnonzero(score <= score.min() + SHORTLIST_TOL * total):
+    shortlist = np.flatnonzero(score <= score.min() + SHORTLIST_TOL * total)
+    seen = set()
+    for c in shortlist:
         m = masks[c]
+        if len(shortlist) > 1:
+            key = m.tobytes()
+            if key in seen:
+                continue
+            seen.update((key, (~m).tobytes()))
         left, right = _branch_cost(residuals[m]), _branch_cost(residuals[~m])
         if left + right < best_cost:
             best_idx, best_cost, branches = int(c), left + right, (left, right)
@@ -317,7 +376,7 @@ def fit_node(residuals: np.ndarray, candidates: list[SplitParams],
 
 
 def fit_tree(residuals, ann_mask, gt_vis, V, part_global, cfg: TrainConfig,
-             rng: np.random.Generator, pattern_size: int, cols) -> Tree:
+             rng: np.random.Generator, pattern_size: int, cols, face_leaf=None) -> Tree:
     """Greedily fit one regression tree on the given sample rows.
 
     residuals/ann_mask: (n, d) with d = part_size*2; gt_vis: (n, part_size).
@@ -327,6 +386,9 @@ def fit_tree(residuals, ann_mask, gt_vis, V, part_global, cfg: TrainConfig,
     last level draws its candidates from ``rng`` and splits on
     ``best_split``, or becomes a leaf when no candidate lowers its cost;
     nodes are numbered in preorder and leaves in the order they are made.
+    The faces of V outside cols go through each split's test along with
+    the rows, and ``face_leaf``, an (N,) int64 array when given, receives
+    every face's leaf, the one ``leaf_ids`` would pick.
 
     The candidates and the generator's final state are those of one
     ``draw_candidates`` call per drawing node, in preorder. They are drawn
@@ -345,11 +407,16 @@ def fit_tree(residuals, ann_mask, gt_vis, V, part_global, cfg: TrainConfig,
     drawn = draw_candidates(C * room, P, M, cfg.tau_range, rng) if room else None
     used = 0
     nodes, leaf_residual, leaf_visibility = [], [], []
-    # depth first, left before right: (rows, depth, parent node, child
-    # slot, the rows' branch cost)
-    stack = [(np.arange(len(residuals)), 0, None, None, _branch_cost(residuals))]
+    if face_leaf is None:
+        face_leaf = np.empty(N, dtype=np.int64)
+    others = np.ones(N, dtype=bool)
+    others[cols] = False
+    # depth first, left before right: (rows, the other faces, depth,
+    # parent node, child slot, the rows' branch cost)
+    stack = [(np.arange(len(residuals)), np.flatnonzero(others), 0, None, None,
+              _branch_cost(residuals))]
     while stack:
-        idx, depth, parent, slot, cost = stack.pop()
+        idx, rest, depth, parent, slot, cost = stack.pop()
         split = None
         if depth < cfg.depth and len(idx) >= 2:
             lm, p1, p2, tau = (v[used * C:(used + 1) * C] for v in drawn)
@@ -367,12 +434,15 @@ def fit_tree(residuals, ann_mask, gt_vis, V, part_global, cfg: TrainConfig,
             den = ann_mask[idx].sum(axis=0)
             leaf_residual.append(np.where(den > 0, num / np.maximum(den, 1), 0.0))
             leaf_visibility.append(gt_vis[idx].mean(axis=0))
+            face_leaf[cols[idx]] = face_leaf[rest] = len(leaf_residual) - 1
             child = ~(len(leaf_residual) - 1)
         else:
             child = len(nodes)
             nodes.append(split)
-            stack.append((idx[~mask], depth + 1, split, 5, right_cost))
-            stack.append((idx[mask], depth + 1, split, 4, left_cost))
+            go_left = (np.take(V, (lm[best] * M + p1[best]) * N + rest)
+                       - np.take(V, (lm[best] * M + p2[best]) * N + rest)) > tau[best]
+            stack.append((idx[~mask], rest[~go_left], depth + 1, split, 5, right_cost))
+            stack.append((idx[mask], rest[go_left], depth + 1, split, 4, left_cost))
         if parent is not None:
             parent[slot] = child
     if used < room:
@@ -408,15 +478,15 @@ def train_parts(gt_coords, ann, gt_vis, coords, V, parts, K, nu, eta,
     VTp = [np.ascontiguousarray(V[:, p, :].reshape(N, -1).T) for p in parts]
     W2p = [np.repeat(ann[:, p], 2, axis=1).astype(np.float64) for p in parts]
     trees = [[] for _ in parts]
+    leaf = np.empty(N, dtype=np.int64)  # each face's leaf in the latest tree
     for _k in range(K):
         for p, VT, W2, part_trees in zip(parts, VTp, W2p, trees):
             residual = ((gt_coords[:, p, :] - coords[:, p, :]).reshape(N, -1) * W2)
             sub = np.sort(rng.choice(N, size=m, replace=False))
             tree = fit_tree(
                 residual[sub], W2[sub], gt_vis[np.ix_(sub, p)], VT,
-                p, cfg, rng, V.shape[2], cols=sub,
+                p, cfg, rng, V.shape[2], cols=sub, face_leaf=leaf,
             )
-            leaf = leaf_ids(tree, VT.T.reshape(N, len(p), -1))[:, 0]
             coords[:, p, :] += nu * tree.leaf_residual[leaf].reshape(N, len(p), 2)
             part_trees.append(tree)
     return PartsStage(parts=[PartModel(p, t) for p, t in zip(parts, trees)],
@@ -428,10 +498,10 @@ def apply_stage(stage: PartsStage, V, coords, vis=None) -> None:
 
     V: (n, L, M) pattern reads; coords: (n, L, 2); vis: (n, L) or None.
     One traversal of the stage forest gives every tree's leaf, and one
-    gather the (K, n, columns) shrunk steps. Each column adds its part's K
-    steps one tree after the other, the order training added them in.
-    Visibility gets, one matmul per part size, the closed form of the
-    per-tree blend ``vis <- (1 - 1/K) vis + leafvis/K``, a convex
+    flat gather the (K, n, columns) shrunk steps. Each column adds its
+    part's K steps one tree after the other, the order training added
+    them in. Visibility gets, one matmul per part size, the closed form of
+    the per-tree blend ``vis <- (1 - 1/K) vis + leafvis/K``, a convex
     combination, so it stays in [0, 1] up to rounding; ``predict`` clips
     its result.
     """
@@ -439,20 +509,20 @@ def apply_stage(stage: PartsStage, V, coords, vis=None) -> None:
     forest, cov = stage.forest, stage.forest.landmarks
     leaf = leaf_ids(forest, V)  # (n, parts * K) forest leaf rows
     rows = leaf[:, stage.col_tree].transpose(1, 0, 2)  # (K, n, columns)
-    steps = stage.shrinkage * forest.leaf_residual[rows, stage.col_pos]
+    steps = forest.leaf_residual.take(rows * forest.leaf_residual.shape[1] + stage.col_pos)
     start = coords[:, cov, :].reshape(1, n, -1)
     # summing over the leading axis adds one row after the other, the
     # same additions as training's per-tree +=, so coords match bit for bit
     coords[:, cov, :] = np.concatenate([start, steps]).sum(axis=0).reshape(n, -1, 2)
     if vis is not None:
-        K = stage.col_tree.shape[0]
-        keep = 1.0 - 1.0 / K
-        weights = (1.0 / K) * keep ** np.arange(K - 1, -1, -1)
-        for cols, shift, leaf_vis, p in stage.vis_groups:
-            # each (K,) @ (K, m) item of the C-ordered (n, g, K, m) stack
-            # (take keeps C order, leaf[:, cols] would not) is one part's
-            # product, with the BLAS call and rounding of a part on its own
-            vis[:, p] = keep ** K * vis[:, p] + weights @ leaf_vis[leaf.take(cols, axis=1) + shift]
+        vis_rows = stage.vis_row[leaf]
+        # each (K,) @ (K, m) item of a C-ordered (n, g, K, m) stack (take
+        # keeps C order, vis_rows[:, cols] would not) is one part's
+        # product, with the BLAS call and rounding of a part on its own
+        blends = [(stage.vis_weights @ leaf_vis[vis_rows.take(cols, axis=1)]).reshape(n, -1)
+                  for cols, leaf_vis in stage.vis_groups]
+        p = stage.vis_landmarks
+        vis[:, p] = stage.vis_keep * vis[:, p] + np.concatenate(blends, axis=1)
 
 
 def feature_maps(maps, feature_mode: str):

@@ -91,12 +91,13 @@ class ProbabilityMaps:
 
 
 def _gather(grids: np.ndarray, landmarks, x, y) -> np.ndarray:
-    x, y = np.asarray(x), np.asarray(y)
-    L, H, W = grids.shape
-    ok = (x >= 0) & (x < W) & (y >= 0) & (y < H)
-    idx = np.where(ok, y * W + x, 0)
-    # one gather for every read; out-of-bounds reads become 0
-    return (grids.reshape(L, -1)[landmarks, idx] * ok).astype(np.float64, copy=False)
+    x, y = np.asarray(x, dtype=np.int64), np.asarray(y, dtype=np.int64)
+    H, W = grids.shape[1:]
+    # as unsigned integers, negative pixels lie past every map edge
+    ok = (x.view(np.uint64) < W) & (y.view(np.uint64) < H)
+    idx = np.where(ok, y * W + x, 0) + np.asarray(landmarks) * (H * W)
+    # one flat gather for every read; out-of-bounds reads become 0
+    return (grids.reshape(-1).take(idx) * ok).astype(np.float64, copy=False)
 
 
 class BlobMaps:

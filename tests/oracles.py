@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from facealign.cascade import Tree, _branch_cost, best_split, feature_maps, leaf_ids
+from facealign.cascade import SHORTLIST_TOL, Tree, _branch_cost, best_split, feature_maps
 from facealign.errors import FitError, FormatError, NumericError
 from facealign.features import draw_candidates, extract_pattern_values
 from facealign.pose import MAX_ITER, ORTHONORMAL_TOL, STEP_TOL, PoseFits, default_center
@@ -28,13 +28,51 @@ def extract_stage_features_per_face(dataset, coords, maps_provider, pattern, sca
         for i, s in enumerate(dataset.samples)])
 
 
+def leaf_ids_active_set(part, V) -> np.ndarray:
+    """cascade.leaf_ids as the active-set loop it replaced: each round
+    moves only the (face, tree) pairs still at a node, until none is."""
+    lm = part.node_landmark
+    go_left = V[:, lm, part.node_p1] - V[:, lm, part.node_p2] > part.node_tau
+    cur = np.repeat(part.roots[None], V.shape[0], axis=0)
+    flat = cur.reshape(-1)
+    active = np.flatnonzero(flat >= 0)
+    while len(active):
+        c = flat[active]
+        child = np.where(go_left[active // part.n_trees, c],
+                         part.node_left[c], part.node_right[c])
+        flat[active] = child
+        active = active[child >= 0]
+    return ~cur
+
+
+def best_split_every_shortlisted(residuals, features, tau):
+    """cascade.best_split as it was before it skipped repeated partitions:
+    every shortlisted candidate gets its mean-centred cost."""
+    masks = features > tau[:, None]
+    n_left = masks.sum(axis=1)
+    n_right = len(residuals) - n_left
+    s_left = masks.astype(np.float64) @ residuals
+    s_right = residuals.sum(axis=0) - s_left
+    total = float(np.vdot(residuals, residuals))
+    gain = (np.where(n_left > 0, (s_left * s_left).sum(axis=1) / np.maximum(n_left, 1), 0.0)
+            + np.where(n_right > 0, (s_right * s_right).sum(axis=1) / np.maximum(n_right, 1), 0.0))
+    score = total - gain
+    best_idx, best_cost, branches = -1, np.inf, None
+    for c in np.flatnonzero(score <= score.min() + SHORTLIST_TOL * total):
+        m = masks[c]
+        left, right = _branch_cost(residuals[m]), _branch_cost(residuals[~m])
+        if left + right < best_cost:
+            best_idx, best_cost, branches = int(c), left + right, (left, right)
+    return best_idx, best_cost, masks[best_idx], *branches
+
+
 def apply_stage_per_part(stage, V, coords, vis=None) -> None:
-    """apply_stage one part at a time: a traversal of each part's own
-    forest and a stacked sum over each part's columns."""
+    """apply_stage one part at a time: an active-set traversal of each
+    part's own forest and a stacked sum over each part's columns."""
     n = coords.shape[0]
     for pm in stage.parts:
         p = pm.landmarks
-        leaf = leaf_ids(pm, V[:, p, :])
+        leaf = leaf_ids_active_set(pm, V[:, p, :])
         steps = stage.shrinkage * pm.leaf_residual[leaf.T]  # (K, n, 2 * part_size)
         start = coords[:, p, :].reshape(1, n, -1)
         coords[:, p, :] = np.concatenate([start, steps]).sum(axis=0).reshape(n, len(p), 2)

@@ -20,6 +20,7 @@ from facealign.cascade import (
     best_split,
     extract_stage_features,
     fit_node,
+    fine_parts,
     fit_tree,
     leaf_ids,
     make_initializer,
@@ -34,12 +35,14 @@ from facealign.errors import FormatError, NumericError
 from facealign.features import SplitParams, draw_candidates, extract_pattern_values
 from facealign.heatmaps import BlobMaps, ProbabilityMaps, SynthConfig, write_maps
 from facealign.metrics import nme_percent, normalizer
+from facealign.modelio import load_model, save_model
 from facealign.pipeline import RunConfig, train_model
 from facealign.pose import INIT_CHUNK, anchor_shape, bbox_center, mean_shape_init, robust_init
 from facealign.shapes import Dataset
 from facealign.synthetic import (CorpusConfig, FileMapSource, SyntheticMapSource,
                                  generate_corpus)
-from oracles import apply_stage_per_part, extract_stage_features_per_face, fit_tree_per_node
+from oracles import (apply_stage_per_part, best_split_every_shortlisted,
+                     extract_stage_features_per_face, fit_tree_per_node, leaf_ids_active_set)
 
 
 def cand(tau, p1=0, p2=1, landmark=0):
@@ -162,6 +165,32 @@ class TestBestSplitOracle:
         np.testing.assert_array_equal(mask, ref_mask)
         tau = np.array([c.tau for c in cands])
         assert best_split(res, F, tau)[:2] == (best, cost)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 7), d=st.integers(1, 4),
+           C=st.integers(2, 200), exponent=st.integers(-6, 3),
+           kind=st.sampled_from(["normal", "constant", "integer"]))
+    def test_repeated_partitions_cost_once(self, seed, n, d, C, exponent, kind):
+        # few rows and many candidates, most of them a partition another
+        # made, its complement or a one-sided split: skipping the repeats
+        # leaves every output bit as costing each shortlisted candidate
+        r = np.random.default_rng(seed)
+        res = r.normal(size=(n, d)) * 10.0 ** exponent
+        if kind == "constant":
+            res = np.tile(res[:1], (n, 1))
+        elif kind == "integer":
+            res = r.integers(-2, 3, size=(n, d)) * 10.0 ** exponent
+        F = r.integers(-3, 4, size=(C, n)).astype(np.float64)
+        tau = r.integers(-3, 3, size=C) + 0.5
+        # a complement: -F > -tau exactly where F < tau, and no F equals tau
+        flip = r.random(C) < 0.3
+        F[flip], tau[flip] = -F[flip], -tau[flip]
+        got = best_split(res, F, tau)
+        want = best_split_every_shortlisted(res, F, tau)
+        assert got[0] == want[0]
+        assert [float(v).hex() for v in got[1:2] + got[3:]] == \
+            [float(v).hex() for v in want[1:2] + want[3:]]
+        np.testing.assert_array_equal(got[2], want[2])
 
     def test_all_to_one_side(self):
         # every candidate leaves one side empty: the cost is the whole
@@ -311,6 +340,25 @@ class TestFitTreeOracle:
             assert a.dtype == b.dtype and a.shape == b.shape, f
             assert a.tobytes() == b.tobytes(), f
         assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), N=st.integers(1, 60), part_size=st.integers(1, 3),
+           M=st.integers(2, 9), depth=st.integers(0, 5), decimals=st.sampled_from([None, 0]))
+    def test_face_leaf_is_the_walks_leaf(self, seed, N, part_size, M, depth, decimals):
+        # every face of the table, in the subsample or not, gets the leaf
+        # a walk of the finished tree picks
+        r = np.random.default_rng(seed)
+        V = r.normal(size=(N, part_size, M))
+        if decimals is not None:
+            V = np.round(V, decimals)  # faces on a threshold's either side
+        sub = np.sort(r.choice(N, size=int(r.integers(1, N + 1)), replace=False))
+        res = r.normal(size=(len(sub), 2 * part_size))
+        face_leaf = np.full(N, -1)
+        tree = fit_tree(res, np.ones_like(res), r.random((len(sub), part_size)), table(V),
+                        np.arange(part_size), leaf_cfg(depth=depth, candidates_per_node=6),
+                        np.random.default_rng(seed), M, cols=sub, face_leaf=face_leaf)
+        want = leaf_ids_active_set(PartModel(np.arange(part_size), [tree]), V)[:, 0]
+        assert face_leaf.tobytes() == want.tobytes()
 
     def test_leaves_no_garbage_cycles(self):
         # a tree fit frees its reads and residuals when it returns, not at
@@ -477,6 +525,34 @@ def random_tree(r, part_size, M, max_depth) -> Tree:
     )
 
 
+def chain_tree(r, part_size, M, length) -> Tree:
+    """A tree of length nodes, each with a leaf on one side and the next
+    node on the other, in fit_tree's preorder layout."""
+    lm = r.integers(0, part_size, size=length)
+    p1 = r.integers(0, M, size=length)
+    p2 = (p1 + 1 + r.integers(0, M - 1, size=length)) % M
+    node, leaf = np.arange(1, length + 1), ~np.arange(length + 1)
+    # the last node's inner child is the final leaf
+    node[-1] = leaf[-1]
+    inner_left = r.random(length) < 0.5
+    return Tree(
+        node_landmark=lm, node_p1=p1, node_p2=p2,
+        node_tau=np.round(r.uniform(-0.2, 0.2, size=length), 1),
+        node_left=np.where(inner_left, node, leaf[:-1]),
+        node_right=np.where(inner_left, leaf[:-1], node),
+        leaf_residual=r.normal(size=(length + 1, part_size * 2)),
+        leaf_visibility=r.uniform(size=(length + 1, part_size)),
+    )
+
+
+def tree_depth(tree, node=0) -> int:
+    """The most internal nodes on a root-to-leaf path of a lone tree."""
+    if tree.n_nodes == 0 or node < 0:
+        return 0
+    return 1 + max(tree_depth(tree, tree.node_left[node]),
+                   tree_depth(tree, tree.node_right[node]))
+
+
 def single_leaf_tree(part_size=3):
     return Tree(
         node_landmark=np.zeros(0, np.int64), node_p1=np.zeros(0, np.int64),
@@ -513,12 +589,13 @@ class TestTraversal:
     @given(seed=st.integers(0, 2 ** 32 - 1), n_faces=st.integers(1, 8),
            part_size=st.integers(1, 4), max_depth=st.integers(0, 5))
     def test_a_tree_walks_as_a_forest_of_one(self, seed, n_faces, part_size, max_depth):
-        # train_parts walks each new tree without packing it
+        # a one-tree part walks to the leaf the one-node-at-a-time oracle
+        # reaches
         r = np.random.default_rng(seed)
         tree = random_tree(r, part_size, 43, max_depth)
         V = r.uniform(size=(n_faces, part_size, 43))
-        want = leaf_ids(PartModel(np.arange(part_size), [tree]), V)
-        assert leaf_ids(tree, V).tobytes() == want.tobytes()
+        leaves = leaf_ids(PartModel(np.arange(part_size), [tree]), V)
+        assert leaves.tolist() == [[leaf_id_single(tree, v)] for v in V]
 
     def test_zero_node_tree(self):
         tree = single_leaf_tree()
@@ -526,6 +603,58 @@ class TestTraversal:
         pm = PartModel(np.arange(3), [tree, tree])
         np.testing.assert_array_equal(pm.roots, [~0, ~1])
         np.testing.assert_array_equal(leaf_ids(pm, np.zeros((5, 3, 43))), [[0, 1]] * 5)
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_trees=st.integers(1, 6),
+           n_faces=st.sampled_from([0, 1, 2, 7]), part_size=st.integers(1, 4),
+           max_depth=st.integers(0, 6), chain=st.integers(0, 24),
+           lone_leaves=st.integers(0, 3), quantised=st.booleans())
+    def test_equals_active_set(self, seed, n_trees, n_faces, part_size, max_depth, chain,
+                               lone_leaves, quantised):
+        # the fixed-round walk picks the active-set loop's leaves bit for
+        # bit: irregular trees, a chain deeper than any trained tree,
+        # single-leaf trees anywhere, and zero, one or many faces
+        r = np.random.default_rng(seed)
+        M = 43
+        trees = [random_tree(r, part_size, M, max_depth) for _ in range(n_trees)]
+        if chain:
+            trees.append(chain_tree(r, part_size, M, chain))
+        for _ in range(lone_leaves):
+            trees.insert(int(r.integers(0, len(trees) + 1)), single_leaf_tree(part_size))
+        trees = [trees[k] for k in r.permutation(len(trees))]
+        V = r.uniform(-0.2, 0.2, size=(n_faces, part_size, M))
+        if quantised:
+            V = np.round(V, 1)  # differences equal to a threshold
+        pm = PartModel(np.arange(part_size), trees)
+        assert pm.walk[3] == max(tree_depth(t) for t in trees)  # the walk's rounds
+        want = leaf_ids_active_set(pm, V)
+        got = leaf_ids(pm, V)
+        assert got.dtype == want.dtype and got.shape == want.shape == (n_faces, len(trees))
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n_faces", [0, 1, 5])
+    def test_stage_forests_of_trained_and_loaded_models(self, tiny_corpus, pattern, tmp_path,
+                                                        n_faces):
+        # every stage forest of a trained model, and of the same model
+        # saved and loaded, walks as the active-set loop walks it
+        r = np.random.default_rng(n_faces)
+        L, M = 24, len(pattern)
+        gt, _, _, coords, _ = TestTrainParts().setup_problem(seed=6, N=20, L=L, M=M)
+        cfg = TrainConfig(depth=4, candidates_per_node=10, subsample=0.6)
+        stages = [train_parts(gt, np.ones((20, L), np.uint8), np.ones((20, L)), coords,
+                              r.uniform(size=(20, L, M)), parts, 5, 0.3, 0.6, cfg,
+                              np.random.default_rng(t), 1.0)
+                  for t, parts in enumerate([[np.arange(L)], fine_parts(tiny_corpus.schema)])]
+        mean = mean_shape_init(tiny_corpus)
+        model = CascadeModel(stages=stages, init_mode="mean", feature_mode="heatmap",
+                             schema=tiny_corpus.schema, mean_shape=mean, pattern=pattern,
+                             config=cfg)
+        save_model(model, tmp_path / "m.facm")
+        loaded = load_model(tmp_path / "m.facm")
+        V = r.uniform(size=(n_faces, L, M))
+        for stage in stages + loaded.stages:
+            want = leaf_ids_active_set(stage.forest, V)
+            assert leaf_ids(stage.forest, V).tobytes() == want.tobytes()
 
 
 class TestStageFeatures:
@@ -728,7 +857,8 @@ class TestStageForest:
         parts = [PartModel(ids[lo:lo + m], [random_tree(r, m, M, 3) for _ in range(K)])
                  for lo, m in zip(np.cumsum([0] + sizes), sizes)]
         stage = PartsStage(parts, 0.3, 1.0)
-        assert [g[3].shape for g in stage.vis_groups] == [(3, 2), (2, 3), (1, 1)]
+        # (parts, size) of each group
+        assert [(len(g[0]), g[1].shape[1]) for g in stage.vis_groups] == [(3, 2), (2, 3), (1, 1)]
         V = r.uniform(size=(n, len(ids), M))
         coords, vis = r.uniform(0, 160, size=(n, len(ids), 2)), r.uniform(size=(n, len(ids)))
         want_coords, want_vis = coords.copy(), vis.copy()
@@ -763,7 +893,7 @@ class TestStageForest:
             "visibility-above-1", "nan-visibility"])
     def test_rejects_packed_arrays_leaf_ids_cannot_walk(self, arrays, message):
         # one node over two leaves, with one array replaced; a node that is
-        # its own child would make leaf_ids loop for ever
+        # its own child would trap a walk short of a leaf
         one_node = {"node_landmark": [0], "node_p1": [0], "node_p2": [1], "node_tau": [0.0],
                     "node_left": [~0], "node_right": [~1], "leaf_residual": np.zeros((2, 4)),
                     "leaf_visibility": np.zeros((2, 2))}

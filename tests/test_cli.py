@@ -1,18 +1,20 @@
 import argparse
 import json
 import struct
+import tempfile
 import traceback
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from facealign import default_model3d, default_schema, pipeline
 from facealign.cascade import predict
 from facealign.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, _config_from_args, build_parser, run
 from facealign.errors import DataError
-from facealign.heatmaps import ProbabilityMaps, read_maps, write_maps
+from facealign.heatmaps import MAP_MAGIC, ProbabilityMaps, read_maps, write_maps
 from facealign.metrics import nme, normalizer
 from facealign.pipeline import RunConfig
 from facealign.pose import Model3D
@@ -694,6 +696,77 @@ class TestPipelineCommands:
         assert not (tmp_path / "out" / "model.facm").exists()
 
 
+@pytest.fixture(scope="module")
+def mean_model(workdir):
+    """A mean-init model trained on the workdir's faces."""
+    d, cfg, out = workdir
+    assert run(["train", "--config", str(cfg), "--init", "mean",
+                "--dataset", str(out / "annotations.jsonl"), "--out", str(d / "mean")]) == EXIT_OK
+    return d / "mean" / "model.facm"
+
+
+# a .fapm file: magic, then version, L, H and W as int32, then the payload
+HEADER_FIELDS = ("version", "L", "H", "W")
+HEAD = len(MAP_MAGIC) + 4 * len(HEADER_FIELDS)
+MAP_MUTATIONS = st.one_of(
+    st.tuples(st.just("magic"), st.binary(min_size=4, max_size=4)),
+    st.tuples(st.sampled_from(HEADER_FIELDS), st.integers(-2 ** 31, 2 ** 31 - 1)),
+    st.tuples(st.just("payload"), st.tuples(
+        st.integers(0, 2 ** 31),
+        st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, -1.0])
+        | st.floats(max_value=-1.0, allow_infinity=False, width=32))),
+    st.tuples(st.just("truncate"), st.integers(0, 2 ** 31)),
+    st.tuples(st.just("trailing"), st.binary(min_size=1, max_size=8)),
+)
+
+
+def mutated(data: bytes, kind, value) -> bytes:
+    """data, a .fapm file, with one change of MAP_MUTATIONS."""
+    if kind == "magic":
+        return value + data[len(MAP_MAGIC):]
+    if kind in HEADER_FIELDS:
+        at = len(MAP_MAGIC) + 4 * HEADER_FIELDS.index(kind)
+        return data[:at] + struct.pack("<i", value) + data[at + 4:]
+    if kind == "payload":
+        at = HEAD + 4 * (value[0] % ((len(data) - HEAD) // 4))
+        return data[:at] + struct.pack("<f", value[1]) + data[at + 4:]
+    if kind == "truncate":
+        return data[:value % len(data)]
+    return data + value
+
+
+class TestFuzzedMapFile:
+    @settings(max_examples=12, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(mutation=MAP_MUTATIONS)
+    @example(mutation=("magic", b"FAPN"))
+    @example(mutation=("version", 2))
+    @example(mutation=("L", 25))
+    @example(mutation=("H", -160))
+    @example(mutation=("W", 0))
+    @example(mutation=("payload", (7, float("nan"))))
+    @example(mutation=("payload", (7, float("inf"))))
+    @example(mutation=("payload", (7, -float("inf"))))
+    @example(mutation=("payload", (7, -0.5)))
+    @example(mutation=("payload", (7, -0.0)))
+    @example(mutation=("truncate", 100))
+    @example(mutation=("trailing", b"\0"))
+    def test_eval_exits_with_a_documented_code(self, workdir, map_faces, mean_model, capsys,
+                                                mutation):
+        # one map file of the faces changed once: eval with a mean model
+        # ends in 0, 2 or 3, never in an exception
+        _, cfg, _ = workdir
+        with tempfile.TemporaryDirectory() as tmp:
+            maps = damaged_maps(map_faces, Path(tmp) / "maps",
+                                lambda path: path.write_bytes(mutated(path.read_bytes(),
+                                                                      *mutation)))
+            rc = run(["eval", "--config", str(cfg), "--dataset",
+                      str(map_faces / "annotations.jsonl"), "--maps-dir", str(maps),
+                      "--model", str(mean_model), "--out", str(Path(tmp) / "out")])
+        assert rc in (EXIT_OK, EXIT_DATA, EXIT_NUMERIC)
+        assert "Traceback" not in capsys.readouterr().err
+
+
 class Probe:
     """Command lines over the workdir's faces and model, with edited copies
     of either written under tmp."""
@@ -872,6 +945,9 @@ PROBES = [
       for name, rank, tag in (("mean_shape/coords", 2, "mean-coords"),
                               ("mean_shape/visibility", 1, "mean-visibility"),
                               ("pattern/offsets", 2, "offsets"))],
+    pytest.param(model_with_array("s0/p0/roots", lambda a: a[:0]), EXIT_DATA,
+                 "stage 0: each part of a stage needs one or more trees",
+                 id="model-forest-no-trees"),
     pytest.param(model_with_array("s0/p0/leaf_residual", lambda a: np.full_like(a, np.nan)),
                  EXIT_DATA, "stage 0: node_tau and leaf_residual must be finite",
                  id="model-forest-nan-leaves"),

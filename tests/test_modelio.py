@@ -361,6 +361,14 @@ def cut_mean_shape(header, arrays):
     arrays.update({k: v[:20] for k, v in arrays.items() if k.startswith("mean_shape/")})
 
 
+def without_trees(si):
+    """A model edit that stores every part of stage si with no trees."""
+    def edit(header, arrays):
+        for name in [k for k in arrays if k.startswith(f"s{si}/") and k.endswith("/roots")]:
+            arrays[name] = np.zeros(0, dtype=np.int64)
+    return edit
+
+
 class TestStoredValues:
     # one value per field prediction reads that used to load and make eval
     # report nme: nan, or end in an IndexError
@@ -374,9 +382,11 @@ class TestStoredValues:
         (set_stage(1, scale=0.0), "stage 1 scale must be a finite number > 0"),
         (cut_mean_shape, "the stored mean shape must have the schema's 24 landmarks"),
         (nan_first("mean_shape/coords"), "the stored mean shape must have the schema's 24"),
+        (without_trees(0), "stage 0: each part of a stage needs one or more trees"),
+        (without_trees(1), "stage 1: each part of a stage needs one or more trees"),
     ], ids=["nan-threshold", "nan-residual", "nan-visibility", "visibility-above-1",
             "nan-shrinkage", "nan-scale", "zero-scale", "mean-shape-20-rows",
-            "nan-mean-shape"])
+            "nan-mean-shape", "no-trees-coarse", "no-trees-fine"])
     def test_rejected(self, trained, tmp_path, edit, message):
         p = tmp_path / "bad.facm"
         save_model(trained[0], p)
