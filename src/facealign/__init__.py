@@ -5,7 +5,7 @@ trees, plus a synthetic corpus generator and evaluation harness.
 
 from importlib import resources
 
-from .cascade import CascadeModel, TrainConfig, predict, train_cascade
+from .cascade import CascadeModel, TrainConfig, predict, predict_faces, train_cascade
 from .features import FreakPattern, SplitParams, default_pattern
 from .heatmaps import ProbabilityMaps, SynthConfig, read_maps, smooth, synthesize, write_maps
 from .metrics import EvalReport, GroundTruth, auc_fr, evaluate, nme, normalizer, occlusion_pr

@@ -10,8 +10,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (BOOL, FINITE, FRACTION, DataError, FormatError, InitError, at_least, check,
-                     real_range, setting)
+from .errors import (BOOL, FINITE, FRACTION, DataError, FormatError, at_least, check, real_range,
+                     setting)
 from .features import (
     DEFAULT_TAU_RANGE,
     STAGE_SCALE_FLOOR,
@@ -24,7 +24,8 @@ from .features import (
 )
 from .heatmaps import GrayMaps, stack_maps
 from .metrics import GroundTruth
-from .pose import INIT_CHUNK, Model3D, anchor_shape, bbox_center, consensus_inits, robust_init
+from .pose import INIT_CHUNK, Model3D, anchor_shape, bbox_center, consensus_inits, robust_inits
+from .pose import robust_init  # noqa: F401  (facebench/tracing.py wraps it by this name)
 from .shapes import Dataset, LandmarkSchema, Shape
 
 
@@ -502,8 +503,8 @@ def apply_stage(stage: PartsStage, V, coords, vis=None) -> None:
     part's K steps one tree after the other, the order training added
     them in. Visibility gets, one matmul per part size, the closed form of
     the per-tree blend ``vis <- (1 - 1/K) vis + leafvis/K``, a convex
-    combination, so it stays in [0, 1] up to rounding; ``predict`` clips
-    its result.
+    combination, so it stays in [0, 1] up to rounding; ``predict_faces``
+    clips its result.
     """
     n = coords.shape[0]
     forest, cov = stage.forest, stage.forest.landmarks
@@ -671,38 +672,40 @@ def train_cascade(train: Dataset, val: Dataset, maps_provider, init_fn,
     )
 
 
-def predict(model: CascadeModel, maps, bbox,
-            seed: int | None = None) -> Prediction:
-    """Run the full cascade on one face; deterministic for fixed inputs.
-
-    Maps whose landmark count differs from the model's schema raise
-    FormatError.
-    """
+def predict_faces(model: CascadeModel, maps_list, bboxes,
+                  seed: int | None = None) -> list[Prediction]:
+    """The full cascade on F faces at once, each getting bitwise what it
+    gets alone: their feature maps stacked once, one pattern read and one
+    ``apply_stage`` call per stage. A 3d model starts them from one
+    ``robust_inits`` call centred on each bbox (seed None: the model's),
+    and from the anchored mean shape with ``used_fallback`` where every
+    hypothesis fails; a mean model from the anchored mean shape. No faces
+    give []. FormatError for maps whose landmark count is not the schema's;
+    ValueError unless there is one bbox per face's maps."""
+    if len(maps_list) != len(bboxes):
+        raise ValueError(f"{len(maps_list)} faces' maps but {len(bboxes)} bboxes")
+    if not bboxes:
+        return []
+    maps = stack_maps([feature_maps(m, model.feature_mode) for m in maps_list])
     if maps.landmark_count != model.schema.landmark_count:
         raise FormatError(f"maps hold {maps.landmark_count} landmarks, "
                           f"the model's schema has {model.schema.landmark_count}")
-    used_fallback = False
-    if seed is None:
-        seed = model.config.seed
-    if model.init_mode == "3d":
-        try:
-            res = robust_init(
-                maps, model.model3d, Z=model.config.Z,
-                subset_size=model.config.subset_size, seed=seed,
-                center=bbox_center(bbox),
-            )
-            init = res.shape
-        except InitError:
-            init = anchor_shape(model.mean_shape, bbox)
-            used_fallback = True
-    else:
-        init = anchor_shape(model.mean_shape, bbox)
-    coords = init.coords[None].copy()
-    vis = init.visibility[None].copy()
-    maps = feature_maps(maps, model.feature_mode)
+    cfg, fits = model.config, model.init_mode == "3d"
+    found = robust_inits(maps_list, model.model3d, cfg.Z, cfg.subset_size,
+                         cfg.seed if seed is None else seed,
+                         [bbox_center(b) for b in bboxes]) if fits else [None] * len(bboxes)
+    inits = [anchor_shape(model.mean_shape, b) if r is None else r.shape
+             for r, b in zip(found, bboxes)]
+    coords = np.array([sh.coords for sh in inits])
+    vis = np.array([sh.visibility for sh in inits])
     for stage in model.stages:
-        V = extract_pattern_values(maps, coords[0], model.pattern, stage.scale)
-        apply_stage(stage, V[None], coords, vis)
+        V = extract_pattern_values(maps, coords, model.pattern, stage.scale)
+        apply_stage(stage, V, coords, vis)
     np.clip(vis, 0.0, 1.0, out=vis)
-    shape = Shape(coords[0], vis[0], np.ones(vis.shape[1], dtype=np.uint8))
-    return Prediction(shape=shape, init_shape=init, used_fallback=used_fallback)
+    return [Prediction(Shape(c, v, np.ones(len(v), dtype=np.uint8)), init, fits and r is None)
+            for c, v, init, r in zip(coords, vis, inits, found)]
+
+
+def predict(model: CascadeModel, maps, bbox, seed: int | None = None) -> Prediction:
+    """``predict_faces`` on one face."""
+    return predict_faces(model, [maps], [bbox], seed)[0]

@@ -2,10 +2,13 @@
 
 import numpy as np
 
-from facealign.cascade import SHORTLIST_TOL, Tree, _branch_cost, best_split, feature_maps
-from facealign.errors import FitError, FormatError, NumericError
+from facealign.cascade import (SHORTLIST_TOL, Prediction, Tree, _branch_cost, apply_stage,
+                               best_split, feature_maps)
+from facealign.errors import FitError, FormatError, InitError, NumericError
 from facealign.features import draw_candidates, extract_pattern_values
-from facealign.pose import MAX_ITER, ORTHONORMAL_TOL, STEP_TOL, PoseFits, default_center
+from facealign.pose import (MAX_ITER, ORTHONORMAL_TOL, STEP_TOL, PoseFits, anchor_shape,
+                            bbox_center, default_center, robust_init)
+from facealign.shapes import Shape
 
 
 def map_values(grid: np.ndarray, coords: np.ndarray) -> np.ndarray:
@@ -26,6 +29,37 @@ def extract_stage_features_per_face(dataset, coords, maps_provider, pattern, sca
         extract_pattern_values(feature_maps(maps_provider.maps_for(s), feature_mode),
                                coords[i], pattern, scale)
         for i, s in enumerate(dataset.samples)])
+
+
+def predict_per_face(model, maps, bbox, seed=None) -> Prediction:
+    """cascade.predict as it was before it became a batch of one: its own
+    robust_init call, falling back to the anchored mean shape on InitError,
+    and its own stage loop over the one face's reads."""
+    if maps.landmark_count != model.schema.landmark_count:
+        raise FormatError(f"maps hold {maps.landmark_count} landmarks, "
+                          f"the model's schema has {model.schema.landmark_count}")
+    used_fallback = False
+    if seed is None:
+        seed = model.config.seed
+    if model.init_mode == "3d":
+        try:
+            init = robust_init(maps, model.model3d, Z=model.config.Z,
+                               subset_size=model.config.subset_size, seed=seed,
+                               center=bbox_center(bbox)).shape
+        except InitError:
+            init = anchor_shape(model.mean_shape, bbox)
+            used_fallback = True
+    else:
+        init = anchor_shape(model.mean_shape, bbox)
+    coords = init.coords[None].copy()
+    vis = init.visibility[None].copy()
+    maps = feature_maps(maps, model.feature_mode)
+    for stage in model.stages:
+        V = extract_pattern_values(maps, coords[0], model.pattern, stage.scale)
+        apply_stage(stage, V[None], coords, vis)
+    np.clip(vis, 0.0, 1.0, out=vis)
+    shape = Shape(coords[0], vis[0], np.ones(vis.shape[1], dtype=np.uint8))
+    return Prediction(shape=shape, init_shape=init, used_fallback=used_fallback)
 
 
 def leaf_ids_active_set(part, V) -> np.ndarray:

@@ -25,6 +25,7 @@ from facealign.cascade import (
     leaf_ids,
     make_initializer,
     predict,
+    predict_faces,
     relative_improvement,
     stop_stage,
     stops_at,
@@ -32,17 +33,18 @@ from facealign.cascade import (
     train_parts,
 )
 from facealign.errors import FormatError, NumericError
-from facealign.features import SplitParams, draw_candidates, extract_pattern_values
+from facealign.features import SplitParams, draw_candidates
 from facealign.heatmaps import BlobMaps, ProbabilityMaps, SynthConfig, write_maps
 from facealign.metrics import nme_percent, normalizer
 from facealign.modelio import load_model, save_model
-from facealign.pipeline import RunConfig, train_model
+from facealign.pipeline import RunConfig, predict_dataset, train_model
 from facealign.pose import INIT_CHUNK, anchor_shape, bbox_center, mean_shape_init, robust_init
 from facealign.shapes import Dataset
 from facealign.synthetic import (CorpusConfig, FileMapSource, SyntheticMapSource,
                                  generate_corpus)
 from oracles import (apply_stage_per_part, best_split_every_shortlisted,
-                     extract_stage_features_per_face, fit_tree_per_node, leaf_ids_active_set)
+                     extract_stage_features_per_face, fit_tree_per_node, leaf_ids_active_set,
+                     predict_per_face)
 
 
 def cand(tau, p1=0, p2=1, landmark=0):
@@ -781,16 +783,11 @@ class TestApplyStage:
         faces = tiny_corpus.samples[:n]
         maps = [ProbabilityMaps(r.uniform(size=(L, 160, 160))) for _ in faces]
         singles = [predict(model, m, s.bbox) for m, s in zip(maps, faces)]
-        inits = [anchor_shape(mean, s.bbox) for s in faces]
-        coords = np.stack([i.coords for i in inits])
-        vis = np.stack([i.visibility for i in inits])
-        for stage in stages:
-            V = np.stack([extract_pattern_values(m, c, pattern, stage.scale)
-                          for m, c in zip(maps, coords)])
-            apply_stage(stage, V, coords, vis)
-        np.clip(vis, 0.0, 1.0, out=vis)
-        np.testing.assert_array_equal(coords, [p.shape.coords for p in singles])
-        np.testing.assert_array_equal(vis, [p.shape.visibility for p in singles])
+        batch = predict_faces(model, maps, [s.bbox for s in faces])
+        np.testing.assert_array_equal([p.shape.coords for p in batch],
+                                      [p.shape.coords for p in singles])
+        np.testing.assert_array_equal([p.shape.visibility for p in batch],
+                                      [p.shape.visibility for p in singles])
 
     def test_visibility_clipped(self, tiny_corpus, pattern):
         # six always-visible leaves blend to 1 within rounding in the closed
@@ -1078,6 +1075,126 @@ class TestPredictDegenerate:
             predict(model, ProbabilityMaps(np.ones((L, 160, 160), np.float32)), bbox)
         assert predict(model, ProbabilityMaps(np.ones((24, 160, 160), np.float32)),
                        bbox).shape.landmark_count == 24
+
+
+@pytest.fixture(scope="module")
+def served(model3d, schema, tmp_path_factory):
+    """A trained coarse-to-fine 3d model, INIT_CHUNK + 1 faces to serve, and
+    their maps at 160x160 and 144x176: synthetic, float32 .fapm files of
+    those rasters (the second size for odd faces only), and both, the
+    first size synthetic and the second a file."""
+    cfg = RunConfig(
+        corpus={"count": 24, "seed": 41}, seed=6, val_fraction=0.25,
+        synth={"coordinate_noise_sigma": 1.0, "outlier_rate": 0.1},
+        train={"T": 3, "K1": 6, "K2": 4, "depth": 3, "candidates_per_node": 12, "Z": 6},
+    )
+    model = train_model(cfg, generate_corpus(model3d, schema, cfg.corpus_config()))
+    faces = generate_corpus(model3d, schema,
+                            CorpusConfig(count=INIT_CHUNK + 1, seed=42, tag="served"))
+    synthetic = [SyntheticMapSource(cfg.synth_config(), 7, size)
+                 for size in ((160, 160), (144, 176))]
+    files = [FileMapSource(tmp_path_factory.mktemp(f"served{i}"), schema) for i in range(2)]
+    for k, s in enumerate(faces.samples):
+        for i in range(1 + k % 2):
+            write_maps(ProbabilityMaps(synthetic[i].maps_for(s).maps), files[i].path_for(s))
+    return model, faces, {"synthetic": synthetic, "files": files,
+                          "both": [synthetic[0], files[1]]}
+
+
+class ServedMaps:
+    """The maps of served faces from one kind of source; with mixed, odd
+    faces get the second size. Faces whose index is in flat get flat maps,
+    on which every pose hypothesis fails: all-NaN blob centres, or a
+    raster of the floor."""
+
+    def __init__(self, faces, sources, mixed, flat):
+        self.index = {s.image_ref: k for k, s in enumerate(faces.samples)}
+        self.sources, self.mixed, self.flat = sources, mixed, flat
+
+    def maps_for(self, sample):
+        k = self.index[sample.image_ref]
+        maps = self.sources[self.mixed and k % 2].maps_for(sample)
+        if k not in self.flat:
+            return maps
+        if isinstance(maps, BlobMaps):
+            return BlobMaps(np.full_like(maps.centres, np.nan), maps.sigma, maps.floor,
+                            maps.size)
+        return ProbabilityMaps(np.full_like(maps.maps, maps.maps.min()))
+
+
+def served_bits(pred) -> tuple:
+    return (pred.shape.coords.tobytes(), pred.shape.visibility.tobytes(),
+            pred.init_shape.coords.tobytes(), pred.init_shape.visibility.tobytes(),
+            pred.used_fallback)
+
+
+class TestPredictFaces:
+    """The one cascade run: predict_faces, and predict_dataset over it,
+    give each face bitwise what the per-face reference gives it alone."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(init_mode=st.sampled_from(["3d", "mean"]),
+           feature_mode=st.sampled_from(["heatmap", "gray"]),
+           kind=st.sampled_from(["synthetic", "files", "both"]),
+           n=st.sampled_from([1, INIT_CHUNK, INIT_CHUNK + 1]),
+           mixed=st.booleans(),
+           flat=st.sets(st.integers(0, INIT_CHUNK), max_size=3),
+           seed=st.one_of(st.none(), st.integers(0, 3)))
+    def test_equal_per_face(self, served, init_mode, feature_mode, kind, n, mixed, flat,
+                            seed):
+        model, faces, sources = served
+        model = dataclasses.replace(model, init_mode=init_mode, feature_mode=feature_mode)
+        part = Dataset(faces.samples[:n], faces.schema)
+        maps = ServedMaps(faces, sources[kind], mixed, flat)
+        want = [served_bits(predict_per_face(model, maps.maps_for(s), s.bbox, seed))
+                for s in part.samples]
+        batch = predict_faces(model, [maps.maps_for(s) for s in part.samples],
+                              [s.bbox for s in part.samples], seed)
+        assert [served_bits(p) for p in batch] == want
+        assert [served_bits(p) for p in predict_dataset(model, part, maps, seed)] == want
+        if init_mode == "3d":
+            # the fallback path ran on every flat face
+            assert all(want[k][-1] for k in flat if k < n)
+
+    @pytest.mark.parametrize("init_mode", ["3d", "mean"])
+    @pytest.mark.parametrize("kind, held", [("synthetic", INIT_CHUNK), ("files", 1), ("both", 5)])
+    def test_dataset_requests_each_faces_maps_once(self, served, init_mode, kind, held):
+        # BlobMaps are held a chunk at a time and rasters one at a time, for
+        # either init; with both kinds, every fifth face's maps are a raster,
+        # which ends its chunk
+        model, faces, sources = served
+        model = dataclasses.replace(model, init_mode=init_mode)
+        ds = Dataset(faces.samples * 2 + faces.samples[:3], faces.schema)
+        # weak references, as ProbabilityMaps is not hashable
+        requested, handed, most, rasters = [], [], [], []
+
+        class Counted:
+            def maps_for(self, sample):
+                raster = kind == "files" or (kind == "both" and len(requested) % 5 == 4)
+                m = sources["files" if raster else "synthetic"][0].maps_for(sample)
+                requested.append(sample)
+                handed.append(weakref.ref(m))
+                alive = [a for a in (r() for r in handed) if a is not None]
+                most.append(len(alive))
+                rasters.append(sum(isinstance(a, ProbabilityMaps) for a in alive))
+                return m
+
+        predict_dataset(model, ds, Counted())
+        assert len(requested) == len(ds)
+        assert all(a is b for a, b in zip(requested, ds.samples))
+        assert max(most) == held
+        assert max(rasters) == (kind != "synthetic")
+
+    def test_no_faces(self, served):
+        model, faces, _ = served
+        assert predict_faces(model, [], []) == []
+        assert predict_dataset(model, Dataset([], faces.schema), None) == []
+
+    def test_one_bbox_per_face(self, served):
+        model, faces, sources = served
+        maps = [sources["synthetic"][0].maps_for(s) for s in faces.samples[:2]]
+        with pytest.raises(ValueError, match="2 faces' maps but 1 bboxes"):
+            predict_faces(model, maps, [faces.samples[0].bbox])
 
 
 class TestServingLatency:

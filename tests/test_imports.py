@@ -16,6 +16,7 @@ PACKAGE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)
 ALLOWED = {
     # facebench/tracing.py wraps these by their name in these modules
     ("cascade.py", "gen_candidates"),
+    ("cascade.py", "robust_init"),
     ("synthetic.py", "robust_init"),
 }
 # __init__ imports are the package's public names

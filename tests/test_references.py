@@ -18,10 +18,13 @@ ALLOWED = {
     ("cascade.py", "fit_node"): "tracer target",
     ("features.py", "gen_candidates"): "tracer target",
     ("pose.py", "fit_pose"): "tracer target",
+    ("pose.py", "robust_init"): "tracer target",
     ("pose.py", "score_shape"): "tracer target",
     # tests/test_acceptance.py imports these
     ("heatmaps.py", "synthesize_from_shape"): "acceptance tests",
     ("pose.py", "rotation_angle"): "acceptance tests",
+    # serving one face: package code runs predict_faces
+    ("cascade.py", "predict"): "acceptance tests, the benchmark and fa.predict",
     # criterion 6 checks the stopping rule in its sequence form;
     # train_cascade asks the per-stage stops_at
     ("cascade.py", "stop_stage"): "criterion 6",
