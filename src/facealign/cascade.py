@@ -24,7 +24,7 @@ from .features import (
 )
 from .heatmaps import GrayMaps, stack_maps
 from .metrics import GroundTruth
-from .pose import INIT_CHUNK, Model3D, anchor_shape, bbox_center, consensus_inits, robust_inits
+from .pose import Model3D, anchor_shape, bbox_center, consensus_inits, map_chunks, robust_inits
 from .pose import robust_init  # noqa: F401  (facebench/tracing.py wraps it by this name)
 from .shapes import Dataset, LandmarkSchema, Shape
 
@@ -535,17 +535,16 @@ def feature_maps(maps, feature_mode: str):
 def extract_stage_features(dataset: Dataset, coords, maps_provider,
                            pattern: FreakPattern, scale: float,
                            feature_mode: str) -> np.ndarray:
-    """(n, L, M) pattern reads of the dataset's faces at coords, (n, L, 2):
-    the maps of INIT_CHUNK faces at a time, stacked and read in one call."""
-    n, L = coords.shape[0], coords.shape[1]
-    V = np.empty((n, L, len(pattern)))
-    for lo in range(0, n, INIT_CHUNK):
-        hi = lo + INIT_CHUNK
-        maps = stack_maps([feature_maps(maps_provider.maps_for(s), feature_mode)
-                           for s in dataset.samples[lo:hi]])
-        V[lo:hi] = extract_pattern_values(maps, coords[lo:hi], pattern, scale)
-        # drop this chunk's maps before the next chunk's are requested
-        del maps
+    """(n, L, M) pattern reads of the faces at coords, (n, L, 2), in one call
+    per pose.map_chunks chunk of one raster, as a held .fapm raster page-faults."""
+    V = np.empty(coords.shape[:2] + (len(pattern),))
+
+    def read(faces, maps):
+        maps = stack_maps([feature_maps(m, feature_mode) for m in maps])
+        V[faces] = extract_pattern_values(maps, coords[faces], pattern, scale)
+        return ()
+
+    map_chunks(dataset.samples, maps_provider.maps_for, read, rasters=1)
     return V
 
 

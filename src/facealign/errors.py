@@ -6,7 +6,7 @@ config class states each field's rule with ``setting`` and calls
 ``check``; a single value goes through ``require``.
 """
 
-import math
+import sys
 from dataclasses import field, fields
 from numbers import Integral, Real
 
@@ -54,19 +54,24 @@ def is_real(value) -> bool:
 
 
 def is_finite(value) -> bool:
-    """A real number, as is_real, that is neither NaN nor infinite."""
-    return is_real(value) and math.isfinite(value)
+    """A real number, as is_real, in the float range: not NaN, inf or an int past it."""
+    return is_real(value) and abs(value) <= sys.float_info.max
+
+
+def has_finite_width(lo, hi) -> bool:
+    """lo, hi and hi - lo all finite: numpy draws uniformly only from such a range."""
+    return is_finite(lo) and is_finite(hi) and is_finite(hi - lo)
 
 
 def real_range(name: str, value, low: float = float("-inf")) -> tuple[float, float]:
-    """A (lo, hi) setting as a tuple of finite numbers, with
-    low < lo <= hi; ValueError otherwise."""
+    """A (lo, hi) setting of finite width (has_finite_width) as a tuple,
+    with low < lo <= hi; ValueError otherwise."""
     try:
         lo, hi = value
     except (TypeError, ValueError):
         raise ValueError(f"{name} must be a pair (lo, hi), not {value!r}") from None
-    if not (is_finite(lo) and is_finite(hi) and low < lo <= hi):
-        raise ValueError(f"{name} must be a pair with {low} < lo <= hi, not {value!r}")
+    if not (has_finite_width(lo, hi) and low < lo <= hi):
+        raise ValueError(f"{name} must be a pair {low} < lo <= hi of finite width, not {value!r}")
     return lo, hi
 
 
@@ -121,6 +126,9 @@ NUMBER = is_real, "a number"
 FINITE = is_finite, "a finite number"
 POSITIVE = (lambda v: is_finite(v) and v > 0), "a finite number > 0"
 NON_NEGATIVE = (lambda v: is_finite(v) and v >= 0), "a finite number >= 0"
+# the v of a range (-v, v), of finite width as real_range's
+HALF_WIDTH = (lambda v: is_real(v) and v >= 0 and has_finite_width(-v, v)), \
+    "a finite number >= 0 with (-v, v) of finite width"
 UNIT = (lambda v: is_real(v) and 0 <= v <= 1), "a number in [0, 1]"
 FRACTION = (lambda v: is_real(v) and 0 < v <= 1), "a number in (0, 1]"
 BOOL = is_a(bool, "true or false")

@@ -20,10 +20,10 @@ from .cascade import (
 from .errors import (BOOL, STRING, DataError, SchemaError, at_least, check, is_a, is_real, one_of,
                      or_none, setting)
 from .features import FreakPattern, default_pattern
-from .heatmaps import BlobMaps, SynthConfig
+from .heatmaps import SynthConfig
 from .metrics import ced_curve, cross_matrix, evaluate
 from .modelio import load_model, save_model
-from .pose import INIT_CHUNK, Model3D, mean_shape_init
+from .pose import Model3D, map_chunks, mean_shape_init
 from .shapes import (
     AugmentConfig,
     Dataset,
@@ -223,19 +223,13 @@ def run_train(cfg: RunConfig, dataset: Dataset | None = None) -> str:
 
 def predict_dataset(model: CascadeModel, dataset: Dataset, maps_source,
                     seed: int | None = None):
-    """predict_faces over the dataset, each face's maps requested once, in
-    chunks of up to INIT_CHUNK faces that end at a face whose maps are a
-    raster. Held .fapm rasters page-fault on each read, 2x slower for a mean
-    model and 2.5 MB of peak memory per face for a 3d one; chunks of BlobMaps
-    serve either 2-3x faster. Timed for both inits on both kinds of maps."""
-    preds, held = [], []
-    for k, s in enumerate(dataset.samples, 1):
-        held.append(maps_source.maps_for(s))
-        if len(held) == INIT_CHUNK or k == len(dataset) or not isinstance(held[-1], BlobMaps):
-            faces = dataset.samples[k - len(held):k]
-            preds += predict_faces(model, held, [f.bbox for f in faces], seed)
-            held = []
-    return preds
+    """predict_faces over the dataset, in pose.map_chunks chunks that hold
+    one raster: chunks of BlobMaps serve 2-3x faster, but held .fapm rasters
+    page-fault on every read. No faces touch no map source."""
+    if not len(dataset):
+        return []
+    return map_chunks(dataset.samples, maps_source.maps_for, lambda faces, maps: predict_faces(
+        model, maps, [s.bbox for s in dataset.samples[faces]], seed), rasters=1)
 
 
 def run_predict(cfg: RunConfig, model_path: str) -> str:

@@ -24,9 +24,9 @@ with its face's focal length and centre, and scored with one read of the
 stacked maps (score_shapes), each summed over landmarks in order; each
 face keeps its first maximum. No value depends on which other faces share
 the call, so a face gets bitwise the result it gets alone; robust_init is
-a batch of one. consensus_inits feeds samples to robust_inits INIT_CHUNK
-faces at a time, so a file-backed split never holds more than a chunk of
-rasters.
+a batch of one. map_chunks, the one loop that requests maps, holds up to
+INIT_CHUNK faces a chunk, and up to INIT_CHUNK rasters for consensus_inits,
+whose batched solve pays for them, else one: held .fapm rasters page-fault.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DataError, FitError, InitError, SchemaError, is_finite
-from .heatmaps import FACE_SIZE, stack_maps
+from .heatmaps import FACE_SIZE, BlobMaps, stack_maps
 from .shapes import Shape
 
 ORTHONORMAL_TOL = 1e-6
@@ -48,8 +48,8 @@ ORTHONORMAL_TOL = 1e-6
 # pick, without waiting for slow hypotheses that never win.
 MAX_ITER = 15
 STEP_TOL = 1e-6
-# faces whose maps consensus_inits and training's feature reads hold and
-# read at once; a 24x160x160 float32 raster read from a .fapm file is 2.5 MB
+# most faces whose maps map_chunks holds at once; each caller caps the
+# rasters among them, a 24x160x160 float32 .fapm raster being 2.5 MB
 INIT_CHUNK = 32
 _EYE3 = np.eye(3)
 _EYE6 = np.eye(6)
@@ -558,20 +558,27 @@ def robust_inits(maps_list, model: Model3D, Z: int = 25, subset_size: int = 6,
     return out
 
 
+def map_chunks(samples, maps_for, run, rasters: int) -> list:
+    """run(faces, maps)'s results, concatenated, over chunks of up to INIT_CHUNK
+    samples and `rasters` rasters (maps not BlobMaps), faces slicing samples;
+    each face's maps requested once, in order, a chunk's dropped before the next."""
+    out, held, n = [], [], 0
+    for k, s in enumerate(samples, 1):
+        held.append(maps_for(s))
+        n += not isinstance(held[-1], BlobMaps)
+        if len(held) == INIT_CHUNK or k == len(samples) or n == rasters:
+            out.extend(run(slice(k - len(held), k), held))
+            held, n = [], 0
+    return out
+
+
 def consensus_inits(samples, maps_for, model: Model3D, Z: int, subset_size: int,
                     seed: int) -> list[InitResult | None]:
-    """robust_inits over samples, each centred on its bbox, requesting the
-    maps of at most INIT_CHUNK faces at a time.
-    """
-    out = []
-    for lo in range(0, len(samples), INIT_CHUNK):
-        chunk = samples[lo:lo + INIT_CHUNK]
-        maps = [maps_for(s) for s in chunk]
-        out += robust_inits(maps, model, Z, subset_size, seed,
-                            [bbox_center(s.bbox) for s in chunk])
-        # drop this chunk's maps before the next chunk's are requested
-        del maps
-    return out
+    """robust_inits over samples, each centred on its bbox, holding up to
+    INIT_CHUNK rasters a chunk, which the batched pose solve pays for."""
+    return map_chunks(samples, maps_for, lambda faces, maps: robust_inits(
+        maps, model, Z, subset_size, seed, [bbox_center(s.bbox) for s in samples[faces]]),
+        rasters=INIT_CHUNK)
 
 
 def mean_shape_init(train) -> Shape:

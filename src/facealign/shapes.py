@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (NON_NEGATIVE, UNIT, DataError, ParseError, SchemaError, check, is_finite,
+from .errors import (HALF_WIDTH, UNIT, DataError, ParseError, SchemaError, check, is_finite,
                      require, setting)
 
 
@@ -306,9 +306,9 @@ class AugmentConfig:
     landmarks it covers.
     """
 
-    yaw_noise: float = setting(0.0, NON_NEGATIVE)
-    pitch_noise: float = setting(0.0, NON_NEGATIVE)
-    roll_noise: float = setting(0.0, NON_NEGATIVE)
+    yaw_noise: float = setting(0.0, HALF_WIDTH)
+    pitch_noise: float = setting(0.0, HALF_WIDTH)
+    roll_noise: float = setting(0.0, HALF_WIDTH)
     occlusion_prob: float = setting(0.0, UNIT)
     occlusion_frac: float = setting(0.25, UNIT)      # occluder side as fraction of bbox size
 

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (NON_NEGATIVE, STRING, FormatError, SchemaError, at_least, check, is_finite,
-                     one_of, real_range, setting)
+from .errors import (HALF_WIDTH, NON_NEGATIVE, STRING, FormatError, SchemaError, at_least, check,
+                     is_finite, one_of, real_range, setting)
 from .heatmaps import (
     FACE_SIZE,
     BlobMaps,
@@ -34,11 +34,11 @@ class CorpusConfig:
     count: int = setting(100, at_least(1))
     seed: int = setting(0, at_least(0))
     tag: str = setting("synth", STRING)
-    yaw_range: float = setting(40.0, NON_NEGATIVE)     # degrees
-    pitch_range: float = setting(25.0, NON_NEGATIVE)
-    roll_range: float = setting(25.0, NON_NEGATIVE)
+    yaw_range: float = setting(40.0, HALF_WIDTH)       # degrees
+    pitch_range: float = setting(25.0, HALF_WIDTH)
+    roll_range: float = setting(25.0, HALF_WIDTH)
     scale_range: tuple[float, float] = (1.0, 1.3)
-    shift_range: float = setting(6.0, NON_NEGATIVE)    # pixels
+    shift_range: float = setting(6.0, HALF_WIDTH)      # pixels
     deform_magnitude: float = setting(4.0, NON_NEGATIVE)  # model units
     deform_seed: int = setting(12345, at_least(0))
     deform_style: str = setting("independent", one_of(("independent", "coupled")))

@@ -362,6 +362,42 @@ class TestConfigErrors:
         assert key in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("section, key", [
+        ("corpus", "yaw_range"), ("corpus", "pitch_range"), ("corpus", "roll_range"),
+        ("corpus", "shift_range"),
+        ("augment", "yaw_noise"), ("augment", "pitch_noise"), ("augment", "roll_noise"),
+        ("train", "tau_range"),
+    ])
+    @pytest.mark.parametrize("v", [1e308, 10**400], ids=["1e308", "int_past_floats"])
+    def test_range_whose_width_overflows_exits_2(self, faces, tmp_path, capsys, section, key, v):
+        # a draw from (-v, v) needs 2v finite: 1e308 ended in numpy's
+        # OverflowError, and an int past the float range in is_finite's
+        value = [-v, v] if key == "tau_range" else v
+        settings = {"corpus": {"corpus": {"count": 4, key: value}},
+                    "augment": {"augment_target": 40, "augment": {key: value}},
+                    "train": {"train": {**TRAIN, key: value}}}[section]
+        cfg = write_config(tmp_path / "c.json", **settings)
+        command = ["synth"] if section == "corpus" \
+            else ["train", "--dataset", str(faces / "annotations.jsonl")]
+        rc = run([*command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"{key} must be " in err and " of finite width" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("setting", ["config", "dataset", "schema", "model3d", "pattern"])
+    def test_text_input_that_is_not_utf8_exits_2(self, faces, tmp_path, capsys, setting):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff\n")
+        named = {} if setting in ("config", "dataset") else {setting: str(bad)}
+        paths = {"config": write_config(tmp_path / "c.json", **named),
+                 "dataset": faces / "annotations.jsonl", setting: bad}
+        rc = run(["train", "--config", str(paths["config"]), "--dataset", str(paths["dataset"]),
+                  "--out", str(tmp_path / "out")])
+        assert rc == EXIT_DATA
+        assert "can't decode byte 0xff" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @settings(max_examples=40, deadline=None)
     @given(bad=BAD_CORPUS)
     def test_bad_corpus_value_is_data_error(self, faces, bad):
