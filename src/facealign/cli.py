@@ -155,7 +155,7 @@ def run(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (FileNotFoundError, IsADirectoryError, PermissionError, UnicodeDecodeError) as exc:
+    except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     return EXIT_OK

@@ -1,5 +1,6 @@
-"""Exception hierarchy shared across the package, and the one refusal of a
-value that breaks its rule: "<name> must be <what>, not <value>".
+"""Exception hierarchy shared across the package, the one refusal of a
+value that breaks its rule: "<name> must be <what>, not <value>", and the
+one opener of text inputs, which names a file that is not UTF-8.
 
 A rule is a (test, what) pair: test(value) is true for a valid value. A
 config class states each field's rule with ``setting`` and calls
@@ -7,6 +8,7 @@ config class states each field's rule with ``setting`` and calls
 """
 
 import sys
+from contextlib import contextmanager
 from dataclasses import field, fields
 from numbers import Integral, Real
 
@@ -29,6 +31,17 @@ class SchemaError(DataError):
 
 class FormatError(DataError):
     pass
+
+
+@contextmanager
+def open_text(path):
+    """path opened to read UTF-8 text; a byte that is not UTF-8 raises
+    FormatError naming path."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path} is not UTF-8 text: {exc}") from None
 
 
 class NumericError(Exception):

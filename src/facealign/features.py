@@ -12,7 +12,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import POSITIVE, FormatError, NumericError, require
+from .errors import POSITIVE, FormatError, NumericError, open_text, require
 
 STAGE_SCALE_FLOOR = 0.2
 DEFAULT_TAU_RANGE = (-0.3, 0.3)
@@ -51,7 +51,7 @@ class FreakPattern:
     def load(cls, path) -> "FreakPattern":
         diameter = None
         rings, offs = [], []
-        with open(path, "r", encoding="utf-8") as fh:
+        with open_text(path) as fh:
             for raw in fh:
                 line = raw.split("#", 1)[0].strip()
                 if not line:

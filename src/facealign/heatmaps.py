@@ -6,7 +6,9 @@ per-landmark peaks (``peaks()``) and its values at integer pixels
 (``read(landmarks, x, y)``). Maps from files are rasters
 (ProbabilityMaps) and both queries gather from the raster. Synthetic maps
 (BlobMaps) keep only their blob centres and are evaluated at the pixels
-read; they build a raster only when one is asked for. A synthetic map
+read; they build a raster only when one is asked for, in the dtype asked
+(float32 for a map file), evaluating each blob only in the box where it
+shows in that dtype. A synthetic map
 source (synthetic.SyntheticMapSource) draws a face's centres once and
 keeps them read-only, handing out a fresh BlobMaps per request, so a
 raster lives no longer than the request that built it. GrayMaps wraps
@@ -168,16 +170,38 @@ class BlobMaps:
         out[~(v[rows, best] > self.floor)] = 0.0
         return out.reshape(self.centres.shape)
 
+    def raster(self, dtype) -> np.ndarray:
+        """One face's (L, H, W) raster in dtype, bitwise the full-grid float64
+        raster cast to dtype. A drawn blob is evaluated only in the box where
+        it can exceed max(floor, half dtype's smallest subnormal); outside it
+        pixels round to max(floor, 0.0), and a flat map is floor. A non-finite
+        centre coordinate, or 2 sigma**2 of 0 or inf, takes the whole grid.
+        Values past dtype's range become inf, which ProbabilityMaps refuses."""
+        H, W = self.size
+        with np.errstate(all="ignore"):
+            c, two_var = self.centres, 2.0 * self.sigma**2
+            out = np.full((self.landmark_count, H, W), np.maximum(self.floor, 0.0), dtype)
+            flat = np.isnan(c[:, 0])
+            out[flat] = self.floor
+            # the box's half side: where the blob is 1e-9 (relative) below
+            # that bound, which exp's rounding error never crosses
+            t = max(self.floor, float(np.finfo(dtype).smallest_subnormal) / 2)
+            r = np.sqrt(max(two_var * (1e-9 - np.log(t)), 0.0))
+            lo, hi = np.clip([np.ceil(c - r), np.floor(c + r) + 1.0], 0, (W, H)).astype(np.int64)
+            whole = ~np.isfinite(c).all(axis=1) | (not 0.0 < two_var < np.inf)
+            lo[whole], hi[whole] = 0, (W, H)
+            for l in np.flatnonzero(~flat):
+                (x0, y0), (x1, y1) = lo[l], hi[l]
+                np.maximum(self.floor, _blob(x0, x1, y0, y1, *c[l], self.sigma),
+                           out=out[l, y0:y1, x0:x1])
+        return out
+
     @property
     def maps(self) -> np.ndarray:
-        """One face's (L, H, W) float64 raster, built on first use."""
+        """One face's (L, H, W) float64 raster, raster(np.float64), built on
+        first use. Its box spans the whole map unless floor > 0."""
         if self._raster is None:
-            H, W = self.size
-            out = np.full((self.landmark_count, H, W), self.floor, dtype=np.float64)
-            for l in np.flatnonzero(~np.isnan(self.centres[:, 0])):
-                cx, cy = self.centres[l]
-                np.maximum(out[l], _blob(H, W, cx, cy, self.sigma), out=out[l])
-            self._raster = out
+            self._raster = self.raster(np.float64)
         return self._raster
 
 
@@ -296,9 +320,10 @@ def smooth(maps: ProbabilityMaps, sigma: float) -> ProbabilityMaps:
     return ProbabilityMaps(out)
 
 
-def _blob(H, W, cx, cy, sigma):
-    ys = np.arange(H, dtype=np.float64)[:, None]
-    xs = np.arange(W, dtype=np.float64)[None, :]
+def _blob(x0, x1, y0, y1, cx, cy, sigma):
+    """The unit-peak blob at pixels [x0, x1) x [y0, y1), (y1 - y0, x1 - x0)."""
+    ys = np.arange(y0, y1, dtype=np.float64)[:, None]
+    xs = np.arange(x0, x1, dtype=np.float64)[None, :]
     return np.exp(-((xs - cx) ** 2 + (ys - cy) ** 2) / (2.0 * sigma**2))
 
 
@@ -360,11 +385,18 @@ def synthesize(sample, cfg: SynthConfig, seed: int,
 
 
 def write_maps(maps: ProbabilityMaps, path) -> None:
+    """Write maps as a .fapm file: a header, then little-endian float32 in C
+    order. A little-endian float32 C-contiguous raster is written as it
+    is, with no copy; any other is cast once. A value past float32's
+    range raises NumericError naming path before the file is opened."""
     L, H, W = maps.maps.shape
-    data = maps.maps.astype("<f4").tobytes(order="C")
+    try:
+        with np.errstate(over="raise"):
+            data = np.ascontiguousarray(maps.maps, dtype="<f4")
+    except FloatingPointError:
+        raise NumericError(f"{path}: probability map value past the float32 range") from None
     with open(path, "wb") as fh:
-        fh.write(MAP_MAGIC)
-        fh.write(struct.pack("<iiii", MAP_VERSION, L, H, W))
+        fh.write(MAP_MAGIC + struct.pack("<iiii", MAP_VERSION, L, H, W))
         fh.write(data)
 
 

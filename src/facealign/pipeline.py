@@ -18,7 +18,7 @@ from .cascade import (
     train_cascade,
 )
 from .errors import (BOOL, STRING, DataError, SchemaError, at_least, check, is_a, is_real, one_of,
-                     or_none, setting)
+                     open_text, or_none, setting)
 from .features import FreakPattern, default_pattern
 from .heatmaps import SynthConfig
 from .metrics import ced_curve, cross_matrix, evaluate
@@ -74,7 +74,7 @@ class RunConfig:
     def from_file(cls, path, overrides: dict | None = None) -> "RunConfig":
         raw = {}
         if path is not None:
-            with open(path, "r", encoding="utf-8") as fh:
+            with open_text(path) as fh:
                 try:
                     raw = json.load(fh)
                 except json.JSONDecodeError as exc:

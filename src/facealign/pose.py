@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DataError, FitError, InitError, SchemaError, is_finite
+from .errors import DataError, FitError, InitError, SchemaError, is_finite, open_text
 from .heatmaps import FACE_SIZE, BlobMaps, stack_maps
 from .shapes import Shape
 
@@ -96,7 +96,7 @@ class Model3D:
     @classmethod
     def load(cls, path) -> "Model3D":
         names, pts, nrm, dst = [], [], [], []
-        with open(path, "r", encoding="utf-8") as fh:
+        with open_text(path) as fh:
             for lineno, raw in enumerate(fh, 1):
                 line = raw.split("#", 1)[0].strip()
                 if not line:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (HALF_WIDTH, UNIT, DataError, ParseError, SchemaError, check, is_finite,
-                     require, setting)
+                     open_text, require, setting)
 
 
 def _entries(value, kinds: str, count: int | None = None, below: int | None = None) -> bool:
@@ -113,7 +113,7 @@ class LandmarkSchema:
 
     @classmethod
     def load(cls, path) -> "LandmarkSchema":
-        with open(path, "r", encoding="utf-8") as fh:
+        with open_text(path) as fh:
             try:
                 raw = json.load(fh)
             except json.JSONDecodeError as exc:
@@ -225,7 +225,7 @@ def load_dataset(path, schema: LandmarkSchema) -> Dataset:
     """Read newline-delimited annotation records (one JSON object per face)."""
     samples = []
     index = {n: i for i, n in enumerate(schema.names)}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

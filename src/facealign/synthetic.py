@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (HALF_WIDTH, NON_NEGATIVE, STRING, FormatError, SchemaError, at_least, check,
-                     is_finite, one_of, real_range, setting)
+from .errors import (HALF_WIDTH, NON_NEGATIVE, STRING, FormatError, NumericError, SchemaError,
+                     at_least, check, is_finite, one_of, real_range, setting)
+# synthesize stays importable here: facebench/tracing.py wraps it by this name
 from .heatmaps import (
     FACE_SIZE,
     BlobMaps,
@@ -200,14 +201,22 @@ class FileMapSource:
 def write_corpus(dataset: Dataset, synth_cfg: SynthConfig, out_dir,
                  corpus_cfg: CorpusConfig, write_map_files: bool = True) -> None:
     """Materialize a corpus: annotations, optional map files, manifest.
-    Map files are synthesized with the corpus seed."""
+    Map files are synthesized with the corpus seed, rendered in float32
+    and validated once; a face whose maps no reader would accept raises
+    NumericError naming its file, which is then not written."""
     os.makedirs(out_dir, exist_ok=True)
     save_dataset(dataset, os.path.join(out_dir, "annotations.jsonl"))
     if write_map_files:
         files = FileMapSource(os.path.join(out_dir, "maps"))
         os.makedirs(files.directory, exist_ok=True)
         for s in dataset.samples:
-            write_maps(synthesize(s, synth_cfg, corpus_cfg.seed), files.path_for(s))
+            path = files.path_for(s)
+            blobs = sample_blobs(s, synth_cfg, corpus_cfg.seed)
+            try:
+                maps = ProbabilityMaps(blobs.raster(np.float32))
+            except NumericError as exc:
+                raise NumericError(f"{path}: {exc}") from None
+            write_maps(maps, path)
     manifest = {
         "count": len(dataset),
         "landmarks": dataset.schema.landmark_count,

@@ -1,11 +1,15 @@
 """Reference implementations the tests compare the package against."""
 
+import os
+import struct
+
 import numpy as np
 
 from facealign.cascade import (SHORTLIST_TOL, Prediction, Tree, _branch_cost, apply_stage,
                                best_split, feature_maps)
 from facealign.errors import FitError, FormatError, InitError, NumericError
 from facealign.features import draw_candidates, extract_pattern_values
+from facealign.heatmaps import MAP_MAGIC, MAP_VERSION, ProbabilityMaps, sample_blobs
 from facealign.pose import (MAX_ITER, ORTHONORMAL_TOL, STEP_TOL, PoseFits, anchor_shape,
                             bbox_center, default_center, robust_init)
 from facealign.shapes import Shape
@@ -329,3 +333,39 @@ def score_shapes_per_landmark(maps, coords):
     for l in range(L):
         total += vals[:, l]
     return total
+
+
+def blob_raster_full_grid(blobs) -> np.ndarray:
+    """BlobMaps.maps as it was before rasters were rendered over boxes:
+    every drawn blob evaluated over the whole float64 grid and max-ed into
+    a grid filled with the floor."""
+    H, W = blobs.size
+    out = np.full((blobs.landmark_count, H, W), blobs.floor, dtype=np.float64)
+    ys = np.arange(H, dtype=np.float64)[:, None]
+    xs = np.arange(W, dtype=np.float64)[None, :]
+    with np.errstate(all="ignore"):
+        for l in np.flatnonzero(~np.isnan(blobs.centres[:, 0])):
+            cx, cy = blobs.centres[l]
+            blob = np.exp(-((xs - cx) ** 2 + (ys - cy) ** 2) / (2.0 * blobs.sigma**2))
+            np.maximum(out[l], blob, out=out[l])
+    return out
+
+
+def write_maps_copying(maps, path) -> None:
+    """write_maps as it was before it wrote float32 rasters as they are:
+    a float32 copy of the raster, then a bytes copy of that."""
+    L, H, W = maps.maps.shape
+    data = maps.maps.astype("<f4").tobytes(order="C")
+    with open(path, "wb") as fh:
+        fh.write(MAP_MAGIC)
+        fh.write(struct.pack("<iiii", MAP_VERSION, L, H, W))
+        fh.write(data)
+
+
+def write_corpus_maps_full_grid(dataset, synth_cfg, directory, seed) -> None:
+    """The map files write_corpus wrote before rendering in float32: each
+    face's full-grid float64 raster, validated, through write_maps_copying."""
+    os.makedirs(directory, exist_ok=True)
+    for s in dataset.samples:
+        maps = ProbabilityMaps(blob_raster_full_grid(sample_blobs(s, synth_cfg, seed)))
+        write_maps_copying(maps, os.path.join(directory, f"{s.image_ref}.fapm"))

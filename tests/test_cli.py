@@ -3,6 +3,7 @@ import json
 import struct
 import tempfile
 import traceback
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from facealign.pipeline import RunConfig
 from facealign.pose import Model3D
 from facealign.shapes import Shape, load_dataset
 from facealign.synthetic import FileMapSource
+from oracles import write_corpus_maps_full_grid
 from test_modelio import (
     cut_mean_shape,
     rewrite_model,
@@ -232,6 +234,34 @@ def faces(tmp_path_factory):
     return d
 
 
+def test_synth_map_files_are_the_full_grid_writers(tmp_path):
+    cfg_path = write_config(tmp_path / "c.json", corpus={"count": 5, "seed": 21},
+                            synth={"coordinate_noise_sigma": 1.0, "outlier_rate": 0.2,
+                                   "floor": -0.0})
+    assert run(["synth", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == EXIT_OK
+    cfg = RunConfig.from_file(cfg_path)
+    ds = load_dataset(tmp_path / "out" / "annotations.jsonl", default_schema())
+    write_corpus_maps_full_grid(ds, cfg.synth_config(), tmp_path / "want",
+                                cfg.corpus_config().seed)
+    for s in ds.samples:
+        name = f"{s.image_ref}.fapm"
+        assert (tmp_path / "out" / "maps" / name).read_bytes() == \
+            (tmp_path / "want" / name).read_bytes()
+
+
+def test_synth_floor_past_float32_exits_3(tmp_path, capsys):
+    # finite in float64, inf in the float32 a map file holds
+    cfg = write_config(tmp_path / "c.json", corpus={"count": 3}, synth={"floor": 1e39})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run(["synth", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: ") and err.count("\n") == 1
+    assert str(tmp_path / "out" / "maps") in err and ".fapm" in err
+    assert list((tmp_path / "out" / "maps").iterdir()) == []
+
+
 class TestConfigErrors:
     @settings(max_examples=40, deadline=None)
     @given(bad=BAD_SETTINGS)
@@ -395,7 +425,8 @@ class TestConfigErrors:
         rc = run(["train", "--config", str(paths["config"]), "--dataset", str(paths["dataset"]),
                   "--out", str(tmp_path / "out")])
         assert rc == EXIT_DATA
-        assert "can't decode byte 0xff" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{bad} is not UTF-8 text" in err and "can't decode byte 0xff" in err
         assert not (tmp_path / "out").exists()
 
     @settings(max_examples=40, deadline=None)

@@ -4,17 +4,19 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import facealign
 from facealign.errors import FormatError, NumericError
 from facealign.features import FreakPattern, extract_pattern_values
+from facealign import heatmaps
 from facealign.heatmaps import (
     MAP_MAGIC,
     MAP_VERSION,
@@ -33,7 +35,7 @@ from facealign.heatmaps import (
     write_maps,
 )
 from facealign.pose import INIT_CHUNK
-from oracles import map_value_error, map_values
+from oracles import blob_raster_full_grid, map_value_error, map_values, write_maps_copying
 
 
 def test_maps_validation():
@@ -247,6 +249,56 @@ class TestMapFiles:
         with pytest.raises(FormatError):
             read_maps(p)
 
+    def test_float32_raster_is_written_without_a_copy(self, tmp_path):
+        maps = ProbabilityMaps(np.ones((24, 160, 160), dtype=np.float32))
+        p = tmp_path / "m.fapm"
+        tracemalloc.start()
+        try:
+            write_maps(maps, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the raster is 2.4 MB; a copy of it would show
+        assert peak < 1 << 20
+        assert read_maps(p).maps.tobytes() == maps.maps.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(maps=hnp.arrays(
+        np.float64, hnp.array_shapes(min_dims=3, max_dims=3, min_side=1, max_side=5),
+        elements=st.floats(0.0, 3.4028234e38) | st.sampled_from([0.0, 0.5, 1e-46, 1e-40, 7.0])),
+        dtype=st.sampled_from(["<f8", ">f8", "<f4", ">f4", "<i4"]),
+        order=st.sampled_from(["C", "F", "step"]))
+    def test_writes_the_bytes_of_the_copying_writer(self, maps, dtype, order):
+        maps = np.minimum(maps, 1e9).astype(dtype) if dtype == "<i4" else maps.astype(dtype)
+        if order == "F":
+            maps = np.asfortranarray(maps)
+        elif order == "step":
+            maps = np.repeat(maps, 2, axis=2)[:, :, ::2]
+        maps = ProbabilityMaps(maps)
+        with tempfile.TemporaryDirectory() as d:
+            got, want = Path(d) / "got.fapm", Path(d) / "want.fapm"
+            write_maps(maps, got)
+            write_maps_copying(maps, want)
+            assert got.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("value", [3.5e38, 1e39, 1.7e308])
+    def test_value_past_float32_range_is_numeric_error(self, tmp_path, value):
+        # read_maps would refuse the inf a cast makes of it
+        values = np.ones((2, 4, 4))
+        values[1, 2, 3] = value
+        p = tmp_path / "m.fapm"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="float32 range") as err:
+                write_maps(ProbabilityMaps(values), p)
+        assert str(p) in str(err.value)
+        assert not p.exists()
+
+    def test_float32_max_as_float64_is_written(self, tmp_path):
+        values = np.full((1, 2, 2), float(np.finfo(np.float32).max))
+        p = tmp_path / "m.fapm"
+        write_maps(ProbabilityMaps(values), p)
+        np.testing.assert_array_equal(read_maps(p).maps, values)
 
     @staticmethod
     def raw_file(path, values, dims=None):
@@ -496,6 +548,85 @@ class TestBlobMaps:
         assert blobs.read(1, 4, 4) == 0.25
         np.testing.assert_array_equal(blobs.read([[0], [1]], [-1, 5, 0], [0, 0, 6]), 0.0)
         np.testing.assert_array_equal(blobs.peaks(), [[2.0, 3.0], [0.0, 0.0]])
+
+
+def coordinates(n):
+    """One centre coordinate on an axis of n pixels: inside the map, on an
+    edge, near it, far off it, or not finite."""
+    return st.one_of(
+        st.floats(0.0, n - 1.0),
+        st.sampled_from([0.0, n - 1.0, -0.5, n - 0.5, float(n)]),
+        st.floats(-3.0 * n - 50.0, 4.0 * n + 50.0),
+        st.sampled_from([-1e3, 1e6, 1e200, -1e300]),
+        st.sampled_from([np.nan, np.inf, -np.inf]))
+
+
+@st.composite
+def blob_maps(draw):
+    H, W = draw(st.sampled_from([(1, 1), (1, 7), (9, 2)])
+                | st.tuples(st.integers(1, 40), st.integers(1, 40)))
+    centres = [[draw(coordinates(W)), draw(coordinates(H))]
+               for _ in range(draw(st.integers(1, 5)))]
+    sigma = draw(st.sampled_from([1e-200, 1e-160, 1e-3, 0.3, 3.0, 1e3, np.float64(1e200), np.inf])
+                 | st.floats(0.05, 2.0 * max(H, W)))
+    floor = draw(st.sampled_from([0.0, -0.0, 1e-46, 1e-40, 0.05, 1.0, 1.5, 3e38, 1e39])
+                 | st.floats(0.0, 2.0))
+    return BlobMaps(np.array(centres), sigma, floor, (H, W))
+
+
+class TestRaster:
+    """BlobMaps.raster(dtype) evaluates each blob only in its box, and must
+    equal the full-grid float64 raster cast to dtype, bit for bit."""
+
+    @given(blobs=blob_maps(), dtype=st.sampled_from([np.float32, np.float64]))
+    @settings(max_examples=400, deadline=None)
+    # a drawn blob off the map under a -0.0 floor writes +0.0
+    @example(BlobMaps(np.array([[-50.0, 3.0], [np.nan, np.nan]]), 1.0, -0.0, (4, 5)), np.float32)
+    # the pixels on the box's edge reach float32's subnormals
+    @example(BlobMaps(np.array([[9.3, 11.6], [20.5, 3.0]]), 1.3, 0.0, (40, 33)), np.float32)
+    # one NaN coordinate, an infinite one, and 2 sigma**2 that underflows to 0
+    @example(BlobMaps(np.array([[2.0, np.nan], [1.0, 1.0]]), 1.0, 0.0, (3, 3)), np.float32)
+    @example(BlobMaps(np.array([[np.inf, 1.0]]), 1.0, 0.05, (3, 3)), np.float64)
+    @example(BlobMaps(np.array([[1.0, 2.0]]), 1e-200, 0.0, (3, 4)), np.float32)
+    def test_equals_the_full_grid_raster_cast(self, blobs, dtype):
+        with np.errstate(over="ignore"):
+            want = blob_raster_full_grid(blobs).astype(dtype)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = blobs.raster(dtype)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    def test_maps_is_the_float64_raster(self):
+        cfg = SynthConfig(coordinate_noise_sigma=1.0, outlier_rate=0.3)
+        coords = np.random.default_rng(4).uniform(0.0, 160.0, size=(24, 2))
+        blobs = draw_blobs(coords, np.ones(24), np.ones(24, np.uint8), cfg,
+                           np.random.default_rng(5))
+        assert blobs.maps.tobytes() == blob_raster_full_grid(blobs).tobytes()
+        assert blobs.maps is blobs.maps
+
+    def test_float32_evaluates_only_the_box(self, monkeypatch):
+        # sigma 3 falls below half float32's smallest subnormal 44 px out
+        shapes, blob = [], heatmaps._blob
+
+        def recorded(*args):
+            shapes.append(blob(*args).shape)
+            return blob(*args)
+
+        monkeypatch.setattr(heatmaps, "_blob", recorded)
+        blobs = BlobMaps(np.array([[80.0, 80.0], [-500.0, 10.0]]), 3.0, 0.0, (160, 160))
+        blobs.raster(np.float32)
+        blobs.raster(np.float64)
+        assert shapes == [(87, 87), (54, 0), (160, 160), (160, 160)]
+
+    def test_past_the_float32_range_is_inf_without_a_warning(self):
+        blobs = BlobMaps(np.array([[2.0, 3.0], [np.nan, np.nan]]), 1.0, 1e39, (6, 5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = blobs.raster(np.float32)
+        assert np.isposinf(out).all()
+        with pytest.raises(NumericError):
+            ProbabilityMaps(out)
 
 
 class TestGrayMaps:

@@ -18,6 +18,7 @@ ALLOWED = {
     ("cascade.py", "gen_candidates"),
     ("cascade.py", "robust_init"),
     ("synthetic.py", "robust_init"),
+    ("synthetic.py", "synthesize"),
 }
 # __init__ imports are the package's public names
 REEXPORTING = {"__init__.py"}

@@ -18,6 +18,7 @@ from facealign.synthetic import (
     part_deform_modes,
     write_corpus,
 )
+from oracles import write_corpus_maps_full_grid
 
 
 class TestCorpus:
@@ -200,6 +201,37 @@ class TestMapSources:
         assert manifest["synth"]["outlier_rate"] == 0.1
         assert not manifest["maps_written"]
         assert (tmp_path / "annotations.jsonl").exists()
+
+
+class TestWriteCorpus:
+    """write_corpus renders each face in float32 over its blobs' boxes and
+    writes the raster as it is; its files must be the bytes the full-grid
+    float64 raster and the copying writer wrote."""
+
+    @pytest.mark.parametrize("synth", [
+        {},
+        {"coordinate_noise_sigma": 1.0, "outlier_rate": 0.1},
+        {"floor": 0.05, "occluded_dropout": 0.5},
+        {"floor": -0.0, "coordinate_noise_sigma": 1.0, "outlier_rate": 0.1},
+        {"peak_sigma": 0.3, "floor": 1e-40},
+        {"peak_sigma": 20.0, "coordinate_noise_sigma": 3.0},
+    ], ids=["default", "bench-noise", "floor-dropout", "negative-zero", "narrow", "wide"])
+    def test_files_equal_the_full_grid_writer(self, tiny_corpus, tmp_path, synth):
+        cfg, sub = SynthConfig(**synth), tiny_corpus.subset(range(6))
+        write_corpus(sub, cfg, tmp_path / "got", CorpusConfig(count=6, seed=17))
+        write_corpus_maps_full_grid(sub, cfg, tmp_path / "want", 17)
+        for s in sub.samples:
+            name = f"{s.image_ref}.fapm"
+            assert (tmp_path / "got" / "maps" / name).read_bytes() == \
+                (tmp_path / "want" / name).read_bytes()
+
+    def test_face_no_reader_accepts_is_named_and_not_written(self, tiny_corpus, tmp_path):
+        # a floor past float32's range casts to inf, which read_maps refuses
+        sub = tiny_corpus.subset(range(2))
+        with pytest.raises(NumericError, match="non-finite") as err:
+            write_corpus(sub, SynthConfig(floor=1e39), tmp_path, CorpusConfig(count=2, seed=1))
+        assert str(FileMapSource(tmp_path / "maps").path_for(sub.samples[0])) in str(err.value)
+        assert list((tmp_path / "maps").iterdir()) == []
 
 
 class TestAttachInitials:
