@@ -536,7 +536,7 @@ def extract_stage_features(dataset: Dataset, coords, maps_provider,
                            pattern: FreakPattern, scale: float,
                            feature_mode: str) -> np.ndarray:
     """(n, L, M) pattern reads of the faces at coords, (n, L, 2), in one call
-    per pose.map_chunks chunk of one raster, as a held .fapm raster page-faults."""
+    per pose.map_chunks chunk, which holds one raster."""
     V = np.empty(coords.shape[:2] + (len(pattern),))
 
     def read(faces, maps):

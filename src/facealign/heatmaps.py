@@ -31,6 +31,7 @@ not.
 
 from __future__ import annotations
 
+import mmap
 import os
 import struct
 import zlib
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NON_NEGATIVE, POSITIVE, UNIT, FormatError, NumericError, check, setting
+from .errors import NON_NEGATIVE, UNIT, FormatError, NumericError, check, is_finite, setting
 
 MAP_MAGIC = b"FAPM"
 MAP_VERSION = 1
@@ -285,11 +286,16 @@ class GrayMaps:
         return self.landmark_maps.read(every, x, y).max(axis=0)
 
 
+# a blob's exponent divides by 2 sigma**2, which must not overflow
+SIGMA = (lambda v: is_finite(v) and v > 0 and 2.0 * float(v) * float(v) < float("inf"),
+         "a finite number > 0 whose 2 sigma**2 is finite")
+
+
 @dataclass
 class SynthConfig:
     """Controls for the synthetic probability-map generator."""
 
-    peak_sigma: float = setting(3.0, POSITIVE)
+    peak_sigma: float = setting(3.0, SIGMA)
     coordinate_noise_sigma: float = setting(0.0, NON_NEGATIVE)
     outlier_rate: float = setting(0.0, UNIT)
     occluded_dropout: float = setting(0.0, UNIT)
@@ -401,23 +407,38 @@ def write_maps(maps: ProbabilityMaps, path) -> None:
 
 
 def read_maps(path) -> ProbabilityMaps:
-    with open(path, "rb") as fh:
-        head = fh.read(len(MAP_MAGIC) + 16)
-        if len(head) < len(MAP_MAGIC) + 16:
-            raise FormatError("truncated map file header")
-        if head[: len(MAP_MAGIC)] != MAP_MAGIC:
-            raise FormatError("bad map file magic")
-        version, L, H, W = struct.unpack("<iiii", head[len(MAP_MAGIC):])
-        if version != MAP_VERSION:
-            raise FormatError(f"unsupported map file version {version}")
-        if L <= 0 or H <= 0 or W <= 0:
-            raise FormatError("bad map file dimensions")
-        expected = L * H * W * 4
-        # the size check comes before the allocation a bad header would size
-        size = os.fstat(fh.fileno()).st_size - len(head)
-        if size != expected:
-            raise FormatError(f"map payload has {size} bytes, header implies {expected}")
-        maps = np.empty((L, H, W), dtype="<f4")
-        if fh.readinto(maps) != expected:
-            raise FormatError("map payload ended early")
-    return ProbabilityMaps(maps)
+    """The maps of a .fapm file, every error naming path. The header and
+    the file's size are checked first; the payload is then mapped
+    read-only and validated in place, with no copy.
+
+    The raster is a read-only view of the mapping, which lives as long as
+    the raster or any view of it and keeps one duplicated file descriptor
+    open. The mapping follows the file: a held raster sees a rewrite in
+    place unvalidated, and truncating the file while its raster is held
+    kills the process with SIGBUS at the next read of a lost page. A file
+    replaced by a rename leaves held rasters as they were."""
+    try:
+        with open(path, "rb") as fh:
+            head = fh.read(len(MAP_MAGIC) + 16)
+            if len(head) < len(MAP_MAGIC) + 16:
+                raise FormatError("truncated map file header")
+            if head[: len(MAP_MAGIC)] != MAP_MAGIC:
+                raise FormatError("bad map file magic")
+            version, L, H, W = struct.unpack("<iiii", head[len(MAP_MAGIC):])
+            if version != MAP_VERSION:
+                raise FormatError(f"unsupported map file version {version}")
+            if L <= 0 or H <= 0 or W <= 0:
+                raise FormatError("bad map file dimensions")
+            expected = L * H * W * 4
+            # the size check comes before the mapping a bad header would size
+            size = os.fstat(fh.fileno()).st_size - len(head)
+            if size != expected:
+                raise FormatError(f"map payload has {size} bytes, header implies {expected}")
+            try:
+                data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+            except (OSError, ValueError) as exc:
+                raise FormatError(f"cannot map the payload: {exc}") from None
+        maps = np.frombuffer(data, "<f4", L * H * W, len(head)).reshape(L, H, W)
+        return ProbabilityMaps(maps)
+    except (FormatError, NumericError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None

@@ -224,8 +224,8 @@ def run_train(cfg: RunConfig, dataset: Dataset | None = None) -> str:
 def predict_dataset(model: CascadeModel, dataset: Dataset, maps_source,
                     seed: int | None = None):
     """predict_faces over the dataset, in pose.map_chunks chunks that hold
-    one raster: chunks of BlobMaps serve 2-3x faster, but held .fapm rasters
-    page-fault on every read. No faces touch no map source."""
+    one raster: chunks of BlobMaps serve 2-3x faster. No faces touch no map
+    source."""
     if not len(dataset):
         return []
     return map_chunks(dataset.samples, maps_source.maps_for, lambda faces, maps: predict_faces(

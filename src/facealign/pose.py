@@ -26,7 +26,8 @@ face keeps its first maximum. No value depends on which other faces share
 the call, so a face gets bitwise the result it gets alone; robust_init is
 a batch of one. map_chunks, the one loop that requests maps, holds up to
 INIT_CHUNK faces a chunk, and up to INIT_CHUNK rasters for consensus_inits,
-whose batched solve pays for them, else one: held .fapm rasters page-fault.
+whose batched solve pays for them, else one. A held .fapm raster keeps its
+file's 2.5 MB mapping and a file descriptor.
 """
 
 from __future__ import annotations
@@ -49,7 +50,8 @@ ORTHONORMAL_TOL = 1e-6
 MAX_ITER = 15
 STEP_TOL = 1e-6
 # most faces whose maps map_chunks holds at once; each caller caps the
-# rasters among them, a 24x160x160 float32 .fapm raster being 2.5 MB
+# rasters among them, a held 24x160x160 .fapm raster keeping a 2.5 MB
+# mapping and a file descriptor
 INIT_CHUNK = 32
 _EYE3 = np.eye(3)
 _EYE6 = np.eye(6)

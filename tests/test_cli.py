@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from facealign import default_model3d, default_schema, pipeline
+from facealign import default_model3d, default_schema, heatmaps, pipeline
 from facealign.cascade import predict
 from facealign.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, _config_from_args, build_parser, run
 from facealign.errors import DataError
@@ -415,6 +415,26 @@ class TestConfigErrors:
         assert f"{key} must be " in err and " of finite width" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("sigma", [1e200, 9.5e153, 10**200], ids=["1e200", "edge", "int"])
+    @pytest.mark.parametrize("command", ["synth", "train"])
+    def test_peak_sigma_whose_variance_overflows_exits_2(self, faces, tmp_path, capsys,
+                                                         command, sigma):
+        # a blob divides by 2 sigma**2: past about 9.48e153 that overflowed
+        # in BlobMaps.raster (synth) and BlobMaps._values (train)
+        cfg = write_config(tmp_path / "c.json", corpus={"count": 4},
+                           synth={"peak_sigma": sigma})
+        extra = ["--dataset", str(faces / "annotations.jsonl")] if command == "train" else []
+        rc = run([command, *extra, "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == EXIT_DATA
+        assert "peak_sigma must be a finite number > 0 whose 2 sigma**2 is finite" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_largest_peak_sigma_synthesizes(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json", corpus={"count": 2},
+                           synth={"peak_sigma": 9.4e153})
+        assert run(["synth", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_OK
+
     @pytest.mark.parametrize("setting", ["config", "dataset", "schema", "model3d", "pattern"])
     def test_text_input_that_is_not_utf8_exits_2(self, faces, tmp_path, capsys, setting):
         bad = tmp_path / "bad.txt"
@@ -730,7 +750,58 @@ class TestPipelineCommands:
                   "--maps-dir", str(faces / "maps"), "--model", str(out / "model.facm"),
                   "--out", str(tmp_path / "eval")])
         assert rc == code
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err
+        assert f"{path}: " in err
+
+    @pytest.mark.parametrize("damage, code, message", [
+        (nan_last_value, EXIT_NUMERIC, "non-finite probability map value"),
+        (lambda path: path.write_bytes(path.read_bytes()[:-4]), EXIT_DATA, "header implies"),
+    ], ids=["nan", "truncate"])
+    def test_eval_on_a_map_file_changed_between_requests(self, workdir, map_faces, tmp_path,
+                                                         capsys, monkeypatch, damage, code,
+                                                         message):
+        # one face listed twice: its file is read, then changed before its
+        # second request, which maps and validates it again
+        _, cfg, out = workdir
+        maps = damaged_maps(map_faces, tmp_path / "maps", lambda path: None)
+        first = (map_faces / "annotations.jsonl").read_text().splitlines()[0]
+        faces = tmp_path / "faces.jsonl"
+        faces.write_text(f"{first}\n{first}\n")
+        path = maps / f"{json.loads(first)['image']}.fapm"
+        requests, maps_for = [], FileMapSource.maps_for
+
+        def change_before_the_second(self, sample):
+            requests.append(sample)
+            if len(requests) == 2:
+                damage(path)
+            return maps_for(self, sample)
+
+        monkeypatch.setattr(FileMapSource, "maps_for", change_before_the_second)
+        rc = run(["eval", "--config", str(cfg), "--dataset", str(faces), "--maps-dir", str(maps),
+                  "--model", str(out / "model.facm"), "--out", str(tmp_path / "eval")])
+        assert len(requests) == 2
+        assert rc == code
+        err = capsys.readouterr().err
+        assert message in err and f"{path}: " in err
+
+    @pytest.mark.parametrize("failure", [OSError(12, "Cannot allocate memory"),
+                                         ValueError("mmap offset is greater than file size")])
+    def test_eval_when_a_map_file_cannot_be_mapped(self, workdir, map_faces, tmp_path, capsys,
+                                                   monkeypatch, failure):
+        _, cfg, out = workdir
+
+        def refuse(*args, **kwargs):
+            raise failure
+
+        monkeypatch.setattr(heatmaps.mmap, "mmap", refuse)
+        rc = run(["eval", "--config", str(cfg), "--dataset", str(map_faces / "annotations.jsonl"),
+                  "--maps-dir", str(map_faces / "maps"), "--model", str(out / "model.facm"),
+                  "--out", str(tmp_path / "eval")])
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "cannot map the payload" in err and str(map_faces / "maps") in err
+        assert "Traceback" not in err
 
     def test_train_on_a_bad_map_file_fails_before_the_cascade(self, workdir, map_faces,
                                                               tmp_path, capsys, monkeypatch):

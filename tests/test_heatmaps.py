@@ -349,6 +349,64 @@ class TestMapFiles:
         np.testing.assert_array_equal(out, values)
         assert np.signbit(out[1, 3, 3])
 
+    def test_payload_is_mapped_without_a_copy(self, tmp_path):
+        maps = ProbabilityMaps(np.ones((24, 160, 160), dtype=np.float32))
+        p = tmp_path / "m.fapm"
+        write_maps(maps, p)
+        tracemalloc.start()
+        try:
+            out = read_maps(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the payload is 2.4 MB; a buffer for it would show
+        assert peak < 1 << 20
+        assert out.maps.tobytes() == maps.maps.tobytes()
+
+    def test_raster_is_read_only(self, tmp_path):
+        p = self.raw_file(tmp_path / "m.fapm", np.ones((2, 4, 4)))
+        data = p.read_bytes()
+        out = read_maps(p).maps
+        assert not out.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            out[1, 2, 3] = 2.0
+        assert p.read_bytes() == data
+
+    def test_raster_outlives_its_file_name(self, tmp_path):
+        # the mapping holds the file: neither unlinking the name nor
+        # renaming another file over it changes a held raster
+        values = np.arange(32, dtype=np.float32).reshape(2, 4, 4)
+        p = self.raw_file(tmp_path / "m.fapm", values)
+        held, other = read_maps(p).maps, read_maps(p).maps
+        os.replace(self.raw_file(tmp_path / "n.fapm", np.zeros_like(values)), p)
+        np.testing.assert_array_equal(held, values)
+        os.unlink(p)
+        np.testing.assert_array_equal(other, values)
+
+    FILE_DAMAGE = {
+        "truncated header": (lambda d: d[:10], FormatError, "truncated map file header"),
+        "magic": (lambda d: b"FAPN" + d[4:], FormatError, "bad map file magic"),
+        "version": (lambda d: d[:4] + struct.pack("<i", 2) + d[8:], FormatError,
+                    "unsupported map file version 2"),
+        "dimensions": (lambda d: d[:8] + struct.pack("<i", 0) + d[12:], FormatError,
+                       "bad map file dimensions"),
+        "payload size": (lambda d: d[:-4], FormatError, "map payload has 124 bytes"),
+        "non-finite": (lambda d: d[:-4] + struct.pack("<f", np.nan), NumericError,
+                       "non-finite probability map value"),
+        "negative": (lambda d: d[:-4] + struct.pack("<f", -1.0), FormatError,
+                     "negative probability map value"),
+    }
+
+    @pytest.mark.parametrize("damage", FILE_DAMAGE)
+    def test_every_refusal_names_the_file(self, tmp_path, damage):
+        edit, error, message = self.FILE_DAMAGE[damage]
+        p = self.raw_file(tmp_path / "m.fapm", np.ones((2, 4, 4)))
+        p.write_bytes(edit(p.read_bytes()))
+        with pytest.raises(error) as info:
+            read_maps(p)
+        assert type(info.value) is error
+        assert str(info.value).startswith(f"{p}: {message}")
+
     @settings(max_examples=200, deadline=None)
     @given(maps=hnp.arrays(
         st.sampled_from([np.float32, np.float64]),

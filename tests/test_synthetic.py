@@ -190,6 +190,24 @@ class TestMapSources:
         with pytest.raises(FormatError, match=f"holds {L} landmark maps, the schema has 24"):
             FileMapSource(tmp_path, tiny_corpus.schema).maps_for(s)
 
+    @pytest.mark.parametrize("damage, error", [
+        (lambda d: d[:-4] + struct.pack("<f", float("nan")), NumericError),
+        (lambda d: d[:-4], FormatError),
+    ], ids=["nan", "truncate"])
+    def test_file_changed_between_requests_is_read_again(self, tiny_corpus, tmp_path,
+                                                         damage, error):
+        # nothing of a file's first read is kept: the second request maps
+        # and validates the rewritten file
+        s = tiny_corpus.samples[0]
+        source = FileMapSource(tmp_path, tiny_corpus.schema)
+        path = tmp_path / f"{s.image_ref}.fapm"
+        write_maps(ProbabilityMaps(np.ones((24, 4, 4), np.float32)), path)
+        assert source.maps_for(s).landmark_count == 24
+        path.write_bytes(damage(path.read_bytes()))
+        with pytest.raises(error) as info:
+            source.maps_for(s)
+        assert str(info.value).startswith(f"{path}: ")
+
     def test_write_corpus_manifest(self, tiny_corpus, tmp_path):
         sub = tiny_corpus.subset(range(2))
         write_corpus(sub, SynthConfig(outlier_rate=0.1), tmp_path,
