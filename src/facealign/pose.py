@@ -435,8 +435,12 @@ def fit_poses(coords2d: np.ndarray, points3d: np.ndarray,
 
 def hypothesis_subsets(seed: int, Z: int, subset_size: int, distinct) -> np.ndarray:
     """The (Z, subset_size) landmark subsets robust_init fits, row z drawn
-    from SeedSequence([seed, 0x9A, z]). They depend on nothing but the
-    arguments, so they are drawn once per key and shared read-only."""
+    from SeedSequence([seed, 0x9A, z]). While Z <= comb(len(distinct),
+    subset_size), no two rows hold the same landmark set: a row that
+    repeats an earlier row's set is drawn again from SeedSequence([seed,
+    0x9A, z, k]), k = 1, 2, ..., until it does not. They depend on nothing
+    but the arguments, so they are drawn once per key and shared
+    read-only."""
     return _hypothesis_subsets(int(seed), int(Z), int(subset_size),
                                tuple(np.asarray(distinct).tolist()))
 
@@ -444,11 +448,21 @@ def hypothesis_subsets(seed: int, Z: int, subset_size: int, distinct) -> np.ndar
 @functools.lru_cache(maxsize=64)
 def _hypothesis_subsets(seed: int, Z: int, subset_size: int, distinct: tuple) -> np.ndarray:
     distinct = np.array(distinct, dtype=np.int64)
-    ids = np.stack([
-        np.random.default_rng(np.random.SeedSequence([seed, 0x9A, z]))
-        .choice(distinct, size=subset_size, replace=False)
-        for z in range(Z)
-    ])
+
+    def draw(*key):
+        return np.random.default_rng(np.random.SeedSequence([seed, 0x9A, *key])).choice(
+            distinct, size=subset_size, replace=False)
+
+    unique = Z <= math.comb(len(distinct), subset_size)
+    rows, seen = [], set()
+    for z in range(Z):
+        row, k = draw(z), 0
+        while unique and frozenset(row.tolist()) in seen:
+            k += 1
+            row = draw(z, k)
+        seen.add(frozenset(row.tolist()))
+        rows.append(row)
+    ids = np.stack(rows)
     ids.flags.writeable = False
     return ids
 

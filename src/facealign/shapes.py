@@ -215,6 +215,8 @@ def _shape_from_record(rec, index: dict, line_no):
         if not isinstance(name, str) or name not in index:
             raise SchemaError(f"unknown landmark name {name!r}")
         i = index[name]
+        if ann[i]:
+            raise ParseError(f"landmark {name!r} is listed twice", line=line_no)
         coords[i] = (x, y)
         ann[i] = 1
         vis[i] = v
@@ -236,6 +238,10 @@ def load_dataset(path, schema: LandmarkSchema) -> Dataset:
                 raise ParseError(str(exc), line=line_no)
             if not isinstance(rec, dict) or "image" not in rec or "bbox" not in rec:
                 raise ParseError("record missing image/bbox", line=line_no)
+            # the image names the face's map file and seeds its synthetic maps
+            if not (isinstance(rec["image"], str) and rec["image"]):
+                raise ParseError(f"image must be a non-empty string, not {rec['image']!r}",
+                                 line=line_no)
             try:
                 count = int(rec.get("L", schema.landmark_count))
                 if count != float(rec.get("L", count)):
@@ -250,27 +256,19 @@ def load_dataset(path, schema: LandmarkSchema) -> Dataset:
                     f"record L={rec['L']} does not match schema L={schema.landmark_count}"
                 )
             gt = _shape_from_record(rec, index, line_no)
-            samples.append(Sample(image_ref=str(rec["image"]), ground_truth=gt, bbox=bbox))
+            samples.append(Sample(image_ref=rec["image"], ground_truth=gt, bbox=bbox))
     return Dataset(samples, schema)
 
 
 def save_dataset(dataset: Dataset, path) -> None:
+    """Write one JSON record per face, listing its annotated landmarks."""
     names = dataset.schema.names
     with open(path, "w", encoding="utf-8") as fh:
         for s in dataset.samples:
             gt = s.ground_truth
-            lms = []
-            for i in range(gt.landmark_count):
-                if gt.annotated[i]:
-                    lms.append(
-                        {
-                            "name": names[i],
-                            "x": gt.coords[i, 0],
-                            "y": gt.coords[i, 1],
-                            "v": gt.visibility[i],
-                            "w": 1,
-                        }
-                    )
+            xy, vis = gt.coords.tolist(), gt.visibility.tolist()
+            lms = [{"name": names[i], "x": xy[i][0], "y": xy[i][1], "v": vis[i], "w": 1}
+                   for i in np.flatnonzero(gt.annotated).tolist()]
             rec = {
                 "image": s.image_ref,
                 "bbox": list(s.bbox),

@@ -87,51 +87,56 @@ def _deform_coefficients(cfg: CorpusConfig, schema, rng) -> np.ndarray:
 
 def generate_corpus(model: Model3D, schema: LandmarkSchema,
                     cfg: CorpusConfig) -> Dataset:
-    """Deterministic dataset of projected deformed faces (no map files)."""
+    """Deterministic dataset of projected deformed faces (no map files).
+
+    Each face, in turn, draws from its own generator (_face_rng) its yaw,
+    pitch and roll, scale, 2D shift and one deformation coefficient per
+    part, in that order, and turns its angles into a rotation. Everything
+    after that is computed once for the whole corpus: every landmark moved
+    along its part's mode by deform_magnitude times its part's coefficient,
+    the projection, visibility, bbox and pose translation. Each value is
+    bitwise the one a face computed on its own gets.
+    """
     for pattern in cfg.sign_patterns or ():
         if len(pattern) != schema.part_count:
             raise SchemaError(f"sign pattern {pattern} has {len(pattern)} entries, "
                               f"the schema has {schema.part_count} parts")
-    modes = part_deform_modes(model, schema, cfg.deform_seed)
-    center = np.array([FACE_SIZE / 2.0, FACE_SIZE / 2.0])
-    focal = float(FACE_SIZE)
-    samples = []
-    for i in range(cfg.count):
+    mode = np.empty((schema.landmark_count, 3))
+    for p, m in enumerate(part_deform_modes(model, schema, cfg.deform_seed)):
+        mode[schema.part_indices(p)] = m
+    n = cfg.count
+    R, s = np.empty((n, 3, 3)), np.empty(n)
+    shift, coeff = np.empty((n, 2)), np.empty((n, schema.part_count))
+    for i in range(n):
         rng = _face_rng(cfg, i)
         yaw, pitch, roll = np.radians(rng.uniform(
             [-cfg.yaw_range, -cfg.pitch_range, -cfg.roll_range],
             [cfg.yaw_range, cfg.pitch_range, cfg.roll_range],
         ))
-        R = euler_to_rotation(yaw, pitch, roll)
-        s = float(rng.uniform(*cfg.scale_range))
-        shift = rng.uniform(-cfg.shift_range, cfg.shift_range, size=2)
-        coeff = _deform_coefficients(cfg, schema, rng)
-        pts = model.points.copy()
-        for p in range(schema.part_count):
-            idx = schema.part_indices(p)
-            pts[idx] += cfg.deform_magnitude * coeff[p] * modes[p]
-        cam = pts @ R.T
-        coords = center + shift + s * cam[:, :2]
-        vis = ((model.normals @ R.T)[:, 2] <= 0.0).astype(np.float64)
-        lo = coords.min(axis=0)
-        hi = coords.max(axis=0)
-        span = hi - lo
-        bbox = (
-            float(lo[0] - 0.05 * span[0]),
-            float(lo[1] - 0.05 * span[1]),
-            float(1.1 * span[0]),
-            float(1.1 * span[1]),
+        R[i] = euler_to_rotation(yaw, pitch, roll)
+        s[i] = rng.uniform(*cfg.scale_range)
+        shift[i] = rng.uniform(-cfg.shift_range, cfg.shift_range, size=2)
+        coeff[i] = _deform_coefficients(cfg, schema, rng)
+    Rt = R.transpose(0, 2, 1)
+    pts = model.points + (cfg.deform_magnitude * coeff[:, schema.parts])[..., None] * mode
+    center = np.array([FACE_SIZE / 2.0, FACE_SIZE / 2.0])
+    coords = (center + shift)[:, None] + s[:, None, None] * (pts @ Rt)[..., :2]
+    vis = ((model.normals @ Rt)[..., 2] <= 0.0).astype(np.float64)
+    lo = coords.min(axis=1)
+    span = coords.max(axis=1) - lo
+    bboxes = np.column_stack([lo - 0.05 * span, 1.1 * span]).tolist()
+    focal = float(FACE_SIZE)
+    translations = np.column_stack([shift / s[:, None], focal / s])
+    annotated = np.ones(vis.shape, dtype=np.uint8)
+    samples = [
+        Sample(
+            image_ref=f"{cfg.tag}_{i:06d}",
+            ground_truth=Shape(coords[i], vis[i], annotated[i]),
+            bbox=tuple(bboxes[i]),
+            pose=RigidPose(R[i], translations[i], focal),
         )
-        gt = Shape(coords, vis, np.ones(len(coords), dtype=np.uint8))
-        pose = RigidPose(R, np.array([shift[0] / s, shift[1] / s, focal / s]), focal)
-        samples.append(
-            Sample(
-                image_ref=f"{cfg.tag}_{i:06d}",
-                ground_truth=gt,
-                bbox=bbox,
-                pose=pose,
-            )
-        )
+        for i in range(n)
+    ]
     return Dataset(samples, schema)
 
 

@@ -1,5 +1,6 @@
 """Reference implementations the tests compare the package against."""
 
+import json
 import os
 import struct
 
@@ -9,10 +10,12 @@ from facealign.cascade import (SHORTLIST_TOL, Prediction, Tree, _branch_cost, ap
                                best_split, feature_maps)
 from facealign.errors import FitError, FormatError, InitError, NumericError
 from facealign.features import draw_candidates, extract_pattern_values
-from facealign.heatmaps import MAP_MAGIC, MAP_VERSION, ProbabilityMaps, sample_blobs
-from facealign.pose import (MAX_ITER, ORTHONORMAL_TOL, STEP_TOL, PoseFits, anchor_shape,
-                            bbox_center, default_center, robust_init)
-from facealign.shapes import Shape
+from facealign.heatmaps import FACE_SIZE, MAP_MAGIC, MAP_VERSION, ProbabilityMaps, sample_blobs
+from facealign.pose import (MAX_ITER, ORTHONORMAL_TOL, STEP_TOL, PoseFits, RigidPose,
+                            anchor_shape, bbox_center, default_center, euler_to_rotation,
+                            robust_init)
+from facealign.shapes import Dataset, Sample, Shape
+from facealign.synthetic import part_deform_modes
 
 
 def map_values(grid: np.ndarray, coords: np.ndarray) -> np.ndarray:
@@ -369,3 +372,70 @@ def write_corpus_maps_full_grid(dataset, synth_cfg, directory, seed) -> None:
     for s in dataset.samples:
         maps = ProbabilityMaps(blob_raster_full_grid(sample_blobs(s, synth_cfg, seed)))
         write_maps_copying(maps, os.path.join(directory, f"{s.image_ref}.fapm"))
+
+
+def generate_corpus_per_face(model, schema, cfg):
+    """synthetic.generate_corpus as it was before the corpus was projected
+    at once: each face drawn, deformed part by part, projected and boxed on
+    its own."""
+    modes = part_deform_modes(model, schema, cfg.deform_seed)
+    center = np.array([FACE_SIZE / 2.0, FACE_SIZE / 2.0])
+    focal = float(FACE_SIZE)
+    samples = []
+    for i in range(cfg.count):
+        rng = np.random.default_rng(np.random.SeedSequence([int(cfg.seed), 0xFACE, i]))
+        yaw, pitch, roll = np.radians(rng.uniform(
+            [-cfg.yaw_range, -cfg.pitch_range, -cfg.roll_range],
+            [cfg.yaw_range, cfg.pitch_range, cfg.roll_range],
+        ))
+        R = euler_to_rotation(yaw, pitch, roll)
+        s = float(rng.uniform(*cfg.scale_range))
+        shift = rng.uniform(-cfg.shift_range, cfg.shift_range, size=2)
+        P = schema.part_count
+        if cfg.deform_style == "coupled":
+            coeff = np.full(P, float(rng.normal()))
+        else:
+            coeff = rng.normal(size=P)
+        if cfg.sign_patterns:
+            pattern = np.asarray(cfg.sign_patterns[rng.integers(len(cfg.sign_patterns))],
+                                 dtype=np.float64)
+            coeff = np.abs(coeff) * pattern
+        pts = model.points.copy()
+        for p in range(P):
+            idx = schema.part_indices(p)
+            pts[idx] += cfg.deform_magnitude * coeff[p] * modes[p]
+        cam = pts @ R.T
+        coords = center + shift + s * cam[:, :2]
+        vis = ((model.normals @ R.T)[:, 2] <= 0.0).astype(np.float64)
+        lo = coords.min(axis=0)
+        hi = coords.max(axis=0)
+        span = hi - lo
+        bbox = (
+            float(lo[0] - 0.05 * span[0]),
+            float(lo[1] - 0.05 * span[1]),
+            float(1.1 * span[0]),
+            float(1.1 * span[1]),
+        )
+        gt = Shape(coords, vis, np.ones(len(coords), dtype=np.uint8))
+        pose = RigidPose(R, np.array([shift[0] / s, shift[1] / s, focal / s]), focal)
+        samples.append(Sample(image_ref=f"{cfg.tag}_{i:06d}", ground_truth=gt, bbox=bbox,
+                              pose=pose))
+    return Dataset(samples, schema)
+
+
+def save_dataset_per_landmark(dataset, path) -> None:
+    """shapes.save_dataset as it was before records were built from rows:
+    each annotated landmark's numpy scalars read one at a time."""
+    names = dataset.schema.names
+    with open(path, "w", encoding="utf-8") as fh:
+        for s in dataset.samples:
+            gt = s.ground_truth
+            lms = []
+            for i in range(gt.landmark_count):
+                if gt.annotated[i]:
+                    lms.append({"name": names[i], "x": gt.coords[i, 0], "y": gt.coords[i, 1],
+                                "v": gt.visibility[i], "w": 1})
+            rec = {"image": s.image_ref, "bbox": list(s.bbox), "L": gt.landmark_count,
+                   "landmarks": lms}
+            fh.write(json.dumps(rec, sort_keys=True))
+            fh.write("\n")

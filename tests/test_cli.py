@@ -650,6 +650,37 @@ class TestPipelineCommands:
         assert "bbox must be finite" in capsys.readouterr().err
         assert not (tmp_path / "eval").exists()
 
+    @pytest.mark.parametrize("edit, message", [
+        # two null images would share one map file and one synthetic-map seed
+        (lambda r: r.__setitem__("image", None), "line 2: image must be a non-empty string, "
+                                                 "not None"),
+        (lambda r: r.__setitem__("image", ""), "line 2: image must be a non-empty string"),
+        (lambda r: r.__setitem__("image", 7), "line 2: image must be a non-empty string"),
+        (lambda r: r.__setitem__("image", ["a"]), "line 2: image must be a non-empty string"),
+        # the second entry would overwrite the first and leave a landmark unannotated
+        (lambda r: r["landmarks"][1].__setitem__("name", r["landmarks"][0]["name"]),
+         "line 2: landmark 'lbrow_out' is listed twice"),
+        (lambda r: r["landmarks"].__setitem__(5, dict(r["landmarks"][4])),
+         "line 2: landmark 'leye_out' is listed twice"),
+    ], ids=["null-image", "empty-image", "number-image", "list-image", "name-twice",
+            "entry-twice"])
+    def test_eval_on_an_ambiguous_record_exits_2(self, workdir, tmp_path, capsys, edit,
+                                                 message):
+        _, cfg, out = workdir
+        lines = (out / "annotations.jsonl").read_text().splitlines()
+        recs = [json.loads(line) for line in lines[1:4:2]]
+        for rec in recs:
+            edit(rec)
+        path = tmp_path / "ambiguous.jsonl"
+        path.write_text("\n".join([lines[0], json.dumps(recs[0]), lines[2],
+                                   json.dumps(recs[1])] + lines[4:]) + "\n")
+        rc = run(["eval", "--config", str(cfg), "--dataset", str(path),
+                  "--model", str(out / "model.facm"), "--out", str(tmp_path / "eval")])
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not (tmp_path / "eval").exists()
+
     def test_eval_report_rerun_identical(self, workdir, capsys):
         _, cfg, out = workdir
         ann = out / "annotations.jsonl"

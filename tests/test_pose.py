@@ -1,4 +1,5 @@
 import copy
+import itertools
 import math
 import sys
 import weakref
@@ -249,6 +250,24 @@ def ref_fit_pose(coords2d, points3d, focal=160.0, center=None, steps=None, max_i
     return RigidPose(R, [txy[0] / s, txy[1] / s, focal / s], focal)
 
 
+def drawn_subsets(seed, Z, subset_size, distinct):
+    """The consensus subsets drawn one row at a time: row z from
+    SeedSequence([seed, 0x9A, z]), then, while Z <= comb(len(distinct),
+    subset_size) and its landmark set equals an earlier row's, from
+    SeedSequence([seed, 0x9A, z, k]) for k = 1, 2, ..."""
+    rows = []
+    for z in range(Z):
+        for k in itertools.count():
+            key = [int(seed), 0x9A, z] + ([k] if k else [])
+            row = np.random.default_rng(np.random.SeedSequence(key)).choice(
+                distinct, size=subset_size, replace=False)
+            if Z > math.comb(len(distinct), subset_size) or \
+                    not any(sorted(row) == sorted(r) for r in rows):
+                break
+        rows.append(row)
+    return np.stack(rows)
+
+
 def ref_robust_init(maps, model, Z, subset_size, seed, center, max_iter=MAX_ITER):
     """The consensus loop, each hypothesis fitted by ``ref_fit_pose`` for at
     most max_iter iterations: (winning index, score, coords, visibility,
@@ -256,9 +275,7 @@ def ref_robust_init(maps, model, Z, subset_size, seed, center, max_iter=MAX_ITER
     peaks = maps.peaks()
     focal = float(maps.face_size[0])
     best = None
-    for z in range(Z):
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x9A, z]))
-        ids = rng.choice(model.distinct_indices, size=subset_size, replace=False)
+    for z, ids in enumerate(drawn_subsets(seed, Z, subset_size, model.distinct_indices)):
         try:
             pose = ref_fit_pose(peaks[ids], model.points[ids], focal, center,
                                 max_iter=max_iter)
@@ -434,11 +451,7 @@ class TestRobustInitOracle:
         peaks[r.choice(24, outliers, replace=False)] = r.uniform(0, 159, (outliers, 2))
         maps = synthesize_from_shape(peaks, np.ones(24), np.ones(24, np.uint8),
                                      SynthConfig(coordinate_noise_sigma=1.0), r, (160, 160))
-        ids = np.stack([
-            np.random.default_rng(np.random.SeedSequence([seed, 0x9A, k]))
-            .choice(model3d.distinct_indices, size=subset_size, replace=False)
-            for k in range(Z)
-        ])
+        ids = drawn_subsets(seed, Z, subset_size, model3d.distinct_indices)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(pose, "MAX_ITER", CONVERGED_CAP)
             mp.setattr(pose, "STEP_TOL", CONVERGED_TOL)
@@ -457,7 +470,7 @@ class TestRobustInitOracle:
         assert res.score == score
         winners = [k for k in range(Z) if fits.ok[k]
                    and np.array_equal(fits.rotation[k], res.pose.rotation)]
-        # a subset drawn twice fits the same pose twice, and the first wins
+        # two subsets that fit one pose tie, and the first wins
         assert winners[0] == z
         assert all(set(ids[k]) == set(ids[z]) for k in winners)
         np.testing.assert_allclose(res.shape.coords, ref_coords, rtol=0, atol=1e-9)
@@ -469,11 +482,7 @@ class TestRobustInitOracle:
         # noise-free frontal peaks: 12 of 25 subsets project onto the same
         # rounded pixels, so their scores tie exactly
         maps, _, _ = noiseless_maps_for_pose(model3d, np.eye(3), [0.0, 0.0, 400.0])
-        ids = np.stack([
-            np.random.default_rng(np.random.SeedSequence([0, 0x9A, k]))
-            .choice(model3d.distinct_indices, size=6, replace=False)
-            for k in range(25)
-        ])
+        ids = drawn_subsets(0, 25, 6, model3d.distinct_indices)
         fits = fit_poses(maps.peaks()[ids], model3d.points[ids], 160.0, CENTER)
         ok = np.flatnonzero(fits.ok)
         scores = score_shapes(maps, project_poses(model3d, fits.rotation[ok],
@@ -870,25 +879,43 @@ class TestOverflowingPeaks:
 
 
 class TestHypothesisSubsets:
-    @staticmethod
-    def per_face_draw(seed, Z, subset_size, distinct):
-        return np.stack([
-            np.random.default_rng(np.random.SeedSequence([seed, 0x9A, z]))
-            .choice(distinct, size=subset_size, replace=False)
-            for z in range(Z)
-        ])
-
     @given(seed=st.integers(0, 2**32 - 1), Z=st.integers(1, 25),
            subset_size=st.integers(4, 8), drop=st.integers(0, 23))
+    @example(seed=85403, Z=15, subset_size=4, drop=0)
     @settings(max_examples=40, deadline=None)
     def test_equals_the_per_face_draw(self, model3d, seed, Z, subset_size, drop):
         distinct = np.delete(model3d.distinct_indices, drop)
-        want = self.per_face_draw(seed, Z, subset_size, distinct)
+        want = drawn_subsets(seed, Z, subset_size, distinct)
         for _ in range(2):  # drawn, then memoised
             got = hypothesis_subsets(seed, Z, subset_size, distinct)
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want)
             assert not got.flags.writeable
+
+    def test_a_repeated_set_is_drawn_again(self, model3d):
+        # drawn on its own, row 14 of this key holds row 3's landmarks
+        distinct = model3d.distinct_indices
+        plain = [np.random.default_rng(np.random.SeedSequence([85403, 0x9A, z]))
+                 .choice(distinct, size=4, replace=False) for z in range(15)]
+        assert set(plain[14]) == set(plain[3])
+        got = hypothesis_subsets(85403, 15, 4, distinct)
+        assert len({frozenset(row) for row in got.tolist()}) == 15
+        np.testing.assert_array_equal(got[:14], plain[:14])
+        np.testing.assert_array_equal(
+            got[14], np.random.default_rng(np.random.SeedSequence([85403, 0x9A, 14, 1]))
+            .choice(distinct, size=4, replace=False))
+
+    @pytest.mark.parametrize("Z", [4, 5, 6, 9])
+    def test_sets_repeat_only_past_the_number_of_sets(self, Z):
+        # 5 landmarks hold comb(5, 4) = 5 sets of 4: up to 5 rows are all
+        # different, more rows are drawn as they fall
+        got = hypothesis_subsets(1, Z, 4, np.arange(5))
+        if Z <= 5:
+            assert len({frozenset(row) for row in got.tolist()}) == Z
+        else:
+            np.testing.assert_array_equal(got, [
+                np.random.default_rng(np.random.SeedSequence([1, 0x9A, z]))
+                .choice(5, size=4, replace=False) for z in range(Z)])
 
     def test_every_key_part_matters(self, model3d):
         distinct = model3d.distinct_indices

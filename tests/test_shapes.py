@@ -184,13 +184,16 @@ class TestDatasetIO:
         p = tmp_path / "rt.jsonl"
         save_dataset(tiny_corpus, p)
         ds = load_dataset(p, tiny_corpus.schema)
+        assert len(ds) == len(tiny_corpus)
+        # every float is written in its shortest round-trip form, so it reads back exactly
         for a, b in zip(tiny_corpus.samples, ds.samples):
             assert a.image_ref == b.image_ref
-            np.testing.assert_allclose(a.ground_truth.coords, b.ground_truth.coords)
-            np.testing.assert_allclose(
+            np.testing.assert_array_equal(a.ground_truth.coords, b.ground_truth.coords)
+            np.testing.assert_array_equal(
                 a.ground_truth.visibility, b.ground_truth.visibility
             )
-            assert a.bbox == pytest.approx(b.bbox)
+            np.testing.assert_array_equal(a.ground_truth.annotated, b.ground_truth.annotated)
+            assert a.bbox == b.bbox
 
 
 class TestShape:

@@ -3,11 +3,13 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from facealign import synthetic
 from facealign.errors import FormatError, NumericError
 from facealign.heatmaps import ProbabilityMaps, SynthConfig, sample_blobs, write_maps
-from facealign.pose import project_points
+from facealign.pose import euler_to_rotation, project_points
 from facealign.shapes import AugmentConfig, augment, save_dataset
 from facealign.synthetic import (
     CorpusConfig,
@@ -18,7 +20,8 @@ from facealign.synthetic import (
     part_deform_modes,
     write_corpus,
 )
-from oracles import write_corpus_maps_full_grid
+from oracles import (generate_corpus_per_face, save_dataset_per_landmark,
+                     write_corpus_maps_full_grid)
 
 
 class TestCorpus:
@@ -92,6 +95,96 @@ class TestCorpus:
         assert not np.allclose(
             ds.samples[0].ground_truth.coords, other.samples[0].ground_truth.coords
         )
+
+
+def same_sample(a, b) -> bool:
+    """Every field of two samples equal bit for bit, dtypes included."""
+    ga, gb = a.ground_truth, b.ground_truth
+    arrays = [(ga.coords, gb.coords), (ga.visibility, gb.visibility),
+              (ga.annotated, gb.annotated), (a.pose.rotation, b.pose.rotation),
+              (a.pose.translation, b.pose.translation)]
+    return (a.image_ref == b.image_ref and a.initial is None and b.initial is None
+            and [type(v) for v in a.bbox] == [type(v) for v in b.bbox] == [float] * 4
+            and np.array_equal(np.array(a.bbox).view(np.uint64),
+                               np.array(b.bbox).view(np.uint64))
+            and a.pose.focal == b.pose.focal and type(a.pose.focal) is type(b.pose.focal)
+            and all(x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+                    for x, y in arrays))
+
+
+def outcome(build):
+    try:
+        return build(), None
+    except Exception as exc:  # the two generators must fail alike
+        return None, (type(exc), str(exc))
+
+
+# zero-width, ordinary and wide half-widths (degrees or pixels)
+HALF_WIDTHS = st.one_of(st.just(0.0), st.floats(0.0, 400.0), st.sampled_from([1e6, 1e200]))
+
+
+class TestBatchedCorpus:
+    """generate_corpus projects the whole corpus at once and save_dataset
+    writes rows; both must equal the per-face generator and the
+    per-landmark writer bit for bit and byte for byte."""
+
+    @given(count=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+           yaw=HALF_WIDTHS, pitch=HALF_WIDTHS, roll=HALF_WIDTHS, shift=HALF_WIDTHS,
+           scale=st.sampled_from([(1.0, 1.3), (0.5, 0.5), (1e-3, 1e3), (1e-300, 1e300)]),
+           magnitude=st.sampled_from([0.0, 4.0, 1e-3, 250.0]),
+           style=st.sampled_from(["independent", "coupled"]),
+           signs=st.sampled_from([None, [[1] * 10], [[1, -1] * 5, [0.5] * 10]]),
+           unannotated=st.floats(0.0, 1.0))
+    @example(count=1, seed=0, yaw=0.0, pitch=0.0, roll=0.0, shift=0.0, scale=(1.0, 1.3),
+             magnitude=0.0, style="independent", signs=None, unannotated=0.0)
+    @settings(max_examples=40, deadline=None)
+    def test_equals_the_per_face_generator(self, model3d, schema, tmp_path_factory, count,
+                                         seed, yaw, pitch, roll, shift, scale, magnitude,
+                                         style, signs, unannotated):
+        cfg = CorpusConfig(count=count, seed=seed, yaw_range=yaw, pitch_range=pitch,
+                           roll_range=roll, shift_range=shift, scale_range=scale,
+                           deform_magnitude=magnitude, deform_style=style,
+                           sign_patterns=signs)
+        with np.errstate(all="ignore"):
+            got, got_error = outcome(lambda: generate_corpus(model3d, schema, cfg))
+            want, want_error = outcome(lambda: generate_corpus_per_face(model3d, schema, cfg))
+        assert got_error == want_error
+        if want is None:
+            return
+        assert len(got) == len(want) == count
+        assert all(same_sample(a, b) for a, b in zip(got.samples, want.samples))
+        # a landmark left unannotated is left out of its record
+        drop = np.random.default_rng(seed).random((count, schema.landmark_count)) < unannotated
+        for s, d in zip(got.samples, drop):
+            s.ground_truth.annotated[d] = 0
+        out = tmp_path_factory.getbasetemp()
+        save_dataset(got, out / "rows.jsonl")
+        save_dataset_per_landmark(got, out / "scalars.jsonl")
+        assert (out / "rows.jsonl").read_bytes() == (out / "scalars.jsonl").read_bytes()
+
+    @given(count=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+           magnitude=st.sampled_from([0.0, 4.0, 1e3]))
+    @settings(max_examples=20, deadline=None)
+    def test_batched_products_equal_per_face(self, model3d, count, seed, magnitude):
+        # the corpus's pts @ R^T and normals @ R^T over a stack of rotations
+        r = np.random.default_rng(seed)
+        R = np.stack([euler_to_rotation(*r.uniform(-np.pi, np.pi, 3)) for _ in range(count)])
+        Rt = R.transpose(0, 2, 1)
+        pts = model3d.points + magnitude * r.normal(size=(count, *model3d.points.shape))
+        cam, normals = pts @ Rt, model3d.normals @ Rt
+        for i in range(count):
+            assert cam[i].tobytes() == (pts[i] @ R[i].T).tobytes()
+            assert normals[i].tobytes() == (model3d.normals @ R[i].T).tobytes()
+
+    def test_writing_one_face_leaves_the_others(self, model3d, schema):
+        # faces do not share rows: writing one face leaves the others as they were
+        ds = generate_corpus(model3d, schema, CorpusConfig(count=3, seed=2))
+        want = generate_corpus_per_face(model3d, schema, CorpusConfig(count=3, seed=2))
+        ds.samples[1].ground_truth.coords[:] = 0.0
+        ds.samples[1].ground_truth.annotated[:] = 0
+        ds.samples[1].pose.rotation[:] = 0.0
+        for i in (0, 2):
+            assert same_sample(ds.samples[i], want.samples[i])
 
 
 class TestMapSources:
