@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (HALF_WIDTH, UNIT, DataError, ParseError, SchemaError, check, is_finite,
-                     open_text, require, setting)
+from .errors import (HALF_WIDTH, UNIT, DataError, NumericError, ParseError, SchemaError, check,
+                     is_finite, open_text, require, setting)
 
 
 def _entries(value, kinds: str, count: int | None = None, below: int | None = None) -> bool:
@@ -224,7 +224,8 @@ def _shape_from_record(rec, index: dict, line_no):
 
 
 def load_dataset(path, schema: LandmarkSchema) -> Dataset:
-    """Read newline-delimited annotation records (one JSON object per face)."""
+    """Read newline-delimited annotation records (one JSON object per face).
+    Every refusal of a record is a DataError whose message names its line."""
     samples = []
     index = {n: i for i, n in enumerate(schema.names)}
     with open_text(path) as fh:
@@ -251,32 +252,46 @@ def load_dataset(path, schema: LandmarkSchema) -> Dataset:
                 raise ParseError(f"bad L or bbox: {exc}", line=line_no) from None
             if len(bbox) != 4:
                 raise ParseError("bbox must have 4 entries", line=line_no)
-            if count != schema.landmark_count:
-                raise SchemaError(
-                    f"record L={rec['L']} does not match schema L={schema.landmark_count}"
-                )
-            gt = _shape_from_record(rec, index, line_no)
-            samples.append(Sample(image_ref=rec["image"], ground_truth=gt, bbox=bbox))
+            try:
+                if count != schema.landmark_count:
+                    raise SchemaError(f"record L={rec['L']} does not match schema "
+                                      f"L={schema.landmark_count}")
+                gt = _shape_from_record(rec, index, line_no)
+                samples.append(Sample(image_ref=rec["image"], ground_truth=gt, bbox=bbox))
+            except SchemaError as exc:
+                raise SchemaError(f"line {line_no}: {exc}") from None
     return Dataset(samples, schema)
 
 
 def save_dataset(dataset: Dataset, path) -> None:
-    """Write one JSON record per face, listing its annotated landmarks."""
+    """Write one JSON record per face, listing its annotated landmarks.
+
+    Each line holds the bytes of json.dumps(record, sort_keys=True). Every
+    landmark's text is a template built once from the schema, filled with
+    the repr of its v, x and y, which is json's text of a finite float; the
+    bbox, image and L go through json.dumps. A dataset with a non-finite x,
+    y or v on an annotated landmark, which no reader accepts, raises
+    NumericError naming its image before the file is opened.
+    """
     names = dataset.schema.names
+    for s in dataset.samples:
+        gt = s.ground_truth
+        keep = np.flatnonzero(gt.annotated)
+        if not (np.isfinite(gt.coords[keep]).all() and np.isfinite(gt.visibility[keep]).all()):
+            raise NumericError(f"image {s.image_ref!r} has a landmark with a non-finite "
+                               "x, y or v")
+    # a landmark's entry, its keys in sorted order, to fill with v, x and y
+    entries = ['{"name": ' + json.dumps(n).replace("%", "%%")
+               + ', "v": %r, "w": 1, "x": %r, "y": %r}' for n in names]
     with open(path, "w", encoding="utf-8") as fh:
         for s in dataset.samples:
             gt = s.ground_truth
-            xy, vis = gt.coords.tolist(), gt.visibility.tolist()
-            lms = [{"name": names[i], "x": xy[i][0], "y": xy[i][1], "v": vis[i], "w": 1}
-                   for i in np.flatnonzero(gt.annotated).tolist()]
-            rec = {
-                "image": s.image_ref,
-                "bbox": list(s.bbox),
-                "L": gt.landmark_count,
-                "landmarks": lms,
-            }
-            fh.write(json.dumps(rec, sort_keys=True))
-            fh.write("\n")
+            keep = np.flatnonzero(gt.annotated)
+            vxy = np.column_stack([gt.visibility, gt.coords])[keep].ravel().tolist()
+            landmarks = ", ".join([entries[i] for i in keep.tolist()]) % tuple(vxy)
+            fh.write('{"L": %d, "bbox": %s, "image": %s, "landmarks": [%s]}\n' % (
+                gt.landmark_count, json.dumps(list(s.bbox)), json.dumps(s.image_ref),
+                landmarks))
 
 
 def split_train_val(dataset: Dataset, val_fraction: float, seed: int):

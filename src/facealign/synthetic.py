@@ -26,7 +26,8 @@ from .heatmaps import (
     write_maps,
 )
 # robust_init stays importable here: facebench/tracing.py wraps it by this name
-from .pose import Model3D, RigidPose, consensus_inits, euler_to_rotation, robust_init
+from .pose import (Model3D, RigidPose, _rotations_ok, consensus_inits, euler_to_rotation,
+                   robust_init)
 from .shapes import Dataset, LandmarkSchema, Sample, Shape, save_dataset
 
 
@@ -95,7 +96,9 @@ def generate_corpus(model: Model3D, schema: LandmarkSchema,
     after that is computed once for the whole corpus: every landmark moved
     along its part's mode by deform_magnitude times its part's coefficient,
     the projection, visibility, bbox and pose translation. Each value is
-    bitwise the one a face computed on its own gets.
+    bitwise the one a face computed on its own gets. The corpus is checked
+    once against the Shape, RigidPose and Sample rules (_corpus_samples);
+    a face that breaks one raises the error its constructor raises.
     """
     for pattern in cfg.sign_patterns or ():
         if len(pattern) != schema.part_count:
@@ -124,20 +127,56 @@ def generate_corpus(model: Model3D, schema: LandmarkSchema,
     vis = ((model.normals @ Rt)[..., 2] <= 0.0).astype(np.float64)
     lo = coords.min(axis=1)
     span = coords.max(axis=1) - lo
-    bboxes = np.column_stack([lo - 0.05 * span, 1.1 * span]).tolist()
+    bboxes = np.column_stack([lo - 0.05 * span, 1.1 * span])
     focal = float(FACE_SIZE)
     translations = np.column_stack([shift / s[:, None], focal / s])
     annotated = np.ones(vis.shape, dtype=np.uint8)
-    samples = [
-        Sample(
-            image_ref=f"{cfg.tag}_{i:06d}",
-            ground_truth=Shape(coords[i], vis[i], annotated[i]),
-            bbox=tuple(bboxes[i]),
-            pose=RigidPose(R[i], translations[i], focal),
-        )
-        for i in range(n)
-    ]
+    samples = _corpus_samples(cfg.tag, coords, vis, annotated, bboxes, R, translations, focal)
     return Dataset(samples, schema)
+
+
+def _unchecked(cls):
+    """cls's constructor without its __post_init__: the instance holds its
+    fields as given, unchecked and unconverted."""
+    def build(**fields):
+        obj = object.__new__(cls)
+        obj.__dict__.update(fields)
+        return obj
+    return build
+
+
+def _corpus_samples(tag: str, coords, vis, annotated, bboxes, R, translations,
+                    focal: float) -> list[Sample]:
+    """Face i of the stacked (n, ...) arrays as the Sample f"{tag}_{i:06d}".
+
+    The arrays are checked once against every rule of the Shape, RigidPose
+    and Sample constructors: finite orthonormal rotations, finite
+    translations with positive depth, a finite positive focal length,
+    visibility in [0, 1], binary annotated flags, one landmark count, and
+    finite bboxes with positive width and height. The faces are then built
+    without those checks. The first face that breaks a rule, if any, is
+    built with the checked constructors, which raise its error.
+    """
+    boxes = bboxes.tolist()
+
+    def face(i, shape, pose, sample):
+        return sample(image_ref=f"{tag}_{i:06d}",
+                      ground_truth=shape(coords=coords[i], visibility=vis[i],
+                                         annotated=annotated[i]),
+                      bbox=tuple(boxes[i]), initial=None,
+                      pose=pose(rotation=R[i], translation=translations[i], focal=focal))
+
+    ok = (_rotations_ok(R) & np.isfinite(translations).all(axis=1) & (translations[:, 2] > 0)
+          & ((vis >= 0) & (vis <= 1)).all(axis=1)
+          & ((annotated == 0) | (annotated == 1)).all(axis=1)
+          & np.isfinite(bboxes).all(axis=1) & (bboxes[:, 2] > 0) & (bboxes[:, 3] > 0)
+          & (is_finite(focal) and focal > 0)
+          & (coords.shape == (*vis.shape, 2) and annotated.shape == vis.shape))
+    bad = np.flatnonzero(~ok)
+    if len(bad):
+        face(int(bad[0]), Shape, RigidPose, Sample)
+    shape, pose, sample = _unchecked(Shape), _unchecked(RigidPose), _unchecked(Sample)
+    return [face(i, shape, pose, sample) for i in range(len(boxes))]
 
 
 # faces whose blob centres a SyntheticMapSource keeps: about 1.5 KB each,

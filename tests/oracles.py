@@ -423,6 +423,17 @@ def generate_corpus_per_face(model, schema, cfg):
     return Dataset(samples, schema)
 
 
+def corpus_samples_checked(tag, coords, vis, annotated, bboxes, R, translations, focal):
+    """synthetic._corpus_samples as generate_corpus built its faces before
+    the corpus was checked at once: each face through the checked
+    constructors, which raise the first refused face's error."""
+    return [Sample(image_ref=f"{tag}_{i:06d}",
+                   ground_truth=Shape(coords[i], vis[i], annotated[i]),
+                   bbox=tuple(bboxes[i].tolist()),
+                   pose=RigidPose(R[i], translations[i], focal))
+            for i in range(len(bboxes))]
+
+
 def save_dataset_per_landmark(dataset, path) -> None:
     """shapes.save_dataset as it was before records were built from rows:
     each annotated landmark's numpy scalars read one at a time."""

@@ -936,6 +936,79 @@ class TestFuzzedMapFile:
         assert "Traceback" not in capsys.readouterr().err
 
 
+def value_paths(node, path=()) -> list:
+    """The path of keys and indices to every value inside the JSON value node."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    return [q for k, v in items for q in [(*path, k), *value_paths(v, (*path, k))]]
+
+
+AT = st.integers(0, 10 ** 6)
+ANNOTATION_MUTATIONS = st.one_of(
+    st.tuples(st.just("value"), AT, st.sampled_from([float("nan"), None])
+              | st.text(max_size=3) | st.lists(st.integers(-2, 30) | st.floats(), max_size=4)),
+    st.tuples(st.just("remove"), AT, st.none()),
+    st.tuples(st.just("rename"), AT, st.text(max_size=4)),
+    st.tuples(st.just("truncate"), AT, st.none()),
+    st.tuples(st.just("duplicate"), AT, st.none()),
+    st.tuples(st.just("byte"), AT, st.binary(min_size=1, max_size=1)),
+)
+
+
+def mutated_annotations(lines: list, line: int, kind, at: int, value) -> bytes:
+    """The annotation file of lines with one change of ANNOTATION_MUTATIONS
+    to its line-th line: at picks the value, key or byte position."""
+    out = [text.encode() for text in lines]
+    if kind in ("value", "remove", "rename"):
+        rec = json.loads(lines[line])
+        paths = [p for p in value_paths(rec) if kind == "value" or isinstance(p[-1], str)]
+        *head, last = paths[at % len(paths)]
+        node = rec
+        for key in head:
+            node = node[key]
+        if kind == "value":
+            node[last] = value
+        elif kind == "remove":
+            del node[last]
+        else:
+            node[value] = node.pop(last)
+        out[line] = json.dumps(rec).encode()
+    elif kind == "truncate":
+        out[line] = out[line][:at % len(out[line])]
+    elif kind == "duplicate":
+        out.insert(line, out[line])
+    else:
+        at %= len(out[line]) + 1
+        out[line] = out[line][:at] + value + out[line][at:]
+    return b"".join(text + b"\n" for text in out)
+
+
+class TestFuzzedAnnotations:
+    @settings(max_examples=15, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(line=st.integers(0, 2), mutation=ANNOTATION_MUTATIONS)
+    @example(line=1, mutation=("value", 9, float("nan")))
+    @example(line=0, mutation=("value", 0, ["x"]))
+    @example(line=2, mutation=("remove", 1, None))
+    @example(line=1, mutation=("rename", 7, "nmae"))
+    @example(line=1, mutation=("truncate", 40, None))
+    @example(line=0, mutation=("duplicate", 0, None))
+    @example(line=2, mutation=("byte", 12, b"\xff"))
+    def test_eval_exits_with_a_documented_code(self, workdir, mean_model, capsys, line,
+                                                mutation):
+        # one line of a 3-face annotation file changed once: eval with a
+        # mean model ends in 0, 2 or 3, never in an exception
+        _, cfg, out = workdir
+        lines = (out / "annotations.jsonl").read_text().splitlines()[:3]
+        with tempfile.TemporaryDirectory() as tmp:
+            faces = Path(tmp) / "faces.jsonl"
+            faces.write_bytes(mutated_annotations(lines, line, *mutation))
+            rc = run(["eval", "--config", str(cfg), "--dataset", str(faces),
+                      "--model", str(mean_model), "--out", str(Path(tmp) / "out")])
+        assert rc in (EXIT_OK, EXIT_DATA, EXIT_NUMERIC)
+        assert "Traceback" not in capsys.readouterr().err
+
+
 class Probe:
     """Command lines over the workdir's faces and model, with edited copies
     of either written under tmp."""
@@ -1046,6 +1119,14 @@ PROBES = [
                  id="eval-no-faces"),
     pytest.param(lambda p: p.eval(faces=p.faces(lambda r: r[0].update(L=24.9))), EXIT_DATA,
                  "line 1: bad L or bbox: L must be an integer, not 24.9", id="eval-L-24.9"),
+    pytest.param(lambda p: p.eval(faces=p.faces(lambda r: r[1]["landmarks"].append(
+                     r[1]["landmarks"][0]))), EXIT_DATA,
+                 "line 2: record has 25 landmarks, schema has 24", id="eval-25-landmarks"),
+    pytest.param(lambda p: p.eval(faces=p.faces(lambda r: r[1]["landmarks"][0].update(
+                     name="nose"))), EXIT_DATA, "line 2: unknown landmark name 'nose'",
+                 id="eval-unknown-landmark-name"),
+    pytest.param(lambda p: p.eval(faces=p.faces(lambda r: r[1].update(L=25))), EXIT_DATA,
+                 "line 2: record L=25 does not match schema L=24", id="eval-L-25"),
     pytest.param(lambda p: p.command("cross", "--no-pooled", p.faces(bare_face), str(p.ann)),
                  EXIT_DATA, "face 3 has no annotated landmark", id="cross-face-without-landmarks"),
     *[pytest.param(lambda p, v=v: p.eval("--epsilon", v), EXIT_USAGE,

@@ -2,10 +2,10 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from facealign.errors import DataError, ParseError, SchemaError
+from facealign.errors import DataError, NumericError, ParseError, SchemaError
 from facealign.shapes import (
     AugmentConfig,
     Dataset,
@@ -17,6 +17,7 @@ from facealign.shapes import (
     save_dataset,
     split_train_val,
 )
+from oracles import save_dataset_per_landmark
 
 
 def small_schema():
@@ -194,6 +195,80 @@ class TestDatasetIO:
             )
             np.testing.assert_array_equal(a.ground_truth.annotated, b.ground_truth.annotated)
             assert a.bbox == b.bbox
+
+
+# names and images with quotes, backslashes, format characters, control
+# characters and non-ASCII
+TEXT = st.text(alphabet=st.sampled_from('ab"\\%/\n\x00\u00e9\u2603\U0001F600'), max_size=6)
+# a finite float, -0.0, the smallest subnormal and 1e300 among them
+COORD = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 0.1, 1 / 3]) | st.floats(
+    allow_nan=False, allow_infinity=False)
+VISIBILITY = st.sampled_from([-0.0, 0.0, 5e-324, 1.0]) | st.floats(0.0, 1.0)
+# a bbox entry as an int, a float or an np.float64
+BOX_ORIGIN = st.integers(-10 ** 6, 10 ** 6) | COORD | COORD.map(np.float64)
+BOX_SIZE = (st.integers(1, 10 ** 6) | st.floats(5e-324, 1e300)
+            | st.floats(5e-324, 1e300).map(np.float64))
+
+
+@st.composite
+def datasets(draw):
+    """A dataset over a schema of 1-5 drawn names: 0-4 faces, each landmark
+    annotated or not; an unannotated landmark's coordinates may be NaN."""
+    L = draw(st.integers(1, 5))
+    schema = LandmarkSchema(draw(st.lists(TEXT, min_size=L, max_size=L)), [0] * L,
+                            [True] * L, list(range(L)))
+    samples = []
+    for _ in range(draw(st.integers(0, 4))):
+        coords = np.array(draw(st.lists(COORD, min_size=2 * L, max_size=2 * L))).reshape(L, 2)
+        annotated = np.array(draw(st.lists(st.booleans(), min_size=L, max_size=L)), np.uint8)
+        if draw(st.booleans()):
+            coords[annotated == 0] = np.nan
+        shape = Shape(coords, draw(st.lists(VISIBILITY, min_size=L, max_size=L)), annotated)
+        bbox = (draw(BOX_ORIGIN), draw(BOX_ORIGIN), draw(BOX_SIZE), draw(BOX_SIZE))
+        samples.append(Sample(draw(TEXT), shape, bbox))
+    return Dataset(samples, schema)
+
+
+class TestSaveDataset:
+    @settings(max_examples=150, deadline=None)
+    @given(ds=datasets())
+    def test_bytes_equal_the_per_landmark_writer(self, tmp_path_factory, ds):
+        out = tmp_path_factory.getbasetemp()
+        save_dataset(ds, out / "templates.jsonl")
+        save_dataset_per_landmark(ds, out / "scalars.jsonl")
+        assert (out / "templates.jsonl").read_bytes() == (out / "scalars.jsonl").read_bytes()
+
+    def test_record_bytes(self, tmp_path):
+        # one record in full: sorted keys, json's text of every value
+        gt = Shape([[1.5, -0.0], [np.nan, 0.0], [5e-324, 1e300]], [1.0, 1.0, 0.25], [1, 0, 1])
+        ds = Dataset([Sample('a"\\\u00e9', gt, (1, np.float64(0.1), 2.0, 3))],
+                     LandmarkSchema(["p%r", "q", "\u2603"], [0, 0, 0], [True] * 3, [0, 1, 2]))
+        save_dataset(ds, tmp_path / "one.jsonl")
+        assert (tmp_path / "one.jsonl").read_text() == (
+            '{"L": 3, "bbox": [1, 0.1, 2.0, 3], "image": "a\\"\\\\\\u00e9", "landmarks": ['
+            '{"name": "p%r", "v": 1.0, "w": 1, "x": 1.5, "y": -0.0}, '
+            '{"name": "\\u2603", "v": 0.25, "w": 1, "x": 5e-324, "y": 1e+300}]}\n')
+
+    @pytest.mark.parametrize("field, value", [("x", np.nan), ("y", np.inf), ("x", -np.inf),
+                                              ("v", np.nan)])
+    def test_non_finite_landmark_is_refused_before_writing(self, tmp_path, tiny_corpus,
+                                                           field, value):
+        ds = Dataset([Sample(s.image_ref, s.ground_truth.copy(), s.bbox)
+                      for s in tiny_corpus.samples[:3]], tiny_corpus.schema)
+        gt = ds.samples[1].ground_truth
+        if field == "v":
+            gt.visibility[4] = value
+        else:
+            gt.coords[4, "xy".index(field)] = value
+        path = tmp_path / "faces.jsonl"
+        with pytest.raises(NumericError, match=f"image '{ds.samples[1].image_ref}' has a "
+                                               "landmark with a non-finite x, y or v"):
+            save_dataset(ds, path)
+        assert not path.exists()
+        # the same value on an unannotated landmark is not written, so not refused
+        gt.annotated[4] = 0
+        save_dataset(ds, path)
+        assert load_dataset(path, ds.schema).samples[1].ground_truth.annotated[4] == 0
 
 
 class TestShape:

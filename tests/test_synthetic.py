@@ -1,3 +1,4 @@
+import itertools
 import json
 import struct
 
@@ -6,9 +7,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from facealign import synthetic
 from facealign.errors import FormatError, NumericError
-from facealign.heatmaps import ProbabilityMaps, SynthConfig, sample_blobs, write_maps
+from facealign.heatmaps import FACE_SIZE, ProbabilityMaps, SynthConfig, sample_blobs, write_maps
 from facealign.pose import euler_to_rotation, project_points
 from facealign.shapes import AugmentConfig, augment, save_dataset
 from facealign.synthetic import (
@@ -20,8 +22,8 @@ from facealign.synthetic import (
     part_deform_modes,
     write_corpus,
 )
-from oracles import (generate_corpus_per_face, save_dataset_per_landmark,
-                     write_corpus_maps_full_grid)
+from oracles import (corpus_samples_checked, generate_corpus_per_face,
+                     save_dataset_per_landmark, write_corpus_maps_full_grid)
 
 
 class TestCorpus:
@@ -121,6 +123,113 @@ def outcome(build):
 
 # zero-width, ordinary and wide half-widths (degrees or pixels)
 HALF_WIDTHS = st.one_of(st.just(0.0), st.floats(0.0, 400.0), st.sampled_from([1e6, 1e200]))
+
+
+def nth_rotation_changed(k, change):
+    """euler_to_rotation, but the rotation of its k-th call passes through change."""
+    calls = itertools.count()
+
+    def rotation(*angles):
+        R = euler_to_rotation(*angles)
+        return change(R) if next(calls) == k else R
+    return rotation
+
+
+# corpus settings, a change to one face's rotation and a FACE_SIZE that
+# make the generators refuse a face, one constructor rule each
+GENERATOR_REFUSALS = [
+    pytest.param({}, lambda R: 2 * R, FACE_SIZE, id="rotation-not-orthonormal"),
+    pytest.param({}, lambda R: np.full((3, 3), np.nan), FACE_SIZE, id="rotation-nan"),
+    pytest.param({}, lambda R: -R, FACE_SIZE, id="rotation-reflected"),
+    pytest.param({"scale_range": (5e-324, 5e-324)}, None, FACE_SIZE,
+                 id="translation-infinite"),
+    pytest.param({}, None, -FACE_SIZE, id="depth-negative"),
+    pytest.param({"scale_range": (1e300, 1e300), "deform_magnitude": 1e10}, None, FACE_SIZE,
+                 id="bbox-infinite"),
+    pytest.param({"scale_range": (1e-300, 1e-300), "shift_range": 0.0}, None, FACE_SIZE,
+                 id="bbox-zero-size"),
+]
+
+
+def stacked(ds) -> dict:
+    """A corpus's faces as the stacked arrays _corpus_samples takes."""
+    S = ds.samples
+    return {"coords": np.stack([s.ground_truth.coords for s in S]),
+            "vis": np.stack([s.ground_truth.visibility for s in S]),
+            "annotated": np.stack([s.ground_truth.annotated for s in S]),
+            "bboxes": np.array([s.bbox for s in S]),
+            "R": np.stack([s.pose.rotation for s in S]),
+            "translations": np.stack([s.pose.translation for s in S]),
+            "focal": S[0].pose.focal}
+
+
+def setter(name, index, value):
+    return lambda a: a[name].__setitem__(index, value)
+
+
+def replaced(name, change):
+    return lambda a: a.update({name: change(a[name])})
+
+
+# a change to a corpus's stacked arrays that breaks one constructor rule in
+# face 3, or two or three rules in one face or in two
+ARRAY_REFUSALS = [
+    pytest.param(setter("R", 3, 2 * np.eye(3)), id="rotation-not-orthonormal"),
+    pytest.param(setter("R", (3, 0, 0), np.nan), id="rotation-nan"),
+    pytest.param(setter("R", 3, -np.eye(3)), id="rotation-reflected"),
+    pytest.param(setter("translations", (3, 0), np.inf), id="translation-infinite"),
+    pytest.param(setter("translations", (3, 1), np.nan), id="translation-nan"),
+    pytest.param(setter("translations", (3, 2), 0.0), id="depth-zero"),
+    pytest.param(setter("translations", (3, 2), -1.0), id="depth-negative"),
+    *[pytest.param(replaced("focal", lambda f, v=v: v), id=f"focal-{v}")
+      for v in (0.0, -1.0, np.nan, np.inf)],
+    *[pytest.param(setter("vis", (3, 5), v), id=f"visibility-{v}")
+      for v in (1.5, -0.5, np.nan)],
+    pytest.param(setter("annotated", (3, 5), 2), id="annotated-2"),
+    pytest.param(replaced("coords", lambda c: np.concatenate([c, c[:, :1]], axis=1)),
+                 id="coords-one-landmark-more"),
+    pytest.param(replaced("annotated", lambda a: a[:, :-1]), id="annotated-one-landmark-less"),
+    pytest.param(replaced("vis", lambda v: v[:, :-1]), id="visibility-one-landmark-less"),
+    *[pytest.param(setter("bboxes", (3, j), v), id=f"bbox-{j}-{v}")
+      for j, v in ((0, np.nan), (1, np.inf), (2, np.inf), (3, -np.inf), (2, 0.0), (3, -1.0))],
+    pytest.param(lambda a: (setter("R", 3, -np.eye(3))(a), setter("bboxes", (1, 2), 0.0)(a)),
+                 id="bbox-face-before-rotation-face"),
+    pytest.param(lambda a: (setter("R", 1, -np.eye(3))(a), setter("bboxes", (3, 2), 0.0)(a)),
+                 id="rotation-face-before-bbox-face"),
+    pytest.param(lambda a: (setter("bboxes", (3, 2), 0.0)(a), setter("R", 3, 2 * np.eye(3))(a),
+                            setter("vis", (3, 0), 2.0)(a)), id="shape-before-pose-before-bbox"),
+]
+
+
+class TestCorpusCheck:
+    """generate_corpus checks its corpus once and builds the faces without
+    the constructors' checks; a corpus that breaks a rule must be refused
+    with the checked constructors' exception and message."""
+
+    @pytest.mark.parametrize("settings, change, face_size", GENERATOR_REFUSALS)
+    def test_refusal_equals_the_per_face_generator(self, model3d, schema, monkeypatch,
+                                                    settings, change, face_size):
+        cfg = CorpusConfig(count=6, seed=5, **settings)
+        errors = []
+        for module, generate in ((synthetic, generate_corpus),
+                                 (oracles, generate_corpus_per_face)):
+            monkeypatch.setattr(module, "FACE_SIZE", face_size)
+            if change is not None:
+                monkeypatch.setattr(module, "euler_to_rotation", nth_rotation_changed(3, change))
+            with np.errstate(all="ignore"):
+                errors.append(outcome(lambda: generate(model3d, schema, cfg))[1])
+        assert errors[0] is not None
+        assert errors[0] == errors[1]
+
+    @pytest.mark.parametrize("change", ARRAY_REFUSALS)
+    def test_refusal_equals_the_checked_constructors(self, model3d, schema, change):
+        arrays = stacked(generate_corpus(model3d, schema, CorpusConfig(count=5, seed=4)))
+        change(arrays)
+        with np.errstate(all="ignore"):
+            got = outcome(lambda: synthetic._corpus_samples("t", **arrays))[1]
+            want = outcome(lambda: corpus_samples_checked("t", **arrays))[1]
+        assert want is not None
+        assert got == want
 
 
 class TestBatchedCorpus:
